@@ -47,6 +47,9 @@
 #   make crash    - the fault-injection crash-recovery matrix (torn
 #                   appends, bit rot, lying fsyncs, interrupted
 #                   checkpoints) under -race
+#   make fuzz     - every fuzz target for a bounded $(FUZZTIME) each: the
+#                   static, dynamic, and residual-schedule differential
+#                   fuzzers and the copy-on-write row-block commit fuzzer
 #   make loadtest - the serving-plane overload smoke: the closed-loop
 #                   2x-saturation shed/recovery test, the WAL-broken
 #                   degraded-mode flip, and the lsbpd daemon boot/drain
@@ -62,6 +65,7 @@
 
 GO ?= go
 BENCHTIME ?= 1s
+FUZZTIME ?= 30s
 COVER_FLOOR ?= 70
 COVER_PKGS = internal/kernel internal/order internal/sparse internal/core internal/difftest internal/durable internal/errs internal/serve cmd/benchjson
 # RACE_PKGS must cover every concurrency-relevant ./internal/ package
@@ -74,7 +78,7 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
 	./internal/serve/ ./internal/metrics/
 
-.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash
+.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz
 
 verify: build fmt vet lint test test-race crash
 
@@ -120,6 +124,15 @@ race: test-race
 # the epoch-swap machinery with concurrent serving.
 crash:
 	$(GO) test -race -run 'Crash|Durable|TestWAL|TestSnapshot|TestMemFS' ./internal/difftest/ ./internal/core/ ./internal/durable/
+
+# Each fuzz target runs alone (go test -fuzz takes one target per
+# package invocation); a failing input lands in the package's
+# testdata/fuzz directory as a new regression seed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLinBPEquivalence$$' -fuzztime $(FUZZTIME) ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzDynamicEquivalence$$' -fuzztime $(FUZZTIME) ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzResidualSchedule$$' -fuzztime $(FUZZTIME) ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowBlocksCommit$$' -fuzztime $(FUZZTIME) ./internal/sparse/
 
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

@@ -230,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
-	for node, classes := range res.Top {
+	for node, classes := range res.Beliefs.TopAssignment() {
 		strs := make([]string, len(classes))
 		for i, c := range classes {
 			strs[i] = strconv.Itoa(c)
@@ -372,7 +372,7 @@ func replayUpdates(ctx context.Context, s lsbp.Solver, batches []updateBatch, st
 	printEpoch := func(i int, b updateBatch, res *lsbp.Result) {
 		fmt.Fprintf(w, "epoch %d: +%d -%d edges, %d labels, iters=%d, converged=%v\n",
 			i, len(b.u.AddEdges), len(b.u.RemoveEdges), b.labels, res.Iterations, res.Converged)
-		for node, classes := range res.Top {
+		for node, classes := range res.Beliefs.TopAssignment() {
 			strs := make([]string, len(classes))
 			for i, c := range classes {
 				strs[i] = strconv.Itoa(c)

@@ -1,5 +1,5 @@
 // Benchmarks for the dynamic-graph serving plane: absorbing an edge
-// delta through Solver.Update (overlay merge + snapshot swap + warm
+// delta through Solver.Update (copy-on-write commit + snapshot swap + warm
 // re-solve) against the cold-restart alternative, on the large
 // Kronecker regime. `make bench-update` archives these into
 // BENCH_results.json; the acceptance bar is that the warm-started
@@ -40,9 +40,9 @@ func updateBenchDelta(n, edges int, seed uint64) []graph.Edge {
 }
 
 // BenchmarkUpdateWarmVsCold measures one full Update round trip — the
-// overlay commit, the epoch swap, and the re-solve to tolerance — with
+// copy-on-write commit, the epoch swap, and the re-solve to tolerance — with
 // the warm start on and off. Each op alternates inserting and removing
-// the same delta batch, so the graph (and the overlay) stays bounded
+// the same delta batch, so the graph stays bounded
 // across b.N. iters/update reports the mean re-solve rounds: the
 // warm-started variant must need measurably fewer than the cold one.
 func BenchmarkUpdateWarmVsCold(b *testing.B) {
@@ -97,7 +97,7 @@ func BenchmarkUpdateWarmVsCold(b *testing.B) {
 
 // BenchmarkUpdateThroughput measures the two commit shapes separately:
 // a belief-only update (no snapshot rebuild — just the warm re-solve)
-// and a single-edge topology update (overlay commit + epoch swap +
+// and a single-edge topology update (copy-on-write commit + epoch swap +
 // warm re-solve), the steady-state costs of an event stream.
 func BenchmarkUpdateThroughput(b *testing.B) {
 	power := reorderBenchPower()

@@ -44,20 +44,21 @@ func main() {
 			log.Fatal(err)
 		}
 		s.Close()
+		top := res.Beliefs.TopAssignment()
 		var correct, total, ties int
 		perArea := map[int][2]int{} // area -> {correct, total}
 		for v := 0; v < n; v++ {
 			if e.IsExplicit(v) {
 				continue
 			}
-			if len(res.Top[v]) > 1 {
+			if len(top[v]) > 1 {
 				ties++
 				continue
 			}
 			total++
 			pa := perArea[d.TrueClass[v]]
 			pa[1]++
-			if res.Top[v][0] == d.TrueClass[v] {
+			if top[v][0] == d.TrueClass[v] {
 				correct++
 				pa[0]++
 			}

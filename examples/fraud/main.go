@@ -61,6 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	top := res.Beliefs.TopAssignment()
 
 	fmt.Printf("auction network: %d users, %d interactions, %d labeled\n",
 		n, g.NumEdges(), labeled)
@@ -71,10 +72,10 @@ func main() {
 	var confusion [3][3]int
 	var correct, total int
 	for v := 0; v < n; v++ {
-		if e.IsExplicit(v) || len(res.Top[v]) != 1 {
+		if e.IsExplicit(v) || len(top[v]) != 1 {
 			continue
 		}
-		pred := res.Top[v][0]
+		pred := top[v][0]
 		confusion[truth[v]][pred]++
 		total++
 		if pred == truth[v] {

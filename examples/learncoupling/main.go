@@ -59,13 +59,14 @@ func main() {
 			log.Fatal(err)
 		}
 		s.Close()
+		top := res.Beliefs.TopAssignment()
 		var correct, total int
 		for v := 0; v < n; v++ {
-			if partial[v] != lsbp.UnlabeledNode || len(res.Top[v]) != 1 {
+			if partial[v] != lsbp.UnlabeledNode || len(top[v]) != 1 {
 				continue
 			}
 			total++
-			if res.Top[v][0] == truth[v] {
+			if top[v][0] == truth[v] {
 				correct++
 			}
 		}

@@ -60,7 +60,7 @@ func main() {
 			fmt.Printf("%-8s (auto eps_H = %.4f)\n", "", s.Stats().EpsilonH)
 		}
 		fmt.Printf("%-8s", m.String()+":")
-		for _, classes := range res.Top {
+		for _, classes := range res.Beliefs.TopAssignment() {
 			fmt.Printf("%4d", classes[0])
 		}
 		fmt.Println()

@@ -154,10 +154,9 @@ type Options struct {
 type Result struct {
 	// Method that produced the result.
 	Method Method
-	// Beliefs holds the final residual beliefs.
+	// Beliefs holds the final residual beliefs; Beliefs.TopAssignment()
+	// gives the top-belief classes (with ties) per node.
 	Beliefs *beliefs.Residual
-	// Top is the top-belief assignment (with ties) per node.
-	Top [][]int
 	// Iterations/Converged/Delta describe iterative methods; SBP always
 	// converges with Iterations = max geodesic number.
 	Iterations int

@@ -53,16 +53,17 @@ func TestSolveAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if res.Beliefs == nil || len(res.Top) != 8 {
+		if res.Beliefs == nil || res.Beliefs.N() != 8 {
 			t.Fatalf("%v: incomplete result", m)
 		}
+		top := res.Beliefs.TopAssignment()
 		if !res.Converged {
 			t.Fatalf("%v: did not converge", m)
 		}
 		// Explicit nodes keep their classes.
 		for s := 0; s < 3; s++ {
-			if len(res.Top[s]) != 1 || res.Top[s][0] != s {
-				t.Fatalf("%v: node %d top = %v", m, s, res.Top[s])
+			if len(top[s]) != 1 || top[s][0] != s {
+				t.Fatalf("%v: node %d top = %v", m, s, top[s])
 			}
 		}
 	}
@@ -81,12 +82,13 @@ func TestMethodsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := metrics.Compare(base.Top, res.Top)
+		bt, rt := base.Beliefs.TopAssignment(), res.Beliefs.TopAssignment()
+		pr, err := metrics.Compare(bt, rt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pr.F1 < 0.99 {
-			t.Fatalf("%v vs BP: F1 = %v\nBP:  %v\n%v: %v", m, pr.F1, base.Top, m, res.Top)
+			t.Fatalf("%v vs BP: F1 = %v\nBP:  %v\n%v: %v", m, pr.F1, bt, m, rt)
 		}
 	}
 }

@@ -139,8 +139,8 @@ func (d *dynSolver) initDurability() error {
 
 // appendWALLocked logs the batch as the next sequence number; on
 // error nothing was committed and the Update must abort.
-func (d *dynSolver) appendWALLocked(u Update) error {
-	rec := recordFromUpdate(u, d.dur.seq+1, d.k)
+func (d *dynSolver) appendWALLocked(u Update, explicit []int) error {
+	rec := recordFromUpdate(u, explicit, d.dur.seq+1, d.k)
 	if err := d.dur.wal.Append(rec); err != nil {
 		if d.dur.wal.Broken() != nil {
 			// The failed append also poisoned the log (its rollback
@@ -178,9 +178,10 @@ func (d *dynSolver) checkpointLocked() error {
 }
 
 // snapshotImageLocked assembles the durable image of the maintained
-// state: the current layout CSR (with any pending overlay delta
-// folded in — the WAL sequence recorded alongside covers it), the
-// layout metadata, and the belief matrices.
+// state: the current adjacency as a flat CSR (the layout-order table of
+// the kernel methods — flattening is free for an uncommitted epoch-0
+// table — or the caller-order graph of BP/SBP), the layout metadata,
+// and the belief matrices in caller order.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	img := &durable.Snapshot{
 		Method:     uint32(d.method),
@@ -193,13 +194,9 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		BandAfter:  d.info.bandAfter,
 	}
 	var a *sparse.CSR
-	switch d.method {
-	case MethodLinBP, MethodLinBPStar, MethodFABP:
-		a = d.layoutA
-		if d.overlay != nil && d.overlay.DeltaNNZ() > 0 {
-			a = d.overlay.Merge()
-		}
-	default:
+	if d.kernelMethod() {
+		a = d.rows.Flatten()
+	} else {
 		img.GraphOrder = true
 		g := d.g
 		if g == nil {
@@ -224,25 +221,34 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		exp = d.srcExp
 	}
 	img.Explicit = exp.Matrix().Data()
-	if d.last != nil {
-		img.Last = d.last.Matrix().Data()
+	if d.kern != nil && d.kern.hasFix {
+		img.Last = d.gatherLocked().Matrix().Data()
 	}
 	return img, nil
 }
 
 // recordFromUpdate encodes the batch exactly as the apply path reads
-// it: only the non-zero explicit rows travel.
-func recordFromUpdate(u Update, seq uint64, k int) *durable.Record {
+// it: only the non-zero explicit rows (the list validateUpdate built)
+// travel.
+func recordFromUpdate(u Update, explicit []int, seq uint64, k int) *durable.Record {
 	rec := &durable.Record{Seq: seq, K: k}
+	if len(u.AddEdges) > 0 {
+		rec.Adds = make([]durable.Edge, 0, len(u.AddEdges))
+	}
 	for _, e := range u.AddEdges {
 		rec.Adds = append(rec.Adds, durable.Edge{S: uint32(e.S), T: uint32(e.T), W: e.W})
+	}
+	if len(u.RemoveEdges) > 0 {
+		rec.Dels = make([]durable.Pair, 0, len(u.RemoveEdges))
 	}
 	for _, e := range u.RemoveEdges {
 		rec.Dels = append(rec.Dels, durable.Pair{S: uint32(e.S), T: uint32(e.T)})
 	}
-	if u.SetExplicit != nil {
-		for _, v := range u.SetExplicit.ExplicitNodes() {
-			row := make([]float64, k)
+	if len(explicit) > 0 {
+		rec.Rows = make([]durable.BeliefRow, 0, len(explicit))
+		vals := make([]float64, len(explicit)*k)
+		for i, v := range explicit {
+			row := vals[i*k : i*k+k : i*k+k]
 			copy(row, u.SetExplicit.Row(v))
 			rec.Rows = append(rec.Rows, durable.BeliefRow{Node: uint32(v), Row: row})
 		}
@@ -377,29 +383,13 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		method: m, n: n, k: k, workers: cfg.workers, eps: snap.EpsH,
 		ordering: ordering, bandBefore: snap.BandBefore, bandAfter: snap.BandAfter,
 	}
-	// Reconstruct the caller-order graph the dynamic plane maintains:
-	// for kernel methods the stored CSR is layout-ordered, so undo the
-	// permutation first. Parallel edges were already collapsed by the
-	// original adjacency build; the sum-equivalent graph serves every
-	// later rebuild identically.
-	adj := a
-	if !snap.GraphOrder && perm != nil {
-		adj = a.Permute([]int(perm.Inverse()))
-	}
-	g := graph.New(n)
-	g.ReserveEdges((adj.NNZ() + n) / 2)
-	rp, ci, vs := adj.Index()
-	for i := 0; i < n; i++ {
-		for p := rp[i]; p < rp[i+1]; p++ {
-			if j := ci[p]; j >= i {
-				g.AddEdge(i, j, vs[p])
-			}
-		}
-	}
-
+	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcExp: exp}
 	var inner snapshot
 	switch m {
 	case MethodLinBP, MethodLinBPStar, MethodFABP:
+		// The kernel methods serve straight from the stored layout CSR:
+		// its epoch-0 row-block table aliases the (mapped) arrays, and
+		// no caller-order graph is rebuilt.
 		if snap.GraphOrder {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
@@ -409,30 +399,48 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 			info.cutEdges = st.CutEdges
 			info.imbalance = st.Imbalance
 		}
-		lay := kernelLayout{a: a, perm: perm, partStarts: snap.PartStarts}
+		lay := kernelLayout{perm: perm, partStarts: snap.PartStarts}
+		lay.rows, err = layoutRows(a, m != MethodLinBPStar, cfg.layout)
+		if err != nil {
+			return nil, err
+		}
 		if m == MethodFABP {
-			lay.d = a.RowSumsSquared()
 			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, lay)
 		} else {
-			if m == MethodLinBP {
-				lay.d = a.RowSumsSquared()
-			}
 			inner, err = newLinBPSolverOn(coupling.Scale(ho, snap.EpsH), info, cfg, lay)
 		}
-	case MethodBP:
-		inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
-	default: // MethodSBP
-		inner, err = newSBPSolverOn(g.Clone(), ho, info, perm)
+		d.rows = lay.rows
+	default:
+		// BP and SBP keep a caller-order graph, rebuilt from the stored
+		// matrix (undoing the layout permutation if the matrix is in
+		// layout order). Parallel edges were already collapsed by the
+		// original adjacency build; the sum-equivalent graph serves
+		// every later rebuild identically.
+		adj := a
+		if !snap.GraphOrder && perm != nil {
+			adj = a.Permute([]int(perm.Inverse()))
+		}
+		g := graph.New(n)
+		g.ReserveEdges((adj.NNZ() + n) / 2)
+		rp, ci, vs := adj.Index()
+		for i := 0; i < n; i++ {
+			for p := rp[i]; p < rp[i+1]; p++ {
+				if j := ci[p]; j >= i {
+					g.AddEdge(i, j, vs[p])
+				}
+			}
+		}
+		d.srcGraph = g
+		if m == MethodBP {
+			inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
+		} else {
+			inner, err = newSBPSolverOn(g.Clone(), ho, info, perm)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcGraph: g, srcExp: exp}
 	d.info, d.perm, d.partStarts = info, perm, snap.PartStarts
-	if !snap.GraphOrder {
-		d.layoutA = a
-	}
 	d.n, d.k, d.eps = n, k, snap.EpsH
 	d.cur.Store(&epochState{snap: inner})
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}
@@ -445,11 +453,23 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.initDynState()
-	if snap.Last != nil {
-		lastM := dense.New(d.n, d.k)
-		copy(lastM.Data(), snap.Last)
-		d.last = beliefs.FromMatrix(lastM)
+	if err := d.initDynState(); err != nil {
+		return err
+	}
+	if kp := d.kern; kp != nil && snap.Last != nil {
+		// Restore the warm-start fixpoint into the maintained state, in
+		// layout order (BP and SBP keep none: they re-solve cold).
+		b := make([]float64, d.n*kp.w)
+		for i := 0; i < d.n; i++ {
+			li := d.pm(i)
+			if kp.w == 1 {
+				b[li] = snap.Last[i*d.k]
+			} else {
+				copy(b[li*kp.w:li*kp.w+kp.w], snap.Last[i*d.k:i*d.k+d.k])
+			}
+		}
+		kp.fix.SetBeliefs(b)
+		kp.hasFix = true
 	}
 	changed := false
 	lastSeq, replayed, err := durable.ReplayWAL(d.dur.fs, d.dur.dir, snap.WALSeq, func(rec *durable.Record) error {
@@ -459,14 +479,11 @@ func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 		}
 		// The checksum proves integrity, not sanity: a foreign or
 		// stale-schema record must fail recovery, not poison the state.
-		if err := d.validateUpdate(u); err != nil {
+		rows, err := d.validateUpdate(u)
+		if err != nil {
 			return fmt.Errorf("core: wal replay seq %d: %v: %w", rec.Seq, err, errs.ErrCorruptState)
 		}
-		if u.SetExplicit != nil {
-			for _, v := range u.SetExplicit.ExplicitNodes() {
-				d.exp.Set(v, u.SetExplicit.Row(v))
-			}
-		}
+		d.applyExplicitLocked(u.SetExplicit, rows)
 		if d.applyTopologyLocked(u) {
 			changed = true
 		}
@@ -479,7 +496,7 @@ func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 	d.updates.Store(int64(lastSeq))
 	if changed {
 		// One commit for the whole replayed suffix: per-record epochs
-		// would re-merge the overlay O(replayed) times for no reader.
+		// would publish O(replayed) snapshots for no reader.
 		if err := d.swapSnapshotLocked(context.Background()); err != nil {
 			return err
 		}

@@ -2,39 +2,42 @@
 // method's immutable prepared state (a snapshot) in a dynSolver, which
 // adds the Update path of the paper's incremental-maintenance story
 // (Section 8; SBP Algorithms 3–4) on top of the existing serving
-// surface:
+// surface. For the kernel-backed methods (LinBP, LinBP*, FABP) an
+// Update costs what it touches:
 //
-//   - Deltas accumulate in a mutable overlay over the prepared,
-//     layout-ordered CSR (sparse.Overlay: weight additions plus
-//     tombstones). Committing a topology update materializes the merged
-//     adjacency by one merged-row pass — no COO rebuild, no reordering
-//     recompute, no partition recompute — and builds a fresh snapshot
-//     on it, reusing the prepare-time permutation and partition
-//     boundaries.
+//   - The adjacency is a copy-on-write row-block table
+//     (sparse.RowBlocks) in the prepare-time layout order. The epoch-0
+//     table aliases the prepared (possibly mmapped) flat arrays; a
+//     commit copies only the blocks holding edited rows plus the block
+//     table, recomputing just those rows' degrees and patching the
+//     partition diagnostics per edited row — no merge, no reordering,
+//     no partition recompute, and no caller-order graph mirror.
 //   - The snapshot swap is RCU-style: the current-epoch pointer is
 //     swapped atomically, solves already in flight drain on the old
 //     snapshot (its Close waits for them), and new solves land on the
 //     new one. A reader that loses the race — loads the old pointer
 //     just as it retires — observes the old snapshot's ErrClosed and
 //     transparently retries on the current epoch, so no caller ever
-//     sees a torn graph or a spurious closed error.
-//   - Workspaces are pooled per epoch (each snapshot owns its
-//     statePools); retiring an epoch closes its pools and folds its
-//     counters into the solver-lifetime accumulator, and the kernel's
-//     package-level workspace pool recycles the large buffers across
-//     epochs.
-//   - Update re-solves the maintained problem warm-started from the
-//     previous fixpoint for the kernel-backed methods (the fixpoint is
-//     unique under the convergence criterion, so warm starting changes
-//     the iteration count, never the answer). BP and SBP re-solve cold.
-//   - When the overlay's delta-cell count crosses
+//     sees a torn graph or a spurious closed error. The successor
+//     builds no engine: the retiring epoch's idle engines are rebound
+//     to the new table and move over.
+//   - The maintained fixpoint lives once, in layout order, inside one
+//     residual engine the dynSolver owns and rebinds to each epoch; the
+//     rounds schedule warm-starts from the same state. A localized
+//     re-solve seeds only the touched rows, and the Update ends with
+//     one caller-order gather into a fresh result matrix.
+//   - When the cells that differ from the compaction base exceed
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
-//     compaction rebuild: the reordering strategy and the partitioner
-//     replay on the merged graph and the overlay rebases onto the
-//     fresh layout.
+//     compaction: a flat CSR is built from the table, and the
+//     reordering strategy, the partitioner, and (under
+//     WithAutoEpsilonH) the εH derivation replay on it exactly as
+//     Prepare would.
+//
+// BP and SBP keep their caller-order graph and rebuild their snapshot
+// on every topology commit, re-solving cold.
 //
 // Convergence caveat: εH (including a WithAutoEpsilonH derivation) is
-// fixed at preparation time. Edge insertions raise the spectral radius
+// fixed between compactions. Edge insertions raise the spectral radius
 // of the update operator, so a long-running insert-heavy stream should
 // either keep a safety margin in εH or watch for ErrNotConverged from
 // Update — the same contract the paper's Section 8 sketch implies.
@@ -45,15 +48,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/beliefs"
 	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
+	"repro/internal/fabp"
 	"repro/internal/graph"
+	"repro/internal/kernel"
+	"repro/internal/linbp"
 	"repro/internal/order"
 	"repro/internal/sparse"
 )
@@ -82,11 +90,12 @@ type Update struct {
 // UpdatePolicy tunes the dynamic plane; see WithUpdatePolicy. The zero
 // value selects the defaults.
 type UpdatePolicy struct {
-	// CompactionRatio is the overlay-growth threshold that triggers a
-	// compaction rebuild: when the accumulated delta cells exceed
-	// CompactionRatio × base nnz, the commit replays the reordering
-	// strategy and the partitioner on the merged graph instead of
-	// merging over the stale layout. <= 0 selects
+	// CompactionRatio is the drift threshold that triggers a compaction
+	// rebuild: when the cells whose value differs from the compaction
+	// base exceed CompactionRatio × base nnz, the commit replays the
+	// reordering strategy and the partitioner on the current graph
+	// instead of committing over the stale layout (an edge inserted and
+	// deleted again leaves no difference behind). <= 0 selects
 	// DefaultCompactionRatio; a very small positive value forces a
 	// rebuild on every topology update (the differential tests use
 	// this), a huge one disables compaction.
@@ -97,9 +106,9 @@ type UpdatePolicy struct {
 	DisableWarmStart bool
 }
 
-// DefaultCompactionRatio is the default overlay-growth threshold: a
-// quarter of the base's stored entries. Below it the stale layout's
-// locality loss is marginal; above it the O(nnz) relayout amortizes.
+// DefaultCompactionRatio is the default drift threshold: a quarter of
+// the base's stored entries. Below it the stale layout's locality loss
+// is marginal; above it the O(nnz) relayout amortizes.
 const DefaultCompactionRatio = 0.25
 
 // WithUpdatePolicy sets the dynamic plane's compaction and warm-start
@@ -110,6 +119,19 @@ func WithUpdatePolicy(p UpdatePolicy) Option { return func(c *config) { c.policy
 // swaps.
 type epochState struct {
 	snap snapshot
+}
+
+// kernelSnapshot is the epoch surface of the kernel-backed methods
+// that the dynamic plane drives beyond the serving contract.
+type kernelSnapshot interface {
+	snapshot
+	base() *solverBase
+	// successor builds the next epoch's snapshot on a table committed
+	// from this one's, moving the idle engines over (rebound).
+	successor(rows *sparse.RowBlocks, info solverInfo) snapshot
+	// solveLayout runs one round-scheduled solve over layout-order
+	// buffers (start nil = cold), copying the final iterate into out.
+	solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error)
 }
 
 // dynSolver is the epoch-versioned Solver every Prepare returns. The
@@ -129,52 +151,68 @@ type dynSolver struct {
 	cur atomic.Pointer[epochState]
 
 	// Everything below mu is the updater's private state: the
-	// caller-order graph and maintained beliefs (lazily cloned on the
-	// first Update so purely static solvers pay nothing), the overlay
-	// and layout the kernel snapshots rebuild from, and the compaction
-	// bookkeeping.
-	mu         sync.Mutex
-	closed     bool
-	srcGraph   *graph.Graph
-	srcExp     *beliefs.Residual
-	g          *graph.Graph      // current caller-order graph (private clone)
-	exp        *beliefs.Residual // maintained explicit beliefs
-	last       *beliefs.Residual // previous fixpoint (warm-start seed)
-	layoutA    *sparse.CSR       // prepare-time layout CSR (kernel methods)
-	overlay    *sparse.Overlay   // delta overlay (kernel methods)
-	perm       order.Permutation
+	// maintained explicit beliefs and adjacency table (lazily set up on
+	// the first Update so purely static solvers pay nothing), the
+	// kernel methods' maintained fixpoint, the graph methods'
+	// caller-order graph, and the layout and compaction bookkeeping.
+	mu     sync.Mutex
+	closed bool
+	// srcGraph is the prepared caller-order graph of BP and SBP (nil
+	// for the kernel methods, which keep no graph); srcExp the prepared
+	// explicit beliefs.
+	srcGraph *graph.Graph
+	srcExp   *beliefs.Residual
+	exp      *beliefs.Residual // maintained explicit beliefs (caller order)
+	// rows is the maintained adjacency table: the serving table in
+	// layout order for the kernel methods (set from the first snapshot),
+	// the drift-accounting table in caller order for BP/SBP.
+	rows *sparse.RowBlocks
+	kern *kernelPlane // kernel methods only; nil until the first Update
+	g    *graph.Graph // BP/SBP: current caller-order graph (private clone)
+	perm order.Permutation
+	// partStarts and part are the prepare-time partition boundaries and
+	// their incrementally maintained diagnostics (kernel methods).
 	partStarts []int
+	part       *partDiag
 	info       solverInfo
 	baseNNZ    int
-	deltaCells int
 
-	// pendingSwap records a built-but-unswapped commit (the Update's
-	// context was cancelled between materialization and the epoch
-	// swap); the next Update retries the swap before anything else.
+	// pendingSwap records a committed-but-unswapped table (the Update's
+	// context was cancelled before the epoch swap); the next Update
+	// retries the swap before anything else.
 	pendingSwap bool
-	// lastConverged reports that last is the converged fixpoint of the
-	// exactly-current epoch — the validity gate of the residual plane's
-	// localized touched-row seeding. It is pessimistically cleared at
-	// the top of every Update and restored only after a successful
-	// re-solve, so any early exit (WAL failure, aborted swap,
+	// lastConverged reports that the maintained fixpoint is converged
+	// for exactly the current epoch — the validity gate of the residual
+	// plane's localized touched-row seeding. It is pessimistically
+	// cleared at the top of every Update and restored only after a
+	// successful re-solve, so any early exit (WAL failure, aborted swap,
 	// cancellation) forces the next re-solve to seed fully.
 	lastConverged bool
 	// epsRederived latches that a compaction re-derived the auto εH to
 	// a different value — the fixpoint moved globally, so the next
 	// re-solve must not trust a localized seed. Consumed by Update.
 	epsRederived bool
-	// tlist/tmark are the reusable touched-row accumulator of
-	// collectTouched (caller-order ids, deduplicated per batch).
-	tlist []int
-	tmark []bool
+	// Reusable per-Update scratch: the touched-row accumulator of
+	// collectTouched (caller-order ids, deduplicated per batch), the
+	// explicit-row list, the commit's edits and changed rows.
+	tlist   []int
+	tmark   []bool
+	erows   []int
+	edits   []sparse.Edit
+	changed []int
 	// dur is the durable half (snapshot + WAL); nil without
 	// WithDurability.
 	dur *durability
 
-	// Stats counters, read without mu by Stats().
+	// Stats counters, read without mu by Stats(). The stage clocks
+	// accumulate Update's commit (apply + table commit + epoch swap),
+	// re-solve, and publish (result gather) time; rowsCommitted counts
+	// the adjacency rows commits rewrote.
 	//
 	//lsbp:atomic
 	epochN, updates, rebuilds, overlayNNZ atomic.Int64
+	//lsbp:atomic
+	commitNS, resolveNS, publishNS, rowsCommitted atomic.Int64
 
 	// degraded latches true when the durable plane breaks stickily
 	// (ErrWALBroken from a WAL append): the solver keeps serving reads
@@ -188,24 +226,48 @@ type dynSolver struct {
 	retired SolverStats // folded counters of retired epochs
 }
 
+// kernelPlane is the kernel methods' maintained state, in layout order.
+type kernelPlane struct {
+	// fix holds the maintained fixpoint (n×w beliefs, w = k for LinBP
+	// and LinBP*, 1 for FABP's scalar collapse) and runs the residual
+	// re-solves; hasFix reports that it holds a solve's iterate.
+	fix    *kernel.ResidualEngine
+	hasFix bool
+	// residual reports that the residual plane may serve re-solves (a
+	// non-rounds schedule with a convergence tolerance).
+	residual bool
+	maxRelax int
+	w        int
+	// exp is the maintained explicit beliefs in layout order (n×w).
+	exp []float64
+	// tl is the layout-order touched-row scratch.
+	tl []int32
+}
+
 // newDynSolver wraps the freshly prepared snapshot. The layout fields
-// are lifted off the concrete snapshot types so rebuilds can reuse
-// them without re-deriving anything from the problem.
+// are lifted off the concrete snapshot types so updates can reuse them
+// without re-deriving anything from the problem.
 func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
-	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcGraph: p.Graph, srcExp: p.Explicit}
+	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
-		d.info, d.perm, d.partStarts, d.layoutA = s.solverInfo, s.perm, s.partStarts, s.a
+		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
 	case *fabpSolver:
-		d.info, d.perm, d.partStarts, d.layoutA = s.solverInfo, s.perm, s.partStarts, s.a
+		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
 	case *bpSolver:
-		d.info, d.perm = s.solverInfo, s.perm
+		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	case *sbpSolver:
-		d.info, d.perm = s.solverInfo, s.perm
+		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	}
 	d.n, d.k, d.eps = d.info.n, d.info.k, d.info.eps
 	d.cur.Store(&epochState{snap: inner})
 	return d
+}
+
+// kernelMethod reports whether the method runs on the fused kernel
+// (and so on the row-block table and the maintained fixpoint).
+func (d *dynSolver) kernelMethod() bool {
+	return d.method == MethodLinBP || d.method == MethodLinBPStar || d.method == MethodFABP
 }
 
 // Solve, SolveInto, and SolveBatch delegate to the current epoch's
@@ -250,16 +312,17 @@ func (d *dynSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
 }
 
 func (d *dynSolver) Stats() SolverStats {
-	// The epoch pointer and the retired accumulator are read under one
-	// lock so a concurrent swap (which folds the retiring epoch's
-	// counters in the same critical section) can never make the totals
-	// dip: a reader sees either the old epoch with the accumulator
-	// before the fold, or the new epoch with the fold applied.
+	// The epoch pointer, its counters, and the retired accumulator are
+	// read under one lock, and a swap reads the retiring epoch's
+	// counters and folds them in the same critical section, so the
+	// totals can never dip: a reader sees either the old epoch's
+	// counters as of a moment before the swap's fold, or the new epoch
+	// with the fold applied.
 	d.statsMu.Lock()
 	ep := d.cur.Load()
 	r := d.retired
-	d.statsMu.Unlock()
 	st := ep.snap.Stats()
+	d.statsMu.Unlock()
 	st.Solves += r.Solves
 	st.Batches += r.Batches
 	st.BatchRequests += r.BatchRequests
@@ -274,6 +337,10 @@ func (d *dynSolver) Stats() SolverStats {
 	st.Updates = d.updates.Load()
 	st.Rebuilds = d.rebuilds.Load()
 	st.OverlayNNZ = d.overlayNNZ.Load()
+	st.UpdateCommitNS = d.commitNS.Load()
+	st.UpdateResolveNS = d.resolveNS.Load()
+	st.UpdatePublishNS = d.publishNS.Load()
+	st.RowsCommitted = d.rowsCommitted.Load()
 	st.Degraded = d.degraded.Load()
 	return st
 }
@@ -345,21 +412,25 @@ func (d *dynSolver) Close() error {
 // previous epoch until the commit swaps the snapshot. On a context
 // error the delta is already committed (readers see it) and only the
 // returned re-solve was aborted; the next Update re-solves from the
-// last stored fixpoint.
+// maintained state.
 func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, fmt.Errorf("core: %v solver: %w", d.method, errs.ErrClosed)
 	}
-	if err := d.validateUpdate(u); err != nil {
+	rows, err := d.validateUpdate(u)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.initDynState(); err != nil {
 		return nil, err
 	}
 	// Write-ahead: the batch is durably logged before any in-memory
 	// mutation, so a crash recovers either the pre-batch or post-batch
 	// state — never a torn middle. A failed append commits nothing.
 	if d.dur != nil {
-		if err := d.appendWALLocked(u); err != nil {
+		if err := d.appendWALLocked(u, rows); err != nil {
 			if errors.Is(err, durable.ErrWALBroken) {
 				// The WAL is stickily unusable: no further write can
 				// commit durably. Latch degraded so Stats (and any
@@ -369,21 +440,17 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 			return nil, err
 		}
 	}
-	d.initDynState()
-	// The localized touched-row seed is only sound when the previous
+	start := time.Now()
+	// The localized touched-row seed is only sound when the maintained
 	// fixpoint converged on exactly the previous epoch and this batch is
 	// the whole epoch delta — a pending (retried) swap folds an earlier
 	// batch into this commit, so its rows would be missed. Capture the
 	// gate before mutating, clear it pessimistically, and restore it
 	// only after a successful re-solve.
-	seedable := d.lastConverged && !d.pendingSwap && d.last != nil && !d.cfg.policy.DisableWarmStart
+	seedable := d.lastConverged && !d.pendingSwap && !d.cfg.policy.DisableWarmStart
 	d.lastConverged = false
-	touched := d.collectTouched(u)
-	if u.SetExplicit != nil {
-		for _, v := range u.SetExplicit.ExplicitNodes() {
-			d.exp.Set(v, u.SetExplicit.Row(v))
-		}
-	}
+	touched := d.collectTouched(u, rows)
+	d.applyExplicitLocked(u.SetExplicit, rows)
 	if d.applyTopologyLocked(u) || d.pendingSwap {
 		if err := d.swapSnapshotLocked(ctx); err != nil {
 			return nil, err
@@ -395,23 +462,22 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 			d.epsRederived = false
 		}
 	}
+	d.commitNS.Add(int64(time.Since(start)))
 	d.updates.Add(1)
-	res, err := d.resolveLocked(ctx, seedable, touched)
-	if res != nil && res.Beliefs != nil {
-		d.last = res.Beliefs.Clone()
-		d.lastConverged = res.Converged
+	if d.kern == nil {
+		return d.resolveGraphLocked(ctx)
 	}
-	return res, err
+	return d.resolveKernelLocked(ctx, seedable, touched)
 }
 
 // collectTouched gathers the caller-order rows whose residuals this
 // batch perturbs — the endpoints of every added or removed edge (their
 // adjacency rows and degrees change) plus the rows with replacement
-// explicit beliefs — deduplicated through the reusable mark array. The
-// returned slice aliases d.tlist and is valid until the next Update;
-// an empty (non-nil) result means a no-change batch, which the
-// residual plane re-solves for free.
-func (d *dynSolver) collectTouched(u Update) []int {
+// explicit beliefs (explicit) — deduplicated through the reusable mark
+// array. The returned slice aliases d.tlist and is valid until the
+// next Update; an empty (non-nil) result means a no-change batch,
+// which the residual plane re-solves for free.
+func (d *dynSolver) collectTouched(u Update, explicit []int) []int {
 	if d.tmark == nil {
 		d.tmark = make([]bool, d.n)
 	}
@@ -430,10 +496,8 @@ func (d *dynSolver) collectTouched(u Update) []int {
 		add(e.S)
 		add(e.T)
 	}
-	if u.SetExplicit != nil {
-		for _, v := range u.SetExplicit.ExplicitNodes() {
-			add(v)
-		}
+	for _, v := range explicit {
+		add(v)
 	}
 	for _, i := range t {
 		d.tmark[i] = false
@@ -442,94 +506,225 @@ func (d *dynSolver) collectTouched(u Update) []int {
 	return t
 }
 
-// applyTopologyLocked folds the batch's edge delta into the
-// maintained graph and overlay, reporting whether the structure
-// actually changed. Removals of absent pairs are no-ops; a batch with
-// no net structural change skips the snapshot rebuild entirely (an
-// idempotent delete stream must not pay an O(nnz) epoch per call).
+// applyExplicitLocked installs the batch's explicit rows (the list
+// validateUpdate built) into the maintained beliefs: the caller-order
+// matrix and, for the kernel methods, the layout-order copy the
+// re-solves read.
+func (d *dynSolver) applyExplicitLocked(set *beliefs.Residual, rows []int) {
+	for _, v := range rows {
+		row := set.Row(v)
+		d.exp.Set(v, row)
+		if kp := d.kern; kp != nil {
+			lv := d.pm(v)
+			if kp.w == 1 {
+				kp.exp[lv] = row[0]
+			} else {
+				copy(kp.exp[lv*kp.w:lv*kp.w+kp.w], row)
+			}
+		}
+	}
+}
+
+// applyTopologyLocked commits the batch's edge delta to the maintained
+// table (and, for BP/SBP, the caller-order graph), reporting whether
+// the structure actually changed. Removals of absent pairs are no-ops;
+// a batch with no net structural change skips the epoch entirely (an
+// idempotent delete stream must not pay an epoch per call).
 func (d *dynSolver) applyTopologyLocked(u Update) bool {
 	if len(u.AddEdges) == 0 && len(u.RemoveEdges) == 0 {
 		return false
 	}
+	edits := d.edits[:0]
 	for _, e := range u.AddEdges {
-		d.g.AddEdge(e.S, e.T, e.W)
+		i, j := d.pm(e.S), d.pm(e.T)
+		edits = append(edits, sparse.Edit{Row: i, Col: j, W: e.W})
+		if i != j {
+			edits = append(edits, sparse.Edit{Row: j, Col: i, W: e.W})
+		}
 	}
-	removed := d.g.RemoveEdges(u.RemoveEdges)
-	changed := len(u.AddEdges) > 0 || removed > 0
-	if d.overlay != nil {
+	for _, e := range u.RemoveEdges {
+		i, j := d.pm(e.S), d.pm(e.T)
+		edits = append(edits, sparse.Edit{Row: i, Col: j, Remove: true})
+		if i != j {
+			edits = append(edits, sparse.Edit{Row: j, Col: i, Remove: true})
+		}
+	}
+	d.edits = edits
+	next, changed := d.rows.Commit(edits, d.changed)
+	d.changed = changed
+	if next == d.rows {
+		return false
+	}
+	if d.part != nil {
+		d.part.update(d.rows, next, changed)
+	}
+	d.rows = next
+	d.rowsCommitted.Add(int64(len(changed)))
+	if d.g != nil {
 		for _, e := range u.AddEdges {
-			i, j := d.pm(e.S), d.pm(e.T)
-			d.overlay.Add(i, j, e.W)
-			if i != j {
-				d.overlay.Add(j, i, e.W)
-			}
+			d.g.AddEdge(e.S, e.T, e.W)
 		}
-		for _, e := range u.RemoveEdges {
-			i, j := d.pm(e.S), d.pm(e.T)
-			d.overlay.Remove(i, j)
-			if i != j {
-				d.overlay.Remove(j, i)
-			}
-		}
-		d.deltaCells = d.overlay.DeltaNNZ()
-	} else if changed {
-		d.deltaCells += 2*len(u.AddEdges) + removed
+		d.g.RemoveEdges(u.RemoveEdges)
 	}
-	return changed
+	return true
 }
 
-// pm maps a caller node id into the current layout order.
+// pm maps a caller node id into the table's order: the layout order
+// for the kernel methods, the caller order itself for BP and SBP.
 func (d *dynSolver) pm(i int) int {
-	if d.perm == nil {
+	if d.perm == nil || !d.kernelMethod() {
 		return i
 	}
 	return d.perm[i]
 }
 
-func (d *dynSolver) validateUpdate(u Update) error {
+// validateUpdate checks the batch and returns the caller-order ids of
+// the non-zero rows of u.SetExplicit — found in the one scan of the
+// matrix an Update makes (validation, the touched set, the apply, and
+// the WAL record all share the list). The slice aliases d.erows.
+func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 	for _, e := range u.AddEdges {
 		if e.S < 0 || e.S >= d.n || e.T < 0 || e.T >= d.n {
-			return fmt.Errorf("core: update edge (%d,%d) out of range n=%d: %w", e.S, e.T, d.n, errs.ErrDimensionMismatch)
+			return nil, fmt.Errorf("core: update edge (%d,%d) out of range n=%d: %w", e.S, e.T, d.n, errs.ErrDimensionMismatch)
 		}
 		// !(W > 0) also rejects NaN, which e.W <= 0 would let through —
 		// and a NaN weight poisons the maintained graph permanently.
 		if !(e.W > 0) || math.IsInf(e.W, 1) {
-			return fmt.Errorf("core: update edge (%d,%d) has invalid weight %v (want finite > 0): %w", e.S, e.T, e.W, errs.ErrInvalidInput)
+			return nil, fmt.Errorf("core: update edge (%d,%d) has invalid weight %v (want finite > 0): %w", e.S, e.T, e.W, errs.ErrInvalidInput)
 		}
 	}
 	for _, e := range u.RemoveEdges {
 		if e.S < 0 || e.S >= d.n || e.T < 0 || e.T >= d.n {
-			return fmt.Errorf("core: update edge (%d,%d) out of range n=%d: %w", e.S, e.T, d.n, errs.ErrDimensionMismatch)
+			return nil, fmt.Errorf("core: update edge (%d,%d) out of range n=%d: %w", e.S, e.T, d.n, errs.ErrDimensionMismatch)
 		}
 	}
-	if u.SetExplicit != nil {
-		if u.SetExplicit.N() != d.n || u.SetExplicit.K() != d.k {
-			return fmt.Errorf("core: update belief matrix %dx%d does not match n=%d k=%d: %w",
-				u.SetExplicit.N(), u.SetExplicit.K(), d.n, d.k, errs.ErrDimensionMismatch)
+	rows := d.erows[:0]
+	if set := u.SetExplicit; set != nil {
+		if set.N() != d.n || set.K() != d.k {
+			return nil, fmt.Errorf("core: update belief matrix %dx%d does not match n=%d k=%d: %w",
+				set.N(), set.K(), d.n, d.k, errs.ErrDimensionMismatch)
 		}
-		if err := u.SetExplicit.Validate(); err != nil {
-			return err
+		data := set.Matrix().Data()
+		for v := 0; v < d.n; v++ {
+			row := data[v*d.k : v*d.k+d.k]
+			var sum float64
+			nonzero := false
+			for _, x := range row {
+				// NaN must be rejected explicitly: it fails every
+				// comparison, so a NaN row would sail through the |sum|
+				// check and silently poison the fixpoint.
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, fmt.Errorf("core: update belief row %d holds %v: %w", v, x, errs.ErrNonFinite)
+				}
+				sum += x
+				nonzero = nonzero || x != 0
+			}
+			if !nonzero {
+				continue
+			}
+			if math.Abs(sum) > 1e-9 {
+				return nil, fmt.Errorf("core: update belief row %d sums to %v, want 0: %w", v, sum, errs.ErrInvalidInput)
+			}
+			rows = append(rows, v)
 		}
+	}
+	d.erows = rows
+	return rows, nil
+}
+
+// initDynState lazily sets up the mutable dynamic state on the first
+// Update, so a solver that is never updated pays no copy: the
+// maintained explicit beliefs, and for the kernel methods the
+// maintained fixpoint engine (BP/SBP clone their graph and build the
+// caller-order drift-accounting table instead).
+func (d *dynSolver) initDynState() error {
+	if d.exp != nil {
+		return nil
+	}
+	if !d.kernelMethod() {
+		a := d.srcGraph.Adjacency()
+		rows, err := sparse.NewRowBlocks(a, nil, false)
+		if err != nil {
+			return fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
+		}
+		d.g, d.rows, d.baseNNZ = d.srcGraph.Clone(), rows, a.NNZ()
+		d.exp = d.srcExp.Clone()
+		return nil
+	}
+	d.exp = d.srcExp.Clone()
+	kp, err := d.newKernelPlane(d.rows, d.perm, d.eps)
+	if err != nil {
+		d.exp = nil
+		return err
+	}
+	d.kern = kp
+	d.baseNNZ = d.rows.NNZ()
+	if d.partStarts != nil {
+		d.part = newPartDiag(d.rows.Flatten(), d.partStarts)
 	}
 	return nil
 }
 
-// initDynState lazily clones the mutable dynamic state on the first
-// Update, so a solver that is never updated shares the caller's graph
-// and pays no copy.
-func (d *dynSolver) initDynState() {
-	if d.g != nil {
-		return
+// newKernelPlane builds the maintained-fixpoint engine on the table
+// rows laid out under perm with coupling scale eps, and seeds its
+// explicit beliefs from d.exp (shuffled into that layout).
+func (d *dynSolver) newKernelPlane(rows *sparse.RowBlocks, perm order.Permutation, eps float64) (*kernelPlane, error) {
+	kp := &kernelPlane{
+		residual: d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0,
+		w:        d.k,
+		tl:       make([]int32, 0, d.n),
 	}
-	d.g = d.srcGraph.Clone()
-	d.exp = d.srcExp.Clone()
-	switch d.method {
-	case MethodLinBP, MethodLinBPStar, MethodFABP:
-		d.overlay = sparse.NewOverlay(d.layoutA)
-		d.baseNNZ = d.layoutA.NNZ()
-	default:
-		d.baseNNZ = d.srcGraph.Adjacency().NNZ()
+	maxIter, tol := d.cfg.maxIter, d.cfg.tol
+	cfg := kernel.Config{Rows: rows, Layout: d.cfg.layout, SymmetricA: true}
+	if d.method == MethodFABP {
+		if maxIter == 0 {
+			maxIter = 1000
+		}
+		if tol == 0 {
+			tol = 1e-12
+		}
+		hhat := eps * d.ho.At(0, 0)
+		if math.Abs(hhat) >= 0.5 {
+			return nil, fmt.Errorf("core: FABP |ĥ| = %v must be < 1/2: %w", hhat, errs.ErrInvalidCoupling)
+		}
+		c1, c2 := fabp.Coefficients(hhat)
+		cfg.H = dense.NewFromRows([][]float64{{c1}})
+		cfg.EchoH = dense.NewFromRows([][]float64{{c2}})
+		kp.w = 1
+	} else {
+		if maxIter == 0 {
+			maxIter = linbp.DefaultMaxIter
+		}
+		if tol == 0 {
+			tol = linbp.DefaultTol
+		}
+		cfg.H = coupling.Scale(d.ho, eps)
 	}
+	if !(tol > 0) {
+		// A fixed-round configuration never runs the residual plane; the
+		// engine then only holds the maintained state.
+		tol = math.SmallestNonzeroFloat64
+	}
+	fix, err := kernel.NewResidual(cfg, tol)
+	if err != nil {
+		return nil, err
+	}
+	kp.fix = fix
+	kp.maxRelax = maxIter * d.n
+	kp.exp = make([]float64, d.n*kp.w)
+	ed := d.exp.Matrix().Data()
+	for i := 0; i < d.n; i++ {
+		li := i
+		if perm != nil {
+			li = perm[i]
+		}
+		if kp.w == 1 {
+			kp.exp[li] = ed[i*d.k]
+		} else {
+			copy(kp.exp[li*kp.w:li*kp.w+kp.w], ed[i*d.k:i*d.k+d.k])
+		}
+	}
+	return kp, nil
 }
 
 // compactionRatio resolves the policy threshold.
@@ -540,110 +735,49 @@ func (d *dynSolver) compactionRatio() float64 {
 	return DefaultCompactionRatio
 }
 
-// swapSnapshotLocked commits the accumulated topology delta: build the
-// next epoch's snapshot (merged overlay on the fast path, a full
-// layout replay when the compaction threshold is crossed), swap it in,
-// and retire the old epoch — its Close drains the in-flight solves,
-// after which its counters fold into the lifetime accumulator. The
-// context is re-checked between materialization and the pointer swap:
-// a cancelled Update returns without a half-committed epoch (the
-// delta stays accumulated and the next Update retries the swap).
+// swapSnapshotLocked publishes the committed table as the next epoch:
+// the successor snapshot on the committed table (engines moved over,
+// none built), or — once the drift crosses the compaction threshold —
+// a full relayout. The context is checked before the swap: a
+// cancelled Update returns without publishing (the delta stays in the
+// maintained table and the next Update retries the swap).
 func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
-	kernelMethod := d.overlay != nil
-	compact := float64(d.deltaCells) >= d.compactionRatio()*float64(d.baseNNZ)
-	info := d.info
-	var snap snapshot
-	var err error
-	switch {
-	case compact:
-		// Replay the layout optimizer and (for the kernel methods) the
-		// partitioner on the merged graph, exactly as Prepare would.
-		a := d.g.Adjacency()
-		if d.cfg.autoEps && d.method != MethodSBP {
-			// Compaction already replays the layout on the merged graph;
-			// re-derive the auto εH there too, so a long insert-heavy
-			// stream recovers the spectral safety margin instead of
-			// serving the stale prepare-time scale. The new epoch's εH
-			// is what Stats().EpsilonH reports from here on.
-			eps, eerr := autoEpsilon(d.g, d.ho, d.method == MethodLinBP || d.method == MethodBP || d.method == MethodFABP)
-			if eerr != nil {
-				return fmt.Errorf("core: compaction auto-εH re-derivation: %w", eerr)
-			}
-			if eps != d.eps {
-				d.eps = eps
-				d.epsRederived = true
-			}
-			info.eps = d.eps
-		}
-		perm, chosen := order.Compute(d.cfg.reorder, a)
-		info.ordering = chosen
-		info.bandBefore = order.Bandwidth(a, nil)
-		info.bandAfter = info.bandBefore
-		if perm != nil {
-			info.bandAfter = order.Bandwidth(a, perm)
-		}
-		d.perm = perm
-		if kernelMethod {
-			la := a
-			if perm != nil {
-				la = a.Permute(perm)
-			}
-			info.partitions, info.cutEdges, info.imbalance = 0, 0, 0
-			d.partStarts = resolvePartition(d.cfg.partitions, d.cfg.workers, la, &info)
-			d.overlay.Rebase(la)
-			d.layoutA = la
-			d.baseNNZ = la.NNZ()
-			snap, err = d.buildKernelSnapshot(la, info)
-		} else {
-			d.baseNNZ = a.NNZ()
-			snap, err = d.buildGraphSnapshot(info)
-		}
-		if err == nil {
-			d.deltaCells = 0
-			d.rebuilds.Add(1)
-		}
-	case kernelMethod:
-		merged := d.overlay.Merge()
-		if d.partStarts != nil {
-			// Keep the partition diagnostics honest while the structure
-			// drifts under the fixed prepare-time boundaries.
-			st := order.StatsForStarts(merged, d.partStarts)
-			info.cutEdges = st.CutEdges
-			info.imbalance = st.Imbalance
-		}
-		snap, err = d.buildKernelSnapshot(merged, info)
-	default:
-		snap, err = d.buildGraphSnapshot(info)
-	}
-	if err != nil {
-		// The old epoch keeps serving; the delta stays accumulated for
-		// the next commit attempt.
-		return err
-	}
 	if cerr := ctx.Err(); cerr != nil {
-		// Cancelled between materialization and the swap: discard the
-		// built snapshot and leave the delta pending — readers keep the
-		// previous epoch, and the next Update retries the commit.
-		snap.Close()
 		d.pendingSwap = true
 		return fmt.Errorf("core: update commit aborted before epoch swap: %w", cerr)
 	}
+	compact := float64(d.rows.DiffCells()) >= d.compactionRatio()*float64(d.baseNNZ)
+	var snap snapshot
+	var err error
+	switch {
+	case compact && d.kern != nil:
+		snap, err = d.compactKernelLocked()
+	case compact:
+		snap, err = d.compactGraphLocked()
+	case d.kern != nil:
+		info := d.info
+		if d.part != nil {
+			// Keep the partition diagnostics honest while the structure
+			// drifts under the fixed prepare-time boundaries.
+			info.cutEdges, info.imbalance = d.part.cut, d.part.imbalance()
+		}
+		d.info = info
+		snap = d.cur.Load().snap.(kernelSnapshot).successor(d.rows, info)
+	default:
+		snap, err = d.buildGraphSnapshot(d.info, d.perm)
+	}
+	if err != nil {
+		// The old epoch keeps serving; the delta stays in the maintained
+		// table for the next commit attempt.
+		d.pendingSwap = true
+		return err
+	}
 	d.pendingSwap = false
-	d.info = info
-	old := d.cur.Load()
-	// Fold the retiring epoch's counters in the same critical section
-	// as the pointer swap (see Stats), so the lifetime totals never dip
-	// while the old epoch drains; the bumps that land during the drain
-	// are folded as a delta once Close returns.
-	pre := old.snap.Stats()
-	d.statsMu.Lock()
-	d.cur.Store(&epochState{snap: snap})
-	d.foldRetiredLocked(pre)
-	d.statsMu.Unlock()
-	d.epochN.Add(1)
-	d.overlayNNZ.Store(int64(d.deltaCells))
-	old.snap.Close()
-	d.foldRetired(statsDelta(old.snap.Stats(), pre))
+	if compact {
+		d.rebuilds.Add(1)
+	}
+	d.publishLocked(snap)
+	d.overlayNNZ.Store(int64(d.rows.DiffCells()))
 	if compact && d.dur != nil {
 		// A compaction rewrote the layout: publish a checkpoint and
 		// rotate the log so recovery replays from the fresh base. The
@@ -656,78 +790,301 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	return nil
 }
 
-// buildKernelSnapshot prepares a kernel-backed snapshot over the given
-// layout-ordered adjacency, reusing the current permutation and
-// partition boundaries. Degrees are re-derived from the matrix itself
-// (one O(nnz) pass), so LinBP's echo term always matches the merged
-// weights.
-func (d *dynSolver) buildKernelSnapshot(a *sparse.CSR, info solverInfo) (snapshot, error) {
-	lay := kernelLayout{a: a, perm: d.perm, partStarts: d.partStarts}
-	switch d.method {
-	case MethodFABP:
-		lay.d = a.RowSumsSquared()
-		return newFABPSolverOn(d.eps*d.ho.At(0, 0), info, d.cfg, lay)
-	case MethodLinBP:
-		lay.d = a.RowSumsSquared()
+// publishLocked swaps snap in as the current epoch and retires the old
+// one — its Close drains the in-flight solves, after which its
+// counters fold into the lifetime accumulator.
+func (d *dynSolver) publishLocked(snap snapshot) {
+	old := d.cur.Load()
+	// Read and fold the retiring epoch's counters in the same critical
+	// section as the pointer swap (see Stats), so the lifetime totals
+	// never dip while the old epoch drains; the bumps that land during
+	// the drain are folded as a delta once Close returns.
+	d.statsMu.Lock()
+	pre := old.snap.Stats()
+	d.cur.Store(&epochState{snap: snap})
+	d.foldRetiredLocked(pre)
+	d.statsMu.Unlock()
+	d.epochN.Add(1)
+	old.snap.Close()
+	d.foldRetired(statsDelta(old.snap.Stats(), pre))
+}
+
+// relayout replays Prepare's layout decisions on a caller-order
+// adjacency: the auto εH derivation (when configured; info.eps carries
+// the result), the reordering strategy, and the locality diagnostics.
+// It changes no solver state — the caller installs the returned layout
+// once everything built on it succeeded.
+func (d *dynSolver) relayout(a *sparse.CSR) (solverInfo, order.Permutation, error) {
+	info := d.info
+	if d.cfg.autoEps && d.method != MethodSBP {
+		// Compaction already replays the layout on the current graph;
+		// re-derive the auto εH there too, so a long insert-heavy
+		// stream recovers the spectral safety margin instead of serving
+		// the stale prepare-time scale. The new epoch's εH is what
+		// Stats().EpsilonH reports from here on.
+		eps, err := autoEpsilonCSR(a, d.ho, d.method == MethodLinBP || d.method == MethodBP || d.method == MethodFABP)
+		if err != nil {
+			return info, nil, fmt.Errorf("core: compaction auto-εH re-derivation: %w", err)
+		}
+		info.eps = eps
 	}
-	return newLinBPSolverOn(coupling.Scale(d.ho, d.eps), info, d.cfg, lay)
+	perm, chosen := order.Compute(d.cfg.reorder, a)
+	info.ordering = chosen
+	info.bandBefore = order.Bandwidth(a, nil)
+	info.bandAfter = info.bandBefore
+	if perm != nil {
+		info.bandAfter = order.Bandwidth(a, perm)
+	}
+	return info, perm, nil
+}
+
+// installLayout adopts a compaction's layout: the permutation, εH
+// (latching epsRederived when it moved), and the new drift base.
+func (d *dynSolver) installLayout(info solverInfo, perm order.Permutation, rows *sparse.RowBlocks) {
+	if info.eps != d.eps {
+		d.eps = info.eps
+		d.epsRederived = true
+	}
+	d.info, d.perm, d.rows, d.baseNNZ = info, perm, rows, rows.NNZ()
+}
+
+// compactKernelLocked is the kernel methods' compaction: flatten the
+// table, undo the layout permutation, replay the layout decisions and
+// the partitioner exactly as Prepare would, and rebuild the snapshot,
+// the maintained fixpoint engine, and the layout-order explicit
+// beliefs on the fresh layout. The maintained beliefs carry over
+// through the permutation change. On error nothing changes.
+func (d *dynSolver) compactKernelLocked() (snapshot, error) {
+	a := d.rows.Flatten()
+	if d.perm != nil {
+		a = a.Permute(d.perm.Inverse())
+	}
+	info, perm, err := d.relayout(a)
+	if err != nil {
+		return nil, err
+	}
+	info.partitions, info.cutEdges, info.imbalance = 0, 0, 0
+	lay, err := newKernelLayout(a, d.method != MethodLinBPStar, perm, d.cfg, &info)
+	if err != nil {
+		return nil, err
+	}
+	var snap snapshot
+	if d.method == MethodFABP {
+		snap, err = newFABPSolverOn(info.eps*d.ho.At(0, 0), info, d.cfg, lay)
+	} else {
+		snap, err = newLinBPSolverOn(coupling.Scale(d.ho, info.eps), info, d.cfg, lay)
+	}
+	if err != nil {
+		return nil, err
+	}
+	kp, err := d.newKernelPlane(lay.rows, perm, info.eps)
+	if err != nil {
+		snap.Close()
+		return nil, err
+	}
+	if old, oldPerm := d.kern, d.perm; old.hasFix {
+		// Carry the maintained fixpoint into the new layout order.
+		ob, nb, w := old.fix.Beliefs(), make([]float64, d.n*old.w), old.w
+		for i := 0; i < d.n; i++ {
+			oi, ni := i, i
+			if oldPerm != nil {
+				oi = oldPerm[i]
+			}
+			if perm != nil {
+				ni = perm[i]
+			}
+			copy(nb[ni*w:ni*w+w], ob[oi*w:oi*w+w])
+		}
+		kp.fix.SetBeliefs(nb)
+		kp.hasFix = true
+	}
+	d.installLayout(info, perm, lay.rows)
+	d.kern, d.partStarts, d.part = kp, lay.partStarts, nil
+	if d.partStarts != nil {
+		d.part = newPartDiag(lay.rows.Flatten(), d.partStarts)
+	}
+	return snap, nil
+}
+
+// compactGraphLocked is BP and SBP's compaction: replay the layout
+// decisions on the current graph and restart the drift accounting.
+func (d *dynSolver) compactGraphLocked() (snapshot, error) {
+	a := d.g.Adjacency()
+	info, perm, err := d.relayout(a)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := sparse.NewRowBlocks(a, nil, false)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
+	}
+	snap, err := d.buildGraphSnapshot(info, perm)
+	if err != nil {
+		return nil, err
+	}
+	d.installLayout(info, perm, rows)
+	return snap, nil
 }
 
 // buildGraphSnapshot prepares a message-passing snapshot (BP, SBP) on a
 // private clone of the current graph — private so later updates to d.g
 // never race the snapshot's readers.
-func (d *dynSolver) buildGraphSnapshot(info solverInfo) (snapshot, error) {
+func (d *dynSolver) buildGraphSnapshot(info solverInfo, perm order.Permutation) (snapshot, error) {
 	g := d.g.Clone()
 	if d.method == MethodBP {
-		return newBPSolverOn(g, d.ho, info, d.cfg, d.perm)
+		return newBPSolverOn(g, d.ho, info, d.cfg, perm)
 	}
-	return newSBPSolverOn(g, d.ho, info, d.perm)
+	return newSBPSolverOn(g, d.ho, info, perm)
 }
 
-// resolveLocked re-solves the maintained problem on the current epoch:
-// warm-started from the previous fixpoint where the method supports it,
-// cold otherwise. Under a residual schedule the kernel methods route
-// through the residual plane: seedable localized solves seed from
-// exactly the touched rows, everything else seeds fully (always under
-// ScheduleResidual, only when localized under ScheduleAuto — a full
-// residual seed costs a round and converges no faster than warm
-// rounds, so Auto prefers rounds there).
-func (d *dynSolver) resolveLocked(ctx context.Context, seedable bool, touched []int) (*Result, error) {
-	ep := d.cur.Load()
-	var start *beliefs.Residual
-	if !d.cfg.policy.DisableWarmStart {
-		start = d.last
+// resolveGraphLocked re-solves BP and SBP cold on the current epoch
+// (they keep no warm state).
+func (d *dynSolver) resolveGraphLocked(ctx context.Context) (*Result, error) {
+	start := time.Now()
+	res, err := d.cur.Load().snap.Solve(ctx, d.exp)
+	d.resolveNS.Add(int64(time.Since(start)))
+	return res, err
+}
+
+// resolveKernelLocked re-solves the maintained problem on the current
+// epoch, in place on the maintained fixpoint: warm unless warm starts
+// are disabled or no fixpoint exists yet. Under a residual schedule a
+// seedable (localized) re-solve relaxes from exactly the touched rows;
+// everything else seeds fully (always under ScheduleResidual, only
+// when localized under ScheduleAuto — a full residual seed costs a
+// round and converges no faster than warm rounds, so Auto prefers
+// rounds there). The result is one caller-order gather of the
+// maintained beliefs into a fresh matrix.
+func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touched []int) (*Result, error) {
+	kp := d.kern
+	snap := d.cur.Load().snap.(kernelSnapshot)
+	sb := snap.base()
+	if err := kp.fix.Rebind(d.rows); err != nil {
+		return nil, err
 	}
-	if ss, ok := ep.snap.(seededSolver); ok && d.cfg.schedule != ScheduleRounds {
-		if !seedable || start == nil {
-			touched = nil
-		}
-		if touched != nil || d.cfg.schedule == ScheduleResidual {
-			dst := beliefs.New(d.n, d.k)
-			info, err := ss.SolveSeeded(ctx, dst, d.exp, start, touched)
-			if err != nil && !isNotConverged(err) {
-				return nil, err
+	start := time.Now()
+	warm := kp.hasFix && !d.cfg.policy.DisableWarmStart
+	localized := seedable && warm
+	var info SolveInfo
+	var err error
+	residual := kp.residual && (localized || d.cfg.schedule == ScheduleResidual)
+	if residual {
+		sb.solves.Add(1)
+		if err = sb.admitCtx(ctx); err == nil {
+			switch {
+			case !warm:
+				kp.fix.SeedExplicit(kp.exp)
+			case localized:
+				tl := kp.tl[:0]
+				for _, id := range touched {
+					tl = append(tl, int32(d.pm(id)))
+				}
+				kp.tl = tl
+				kp.fix.SeedResume(kp.exp, tl)
+			default:
+				kp.fix.SeedResume(kp.exp, nil)
 			}
-			res := &Result{
-				Method: d.method, Beliefs: dst,
-				Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
-			}
-			res.Top = dst.TopAssignment()
-			return res, err
+			relaxed, peak, maxResid, converged, runErr := kp.fix.Run(ctx, kp.maxRelax)
+			info, err = sb.record(residualInfo(d.n, relaxed, peak, maxResid, converged), runErr)
+		}
+	} else {
+		var from []float64
+		if warm {
+			from = kp.fix.Beliefs()
+		}
+		// The rounds engine copies the start into its own state before
+		// the first round, so the maintained beliefs can receive the
+		// result in place.
+		info, err = snap.solveLayout(ctx, kp.fix.Beliefs(), kp.exp, from)
+	}
+	d.resolveNS.Add(int64(time.Since(start)))
+	if err != nil && !isNotConverged(err) {
+		if errors.Is(err, errs.ErrNonFinite) {
+			// The iterate overflowed: never warm-start from it.
+			kp.hasFix = false
+		}
+		return nil, err
+	}
+	// A residual solve always leaves a valid iterate in place; a rounds
+	// solve only once a round ran.
+	kp.hasFix = kp.hasFix || residual || info.Iterations > 0
+	d.lastConverged = info.Converged
+	start = time.Now()
+	res := &Result{
+		Method: d.method, Beliefs: d.gatherLocked(),
+		Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
+	}
+	d.publishNS.Add(int64(time.Since(start)))
+	return res, err
+}
+
+// gatherLocked copies the maintained fixpoint into a fresh caller-order
+// belief matrix — the one O(n·k) step of a kernel-method Update.
+func (d *dynSolver) gatherLocked() *beliefs.Residual {
+	out := beliefs.New(d.n, d.k)
+	dd := out.Matrix().Data()
+	b := d.kern.fix.Beliefs()
+	switch {
+	case d.kern.w == 1:
+		expandBinary(dd, b, d.perm)
+	case d.perm == nil:
+		copy(dd, b)
+	default:
+		d.perm.InvertRows(dd, b, d.k)
+	}
+	return out
+}
+
+// partDiag maintains the partition diagnostics (per-partition stored
+// entries and the cut-entry count) across commits, patching only the
+// rows a commit rewrote.
+type partDiag struct {
+	starts   []int
+	blockNNZ []int
+	cut      int
+	total    int
+}
+
+func newPartDiag(a *sparse.CSR, starts []int) *partDiag {
+	st := order.StatsForStarts(a, starts)
+	return &partDiag{starts: starts, blockNNZ: st.BlockNNZ, cut: st.CutEdges, total: a.NNZ()}
+}
+
+// rowStats returns row i's partition, stored entries, and entries whose
+// column lies outside that partition.
+func (p *partDiag) rowStats(m *sparse.RowBlocks, i int) (part, nnz, cut int) {
+	part = sort.SearchInts(p.starts, i+1) - 1
+	lo, hi := p.starts[part], p.starts[part+1]
+	cols, _ := m.RowViewCompact(i)
+	for _, j := range cols {
+		if int(j) < lo || int(j) >= hi {
+			cut++
 		}
 	}
-	if ws, ok := ep.snap.(warmStarter); ok {
-		dst := beliefs.New(d.n, d.k)
-		info, err := ws.SolveFrom(ctx, dst, d.exp, start)
-		if err != nil && !isNotConverged(err) {
-			return nil, err
-		}
-		res := &Result{
-			Method: d.method, Beliefs: dst,
-			Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
-		}
-		res.Top = dst.TopAssignment()
-		return res, err
+	return part, len(cols), cut
+}
+
+// update moves the diagnostics from table old to next over the rows
+// the commit rewrote.
+func (p *partDiag) update(old, next *sparse.RowBlocks, rows []int) {
+	for _, i := range rows {
+		b, n0, c0 := p.rowStats(old, i)
+		_, n1, c1 := p.rowStats(next, i)
+		p.blockNNZ[b] += n1 - n0
+		p.total += n1 - n0
+		p.cut += c1 - c0
 	}
-	return ep.snap.Solve(ctx, d.exp)
+}
+
+// imbalance is the heaviest partition's nnz relative to the ideal
+// per-partition share (order.StatsForStarts's definition).
+func (p *partDiag) imbalance() float64 {
+	if p.total == 0 {
+		return 1
+	}
+	heaviest := 0
+	for _, v := range p.blockNNZ {
+		heaviest = max(heaviest, v)
+	}
+	return float64(heaviest) * float64(len(p.blockNNZ)) / float64(p.total)
 }

@@ -313,11 +313,21 @@ type SolverStats struct {
 	// performed (0 until the first topology Update); Updates counts
 	// committed Update calls, Rebuilds the subset that triggered a
 	// compaction relayout (reordering and partitioning replayed on the
-	// merged graph). OverlayNNZ is the number of delta cells currently
-	// accumulated over the prepared base — it resets to 0 at every
-	// compaction.
+	// current graph). OverlayNNZ is the number of adjacency cells whose
+	// value currently differs from the compaction base (the prepared
+	// layout or the last relayout) — an edge inserted and deleted again
+	// leaves no difference — and resets to 0 at every compaction.
 	Epoch, Updates, Rebuilds int64
 	OverlayNNZ               int64
+	// UpdateCommitNS, UpdateResolveNS, and UpdatePublishNS accumulate
+	// the wall time Update spent per stage: the commit (explicit-belief
+	// apply, adjacency commit, and epoch swap — after the WAL append),
+	// the re-solve, and the publish (the gather of the maintained
+	// fixpoint into the returned result). RowsCommitted counts the
+	// adjacency rows the commits rewrote. Dividing by Updates gives the
+	// per-Update layer costs.
+	UpdateCommitNS, UpdateResolveNS, UpdatePublishNS int64
+	RowsCommitted                                    int64
 	// Solves counts completed Solve/SolveInto calls; BatchRequests
 	// counts requests served through SolveBatch (Batches calls) for
 	// every method — batch-internal solves are not double-counted
@@ -359,11 +369,12 @@ type SolverStats struct {
 // The solver is epoch-versioned: the graph fixed at preparation time
 // is the first epoch, and Update evolves it — edge insertions and
 // deletions, explicit-belief changes — without re-preparing from
-// scratch. Each committed topology update builds a fresh immutable
-// snapshot (merged adjacency, engines, pools) and swaps it in
-// atomically; solves already in flight finish on the snapshot they
-// started on, new solves land on the new one, and no reader ever
-// observes a half-updated graph.
+// scratch. Each committed topology update publishes a fresh immutable
+// snapshot (for the kernel methods: the next copy-on-write epoch of the
+// adjacency, served by the previous epoch's engines rebound to it) and
+// swaps it in atomically; solves already in flight finish on the
+// snapshot they started on, new solves land on the new one, and no
+// reader ever observes a half-updated graph.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // call Solve, SolveInto, SolveBatch, Update, and Stats on one shared
@@ -379,14 +390,14 @@ type SolverStats struct {
 // instead, which keeps the solver and the graph consistent.
 type Solver interface {
 	// Solve runs the method for the explicit residual beliefs e and
-	// allocates a fresh result (including the top-belief assignment).
+	// allocates a fresh result.
 	// Non-convergence is reported as an error wrapping ErrNotConverged
 	// with the result still returned; cancellation via ctx returns the
 	// context error within one kernel round.
 	Solve(ctx context.Context, e *beliefs.Residual) (*Result, error)
 	// SolveInto is the serving path: it writes the final residual
-	// beliefs into dst (n×k, overwritten) and skips the result and
-	// top-assignment allocations. For the kernel-backed methods
+	// beliefs into dst (n×k, overwritten) and skips the result
+	// allocation. For the kernel-backed methods
 	// (LinBP, LinBP*, FABP) steady-state calls allocate nothing.
 	// Concurrent callers must pass distinct dst matrices.
 	SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error)
@@ -428,28 +439,6 @@ type snapshot interface {
 	SolveBatch(ctx context.Context, reqs []Request) []Response
 	Stats() SolverStats
 	Close() error
-}
-
-// warmStarter is implemented by the kernel-backed snapshots (LinBP,
-// LinBP*, FABP): SolveFrom is SolveInto warm-started from a previous
-// fixpoint, the cheap re-solve of the dynamic plane. A nil start is a
-// cold solve.
-type warmStarter interface {
-	SolveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error)
-}
-
-// seededSolver is implemented by the kernel-backed snapshots when a
-// residual schedule is available: SolveSeeded is SolveFrom served by
-// the residual plane, with touched (caller node ids, deduplicated)
-// restricting the warm seed to the rows a delta perturbed — the
-// dynamic plane's localized re-solve. A nil touched recomputes every
-// row's residual (valid from any start); a non-nil empty touched is
-// the no-change fast path. Snapshots prepared without a usable
-// residual plane (fixed-round tolerance under ScheduleAuto) fall back
-// to warm rounds internally.
-type seededSolver interface {
-	warmStarter
-	SolveSeeded(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error)
 }
 
 // Prepare validates the problem once and builds a prepared Solver for
@@ -601,7 +590,13 @@ func resolvePartition(requested, workers int, a *sparse.CSR, base *solverInfo) [
 // autoEpsilon is AutoEpsilonH without the method restriction: half the
 // exact Lemma 8 threshold for the chosen echo setting.
 func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
-	eps, err := linbp.MaxEpsilonH(g, ho, echo, true)
+	return autoEpsilonCSR(g.Adjacency(), ho, echo)
+}
+
+// autoEpsilonCSR is autoEpsilon on a caller-order adjacency matrix —
+// the compaction path, which keeps no graph.
+func autoEpsilonCSR(a *sparse.CSR, ho *dense.Matrix, echo bool) (float64, error) {
+	eps, err := linbp.MaxEpsilonHCSR(a, ho, echo, true)
 	if err != nil {
 		return 0, err
 	}
@@ -716,6 +711,33 @@ func (p *statePool[T]) dropLocked(v T) {
 			p.all = p.all[:last]
 			return
 		}
+	}
+}
+
+// moveIdle transfers every idle state of from into to after rebind
+// succeeds on it (a state that fails to rebind is destroyed): how an
+// epoch successor inherits its predecessor's engines instead of
+// building new ones. The moved states leave from's Close registry, so
+// from's closeAll does not destroy them.
+func moveIdle[T comparable](from, to *statePool[T], rebind func(T) error) {
+	from.mu.Lock()
+	idle := from.free
+	from.free = nil
+	for _, v := range idle {
+		from.dropLocked(v)
+	}
+	from.mu.Unlock()
+	for _, v := range idle {
+		if err := rebind(v); err != nil {
+			if from.destroy != nil {
+				from.destroy(v)
+			}
+			continue
+		}
+		to.mu.Lock()
+		to.free = append(to.free, v)
+		to.all = append(to.all, v)
+		to.mu.Unlock()
 	}
 }
 
@@ -912,7 +934,6 @@ func (b *solverBase) finish(dst *beliefs.Residual, info SolveInfo, err error) (*
 	if err != nil && !isNotConverged(err) {
 		return nil, err
 	}
-	res.Top = dst.TopAssignment()
 	return res, err
 }
 
@@ -976,13 +997,13 @@ type linbpBatchEngine struct {
 // linbpSolver serves LinBP and LinBP* through pooled prepared kernel
 // engines: a statePool of single-problem engines for Solve/SolveInto
 // and one statePool of fused multi-block engines per batch chunk size
-// for SolveBatch. All engines share the immutable graph CSR, degree
-// vector, coupling, and partition layout; only the mutable workspaces
-// are per-pool-entry, so concurrent solves never contend on state.
+// for SolveBatch. All engines share the immutable row-block adjacency
+// (with its degrees), coupling, and partition layout; only the mutable
+// workspaces are per-pool-entry, so concurrent solves never contend on
+// state.
 type linbpSolver struct {
 	solverBase
-	a          *sparse.CSR // layout-ordered adjacency shared by all engines
-	d          []float64   // matching degrees (nil for LinBP*)
+	rows       *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP) shared by all engines
 	h          *dense.Matrix
 	perm       order.Permutation // nil = natural order
 	layout     kernel.Layout
@@ -999,36 +1020,61 @@ type linbpSolver struct {
 }
 
 // kernelLayout is the concrete prepared layout a kernel-backed snapshot
-// runs on: the (possibly reordered) adjacency, its matching degree
-// vector (nil disables echo cancellation), the relabeling it was
-// produced under, and the partition boundaries. Prepare derives it from
-// the problem; the dynamic plane derives it from a merged overlay,
-// reusing the prepare-time permutation and partitions between
-// compactions.
+// runs on: the (possibly reordered) row-block adjacency carrying the
+// matching degrees (none disables echo cancellation), the relabeling
+// it was produced under, and the partition boundaries. Prepare derives
+// it from the problem; the dynamic plane commits later epochs of the
+// same table, reusing the prepare-time permutation and partitions
+// between compactions.
 type kernelLayout struct {
-	a          *sparse.CSR
-	d          []float64
+	rows       *sparse.RowBlocks
 	perm       order.Permutation
 	partStarts []int
 }
 
-func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
-	var d []float64
-	if base.method == MethodLinBP {
-		d = p.Graph.WeightedDegrees()
+// newKernelLayout lays out a caller-order adjacency for the
+// kernel-backed methods: relabel it by perm, resolve the partitioning
+// (recording its diagnostics in base), and wrap the result in an
+// epoch-0 row-block table — with the squared-weight degrees when echo
+// is on. The degrees are the layout rows' RowSumsSquared, the same
+// value a commit recomputes for an edited row.
+func newKernelLayout(a *sparse.CSR, echo bool, perm order.Permutation, cfg config, base *solverInfo) (kernelLayout, error) {
+	if perm != nil {
+		a = a.Permute(perm)
 	}
-	a, d := permutedLayout(p.Graph.Adjacency(), d, perm)
-	lay := kernelLayout{a: a, d: d, perm: perm,
-		partStarts: resolvePartition(cfg.partitions, cfg.workers, a, &base)}
+	lay := kernelLayout{perm: perm, partStarts: resolvePartition(cfg.partitions, cfg.workers, a, base)}
+	var err error
+	lay.rows, err = layoutRows(a, echo, cfg.layout)
+	return lay, err
+}
+
+// layoutRows wraps a layout-ordered adjacency in an epoch-0 row-block
+// table.
+func layoutRows(a *sparse.CSR, echo bool, layout kernel.Layout) (*sparse.RowBlocks, error) {
+	var d []float64
+	if echo {
+		d = a.RowSumsSquared()
+	}
+	rows, err := sparse.NewRowBlocks(a, d, kernel.WideIndexWanted(a.Rows(), layout))
+	if err != nil {
+		return nil, fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
+	}
+	return rows, nil
+}
+
+func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
+	lay, err := newKernelLayout(p.Graph.Adjacency(), base.method == MethodLinBP, perm, cfg, &base)
+	if err != nil {
+		return nil, err
+	}
 	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, lay)
 }
 
-// newLinBPSolverOn builds the snapshot on an explicit layout; base must
-// already carry the partition diagnostics for lay.partStarts.
+// newLinBPSolverOn builds the snapshot on an explicit layout and
+// validates it by building the first engine eagerly; base must already
+// carry the partition diagnostics for lay.partStarts.
 func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLayout) (*linbpSolver, error) {
 	s := &linbpSolver{
-		a:          lay.a,
-		d:          lay.d,
 		h:          h,
 		perm:       lay.perm,
 		layout:     cfg.layout,
@@ -1036,56 +1082,13 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 		maxIter:    cfg.maxIter,
 		tol:        cfg.tol,
 	}
-	s.solverInfo = base
 	if s.maxIter == 0 {
 		s.maxIter = linbp.DefaultMaxIter
 	}
 	if s.tol == 0 {
 		s.tol = linbp.DefaultTol
 	}
-	s.batchHint = s.maxBlocks()
-	s.states = newStatePool(func() (*linbp.Engine, error) {
-		return linbp.NewEngineLayout(s.a, s.d, s.h, s.perm, linbp.Options{
-			EchoCancellation: s.method == MethodLinBP,
-			MaxIter:          s.maxIter,
-			Tol:              s.tol,
-			Workers:          s.workers,
-			Layout:           s.layout,
-			PartitionStarts:  s.partStarts,
-		})
-	}).withDestroy(func(e *linbp.Engine) { e.Close() })
-	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
-	for i := range s.batch {
-		c := i + 1
-		s.batch[i] = newStatePool(func() (*linbpBatchEngine, error) {
-			ws := kernel.GetWorkspace()
-			eng, err := kernel.New(kernel.Config{
-				A: s.a, D: s.d, H: s.h,
-				Workers: s.workers, Blocks: c, Layout: s.layout,
-				SymmetricA: true, PartitionStarts: s.partStarts,
-			}, ws)
-			if err != nil {
-				ws.Release()
-				return nil, fmt.Errorf("core: batch engine: %w", err)
-			}
-			return &linbpBatchEngine{eng: eng, ws: ws, ein: make([]float64, s.n*c*s.k)}, nil
-		}).withDestroy(func(be *linbpBatchEngine) {
-			be.eng.Close()
-			be.ws.Release()
-		})
-	}
-	if s.schedule != ScheduleRounds && s.tol > 0 {
-		s.rstates = newStatePool(func() (*linbp.ResidualEngine, error) {
-			return linbp.NewResidualEngineLayout(s.a, s.d, s.h, s.perm, linbp.Options{
-				MaxIter: s.maxIter,
-				Tol:     s.tol,
-				Layout:  s.layout,
-			})
-		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
-	}
-	// Build (and pool) the first engine eagerly: it validates the
-	// configuration and triggers the shared CSR's compact-index build
-	// while preparation is still single-goroutine.
+	s.initPools(lay.rows, base)
 	eng, err := s.states.get()
 	if err != nil {
 		return nil, err
@@ -1103,6 +1106,94 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 	}
 	return s, nil
 }
+
+// initPools binds the snapshot to its epoch's table and identity and
+// creates its (empty) engine pools.
+func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
+	s.rows = rows
+	s.solverInfo = base
+	s.batchHint = s.maxBlocks()
+	s.states = newStatePool(func() (*linbp.Engine, error) {
+		return linbp.NewEngineRows(s.rows, s.h, s.perm, linbp.Options{
+			EchoCancellation: s.method == MethodLinBP,
+			MaxIter:          s.maxIter,
+			Tol:              s.tol,
+			Workers:          s.workers,
+			Layout:           s.layout,
+			PartitionStarts:  s.partStarts,
+		})
+	}).withDestroy(func(e *linbp.Engine) { e.Close() })
+	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
+	for i := range s.batch {
+		c := i + 1
+		s.batch[i] = newStatePool(func() (*linbpBatchEngine, error) {
+			ws := kernel.GetWorkspace()
+			eng, err := kernel.New(kernel.Config{
+				Rows: s.rows, H: s.h,
+				Workers: s.workers, Blocks: c, Layout: s.layout,
+				SymmetricA: true, PartitionStarts: s.partStarts,
+			}, ws)
+			if err != nil {
+				ws.Release()
+				return nil, fmt.Errorf("core: batch engine: %w", err)
+			}
+			return &linbpBatchEngine{eng: eng, ws: ws, ein: make([]float64, s.n*c*s.k)}, nil
+		}).withDestroy(func(be *linbpBatchEngine) {
+			be.eng.Close()
+			be.ws.Release()
+		})
+	}
+	if s.schedule != ScheduleRounds && s.tol > 0 {
+		s.rstates = newStatePool(func() (*linbp.ResidualEngine, error) {
+			return linbp.NewResidualEngineRows(s.rows, s.h, s.perm, linbp.Options{
+				MaxIter: s.maxIter,
+				Tol:     s.tol,
+				Layout:  s.layout,
+			})
+		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
+	}
+}
+
+// successor builds the next epoch's snapshot on a table committed from
+// this one's: same coupling, layout, and partitions, and no engine
+// built — the idle engines of every pool move over, rebound to the new
+// table (an engine that cannot rebind is destroyed and rebuilt on
+// demand).
+func (s *linbpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
+	next := &linbpSolver{h: s.h, perm: s.perm, layout: s.layout, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
+	next.initPools(rows, base)
+	moveIdle(s.states, next.states, func(e *linbp.Engine) error { return e.Rebind(rows) })
+	for i := range s.batch {
+		moveIdle(s.batch[i], next.batch[i], func(be *linbpBatchEngine) error { return be.eng.Rebind(rows) })
+	}
+	if s.rstates != nil {
+		moveIdle(s.rstates, next.rstates, func(e *linbp.ResidualEngine) error { return e.Rebind(rows) })
+	}
+	return next
+}
+
+// solveLayout runs one round-scheduled solve of the dynamic plane on a
+// pooled engine over layout-order buffers: e the explicit beliefs,
+// start the warm start (nil = cold). When a round ran and no error
+// aborted it, the final iterate is copied into out.
+func (s *linbpSolver) solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error) {
+	s.solves.Add(1)
+	if err := s.admitCtx(ctx); err != nil {
+		return SolveInfo{}, err
+	}
+	eng, err := s.states.get()
+	if err != nil {
+		return SolveInfo{}, err
+	}
+	defer s.states.put(eng)
+	state, iters, delta, converged, err := eng.RunLayout(ctx, e, start)
+	if iters > 0 && err == nil {
+		copy(out, state)
+	}
+	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
+}
+
+func (s *linbpSolver) base() *solverBase { return &s.solverBase }
 
 func (s *linbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
 	if !s.begin() {
@@ -1136,11 +1227,11 @@ func (s *linbpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (
 //
 //lsbp:hotpath
 func (s *linbpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		return s.solveResidual(ctx, dst, e, nil, nil)
-	}
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
+	}
+	if s.schedule == ScheduleResidual && s.rstates != nil {
+		return s.solveResidual(ctx, dst, e)
 	}
 	eng, err := s.states.get()
 	if err != nil {
@@ -1151,91 +1242,32 @@ func (s *linbpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
 
-// SolveFrom is the warm-started serving path of the dynamic plane: the
-// iteration begins at start (a previous fixpoint in the caller's node
-// order) instead of Bˆ = 0, so a solve after a small input delta
-// converges in a fraction of the cold rounds. A nil start solves cold.
-// Under ScheduleResidual it is served by the residual plane (full warm
-// seed — valid from any start).
-//
-//lsbp:hotpath
-func (s *linbpSolver) SolveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		return s.solveResidual(ctx, dst, e, start, nil)
-	}
-	return s.solveFromRounds(ctx, dst, e, start)
-}
-
-// solveFromRounds is the round-scheduled warm solve; callers hold the
-// read lock, have validated shapes, and have counted the solve.
-//
-//lsbp:hotpath
-func (s *linbpSolver) solveFromRounds(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	eng, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(eng)
-	iters, delta, converged, err := eng.SolveFromIntoContext(ctx, dst, e, start)
-	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
-}
-
-// SolveSeeded is the residual plane's localized entry point (see
-// seededSolver): a warm solve seeded from exactly the touched rows.
-// Without a usable residual plane (ScheduleAuto over a fixed-round
-// tolerance) it degrades to the full warm rounds solve.
-//
-//lsbp:hotpath
-func (s *linbpSolver) SolveSeeded(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	if s.rstates == nil {
-		return s.solveFromRounds(ctx, dst, e, start)
-	}
-	return s.solveResidual(ctx, dst, e, start, touched)
-}
-
-// solveResidual runs one counted-elsewhere solve on a pooled residual
+// solveResidual runs one residual-scheduled cold solve on a pooled
 // engine; the round-equivalent ⌈relaxed/n⌉ keeps Iterations comparable
-// across schedules. Callers hold the read lock and have validated the
-// shapes; s.rstates must be non-nil.
+// across schedules. Callers hold the read lock, have validated the
+// shapes and admitted the context; s.rstates must be non-nil.
 //
 //lsbp:hotpath
-func (s *linbpSolver) solveResidual(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
+func (s *linbpSolver) solveResidual(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
 	eng, err := s.rstates.get()
 	if err != nil {
 		return SolveInfo{}, err
 	}
 	defer s.rstates.put(eng)
-	relaxed, peak, maxResid, converged, err := eng.SolveSeededContext(ctx, dst, e, start, touched)
+	relaxed, peak, maxResid, converged, err := eng.SolveContext(ctx, dst, e)
+	return s.record(residualInfo(s.n, relaxed, peak, maxResid, converged), err)
+}
+
+// residualInfo assembles a residual-scheduled solve's SolveInfo, with
+// the round-equivalent ⌈relaxed/n⌉ as its iteration count.
+//
+//lsbp:hotpath
+func residualInfo(n, relaxed, peak int, maxResid float64, converged bool) SolveInfo {
 	iters := 0
-	if s.n > 0 {
-		iters = (relaxed + s.n - 1) / s.n
+	if n > 0 {
+		iters = (relaxed + n - 1) / n
 	}
-	return s.record(SolveInfo{
-		Iterations: iters, Converged: converged, Delta: maxResid,
-		RowsRelaxed: relaxed, QueuePeak: peak,
-	}, err)
+	return SolveInfo{Iterations: iters, Converged: converged, Delta: maxResid, RowsRelaxed: relaxed, QueuePeak: peak}
 }
 
 // maxBlocks is the largest number of requests fused into one kernel
@@ -1662,7 +1694,6 @@ func (s *sbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, er
 		}
 	}
 	s.iterations.Add(int64(res.Iterations))
-	res.Top = res.Beliefs.TopAssignment()
 	return res, nil
 }
 
@@ -1715,13 +1746,22 @@ func (s *sbpSolver) Close() error { return s.closeOnce(nil) }
 // fabpState is one per-solve FABP workspace: a prepared scalar engine
 // plus the collapse/expand scratch vectors.
 type fabpState struct {
-	eng        *fabp.Engine
-	es, bs, ss []float64 // scalar explicit/result/start scratch (layout order)
-	// reng and ts serve the residual schedule; reng is nil when the
-	// schedule is rounds-only or a negative tolerance forces fixed
-	// rounds, and ts is the layout-order touched-row scratch.
+	eng    *fabp.Engine
+	es, bs []float64 // scalar explicit/result scratch (layout order)
+	// reng serves the residual schedule; nil when the schedule is
+	// rounds-only or a negative tolerance forces fixed rounds.
 	reng *fabp.ResidualEngine
-	ts   []int32
+}
+
+// rebind follows the state's engines to a later epoch's table.
+func (st *fabpState) rebind(rows *sparse.RowBlocks) error {
+	if err := st.eng.Rebind(rows); err != nil {
+		return err
+	}
+	if st.reng != nil {
+		return st.reng.Rebind(rows)
+	}
+	return nil
 }
 
 // fabpSolver serves the binary (k = 2) scalar linearization of
@@ -1732,8 +1772,7 @@ type fabpState struct {
 // method.
 type fabpSolver struct {
 	solverBase
-	a          *sparse.CSR
-	d          []float64
+	rows       *sparse.RowBlocks // layout-ordered adjacency + squared-weight degrees
 	hhat       float64
 	perm       order.Permutation
 	partStarts []int
@@ -1746,55 +1785,27 @@ func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutati
 	if p.K() != 2 {
 		return nil, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", p.K(), errs.ErrDimensionMismatch)
 	}
-	a, d := permutedLayout(p.Graph.Adjacency(), p.Graph.WeightedDegrees(), perm)
-	lay := kernelLayout{a: a, d: d, perm: perm,
-		partStarts: resolvePartition(cfg.partitions, cfg.workers, a, &base)}
+	lay, err := newKernelLayout(p.Graph.Adjacency(), true, perm, cfg, &base)
+	if err != nil {
+		return nil, err
+	}
 	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
 	// the scaled ĥ is its (0,0) entry.
 	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, lay)
 }
 
-// newFABPSolverOn builds the snapshot on an explicit layout; base must
-// already carry the partition diagnostics for lay.partStarts.
+// newFABPSolverOn builds the snapshot on an explicit layout and
+// validates it by building the first state eagerly; base must already
+// carry the partition diagnostics for lay.partStarts.
 func newFABPSolverOn(hhat float64, base solverInfo, cfg config, lay kernelLayout) (*fabpSolver, error) {
 	s := &fabpSolver{
-		a:          lay.a,
-		d:          lay.d,
 		hhat:       hhat,
 		perm:       lay.perm,
 		partStarts: lay.partStarts,
 		maxIter:    cfg.maxIter,
 		tol:        cfg.tol,
 	}
-	s.solverInfo = base
-	s.states = newStatePool(func() (*fabpState, error) {
-		eng, err := fabp.NewEngineCSR(s.a, s.d, s.hhat, fabp.Options{
-			MaxIter: s.maxIter, Tol: s.tol, PartitionStarts: s.partStarts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := &fabpState{
-			eng: eng,
-			es:  make([]float64, s.n),
-			bs:  make([]float64, s.n),
-			ss:  make([]float64, s.n),
-		}
-		if s.schedule != ScheduleRounds && s.tol >= 0 {
-			// Tol 0 selects the package default inside fabp, matching the
-			// rounds engine above; only an explicit fixed-round tolerance
-			// (< 0) leaves the residual plane out.
-			st.reng, err = fabp.NewResidualEngineCSR(s.a, s.d, s.hhat, fabp.Options{
-				MaxIter: s.maxIter, Tol: s.tol,
-			})
-			if err != nil {
-				eng.Close()
-				return nil, err
-			}
-			st.ts = make([]int32, 0, s.n)
-		}
-		return st, nil
-	}).withDestroy(func(st *fabpState) { st.eng.Close() })
+	s.initPools(lay.rows, base)
 	st, err := s.states.get()
 	if err != nil {
 		return nil, err
@@ -1802,6 +1813,66 @@ func newFABPSolverOn(hhat float64, base solverInfo, cfg config, lay kernelLayout
 	s.states.put(st)
 	return s, nil
 }
+
+// initPools binds the snapshot to its epoch's table and identity and
+// creates its (empty) state pool.
+func (s *fabpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
+	s.rows = rows
+	s.solverInfo = base
+	s.states = newStatePool(func() (*fabpState, error) {
+		eng, err := fabp.NewEngineRows(s.rows, s.hhat, fabp.Options{
+			MaxIter: s.maxIter, Tol: s.tol, PartitionStarts: s.partStarts,
+		})
+		if err != nil {
+			return nil, err
+		}
+		st := &fabpState{eng: eng, es: make([]float64, s.n), bs: make([]float64, s.n)}
+		if s.schedule != ScheduleRounds && s.tol >= 0 {
+			// Tol 0 selects the package default inside fabp, matching the
+			// rounds engine above; only an explicit fixed-round tolerance
+			// (< 0) leaves the residual plane out.
+			st.reng, err = fabp.NewResidualEngineRows(s.rows, s.hhat, fabp.Options{
+				MaxIter: s.maxIter, Tol: s.tol,
+			})
+			if err != nil {
+				eng.Close()
+				return nil, err
+			}
+		}
+		return st, nil
+	}).withDestroy(func(st *fabpState) { st.eng.Close() })
+}
+
+// successor builds the next epoch's snapshot on a table committed from
+// this one's, moving the idle states over rebound (see
+// linbpSolver.successor).
+func (s *fabpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
+	next := &fabpSolver{hhat: s.hhat, perm: s.perm, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
+	next.initPools(rows, base)
+	moveIdle(s.states, next.states, func(st *fabpState) error { return st.rebind(rows) })
+	return next
+}
+
+// solveLayout is linbpSolver.solveLayout for the scalar collapse: e,
+// start, and out are layout-order scalar vectors.
+func (s *fabpSolver) solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error) {
+	s.solves.Add(1)
+	if err := s.admitCtx(ctx); err != nil {
+		return SolveInfo{}, err
+	}
+	st, err := s.states.get()
+	if err != nil {
+		return SolveInfo{}, err
+	}
+	defer s.states.put(st)
+	iters, delta, converged, err := st.eng.SolveFromInto(ctx, st.bs, e, start)
+	if iters > 0 && err == nil {
+		copy(out, st.bs)
+	}
+	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
+}
+
+func (s *fabpSolver) base() *solverBase { return &s.solverBase }
 
 func (s *fabpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
 	if !s.begin() {
@@ -1829,54 +1900,11 @@ func (s *fabpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (S
 	return s.solveInto(ctx, dst, e)
 }
 
+// solveInto is the shared collapse/solve/expand body: the class-0
+// column goes in (shuffled into the layout order on the way), the
+// scalar solve runs — on the residual plane under ScheduleResidual —
+// and the (b, −b) rows come back out in the caller's order.
 func (s *fabpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	return s.solveFromInto(ctx, dst, e, nil, nil, s.schedule == ScheduleResidual)
-}
-
-// SolveFrom is the warm-started serving path of the dynamic plane (see
-// linbpSolver.SolveFrom); the binary collapse starts the Jacobi
-// iteration at start's class-0 residuals. A nil start solves cold.
-// Under ScheduleResidual it is served by the residual plane (full warm
-// seed — valid from any start).
-func (s *fabpSolver) SolveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	if start != nil && (start.N() != s.n || start.K() != s.k) {
-		return SolveInfo{}, fmt.Errorf("core: start matrix %dx%d does not match n=%d k=%d: %w",
-			start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
-	}
-	s.solves.Add(1)
-	return s.solveFromInto(ctx, dst, e, start, nil, s.schedule == ScheduleResidual)
-}
-
-// SolveSeeded is the residual plane's localized entry point (see
-// seededSolver and linbpSolver.SolveSeeded).
-func (s *fabpSolver) SolveSeeded(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	if start != nil && (start.N() != s.n || start.K() != s.k) {
-		return SolveInfo{}, fmt.Errorf("core: start matrix %dx%d does not match n=%d k=%d: %w",
-			start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
-	}
-	s.solves.Add(1)
-	return s.solveFromInto(ctx, dst, e, start, touched, true)
-}
-
-// solveFromInto is the shared collapse/solve/expand body. residual
-// selects the residual-scheduled plane; it degrades to warm rounds
-// when the pooled state has no residual engine (fixed-round tolerance
-// under ScheduleAuto).
-func (s *fabpSolver) solveFromInto(ctx context.Context, dst, e, start *beliefs.Residual, touched []int, residual bool) (SolveInfo, error) {
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
@@ -1897,61 +1925,33 @@ func (s *fabpSolver) solveFromInto(ctx context.Context, dst, e, start *beliefs.R
 			st.es[s.perm[i]] = ed[i*2]
 		}
 	}
-	var ss []float64
-	if start != nil {
-		sd := start.Matrix().Data()
-		ss = st.ss
-		if s.perm == nil {
-			for i := 0; i < s.n; i++ {
-				ss[i] = sd[i*2]
-			}
-		} else {
-			for i := 0; i < s.n; i++ {
-				ss[s.perm[i]] = sd[i*2]
-			}
-		}
-	}
-	var iters, relaxed, peak int
-	var delta float64
-	var converged bool
-	if residual && st.reng != nil {
-		var tptr []int32
-		if touched != nil {
-			ts := st.ts[:0]
-			if s.perm == nil {
-				for _, id := range touched {
-					ts = append(ts, int32(id))
-				}
-			} else {
-				for _, id := range touched {
-					ts = append(ts, int32(s.perm[id]))
-				}
-			}
-			st.ts = ts
-			tptr = ts
-		}
-		relaxed, peak, delta, converged, err = st.reng.SolveSeeded(ctx, st.bs, st.es, ss, tptr)
-		if s.n > 0 {
-			iters = (relaxed + s.n - 1) / s.n
-		}
+	var info SolveInfo
+	if s.schedule == ScheduleResidual && st.reng != nil {
+		var relaxed, peak int
+		var maxResid float64
+		var converged bool
+		relaxed, peak, maxResid, converged, err = st.reng.Solve(ctx, st.bs, st.es)
+		info = residualInfo(s.n, relaxed, peak, maxResid, converged)
 	} else {
-		iters, delta, converged, err = st.eng.SolveFromInto(ctx, st.bs, st.es, ss)
+		info.Iterations, info.Delta, info.Converged, err = st.eng.SolveInto(ctx, st.bs, st.es)
 	}
-	dd := dst.Matrix().Data()
-	if s.perm == nil {
-		for i, b := range st.bs {
-			dd[i*2], dd[i*2+1] = b, -b
+	expandBinary(dst.Matrix().Data(), st.bs, s.perm)
+	return s.record(info, err)
+}
+
+// expandBinary writes the scalar layout-order beliefs b as caller-order
+// (b, −b) rows into dd.
+func expandBinary(dd, b []float64, perm order.Permutation) {
+	if perm == nil {
+		for i, v := range b {
+			dd[i*2], dd[i*2+1] = v, -v
 		}
-	} else {
-		for i := 0; i < s.n; i++ {
-			b := st.bs[s.perm[i]]
-			dd[i*2], dd[i*2+1] = b, -b
-		}
+		return
 	}
-	return s.record(SolveInfo{
-		Iterations: iters, Converged: converged, Delta: delta,
-		RowsRelaxed: relaxed, QueuePeak: peak,
-	}, err)
+	for i, pi := range perm {
+		v := b[pi]
+		dd[i*2], dd[i*2+1] = v, -v
+	}
 }
 
 func (s *fabpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {

@@ -106,9 +106,6 @@ func TestPreparedEquivalence(t *testing.T) {
 				if d := maxAbsDiff(res.Beliefs, want); d > 1e-12 {
 					t.Fatalf("k=%d %v workers=%d: prepared vs direct max diff %g", k, m, workers, d)
 				}
-				if res.Top == nil {
-					t.Fatalf("k=%d %v: missing top assignment", k, m)
-				}
 				s.Close()
 			}
 		}

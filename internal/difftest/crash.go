@@ -47,8 +47,9 @@ type crashScenario struct {
 	run    func(t testing.TB, fs *durable.MemFS, s core.Solver, stream []DynamicBatch, n, k int) crashOutcome
 }
 
-// noCompact pins the overlay path so a scenario's fault lands on the
-// WAL alone; forceCompact makes every topology batch checkpoint.
+// noCompact pins the incremental commit path so a scenario's fault
+// lands on the WAL alone; forceCompact makes every topology batch
+// checkpoint.
 var (
 	noCompact    = core.UpdatePolicy{CompactionRatio: 1e12}
 	forceCompact = core.UpdatePolicy{CompactionRatio: 1e-12}

@@ -305,8 +305,8 @@ func (b DynamicBatch) ApplyMirror(g *graph.Graph, e *beliefs.Residual) {
 // problem's graph: each batch inserts a few unit edges (self-loops and
 // parallel edges included occasionally — both are legal), deletes a
 // couple of existing edges, and relabels a node. Unit weights keep the
-// merged-overlay and fresh-build summations exactly equal, so streams
-// stay inside the 1e-12 differential bound.
+// committed and fresh-build summations exactly equal, so streams stay
+// inside the 1e-12 differential bound.
 func DynamicStream(p *core.Problem, batches int, seed uint64) []DynamicBatch {
 	rng := xrand.New(seed)
 	n, k := p.Graph.N(), p.K()
@@ -400,9 +400,9 @@ func DynamicVariants(m core.Method) []Variant {
 	return out
 }
 
-// DynamicPolicies is the policy axis: the default merge-until-threshold
+// DynamicPolicies is the policy axis: the default commit-until-threshold
 // behavior, a forced compaction rebuild on every topology update, and
-// pure overlay accumulation with compaction disabled.
+// pure incremental commits with compaction disabled.
 func DynamicPolicies() []struct {
 	Name   string
 	Policy core.UpdatePolicy

@@ -157,14 +157,15 @@ func qualitySweep(num int, cfg Config, epss []float64) ([]sweepPoint, error) {
 			return nil, err
 		}
 		pt.bpConv, pt.linbpConv = bpRes.Converged, linbpRes.Converged
+		linbpTop := linbpRes.Beliefs.TopAssignment()
 		if pt.bpConv && pt.linbpConv {
-			pt.linbpVsBP, _ = metrics.Compare(bpRes.Top, linbpRes.Top)
+			pt.linbpVsBP, _ = metrics.Compare(bpRes.Beliefs.TopAssignment(), linbpTop)
 		}
 		if pt.linbpConv && starRes.Converged {
-			pt.starVsLinBP, _ = metrics.Compare(linbpRes.Top, starRes.Top)
+			pt.starVsLinBP, _ = metrics.Compare(linbpTop, starRes.Beliefs.TopAssignment())
 		}
 		if pt.linbpConv {
-			pt.sbpVsLinBP, _ = metrics.Compare(linbpRes.Top, sbpRes.Top)
+			pt.sbpVsLinBP, _ = metrics.Compare(linbpTop, sbpRes.Beliefs.TopAssignment())
 		}
 		out = append(out, pt)
 	}
@@ -253,8 +254,9 @@ func Fig11b(cfg Config) error {
 			fmt.Fprintf(cfg.Out, "%10.2g (diverged)\n", eps)
 			continue
 		}
+		bpTop, linbpTop := bpRes.Beliefs.TopAssignment(), linbpRes.Beliefs.TopAssignment()
 		f1 := func(top [][]int) float64 {
-			pr, _ := metrics.Compare(bpRes.Top, top)
+			pr, _ := metrics.Compare(bpTop, top)
 			return pr.F1
 		}
 		// Also report LinBP's agreement with the generator's true labels
@@ -265,12 +267,12 @@ func Fig11b(cfg Config) error {
 				continue
 			}
 			total++
-			if len(linbpRes.Top[s]) == 1 && linbpRes.Top[s][0] == d.TrueClass[s] {
+			if len(linbpTop[s]) == 1 && linbpTop[s][0] == d.TrueClass[s] {
 				correct++
 			}
 		}
 		fmt.Fprintf(cfg.Out, "%10.2g %10.4f %10.4f %10.4f %12.4f\n",
-			eps, f1(linbpRes.Top), f1(starRes.Top), f1(sbpRes.Top),
+			eps, f1(linbpTop), f1(starRes.Beliefs.TopAssignment()), f1(sbpRes.Beliefs.TopAssignment()),
 			float64(correct)/float64(total))
 	}
 	return nil

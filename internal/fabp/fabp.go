@@ -100,25 +100,42 @@ func NewEngine(g *graph.Graph, hhat float64, opts Options) (*Engine, error) {
 // the caller's concern (core permutes them during its scalar
 // expand/collapse copies, for free).
 func NewEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options) (*Engine, error) {
+	return newEngine(kernel.Config{A: a, D: d}, a.Rows(), hhat, opts)
+}
+
+// NewEngineRows is NewEngineCSR over a row-block adjacency table that
+// carries the squared-weight degrees; engines over one table's epochs
+// follow commits through Rebind.
+func NewEngineRows(rows *sparse.RowBlocks, hhat float64, opts Options) (*Engine, error) {
+	return newEngine(kernel.Config{Rows: rows}, rows.Rows(), hhat, opts)
+}
+
+func newEngine(cfg kernel.Config, n int, hhat float64, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if math.Abs(hhat) >= 0.5 {
 		return nil, fmt.Errorf("fabp: |ĥ| = %v must be < 1/2: %w", hhat, errs.ErrInvalidCoupling)
 	}
 	c1, c2 := Coefficients(hhat)
+	cfg.SymmetricA = true
+	cfg.H = dense.NewFromRows([][]float64{{c1}})
+	cfg.EchoH = dense.NewFromRows([][]float64{{c2}})
+	cfg.PartitionStarts = opts.PartitionStarts
 	ws := kernel.GetWorkspace()
-	eng, err := kernel.New(kernel.Config{
-		A:               a,
-		D:               d,
-		SymmetricA:      true,
-		H:               dense.NewFromRows([][]float64{{c1}}),
-		EchoH:           dense.NewFromRows([][]float64{{c2}}),
-		PartitionStarts: opts.PartitionStarts,
-	}, ws)
+	eng, err := kernel.New(cfg, ws)
 	if err != nil {
 		ws.Release()
 		return nil, fmt.Errorf("fabp: %w", err)
 	}
-	return &Engine{eng: eng, ws: ws, n: a.Rows(), opts: opts}, nil
+	return &Engine{eng: eng, ws: ws, n: n, opts: opts}, nil
+}
+
+// Rebind follows the engine's adjacency to a later epoch of its
+// row-block table (see kernel.Engine.Rebind). The engine must be idle.
+func (s *Engine) Rebind(rows *sparse.RowBlocks) error {
+	if err := s.eng.Rebind(rows); err != nil {
+		return fmt.Errorf("fabp: %w", err)
+	}
+	return nil
 }
 
 // SolveInto runs the Jacobi iteration for the class-0 explicit

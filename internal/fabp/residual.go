@@ -26,13 +26,14 @@ type ResidualEngine struct {
 	maxRelax int
 }
 
-// NewResidualEngineCSR prepares a residual-scheduled binary solver
-// over an explicit adjacency layout, mirroring NewEngineCSR. opts.Tol
-// is the relaxation tolerance and must be positive (the residual
-// schedule has no fixed-round mode); opts.MaxIter bounds the work at
-// MaxIter·n row relaxations. opts.PartitionStarts is ignored — the
-// plane is sequential.
-func NewResidualEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options) (*ResidualEngine, error) {
+// NewResidualEngineRows prepares a residual-scheduled binary solver
+// over a row-block adjacency table carrying the squared-weight
+// degrees, mirroring NewEngineRows. opts.Tol is the relaxation
+// tolerance and must be positive (the residual schedule has no
+// fixed-round mode); opts.MaxIter bounds the work at MaxIter·n row
+// relaxations. opts.PartitionStarts is ignored — the plane is
+// sequential.
+func NewResidualEngineRows(rows *sparse.RowBlocks, hhat float64, opts Options) (*ResidualEngine, error) {
 	opts = opts.withDefaults()
 	if opts.Tol <= 0 {
 		return nil, fmt.Errorf("fabp: residual schedule needs a positive tolerance, got %v: %w", opts.Tol, errs.ErrInvalidInput)
@@ -42,8 +43,7 @@ func NewResidualEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options
 	}
 	c1, c2 := Coefficients(hhat)
 	eng, err := kernel.NewResidual(kernel.Config{
-		A:          a,
-		D:          d,
+		Rows:       rows,
 		SymmetricA: true,
 		H:          dense.NewFromRows([][]float64{{c1}}),
 		EchoH:      dense.NewFromRows([][]float64{{c2}}),
@@ -51,31 +51,31 @@ func NewResidualEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options
 	if err != nil {
 		return nil, fmt.Errorf("fabp: %w", err)
 	}
-	return &ResidualEngine{eng: eng, n: a.Rows(), maxRelax: opts.MaxIter * a.Rows()}, nil
+	return &ResidualEngine{eng: eng, n: rows.Rows(), maxRelax: opts.MaxIter * rows.Rows()}, nil
 }
 
-// SolveSeeded runs the residual-scheduled scalar solve and writes the
-// final beliefs into dst (length n, overwritten, layout order). A nil
-// start is the cold solve; a non-nil start seeds the warm solve, with
-// touched (layout-order rows, deduplicated) restricting the residual
-// recomputation to the rows a delta perturbed — nil touched recomputes
-// every row. Return values mirror kernel.ResidualEngine.Run, with dst
-// holding the current iterate at every exit.
+// Solve runs the residual-scheduled scalar solve seeded from the
+// explicit beliefs e alone (the cold solve) and writes the final
+// beliefs into dst (length n, overwritten, layout order). Return
+// values mirror kernel.ResidualEngine.Run, with dst holding the
+// current iterate at every exit.
 //
 //lsbp:hotpath
-func (s *ResidualEngine) SolveSeeded(ctx context.Context, dst, e, start []float64, touched []int32) (relaxed, peak int, maxResid float64, converged bool, err error) {
+func (s *ResidualEngine) Solve(ctx context.Context, dst, e []float64) (relaxed, peak int, maxResid float64, converged bool, err error) {
 	if len(e) != s.n || len(dst) != s.n {
 		return 0, 0, 0, false, fmt.Errorf("fabp: belief vector lengths %d/%d do not match n=%d: %w", len(e), len(dst), s.n, errs.ErrDimensionMismatch)
 	}
-	if start == nil {
-		s.eng.SeedExplicit(e)
-	} else {
-		if len(start) != s.n {
-			return 0, 0, 0, false, fmt.Errorf("fabp: start vector length %d does not match n=%d: %w", len(start), s.n, errs.ErrDimensionMismatch)
-		}
-		s.eng.SeedWarm(start, e, touched)
-	}
+	s.eng.SeedExplicit(e)
 	relaxed, peak, maxResid, converged, err = s.eng.Run(ctx, s.maxRelax)
 	copy(dst, s.eng.Beliefs())
 	return relaxed, peak, maxResid, converged, err
+}
+
+// Rebind follows the engine's adjacency to a later epoch of its
+// row-block table (see kernel.ResidualEngine.Rebind).
+func (s *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {
+	if err := s.eng.Rebind(rows); err != nil {
+		return fmt.Errorf("fabp: %w", err)
+	}
+	return nil
 }

@@ -1,5 +1,7 @@
 package kernel
 
+import "repro/internal/sparse"
+
 // The compact-layout row kernels. Each mirrors its wide counterpart in
 // kernel.go operation for operation — identical summation order, so the
 // two layouts are bitwise interchangeable — but reads the CSR through
@@ -21,13 +23,22 @@ package kernel
 // unchecked loop.
 //
 //lsbp:hotpath
-func (e *Engine) rows1Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows1Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo:hi], next[lo:hi]
+	if eexp != nil {
+		eexp = eexp[lo:hi]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, h2 := e.h[0], e.h2[0]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -52,10 +63,10 @@ func (e *Engine) rows1Compact(lo, hi int) float64 {
 		}
 		v += ab * h
 		if echo {
-			v -= dvec[i] * cur[i] * h2
+			v -= dvec[i] * own[i] * h2
 		}
 		if track {
-			delta = delta1(delta, v, cur[i])
+			delta = delta1(delta, v, own[i])
 		}
 		next[i] = v
 	}
@@ -63,13 +74,22 @@ func (e *Engine) rows1Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows2Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows2Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo*2:hi*2], next[lo*2:hi*2]
+	if eexp != nil {
+		eexp = eexp[lo*2 : hi*2]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, g := e.h[:4], e.h2[:4]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -100,7 +120,7 @@ func (e *Engine) rows2Compact(lo, hi int) float64 {
 		}
 		v0 += ab0*h[0] + ab1*h[2]
 		v1 += ab0*h[1] + ab1*h[3]
-		b0, b1 := cur[i*2], cur[i*2+1]
+		b0, b1 := own[i*2], own[i*2+1]
 		if echo {
 			di := dvec[i]
 			v0 -= di * (b0*g[0] + b1*g[2])
@@ -116,13 +136,22 @@ func (e *Engine) rows2Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows3Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows3Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo*3:hi*3], next[lo*3:hi*3]
+	if eexp != nil {
+		eexp = eexp[lo*3 : hi*3]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, g := e.h[:9], e.h2[:9]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -156,7 +185,7 @@ func (e *Engine) rows3Compact(lo, hi int) float64 {
 		v0 += ab0*h[0] + ab1*h[3] + ab2*h[6]
 		v1 += ab0*h[1] + ab1*h[4] + ab2*h[7]
 		v2 += ab0*h[2] + ab1*h[5] + ab2*h[8]
-		b0, b1, b2 := cur[i*3], cur[i*3+1], cur[i*3+2]
+		b0, b1, b2 := own[i*3], own[i*3+1], own[i*3+2]
 		if echo {
 			di := dvec[i]
 			v0 -= di * (b0*g[0] + b1*g[3] + b2*g[6])
@@ -174,13 +203,22 @@ func (e *Engine) rows3Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows5Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows5Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo*5:hi*5], next[lo*5:hi*5]
+	if eexp != nil {
+		eexp = eexp[lo*5 : hi*5]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, g := e.h[:25], e.h2[:25]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -221,7 +259,7 @@ func (e *Engine) rows5Compact(lo, hi int) float64 {
 		v2 += ab0*h[2] + ab1*h[7] + ab2*h[12] + ab3*h[17] + ab4*h[22]
 		v3 += ab0*h[3] + ab1*h[8] + ab2*h[13] + ab3*h[18] + ab4*h[23]
 		v4 += ab0*h[4] + ab1*h[9] + ab2*h[14] + ab3*h[19] + ab4*h[24]
-		b := cur[i*5 : i*5+5]
+		b := own[i*5 : i*5+5]
 		if echo {
 			di := dvec[i]
 			v0 -= di * (b[0]*g[0] + b[1]*g[5] + b[2]*g[10] + b[3]*g[15] + b[4]*g[20])
@@ -247,13 +285,22 @@ func (e *Engine) rows5Compact(lo, hi int) float64 {
 // index stream; see rows3x4 for the register-blocking rationale.
 //
 //lsbp:hotpath
-func (e *Engine) rows3x4Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows3x4Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo*12:hi*12], next[lo*12:hi*12]
+	if eexp != nil {
+		eexp = eexp[lo*12 : hi*12]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, g := e.h[:9], e.h2[:9]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -279,7 +326,7 @@ func (e *Engine) rows3x4Compact(lo, hi int) float64 {
 			a10 += v * x[10]
 			a11 += v * x[11]
 		}
-		b := cur[i*12 : i*12+12]
+		b := own[i*12 : i*12+12]
 		nx := next[i*12 : i*12+12]
 		var e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 float64
 		if eexp != nil {
@@ -338,13 +385,22 @@ func (e *Engine) rows3x4Compact(lo, hi int) float64 {
 // stream, the k=2 analogue of rows3x4Compact.
 //
 //lsbp:hotpath
-func (e *Engine) rows2x6Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows2x6Compact(blk *sparse.Block, off, lo, hi int) float64 {
+	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
-	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
+	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
+	// Index the block's own rows from zero: one induction variable
+	// for the row-local streams, the global state only for neighbors.
+	own, next := cur[lo*12:hi*12], next[lo*12:hi*12]
+	if eexp != nil {
+		eexp = eexp[lo*12 : hi*12]
+	}
+	if echo {
+		dvec = dvec[lo-off : hi-off]
+	}
 	h, g := e.h[:4], e.h2[:4]
 	var delta float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < hi-lo; i++ {
 		rs, re := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := colIdx[rs:re]
 		vals := avals[rs:re]
@@ -370,7 +426,7 @@ func (e *Engine) rows2x6Compact(lo, hi int) float64 {
 			a10 += v * x[10]
 			a11 += v * x[11]
 		}
-		b := cur[i*12 : i*12+12]
+		b := own[i*12 : i*12+12]
 		nx := next[i*12 : i*12+12]
 		var e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 float64
 		if eexp != nil {
@@ -438,11 +494,11 @@ func (e *Engine) rows2x6Compact(lo, hi int) float64 {
 //
 //lsbp:hotpath
 func (e *Engine) sparseRoundCompact() float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+	adj := e.adj
 	n, k, wd := e.n, e.k, e.wd
 	cur, next := e.ws.cur[:n*wd], e.ws.next[:n*wd]
 	act, dirty := e.ws.act[:n], e.ws.dirty[:n]
-	eexp, dvec, echo, track := e.e, e.d, e.echo, e.track
+	eexp, echo, track := e.e, e.echo, e.track
 	for i := range next {
 		next[i] = 0
 	}
@@ -453,9 +509,11 @@ func (e *Engine) sparseRoundCompact() float64 {
 			continue
 		}
 		xj := cur[j*wd : j*wd+wd]
-		rs, re := int(rowPtr[j]), int(rowPtr[j+1])
-		cols := colIdx[rs:re]
-		vals := avals[rs:re]
+		blk := adj.Block(j >> sparse.BlockShift)
+		q := j - blk.Off
+		rs, re := blk.RowPtr[q], blk.RowPtr[q+1]
+		cols := blk.Col[rs:re]
+		vals := blk.Val[rs:re]
 		vals = vals[:len(cols)]
 		for p, ii := range cols {
 			i := int(ii)
@@ -484,7 +542,7 @@ func (e *Engine) sparseRoundCompact() float64 {
 			}
 			v += ab * h
 			if echo {
-				v -= dvec[i] * cur[i] * g
+				v -= e.adj.Degree(i) * cur[i] * g
 			}
 			if track {
 				delta = delta1(delta, v, cur[i])
@@ -510,7 +568,7 @@ func (e *Engine) sparseRoundCompact() float64 {
 			v2 += ab0*h[2] + ab1*h[5] + ab2*h[8]
 			b0, b1, b2 := cur[o], cur[o+1], cur[o+2]
 			if echo {
-				di := dvec[i]
+				di := e.adj.Degree(i)
 				v0 -= di * (b0*g[0] + b1*g[3] + b2*g[6])
 				v1 -= di * (b0*g[1] + b1*g[4] + b2*g[7])
 				v2 -= di * (b0*g[2] + b1*g[5] + b2*g[8])
@@ -555,7 +613,7 @@ func (e *Engine) sparseRoundCompact() float64 {
 					for j, bv := range bb {
 						s += bv * g[j*k+c]
 					}
-					v -= dvec[i] * s
+					v -= e.adj.Degree(i) * s
 				}
 				if track {
 					delta = delta1(delta, v, bb[c])

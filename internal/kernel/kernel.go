@@ -50,6 +50,12 @@ type Config struct {
 	// D holds per-row echo scales (the weighted degrees of Section 5.2).
 	// nil disables the echo term entirely (LinBP*).
 	D []float64
+	// Rows, when set, replaces A and D: the engine reads the rows (and,
+	// when the table carries them, the degrees that enable the echo
+	// term) through this copy-on-write row-block table — the dynamic
+	// plane's epoch adjacency. Without it New builds an epoch-0 table
+	// aliasing A and D. Either way every kernel reads through a table.
+	Rows *sparse.RowBlocks
 	// H is the k×k residual coupling matrix Hˆ.
 	H *dense.Matrix
 	// EchoH optionally overrides the echo coupling matrix. When nil and
@@ -95,17 +101,13 @@ type Config struct {
 type Layout int
 
 const (
-	// LayoutAuto adopts the compact layout whenever the matrix fits
-	// int32 indices — in practice always; the wide form remains for
-	// beyond-int32 matrices and for A/B layout benchmarking.
+	// LayoutAuto selects the compact layout.
 	LayoutAuto Layout = iota
-	// LayoutWide pins the engine to the original int-indexed kernels —
-	// the PR 2 data plane, kept verbatim as the comparison baseline
-	// and as the fallback for matrices whose dimensions or nonzero
-	// count exceed int32.
+	// LayoutWide pins the engine to the int-indexed kernels — the
+	// PR 2 data plane, kept as the layout comparison baseline. It needs
+	// a table that keeps wide indices (sparse.RowBlocks.HasWide).
 	LayoutWide
-	// LayoutCompact forces the int32 form (falling back to wide when
-	// the matrix does not fit it).
+	// LayoutCompact selects the int32 index stream.
 	LayoutCompact
 )
 
@@ -184,22 +186,24 @@ func growSlice(s []float64, n int) []float64 {
 // configuration. It is built once per graph and reused across solves;
 // see New for the construction contract and Close for teardown.
 type Engine struct {
-	a *sparse.CSR
-	// Compact index form; nil on the wide (legacy) layout, which reads
-	// the CSR through RowView instead. vals aliases the CSR values.
-	rp32    []int32
-	ci32    []int32
-	vals    []float64
-	d       []float64
-	e       []float64 // explicit residuals Eˆ, flat n×wd; nil reads as 0
-	h, h2   []float64 // flat k×k coupling and echo coupling
-	n, k    int
-	blocks  int // independent solves batched into this engine
-	wd      int // row width: blocks·k
-	echo    bool
-	symA    bool // A is bitwise symmetric (Config.SymmetricA)
-	workers int
-	ws      *Workspace
+	// adj is the row-block adjacency, with the degrees when echo is on;
+	// own holds the epoch-0 table built from Config.A.
+	adj     *sparse.RowBlocks
+	own     sparse.RowBlocks
+	compact bool // int32 index stream (false: LayoutWide)
+	kern    rowKernel
+	// wideBatch runs the width-12 batch kernels on the wide index even
+	// on the compact layout; see batchOnWide.
+	wideBatch bool
+	e         []float64 // explicit residuals Eˆ, flat n×wd; nil reads as 0
+	h, h2     []float64 // flat k×k coupling and echo coupling
+	n, k      int
+	blocks    int // independent solves batched into this engine
+	wd        int // row width: blocks·k
+	echo      bool
+	symA      bool // A is bitwise symmetric (Config.SymmetricA)
+	workers   int
+	ws        *Workspace
 
 	// startZero marks that the belief state is the all-zero start of
 	// Section 3, letting the next Step shortcut to Bˆ¹ = Eˆ (the sparse
@@ -238,19 +242,18 @@ type Engine struct {
 // private workspace; passing GetWorkspace() enables pooled reuse (the
 // caller releases it after Close). Beliefs start at Bˆ = 0.
 func New(cfg Config, ws *Workspace) (*Engine, error) {
-	if cfg.A == nil || cfg.H == nil {
-		return nil, fmt.Errorf("kernel: config needs A and H: %w", errs.ErrInvalidInput)
+	if (cfg.A == nil && cfg.Rows == nil) || cfg.H == nil {
+		return nil, fmt.Errorf("kernel: config needs A (or Rows) and H: %w", errs.ErrInvalidInput)
 	}
-	n := cfg.A.Rows()
-	if cfg.A.Cols() != n {
-		return nil, fmt.Errorf("kernel: adjacency %dx%d is not square: %w", n, cfg.A.Cols(), errs.ErrDimensionMismatch)
+	e := new(Engine)
+	rows, err := configRows(cfg, &e.own)
+	if err != nil {
+		return nil, err
 	}
+	n := rows.Rows()
 	k := cfg.H.Rows()
 	if cfg.H.Cols() != k {
 		return nil, fmt.Errorf("kernel: coupling %dx%d is not square: %w", k, cfg.H.Cols(), errs.ErrDimensionMismatch)
-	}
-	if cfg.D != nil && len(cfg.D) != n {
-		return nil, fmt.Errorf("kernel: degree vector length %d, want %d: %w", len(cfg.D), n, errs.ErrDimensionMismatch)
 	}
 	if cfg.EchoH != nil && (cfg.EchoH.Rows() != k || cfg.EchoH.Cols() != k) {
 		return nil, fmt.Errorf("kernel: echo coupling %dx%d, want %dx%d: %w", cfg.EchoH.Rows(), cfg.EchoH.Cols(), k, k, errs.ErrDimensionMismatch)
@@ -273,29 +276,16 @@ func New(cfg Config, ws *Workspace) (*Engine, error) {
 	}
 	ws.grow(n, blocks*k, k, workers)
 
-	e := &Engine{
-		a:       cfg.A,
-		d:       cfg.D,
-		n:       n,
-		k:       k,
-		blocks:  blocks,
-		wd:      blocks * k,
-		echo:    cfg.D != nil,
-		symA:    cfg.SymmetricA,
-		workers: workers,
-		ws:      ws,
-		track:   true,
-	}
+	e.adj = rows
+	e.compact = cfg.Layout != LayoutWide
+	e.n, e.k, e.blocks, e.wd = n, k, blocks, blocks*k
+	e.echo = rows.HasDegrees()
+	e.symA = cfg.SymmetricA
+	e.workers, e.ws, e.track = workers, ws, true
+	e.kern = e.pickKernel()
+	e.wideBatch = e.batchOnWide()
 	if len(cfg.PartitionStarts) >= 2 {
 		e.partStarts = cfg.PartitionStarts
-	}
-	// Pick the index layout once; the compact form is built lazily on
-	// the CSR and shared by every engine over the same graph.
-	if cfg.Layout != LayoutWide {
-		if rp32, ci32, ok := cfg.A.CompactIndex(); ok {
-			e.rp32, e.ci32 = rp32, ci32
-			_, _, e.vals = cfg.A.Index()
-		}
 	}
 	// Hoist H (and the echo coupling) into flat row-major slices once.
 	e.h = ws.hbuf[:k*k]
@@ -376,36 +366,6 @@ func (e *Engine) SetStart(b []float64) {
 		panic(fmt.Sprintf("kernel: start length %d, want %d", len(b), e.n*e.wd))
 	}
 	copy(e.ws.cur, b)
-	e.startZero = false
-	e.sparseNext = false
-}
-
-// SetStartPermuted warm-starts the iteration from b (flat n×width,
-// copied) under the node relabeling perm (perm[old] = new): b's row i
-// lands at state row perm[i], so callers holding beliefs in their own
-// node order can seed a layout-reordered engine in one pass with no
-// intermediate shuffle buffer. A nil perm is SetStart. Like SetStart it
-// cancels the Bˆ¹ = Eˆ zero-start shortcut: the next Step runs a full
-// round from the provided state.
-//
-//lsbp:hotpath
-func (e *Engine) SetStartPermuted(b []float64, perm []int) {
-	if perm == nil {
-		e.SetStart(b)
-		return
-	}
-	e.checkOpen()
-	if len(b) != e.n*e.wd {
-		panic(fmt.Sprintf("kernel: start length %d, want %d", len(b), e.n*e.wd))
-	}
-	if len(perm) != e.n {
-		panic(fmt.Sprintf("kernel: start permutation length %d, want %d", len(perm), e.n))
-	}
-	wd := e.wd
-	cur := e.ws.cur
-	for i, nw := range perm {
-		copy(cur[nw*wd:nw*wd+wd], b[i*wd:i*wd+wd])
-	}
 	e.startZero = false
 	e.sparseNext = false
 }
@@ -608,12 +568,12 @@ func (e *Engine) startWorkers() {
 		return
 	}
 	nspans := e.workers * 4
-	target := e.a.NNZ()/nspans + 1
+	target := e.adj.NNZ()/nspans + 1
 	stride := scratchStride(e.wd)
 	e.spans = e.spans[:0]
 	lo, acc := 0, 0
 	for i := 0; i < e.n; i++ {
-		acc += e.a.RowNNZ(i)
+		acc += e.adj.RowNNZ(i)
 		if acc >= target && i+1 < e.n {
 			e.spans = append(e.spans, span{lo, i + 1})
 			lo, acc = i+1, 0
@@ -650,69 +610,174 @@ func (e *Engine) Close() {
 	e.closed = true
 }
 
-// rows processes rows [lo, hi) of one update round, fused: sparse
-// product, coupling multiply, echo term, and local max delta in a
-// single pass per row. scratch provides width floats of per-worker
-// storage for the generic/blocked path. The compact layout dispatches
-// to the hoisted int32 kernels; the wide layout runs the original
-// (PR 2) methods unchanged.
-//
-//lsbp:hotpath
-func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
-	if e.ci32 != nil {
-		// The compact kernels cover the unrolled shapes (the class
-		// counts and batch widths of the paper's workloads); generic
-		// shapes fall through to the wide blocked kernel, whose
-		// scratch-row inner loop gains nothing from the narrower index.
-		// The width-12 batch blocks additionally gate on graph size:
-		// their belief traffic already dominates the index stream, so
-		// the narrower index only pays once the working set leaves
-		// cache — below that the wide register blocks are faster.
-		if e.blocks == 1 {
-			switch e.k {
-			case 1:
-				return e.rows1Compact(lo, hi)
-			case 2:
-				return e.rows2Compact(lo, hi)
-			case 3:
-				return e.rows3Compact(lo, hi)
-			case 5:
-				return e.rows5Compact(lo, hi)
-			}
-		} else if e.n >= compactBatchMinNodes {
-			switch {
-			case e.k == 3 && e.blocks == 4:
-				return e.rows3x4Compact(lo, hi)
-			case e.k == 2 && e.blocks == 6:
-				return e.rows2x6Compact(lo, hi)
-			}
-		}
-	}
+// rowKernel names the row kernel an engine's shape selects; see
+// pickKernel.
+type rowKernel uint8
+
+const (
+	kernBlocked rowKernel = iota // generic shapes
+	kern1
+	kern2
+	kern3
+	kern5
+	kern3x4
+	kern2x6
+)
+
+// pickKernel selects the row kernel once per engine. The unrolled
+// kernels cover the class counts and batch widths of the paper's
+// workloads; generic shapes run the blocked kernel.
+func (e *Engine) pickKernel() rowKernel {
 	if e.blocks == 1 {
 		switch e.k {
 		case 1:
-			return e.rows1(lo, hi)
+			return kern1
 		case 2:
-			return e.rows2(lo, hi)
+			return kern2
 		case 3:
-			return e.rows3(lo, hi)
+			return kern3
 		case 5:
-			return e.rows5(lo, hi)
+			return kern5
 		}
-	} else {
-		// Register-blocked batch fast paths: narrow enough (width 12)
-		// that all accumulators stay in registers, with the column
-		// index and value loads shared across the whole chunk. The
-		// summation order matches the single-problem fast paths, so
-		// each block is bitwise identical to its own serial solve.
-		switch {
-		case e.k == 3 && e.blocks == 4:
-			return e.rows3x4(lo, hi)
-		case e.k == 2 && e.blocks == 6:
-			return e.rows2x6(lo, hi)
-		}
+		return kernBlocked
 	}
-	return e.rowsBlocked(lo, hi, scratch)
+	switch {
+	case e.k == 3 && e.blocks == 4:
+		return kern3x4
+	case e.k == 2 && e.blocks == 6:
+		return kern2x6
+	}
+	return kernBlocked
+}
+
+// batchOnWide reports whether the width-12 batch blocks should read
+// the wide index although the engine is on the compact layout: their
+// belief traffic already dominates the index stream, so the narrower
+// index only pays once the working set leaves cache — below
+// compactBatchMinNodes the wide register blocks are faster. It needs
+// a table that keeps wide indices (WideIndexWanted).
+func (e *Engine) batchOnWide() bool {
+	return e.compact && (e.kern == kern3x4 || e.kern == kern2x6) &&
+		e.n < compactBatchMinNodes && e.adj.HasWide()
+}
+
+// WideIndexWanted reports whether a row-block table serving engines
+// over n rows in the given layout should keep the wide (int) column
+// indices: always for LayoutWide, and below the compact batch-kernel
+// size gate, where the width-12 batch kernels read the wide index.
+func WideIndexWanted(n int, layout Layout) bool {
+	return layout == LayoutWide || n < compactBatchMinNodes
+}
+
+// configRows resolves the engine's row-block table: cfg.Rows as given,
+// or an epoch-0 table aliasing cfg.A and cfg.D, built in own.
+func configRows(cfg Config, own *sparse.RowBlocks) (*sparse.RowBlocks, error) {
+	rows := cfg.Rows
+	if rows == nil {
+		if cfg.D != nil && len(cfg.D) != cfg.A.Rows() {
+			return nil, fmt.Errorf("kernel: degree vector length %d, want %d: %w", len(cfg.D), cfg.A.Rows(), errs.ErrDimensionMismatch)
+		}
+		if err := own.Init(cfg.A, cfg.D, WideIndexWanted(cfg.A.Rows(), cfg.Layout)); err != nil {
+			return nil, fmt.Errorf("kernel: %v: %w", err, errs.ErrInvalidInput)
+		}
+		rows = own
+	}
+	if rows.Cols() != rows.Rows() {
+		return nil, fmt.Errorf("kernel: adjacency %dx%d is not square: %w", rows.Rows(), rows.Cols(), errs.ErrDimensionMismatch)
+	}
+	if cfg.Layout == LayoutWide && !rows.HasWide() {
+		return nil, fmt.Errorf("kernel: the wide layout needs a table with wide indices: %w", errs.ErrInvalidInput)
+	}
+	return rows, nil
+}
+
+// Rebind points the engine at another epoch of its adjacency — a table
+// committed from the one it was built on, with the same shape, degree
+// presence, and index layout — without rebuilding anything: the next
+// round reads the new rows. Partition workers refresh their private
+// block copies on their next round, re-copying only the blocks the
+// commits rewrote. The engine must be idle (no round in flight).
+func (e *Engine) Rebind(rows *sparse.RowBlocks) error {
+	e.checkOpen()
+	if rows.Rows() != e.n || rows.Cols() != e.n {
+		return fmt.Errorf("kernel: rebind to %dx%d adjacency, engine has n=%d: %w", rows.Rows(), rows.Cols(), e.n, errs.ErrDimensionMismatch)
+	}
+	if rows.HasDegrees() != e.echo || (!e.compact && !rows.HasWide()) {
+		return fmt.Errorf("kernel: rebind table does not match the engine's degree/index layout: %w", errs.ErrInvalidInput)
+	}
+	e.adj = rows
+	e.wideBatch = e.batchOnWide()
+	for _, w := range e.partWorkers {
+		w.pending = rows
+	}
+	return nil
+}
+
+// rows processes rows [lo, hi) of one update round, fused: sparse
+// product, coupling multiply, echo term, and local max delta in a
+// single pass per row. The range is walked block by block through the
+// row-block table; within a block each kernel runs exactly its flat-CSR
+// loop, so summation order (and the result) is independent of the
+// block boundaries. scratch provides width floats of per-worker storage
+// for the generic kernel.
+//
+//lsbp:hotpath
+func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
+	var delta float64
+	whole := e.adj.Whole()
+	for lo < hi {
+		// An epoch-0 table serves the whole range from one block.
+		blk, end := whole, hi
+		if blk == nil {
+			b := lo >> sparse.BlockShift
+			blk, end = e.adj.Block(b), min(hi, (b+1)<<sparse.BlockShift)
+		}
+		off := blk.Off
+		var d float64
+		if e.compact && !e.wideBatch {
+			switch e.kern {
+			case kern1:
+				d = e.rows1Compact(blk, off, lo, end)
+			case kern2:
+				d = e.rows2Compact(blk, off, lo, end)
+			case kern3:
+				d = e.rows3Compact(blk, off, lo, end)
+			case kern5:
+				d = e.rows5Compact(blk, off, lo, end)
+			case kern3x4:
+				d = e.rows3x4Compact(blk, off, lo, end)
+			case kern2x6:
+				d = e.rows2x6Compact(blk, off, lo, end)
+			default:
+				d = e.rowsBlocked(blk, off, lo, end, scratch)
+			}
+		} else {
+			// The wide kernels: the summation order of the
+			// single-problem fast paths, with the width-12 register
+			// blocks sharing each index and value load across a chunk.
+			switch e.kern {
+			case kern1:
+				d = e.rows1(blk, off, lo, end)
+			case kern2:
+				d = e.rows2(blk, off, lo, end)
+			case kern3:
+				d = e.rows3(blk, off, lo, end)
+			case kern5:
+				d = e.rows5(blk, off, lo, end)
+			case kern3x4:
+				d = e.rows3x4(blk, off, lo, end)
+			case kern2x6:
+				d = e.rows2x6(blk, off, lo, end)
+			default:
+				d = e.rowsBlocked(blk, off, lo, end, scratch)
+			}
+		}
+		if d > delta {
+			delta = d
+		}
+		lo = end
+	}
+	return delta
 }
 
 // rows3x4 fuses four k=3 solves (width 12): one CSR traversal per row
@@ -720,7 +785,7 @@ func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
 // are applied per block exactly as rows3 does.
 //
 //lsbp:hotpath
-func (e *Engine) rows3x4(lo, hi int) float64 {
+func (e *Engine) rows3x4(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h, g := e.h, e.h2
 	h00, h01, h02 := h[0], h[1], h[2]
@@ -732,8 +797,8 @@ func (e *Engine) rows3x4(lo, hi int) float64 {
 	act := e.act
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 float64
 		for p, j := range cols {
 			if act != nil && act[j] == 0 {
@@ -775,7 +840,7 @@ func (e *Engine) rows3x4(lo, hi int) float64 {
 		v10 := e10 + (a9*h01 + a10*h11 + a11*h21)
 		v11 := e11 + (a9*h02 + a10*h12 + a11*h22)
 		if e.echo {
-			di := e.d[i]
+			di := blk.Deg[i-off]
 			v0 -= di * (b[0]*g00 + b[1]*g10 + b[2]*g20)
 			v1 -= di * (b[0]*g01 + b[1]*g11 + b[2]*g21)
 			v2 -= di * (b[0]*g02 + b[1]*g12 + b[2]*g22)
@@ -813,15 +878,15 @@ func (e *Engine) rows3x4(lo, hi int) float64 {
 // with the summation order of rows2.
 //
 //lsbp:hotpath
-func (e *Engine) rows2x6(lo, hi int) float64 {
+func (e *Engine) rows2x6(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h00, h01, h10, h11 := e.h[0], e.h[1], e.h[2], e.h[3]
 	g00, g01, g10, g11 := e.h2[0], e.h2[1], e.h2[2], e.h2[3]
 	act := e.act
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 float64
 		for p, j := range cols {
 			if act != nil && act[j] == 0 {
@@ -863,7 +928,7 @@ func (e *Engine) rows2x6(lo, hi int) float64 {
 		v10 := e10 + (a10*h00 + a11*h10)
 		v11 := e11 + (a10*h01 + a11*h11)
 		if e.echo {
-			di := e.d[i]
+			di := blk.Deg[i-off]
 			v0 -= di * (b[0]*g00 + b[1]*g10)
 			v1 -= di * (b[0]*g01 + b[1]*g11)
 			v2 -= di * (b[2]*g00 + b[3]*g10)
@@ -917,13 +982,13 @@ func delta1(delta, v, b float64) float64 {
 // next = e + h·(A·b) − h₂·d∘b.
 //
 //lsbp:hotpath
-func (e *Engine) rows1(lo, hi int) float64 {
+func (e *Engine) rows1(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h, h2 := e.h[0], e.h2[0]
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var ab float64
 		for p, j := range cols {
 			ab += vals[p] * cur[j]
@@ -934,7 +999,7 @@ func (e *Engine) rows1(lo, hi int) float64 {
 		}
 		v += ab * h
 		if e.echo {
-			v -= e.d[i] * cur[i] * h2
+			v -= blk.Deg[i-off] * cur[i] * h2
 		}
 		if e.track {
 			delta = delta1(delta, v, cur[i])
@@ -945,14 +1010,14 @@ func (e *Engine) rows1(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows2(lo, hi int) float64 {
+func (e *Engine) rows2(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h00, h01, h10, h11 := e.h[0], e.h[1], e.h[2], e.h[3]
 	g00, g01, g10, g11 := e.h2[0], e.h2[1], e.h2[2], e.h2[3]
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var ab0, ab1 float64
 		for p, j := range cols {
 			v := vals[p]
@@ -969,7 +1034,7 @@ func (e *Engine) rows2(lo, hi int) float64 {
 		v1 += ab0*h01 + ab1*h11
 		b := cur[i*2 : i*2+2]
 		if e.echo {
-			di := e.d[i]
+			di := blk.Deg[i-off]
 			v0 -= di * (b[0]*g00 + b[1]*g10)
 			v1 -= di * (b[0]*g01 + b[1]*g11)
 		}
@@ -984,7 +1049,7 @@ func (e *Engine) rows2(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows3(lo, hi int) float64 {
+func (e *Engine) rows3(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h00, h01, h02 := e.h[0], e.h[1], e.h[2]
 	h10, h11, h12 := e.h[3], e.h[4], e.h[5]
@@ -994,8 +1059,8 @@ func (e *Engine) rows3(lo, hi int) float64 {
 	g20, g21, g22 := e.h2[6], e.h2[7], e.h2[8]
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var ab0, ab1, ab2 float64
 		for p, j := range cols {
 			v := vals[p]
@@ -1014,7 +1079,7 @@ func (e *Engine) rows3(lo, hi int) float64 {
 		v2 += ab0*h02 + ab1*h12 + ab2*h22
 		b := cur[i*3 : i*3+3]
 		if e.echo {
-			di := e.d[i]
+			di := blk.Deg[i-off]
 			v0 -= di * (b[0]*g00 + b[1]*g10 + b[2]*g20)
 			v1 -= di * (b[0]*g01 + b[1]*g11 + b[2]*g21)
 			v2 -= di * (b[0]*g02 + b[1]*g12 + b[2]*g22)
@@ -1031,13 +1096,13 @@ func (e *Engine) rows3(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows5(lo, hi int) float64 {
+func (e *Engine) rows5(blk *sparse.Block, off, lo, hi int) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	h, g := e.h, e.h2
 	var delta float64
 	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Wide[rs:re], blk.Val[rs:re]
 		var ab0, ab1, ab2, ab3, ab4 float64
 		for p, j := range cols {
 			v := vals[p]
@@ -1060,7 +1125,7 @@ func (e *Engine) rows5(lo, hi int) float64 {
 		v4 += ab0*h[4] + ab1*h[9] + ab2*h[14] + ab3*h[19] + ab4*h[24]
 		b := cur[i*5 : i*5+5]
 		if e.echo {
-			di := e.d[i]
+			di := blk.Deg[i-off]
 			v0 -= di * (b[0]*g[0] + b[1]*g[5] + b[2]*g[10] + b[3]*g[15] + b[4]*g[20])
 			v1 -= di * (b[0]*g[1] + b[1]*g[6] + b[2]*g[11] + b[3]*g[16] + b[4]*g[21])
 			v2 -= di * (b[0]*g[2] + b[1]*g[7] + b[2]*g[12] + b[3]*g[17] + b[4]*g[22])
@@ -1081,14 +1146,16 @@ func (e *Engine) rows5(lo, hi int) float64 {
 }
 
 // rowsBlocked handles arbitrary k and any block count with a per-worker
-// scratch row, still fused into a single pass per row. The sparse
+// scratch row, still fused into a single pass per row. It reads the
+// int32 index under either layout: the generic shapes' scratch-row
+// inner loop gains nothing from a particular index width. The sparse
 // product accumulates the full width (all blocks of a neighbor row are
 // contiguous, so a batched engine reads each neighbor once for every
 // request in the batch), then the coupling and echo terms are applied
 // per k-block so each block evolves exactly as in a blocks=1 engine.
 //
 //lsbp:hotpath
-func (e *Engine) rowsBlocked(lo, hi int, scratch []float64) float64 {
+func (e *Engine) rowsBlocked(blk *sparse.Block, off, lo, hi int, scratch []float64) float64 {
 	cur, next := e.ws.cur, e.ws.next
 	k, wd := e.k, e.wd
 	h, h2 := e.h, e.h2
@@ -1099,9 +1166,10 @@ func (e *Engine) rowsBlocked(lo, hi int, scratch []float64) float64 {
 		for c := range ab {
 			ab[c] = 0
 		}
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		for p, j := range cols {
+		rs, re := blk.RowPtr[i-off], blk.RowPtr[i-off+1]
+		cols, vals := blk.Col[rs:re], blk.Val[rs:re]
+		for p, jj := range cols {
+			j := int(jj)
 			if act != nil && act[j] == 0 {
 				continue // neighbor's belief row is exactly zero
 			}
@@ -1129,7 +1197,7 @@ func (e *Engine) rowsBlocked(lo, hi int, scratch []float64) float64 {
 					for j, bv := range bb {
 						s += bv * h2[j*k+c]
 					}
-					v -= e.d[i] * s
+					v -= blk.Deg[i-off] * s
 				}
 				if e.track {
 					delta = delta1(delta, v, bb[c])
@@ -1168,7 +1236,7 @@ func (e *Engine) sparseRoundEligible() bool {
 	// cheap round 2 and stay bitwise identical to the serial plane.
 	// Workers only matters on the span plane; it is ignored (here as
 	// everywhere) while PartitionStarts is set.
-	if !e.symA || (e.workers > 1 && e.partStarts == nil) || e.ci32 == nil {
+	if !e.symA || (e.workers > 1 && e.partStarts == nil) || !e.compact {
 		return false
 	}
 	if e.blocks == 1 {

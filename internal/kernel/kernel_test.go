@@ -528,10 +528,10 @@ func TestCompactLayoutBitwiseIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if compact.ci32 == nil {
+		if !compact.compact {
 			t.Fatal("compact engine did not adopt the int32 layout")
 		}
-		if wide.ci32 != nil {
+		if wide.compact {
 			t.Fatal("LayoutWide engine must stay on the wide layout")
 		}
 		wide.SetExplicit(e)
@@ -688,75 +688,5 @@ func TestCompactBatchKernelsLargeGraph(t *testing.T) {
 		}
 		wide.Close()
 		compact.Close()
-	}
-}
-
-func TestSetStartPermutedMatchesSetStart(t *testing.T) {
-	a := randomCSR(8, 3, 5)
-	h := dense.NewFromRows([][]float64{{0.1, -0.1}, {-0.1, 0.1}})
-	e := make([]float64, 16)
-	start := make([]float64, 16)
-	for i := range e {
-		e[i] = 0.01 * float64(i%7-3)
-		start[i] = -0.03 * float64(i%5-2)
-	}
-
-	// Reference: shuffle by hand, SetStart, run 3 rounds.
-	perm := []int{3, 0, 7, 1, 6, 2, 5, 4}
-	shuffled := make([]float64, 16)
-	eShuffled := make([]float64, 16)
-	for i, nw := range perm {
-		copy(shuffled[nw*2:nw*2+2], start[i*2:i*2+2])
-		copy(eShuffled[nw*2:nw*2+2], e[i*2:i*2+2])
-	}
-	pa := a.Permute(perm)
-	pd := pa.RowSumsSquared()
-	run := func(setStart func(e *Engine)) []float64 {
-		eng, err := New(Config{A: pa, D: pd, H: h, SymmetricA: true}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		setStart(eng)
-		eng.SetExplicit(eShuffled)
-		eng.Run(3, -1, nil)
-		return append([]float64(nil), eng.Beliefs()...)
-	}
-	want := run(func(e *Engine) { e.SetStart(shuffled) })
-	got := run(func(e *Engine) { e.SetStartPermuted(start, perm) })
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("belief[%d] = %v, want %v (bitwise)", i, got[i], want[i])
-		}
-	}
-	// nil perm degrades to SetStart.
-	gotNil := run(func(e *Engine) { e.SetStartPermuted(shuffled, nil) })
-	for i := range want {
-		if gotNil[i] != want[i] {
-			t.Fatalf("nil-perm belief[%d] = %v, want %v", i, gotNil[i], want[i])
-		}
-	}
-}
-
-func TestSetStartPermutedValidation(t *testing.T) {
-	a := randomCSR(4, 2, 9)
-	h := dense.NewFromRows([][]float64{{0.1}})
-	eng, err := New(Config{A: a, H: h}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for name, fn := range map[string]func(){
-		"short start": func() { eng.SetStartPermuted(make([]float64, 3), []int{0, 1, 2, 3}) },
-		"short perm":  func() { eng.SetStartPermuted(make([]float64, 4), []int{0, 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }

@@ -6,10 +6,12 @@
 //   - the worker locks its OS thread (runtime.LockOSThread), so on a
 //     multi-socket host the scheduler cannot migrate it away from the
 //     memory its block lives in;
-//   - the worker itself allocates and writes its block's private CSR
-//     copy (sparse.RowBlockCSR), compact index, and scratch — the
-//     first-touch initialization that places those pages on the
-//     worker's NUMA node under the default kernel policy;
+//   - the worker itself allocates and writes private copies of the
+//     row blocks its range covers (sparse.RowBlocks.PrivateCopy) and
+//     its scratch — the first-touch initialization that places those
+//     pages on the worker's NUMA node under the default kernel policy —
+//     and after an epoch rebind re-copies only the blocks a commit
+//     rewrote;
 //   - each round the worker processes exactly its rows [lo, hi) with a
 //     partition-local max-delta accumulator, and the engine performs
 //     one merge/exchange step per round: fold the local deltas, swap
@@ -27,6 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/errs"
+	"repro/internal/sparse"
 )
 
 // partWorker is one partition-bound persistent worker: a fixed row
@@ -38,6 +41,10 @@ type partWorker struct {
 	scratch []float64 // worker-local scratch for the generic row kernel
 	work    chan struct{}
 	res     chan float64
+	// src is the parent table the private copy was taken from; pending,
+	// set by Rebind on an idle engine and published to the worker by
+	// the next round's channel send, is the table to refresh from.
+	src, pending *sparse.RowBlocks
 }
 
 // validPartitionStarts checks that starts is a contiguous ascending
@@ -94,39 +101,51 @@ func (w *partWorker) run(parent *Engine, ready *sync.WaitGroup) {
 	w.init(parent)
 	ready.Done()
 	for range w.work {
+		if w.pending != nil {
+			w.refresh()
+		}
 		w.res <- w.sub.rows(w.lo, w.hi, w.scratch)
 	}
 }
 
+// refresh re-points the worker at a rebound parent's epoch, re-copying
+// (on this thread, first-touch) only the blocks the commits since the
+// last copy rewrote.
+//
+//lsbp:hotpath-init
+func (w *partWorker) refresh() {
+	priv := w.pending.PrivateCopy(w.lo, w.hi, w.sub.adj, w.src)
+	w.sub.adj = priv
+	w.sub.wideBatch = w.sub.batchOnWide()
+	w.src, w.pending = w.pending, nil
+}
+
 // init builds the worker's private block state. It runs exactly once,
-// before the worker signals ready, and is the only allocating part of
-// the worker's lifetime.
+// before the worker signals ready; with refresh it is the only
+// allocating part of the worker's lifetime.
 //
 //lsbp:hotpath-init
 func (w *partWorker) init(parent *Engine) {
-	blk := parent.a.RowBlockCSR(w.lo, w.hi)
+	priv := parent.adj.PrivateCopy(w.lo, w.hi, nil, nil)
 	sub := &Engine{
-		a:      blk,
-		d:      parent.d,
-		h:      parent.h,
-		h2:     parent.h2,
-		n:      parent.n,
-		k:      parent.k,
-		blocks: parent.blocks,
-		wd:     parent.wd,
-		echo:   parent.echo,
+		adj:     priv,
+		compact: parent.compact,
+		kern:    parent.kern,
+		h:       parent.h,
+		h2:      parent.h2,
+		n:       parent.n,
+		k:       parent.k,
+		blocks:  parent.blocks,
+		wd:      parent.wd,
+		echo:    parent.echo,
 		// symA stays false: the push-based sparse round writes rows
 		// outside the block and is licensed only on the parent.
 		workers: 1,
 		ws:      parent.ws,
 		track:   true,
 	}
-	if parent.ci32 != nil {
-		if rp32, ci32, ok := blk.CompactIndex(); ok {
-			sub.rp32, sub.ci32 = rp32, ci32
-			_, _, sub.vals = blk.Index()
-		}
-	}
+	sub.wideBatch = sub.batchOnWide()
+	w.src = parent.adj
 	w.scratch = make([]float64, scratchStride(parent.wd))
 	w.sub = sub
 }

@@ -64,10 +64,9 @@ const residualCtxStride = 1024
 // A ResidualEngine is not safe for concurrent use; run one per
 // goroutine or pool them as the prepared solvers do.
 type ResidualEngine struct {
-	a       *sparse.CSR
-	compact bool // compact int32 index available (see Layout)
-	d       []float64
-	h, h2   []float64 // flat k×k coupling and echo coupling
+	adj     *sparse.RowBlocks // adjacency, with degrees when echo is on
+	compact bool              // int32 index stream (false: LayoutWide)
+	h, h2   []float64         // flat k×k coupling and echo coupling
 	n, k    int
 	echo    bool
 	tol     float64
@@ -82,13 +81,21 @@ type ResidualEngine struct {
 	// into a doubly-linked list, heads holds each bucket's first row
 	// (-1 when empty), occ mirrors bucket non-emptiness as a bitmask so
 	// the top non-empty bucket is one bits.Len64 away, and qbkt records
-	// each row's current bucket (-1 when unqueued).
+	// each row's current bucket (qIdle when unqueued, qFresh when the
+	// row has not been touched since the last reset).
 	qnext, qprev []int32
 	heads        [residualBuckets]int32
 	occ          uint64
 	qbkt         []int8
 	queued       int
 	peak         int
+
+	// touched lists the rows whose residual, magnitude, or queue slot
+	// may be non-zero since the last reset (the rows whose qbkt left
+	// qFresh), so a warm seed resets only what the previous solve
+	// touched instead of O(n·k) state.
+	touched  []int32
+	ntouched int
 
 	// bhi[b] is bucket b's magnitude upper bound tol·2ᵇ⁺¹: a touched
 	// row whose magnitude stays at or below its current bucket's bound
@@ -107,19 +114,17 @@ type ResidualEngine struct {
 // sequential; cfg.Blocks > 1 and non-symmetric adjacencies are
 // rejected. All state is allocated here; solves reuse it.
 func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
-	if cfg.A == nil || cfg.H == nil {
-		return nil, fmt.Errorf("kernel: residual config needs A and H: %w", errs.ErrInvalidInput)
+	if (cfg.A == nil && cfg.Rows == nil) || cfg.H == nil {
+		return nil, fmt.Errorf("kernel: residual config needs A (or Rows) and H: %w", errs.ErrInvalidInput)
 	}
-	n := cfg.A.Rows()
-	if cfg.A.Cols() != n {
-		return nil, fmt.Errorf("kernel: adjacency %dx%d is not square: %w", n, cfg.A.Cols(), errs.ErrDimensionMismatch)
+	rows, err := configRows(cfg, new(sparse.RowBlocks))
+	if err != nil {
+		return nil, err
 	}
+	n := rows.Rows()
 	k := cfg.H.Rows()
 	if cfg.H.Cols() != k {
 		return nil, fmt.Errorf("kernel: coupling %dx%d is not square: %w", k, cfg.H.Cols(), errs.ErrDimensionMismatch)
-	}
-	if cfg.D != nil && len(cfg.D) != n {
-		return nil, fmt.Errorf("kernel: degree vector length %d, want %d: %w", len(cfg.D), n, errs.ErrDimensionMismatch)
 	}
 	if cfg.EchoH != nil && (cfg.EchoH.Rows() != k || cfg.EchoH.Cols() != k) {
 		return nil, fmt.Errorf("kernel: echo coupling %dx%d, want %dx%d: %w", cfg.EchoH.Rows(), cfg.EchoH.Cols(), k, k, errs.ErrDimensionMismatch)
@@ -134,23 +139,21 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 		return nil, fmt.Errorf("kernel: residual tolerance %v must be positive and finite: %w", tol, errs.ErrInvalidInput)
 	}
 	e := &ResidualEngine{
-		a:     cfg.A,
-		d:     cfg.D,
-		n:     n,
-		k:     k,
-		echo:  cfg.D != nil,
-		tol:   tol,
-		b:     make([]float64, n*k),
-		r:     make([]float64, n*k),
-		rmag:  make([]float64, n),
-		ph:    make([]float64, k),
-		pg:    make([]float64, k),
-		qnext: make([]int32, n),
-		qprev: make([]int32, n),
-		qbkt:  make([]int8, n),
-	}
-	if cfg.Layout != LayoutWide {
-		_, _, e.compact = cfg.A.CompactIndex()
+		adj:     rows,
+		compact: cfg.Layout != LayoutWide,
+		n:       n,
+		k:       k,
+		echo:    rows.HasDegrees(),
+		tol:     tol,
+		b:       make([]float64, n*k),
+		r:       make([]float64, n*k),
+		rmag:    make([]float64, n),
+		ph:      make([]float64, k),
+		pg:      make([]float64, k),
+		qnext:   make([]int32, n),
+		qprev:   make([]int32, n),
+		qbkt:    make([]int8, n),
+		touched: make([]int32, n),
 	}
 	for b := 0; b < residualBuckets; b++ {
 		e.bhi[b] = math.Ldexp(tol, b+1)
@@ -189,11 +192,17 @@ func (e *ResidualEngine) K() int { return e.k }
 func (e *ResidualEngine) Tol() float64 { return e.tol }
 
 // Beliefs returns the accumulated belief state as a flat n×k view of
-// the engine's buffer. Valid until the next Seed*/Run; treat as
-// read-only.
+// the engine's buffer, valid until the next Seed*/Run. Writing it in
+// place is SetBeliefs without the copy.
 //
 //lsbp:hotpath
 func (e *ResidualEngine) Beliefs() []float64 { return e.b }
+
+// Queue-slot states of qbkt besides a bucket number.
+const (
+	qIdle  = -1 // touched since the last reset, not queued
+	qFresh = -2 // untouched since the last reset: residual and magnitude are zero
+)
 
 // resetState clears beliefs, residuals, and the queue — the prologue
 // of a cold seed.
@@ -204,19 +213,38 @@ func (e *ResidualEngine) resetState() {
 		e.b[i] = 0
 		e.r[i] = 0
 	}
+	for i := range e.rmag {
+		e.rmag[i] = 0
+		e.qbkt[i] = qFresh
+	}
+	e.ntouched = 0
 	e.resetQueue()
 }
 
-// resetQueue clears the scheduling state (magnitudes, bucket lists,
-// counters) without touching beliefs or residuals — warm seeds
-// overwrite those themselves and skip the redundant O(n·k) zeroing.
+// resetTouched zeroes the residuals, magnitudes, and queue slots of
+// exactly the rows the previous solve touched — O(touched), leaving
+// every other row's (already zero) state alone — and clears the
+// queue. Beliefs are kept.
+//
+//lsbp:hotpath
+func (e *ResidualEngine) resetTouched() {
+	k := e.k
+	for _, i := range e.touched[:e.ntouched] {
+		ri := e.r[int(i)*k : int(i)*k+k]
+		for c := range ri {
+			ri[c] = 0
+		}
+		e.rmag[i] = 0
+		e.qbkt[i] = qFresh
+	}
+	e.ntouched = 0
+	e.resetQueue()
+}
+
+// resetQueue clears the bucket heads and the per-solve counters.
 //
 //lsbp:hotpath
 func (e *ResidualEngine) resetQueue() {
-	for i := range e.rmag {
-		e.rmag[i] = 0
-		e.qbkt[i] = -1
-	}
 	for i := range e.heads {
 		e.heads[i] = -1
 	}
@@ -280,7 +308,7 @@ func (e *ResidualEngine) dequeue(i int32) {
 	if nx >= 0 {
 		e.qprev[nx] = p
 	}
-	e.qbkt[i] = -1
+	e.qbkt[i] = qIdle
 	e.queued--
 }
 
@@ -292,6 +320,15 @@ func (e *ResidualEngine) dequeue(i int32) {
 //
 //lsbp:hotpath
 func (e *ResidualEngine) touch(i int32, mag float64) {
+	cur := e.qbkt[i]
+	if cur == qFresh {
+		// First touch since the last reset: list the row so the next
+		// seed resets it.
+		cur = qIdle
+		e.qbkt[i] = qIdle
+		e.touched[e.ntouched] = i
+		e.ntouched++
+	}
 	e.rmag[i] = mag
 	if mag <= e.tol {
 		return
@@ -301,7 +338,6 @@ func (e *ResidualEngine) touch(i int32, mag float64) {
 	if !(mag <= math.MaxFloat64) {
 		e.diverged = true
 	}
-	cur := e.qbkt[i]
 	if cur >= 0 && mag <= e.bhi[cur] {
 		return // already queued, still within its bucket — no migration
 	}
@@ -368,7 +404,7 @@ func (e *ResidualEngine) relax(i int32) {
 	}
 	e.rmag[i] = 0
 	if e.echo {
-		d := e.d[i]
+		d := e.adj.Degree(int(i))
 		pg := e.pg
 		var m float64
 		for c := 0; c < k; c++ {
@@ -385,7 +421,7 @@ func (e *ResidualEngine) relax(i int32) {
 	// Neighbor push. A self-loop entry lands back on ri — additive, so
 	// it composes with the echo push above.
 	if e.compact {
-		cols, vals, _ := e.a.RowViewCompact(int(i))
+		cols, vals := e.adj.RowViewCompact(int(i))
 		for p, j := range cols {
 			w := vals[p]
 			rj := e.r[int(j)*k : int(j)*k+k]
@@ -400,7 +436,7 @@ func (e *ResidualEngine) relax(i int32) {
 		}
 		return
 	}
-	cols, vals := e.a.RowView(int(i))
+	cols, vals := e.adj.RowView(int(i))
 	for p, jj := range cols {
 		w := vals[p]
 		rj := e.r[jj*k : jj*k+k]
@@ -451,29 +487,25 @@ func (e *ResidualEngine) SeedExplicit(explicit []float64) {
 	}
 }
 
-// SeedWarm seeds a warm solve from the start beliefs: b = start and
-// the residual r = Eˆ + M·b − b recomputed by a pull pass over the
-// rows listed in touched (engine/layout order, deduplicated by the
-// caller) — the rows a delta perturbed. Rows outside touched keep a
-// zero residual, which is exact only when the start was a converged
-// fixpoint for their unchanged rows; the carried error of at most tol
-// per prior solve is part of the plane's documented tolerance budget.
-// A nil touched recomputes every row (the full warm seed, one
-// round-equivalent of work, valid for any start).
+// SeedResume seeds a warm solve from the beliefs the engine already
+// holds — the maintained fixpoint of the dynamic plane, kept in place
+// across solves and epochs: the residual r = Eˆ + M·b − b is
+// recomputed by a pull pass over the rows listed in touched
+// (engine/layout order, deduplicated by the caller) — the rows a delta
+// perturbed. Rows outside touched keep a zero residual, which is exact
+// only when b was a converged fixpoint for their unchanged rows; the
+// carried error of at most tol per prior solve is part of the plane's
+// documented tolerance budget. A nil touched recomputes every row (the
+// full warm seed, one round-equivalent of work, valid for any b). Only
+// the state the previous solve touched is reset, so a localized seed
+// costs O(touched), not O(n·k).
 //
 //lsbp:hotpath
-func (e *ResidualEngine) SeedWarm(start, explicit []float64, touched []int32) {
-	if len(start) != e.n*e.k {
-		panic(fmt.Sprintf("kernel: start length %d, want %d", len(start), e.n*e.k))
-	}
+func (e *ResidualEngine) SeedResume(explicit []float64, touched []int32) {
 	if explicit != nil && len(explicit) != e.n*e.k {
 		panic(fmt.Sprintf("kernel: explicit length %d, want %d", len(explicit), e.n*e.k))
 	}
-	e.resetQueue()
-	copy(e.b, start)
-	for i := range e.r {
-		e.r[i] = 0
-	}
+	e.resetTouched()
 	if touched == nil {
 		for i := 0; i < e.n; i++ {
 			e.seedRow(int32(i), explicit)
@@ -483,6 +515,35 @@ func (e *ResidualEngine) SeedWarm(start, explicit []float64, touched []int32) {
 	for _, i := range touched {
 		e.seedRow(i, explicit)
 	}
+}
+
+// SetBeliefs overwrites the held beliefs with b (flat n×k, copied) —
+// how a solve run elsewhere (the round-scheduled engines) hands its
+// result to the maintained state. A later SeedResume recomputes the
+// residuals it needs from these beliefs.
+//
+//lsbp:hotpath
+func (e *ResidualEngine) SetBeliefs(b []float64) {
+	if len(b) != e.n*e.k {
+		panic(fmt.Sprintf("kernel: beliefs length %d, want %d", len(b), e.n*e.k))
+	}
+	copy(e.b, b)
+}
+
+// Rebind points the engine at another epoch of its adjacency (a table
+// committed from the one it was built on: same shape, degree presence,
+// and index layout). The held beliefs and the touched-row bookkeeping
+// carry over, so the next SeedResume continues from the fixpoint of
+// the previous epoch.
+func (e *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {
+	if rows.Rows() != e.n || rows.Cols() != e.n {
+		return fmt.Errorf("kernel: rebind to %dx%d adjacency, engine has n=%d: %w", rows.Rows(), rows.Cols(), e.n, errs.ErrDimensionMismatch)
+	}
+	if rows.HasDegrees() != e.echo || (!e.compact && !rows.HasWide()) {
+		return fmt.Errorf("kernel: rebind table does not match the engine's degree/index layout: %w", errs.ErrInvalidInput)
+	}
+	e.adj = rows
+	return nil
 }
 
 // seedRow pull-computes row i's residual from the current beliefs:
@@ -498,7 +559,7 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 		ph[c] = 0
 	}
 	if e.compact {
-		cols, vals, _ := e.a.RowViewCompact(int(i))
+		cols, vals := e.adj.RowViewCompact(int(i))
 		for p, j := range cols {
 			w := vals[p]
 			bj := e.b[int(j)*k : int(j)*k+k]
@@ -507,7 +568,7 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 			}
 		}
 	} else {
-		cols, vals := e.a.RowView(int(i))
+		cols, vals := e.adj.RowView(int(i))
 		for p, jj := range cols {
 			w := vals[p]
 			bj := e.b[jj*k : jj*k+k]
@@ -530,7 +591,7 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 		}
 		if e.echo {
 			h2 := e.h2
-			d := e.d[i]
+			d := e.adj.Degree(int(i))
 			var g float64
 			for mm := 0; mm < k; mm++ {
 				g += bi[mm] * h2[mm*k+c]
@@ -590,14 +651,15 @@ func (e *ResidualEngine) Run(ctx context.Context, maxRelax int) (relaxed, peak i
 	}
 }
 
-// maxResidual scans the per-row magnitudes for the largest remaining
-// residual — the plane's analogue of the round engines' final delta.
+// maxResidual scans the touched rows' magnitudes for the largest
+// remaining residual — the plane's analogue of the round engines'
+// final delta (every other row's magnitude is zero).
 //
 //lsbp:hotpath
 func (e *ResidualEngine) maxResidual() float64 {
 	var m float64
-	for _, v := range e.rmag {
-		if v > m {
+	for _, i := range e.touched[:e.ntouched] {
+		if v := e.rmag[i]; v > m {
 			m = v
 		}
 	}

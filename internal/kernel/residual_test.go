@@ -128,7 +128,8 @@ func TestResidualWarmSeedTouched(t *testing.T) {
 	}
 	ref := roundsFixpoint(t, Config{A: a, D: d, H: h, SymmetricA: true}, e, 1e-14)
 
-	res.SeedWarm(prev, e, touched)
+	res.SetBeliefs(prev)
+	res.SeedResume(e, touched)
 	warmRelaxed, _, _, conv, err := res.Run(context.Background(), 5000*n)
 	if err != nil || !conv {
 		t.Fatalf("warm solve: conv=%v err=%v", conv, err)
@@ -142,7 +143,8 @@ func TestResidualWarmSeedTouched(t *testing.T) {
 
 	// The full warm seed (touched=nil) is valid from any start and
 	// must land on the same fixpoint.
-	res.SeedWarm(prev, e, nil)
+	res.SetBeliefs(prev)
+	res.SeedResume(e, nil)
 	if _, _, _, conv, err = res.Run(context.Background(), 5000*n); err != nil || !conv {
 		t.Fatalf("full warm solve: conv=%v err=%v", conv, err)
 	}
@@ -297,7 +299,8 @@ func TestResidualSolveAllocs(t *testing.T) {
 			t.Fatalf("conv=%v err=%v", conv, err)
 		}
 		copy(prev, res.Beliefs())
-		res.SeedWarm(prev, e, touched)
+		res.SetBeliefs(prev)
+		res.SeedResume(e, touched)
 		if _, _, _, conv, err := res.Run(ctx, 5000*n); err != nil || !conv {
 			t.Fatalf("warm conv=%v err=%v", conv, err)
 		}

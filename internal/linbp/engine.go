@@ -57,16 +57,33 @@ func NewEngine(g *graph.Graph, h *dense.Matrix, opts Options) (*Engine, error) {
 // beliefs are permuted in, results are permuted back out, with no
 // steady-state allocations beyond NewEngine's.
 func NewEngineLayout(a *sparse.CSR, d []float64, h *dense.Matrix, perm []int, opts Options) (*Engine, error) {
+	return newEngine(kernel.Config{A: a, D: d}, h, perm, opts)
+}
+
+// NewEngineRows is NewEngineLayout over a row-block adjacency table:
+// the degrees (and with them echo cancellation) come from the table.
+// Engines over one table's epochs follow commits through Rebind.
+func NewEngineRows(rows *sparse.RowBlocks, h *dense.Matrix, perm []int, opts Options) (*Engine, error) {
+	return newEngine(kernel.Config{Rows: rows}, h, perm, opts)
+}
+
+func newEngine(cfg kernel.Config, h *dense.Matrix, perm []int, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	n, k := a.Rows(), h.Rows()
+	n, k := 0, h.Rows()
+	if cfg.Rows != nil {
+		n = cfg.Rows.Rows()
+	} else {
+		n = cfg.A.Rows()
+	}
 	if h.Cols() != k {
 		return nil, fmt.Errorf("linbp: coupling matrix %dx%d is not square: %w", h.Rows(), h.Cols(), errs.ErrDimensionMismatch)
 	}
 	if perm != nil && len(perm) != n {
 		return nil, fmt.Errorf("linbp: permutation length %d does not match n=%d: %w", len(perm), n, errs.ErrDimensionMismatch)
 	}
+	cfg.H, cfg.Workers, cfg.Layout, cfg.SymmetricA, cfg.PartitionStarts = h, opts.Workers, opts.Layout, true, opts.PartitionStarts
 	ws := kernel.GetWorkspace()
-	eng, err := kernel.New(kernel.Config{A: a, D: d, H: h, Workers: opts.Workers, Layout: opts.Layout, SymmetricA: true, PartitionStarts: opts.PartitionStarts}, ws)
+	eng, err := kernel.New(cfg, ws)
 	if err != nil {
 		ws.Release()
 		return nil, fmt.Errorf("linbp: %w", err)
@@ -76,6 +93,36 @@ func NewEngineLayout(a *sparse.CSR, d []float64, h *dense.Matrix, perm []int, op
 		e.eperm = make([]float64, n*k)
 	}
 	return e, nil
+}
+
+// Rebind follows the engine's adjacency to a later epoch of its
+// row-block table (see kernel.Engine.Rebind). The engine must be idle.
+func (s *Engine) Rebind(rows *sparse.RowBlocks) error {
+	if err := s.eng.Rebind(rows); err != nil {
+		return fmt.Errorf("linbp: %w", err)
+	}
+	return nil
+}
+
+// RunLayout runs one solve on flat buffers in the engine's layout
+// order (no permutation): e holds the explicit beliefs (n×k) and start
+// the warm start (nil solves cold). It returns a view of the final
+// iterate, valid until the engine's next solve; when no round ran
+// (iters == 0) the view is not meaningful.
+//
+//lsbp:hotpath
+func (s *Engine) RunLayout(ctx context.Context, e, start []float64) (state []float64, iters int, delta float64, converged bool, err error) {
+	if s.closed {
+		return nil, 0, 0, false, fmt.Errorf("linbp: %w", errs.ErrClosed)
+	}
+	if start == nil {
+		s.eng.ResetFast()
+	} else {
+		s.eng.SetStart(start)
+	}
+	s.eng.SetExplicit(e)
+	iters, delta, converged, err = s.eng.RunContext(ctx, s.opts.MaxIter, s.opts.Tol, s.opts.OnIteration)
+	return s.eng.Beliefs(), iters, delta, converged, err
 }
 
 // Solve runs LinBP for the explicit beliefs e, allocating a fresh
@@ -105,23 +152,6 @@ func (s *Engine) SolveInto(dst *beliefs.Residual, e *beliefs.Residual) (iters in
 //
 //lsbp:hotpath
 func (s *Engine) SolveIntoContext(ctx context.Context, dst *beliefs.Residual, e *beliefs.Residual) (iters int, delta float64, converged bool, err error) {
-	return s.SolveFromIntoContext(ctx, dst, e, nil)
-}
-
-// SolveFromIntoContext is SolveIntoContext warm-started from start
-// instead of the Bˆ = 0 zero start: the iteration begins at the
-// provided beliefs (in the caller's node order; the engine shuffles
-// them into its layout in one pass), so a solve whose inputs changed
-// only slightly since the previous fixpoint converges in far fewer
-// rounds — the incremental-maintenance direction of the paper's
-// Section 8. The fixpoint is unique whenever the convergence criterion
-// holds, so warm starting changes the iteration count, never the
-// answer. A nil start is the ordinary cold solve (with its Bˆ¹ = Eˆ
-// first-round shortcut); a non-nil start disables that shortcut and
-// runs full rounds from the given state.
-//
-//lsbp:hotpath
-func (s *Engine) SolveFromIntoContext(ctx context.Context, dst, e, start *beliefs.Residual) (iters int, delta float64, converged bool, err error) {
 	if s.closed {
 		return 0, 0, false, fmt.Errorf("linbp: %w", errs.ErrClosed)
 	}
@@ -131,14 +161,7 @@ func (s *Engine) SolveFromIntoContext(ctx context.Context, dst, e, start *belief
 	if dst.N() != s.n || dst.K() != s.k {
 		return 0, 0, false, fmt.Errorf("linbp: destination matrix %dx%d does not match n=%d k=%d: %w", dst.N(), dst.K(), s.n, s.k, errs.ErrDimensionMismatch)
 	}
-	if start == nil {
-		s.eng.ResetFast()
-	} else {
-		if start.N() != s.n || start.K() != s.k {
-			return 0, 0, false, fmt.Errorf("linbp: start matrix %dx%d does not match n=%d k=%d: %w", start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
-		}
-		s.eng.SetStartPermuted(start.Matrix().Data(), s.perm)
-	}
+	s.eng.ResetFast()
 	ed := e.Matrix().Data()
 	if s.perm == nil {
 		s.eng.SetExplicit(ed)
@@ -151,16 +174,11 @@ func (s *Engine) SolveFromIntoContext(ctx context.Context, dst, e, start *belief
 	dd := dst.Matrix().Data()
 	if iters == 0 {
 		// Nothing ran (pre-cancelled context or a zero iteration cap):
-		// the last completed iterate is the starting point — the warm
-		// start when one was given, else the zero start (with ResetFast
+		// the last completed iterate is the zero start (with ResetFast
 		// the engine buffer may hold a previous solve, so it is not
 		// read).
-		if start != nil {
-			copy(dd, start.Matrix().Data())
-		} else {
-			for i := range dd {
-				dd[i] = 0
-			}
+		for i := range dd {
+			dd[i] = 0
 		}
 		return iters, delta, converged, err
 	}

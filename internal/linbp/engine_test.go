@@ -1,12 +1,14 @@
 package linbp
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/beliefs"
 	"repro/internal/coupling"
 	"repro/internal/gen"
+	"repro/internal/order"
 )
 
 // TestEngineMatchesRun checks the reusable serving engine against the
@@ -179,20 +181,24 @@ func TestEngineWarmStart(t *testing.T) {
 		if err != nil || !converged {
 			t.Fatalf("%s cold solve: iters=%d converged=%v err=%v", name, coldIters, converged, err)
 		}
-		warm := beliefs.New(g.N(), 3)
-		warmIters, _, converged, err := eng.SolveFromIntoContext(nil, warm, e, cold)
+		// RunLayout works in the engine's layout order.
+		el, start := e.Matrix().Data(), cold.Matrix().Data()
+		if perm != nil {
+			el, start = make([]float64, len(el)), make([]float64, len(start))
+			order.Permutation(perm).ApplyRows(el, e.Matrix().Data(), 3)
+			order.Permutation(perm).ApplyRows(start, cold.Matrix().Data(), 3)
+		}
+		warm, warmIters, _, converged, err := eng.RunLayout(context.Background(), el, start)
 		if err != nil || !converged {
 			t.Fatalf("%s warm solve: err=%v", name, err)
 		}
 		if warmIters >= coldIters {
 			t.Errorf("%s: warm start took %d rounds, cold %d", name, warmIters, coldIters)
 		}
-		if d := maxDiff(warm, cold); d > 1e-10 {
-			t.Errorf("%s: warm fixpoint diverges by %g", name, d)
-		}
-		// Start-shape validation.
-		if _, _, _, err := eng.SolveFromIntoContext(nil, warm, e, beliefs.New(3, 3)); err == nil {
-			t.Errorf("%s: mis-shaped start accepted", name)
+		for i, v := range warm {
+			if d := math.Abs(v - start[i]); d > 1e-10 {
+				t.Fatalf("%s: warm fixpoint diverges by %g", name, d)
+			}
 		}
 	}
 }
@@ -203,19 +209,4 @@ func reversePerm(n int) []int {
 		p[i] = n - 1 - i
 	}
 	return p
-}
-
-func maxDiff(a, b *beliefs.Residual) float64 {
-	var max float64
-	ad, bd := a.Matrix().Data(), b.Matrix().Data()
-	for i := range ad {
-		d := ad[i] - bd[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
 
@@ -174,7 +175,12 @@ type Convergence struct {
 // CheckConvergence evaluates both the exact (Lemma 8) and the
 // norm-based sufficient (Lemma 9) convergence criteria.
 func CheckConvergence(g *graph.Graph, h *dense.Matrix, echo bool) (*Convergence, error) {
-	a := g.Adjacency()
+	return CheckConvergenceCSR(g.Adjacency(), h, echo)
+}
+
+// CheckConvergenceCSR is CheckConvergence on an adjacency matrix (the
+// weighted degrees are its squared-weight row sums).
+func CheckConvergenceCSR(a *sparse.CSR, h *dense.Matrix, echo bool) (*Convergence, error) {
 	c := &Convergence{}
 
 	// ‖A‖_M and ‖D‖_M over the norm set {Frobenius, induced-1, induced-∞}.
@@ -182,7 +188,7 @@ func CheckConvergence(g *graph.Graph, h *dense.Matrix, echo bool) (*Convergence,
 	hn := h.MinNorm()
 	c.HNorm = hn
 	if echo {
-		d := g.WeightedDegrees()
+		d := a.RowSumsSquared()
 		op := spectral.NewLinBPOp(a, d, h, true)
 		rho, err := spectral.Radius(op, spectral.Options{MaxIter: 5000})
 		if err != nil && !errors.Is(err, spectral.ErrNoConverge) {
@@ -239,8 +245,14 @@ func SimpleNormBound(g *graph.Graph) float64 {
 // guarantees convergence with Hˆ = εH·ho: the exact spectral criterion
 // (found by bisection) or the closed-form norm bound.
 func MaxEpsilonH(g *graph.Graph, ho *dense.Matrix, echo bool, exact bool) (float64, error) {
+	return MaxEpsilonHCSR(g.Adjacency(), ho, echo, exact)
+}
+
+// MaxEpsilonHCSR is MaxEpsilonH on an adjacency matrix (the weighted
+// degrees are its squared-weight row sums).
+func MaxEpsilonHCSR(a *sparse.CSR, ho *dense.Matrix, echo bool, exact bool) (float64, error) {
 	if !exact {
-		c, err := CheckConvergence(g, ho, echo)
+		c, err := CheckConvergenceCSR(a, ho, echo)
 		if err != nil {
 			return 0, err
 		}
@@ -253,7 +265,7 @@ func MaxEpsilonH(g *graph.Graph, ho *dense.Matrix, echo bool, exact bool) (float
 	}
 	if !echo {
 		// ρ(εH·Hˆo)·ρ(A) < 1 is linear in εH.
-		c, err := CheckConvergence(g, ho, false)
+		c, err := CheckConvergenceCSR(a, ho, false)
 		if err != nil {
 			return 0, err
 		}
@@ -265,7 +277,7 @@ func MaxEpsilonH(g *graph.Graph, ho *dense.Matrix, echo bool, exact bool) (float
 	// LinBP with echo: ρ(εHˆo⊗A − ε²Hˆo²⊗D) crosses 1 monotonically in
 	// ε > 0; locate the crossing by bracketed bisection.
 	radius := func(eps float64) (float64, error) {
-		c, err := CheckConvergence(g, ho.Scaled(eps), true)
+		c, err := CheckConvergenceCSR(a, ho.Scaled(eps), true)
 		if err != nil {
 			return 0, err
 		}

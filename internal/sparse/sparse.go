@@ -221,21 +221,6 @@ func (m *CSR) RowView(i int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
-// RowViewCompact is RowView over the compact int32 index: the stored
-// column indices (int32) and values of row i as slices aliasing the CSR
-// storage, for the residual push kernels that walk one out-neighbor
-// list at a time. ok is false until CompactIndex has been built (or
-// when the matrix does not fit it); callers then fall back to RowView.
-//
-//lsbp:hotpath
-func (m *CSR) RowViewCompact(i int) (cols []int32, vals []float64, ok bool) {
-	if m.colIdx32 == nil {
-		return nil, nil, false
-	}
-	lo, hi := m.rowPtr32[i], m.rowPtr32[i+1]
-	return m.colIdx32[lo:hi], m.val[lo:hi], true
-}
-
 // Index exposes the raw CSR arrays (row pointers, column indices,
 // values) for kernels that iterate the structure directly. The slices
 // alias the CSR storage and must not be modified.

@@ -618,30 +618,3 @@ func TestCompactIndex(t *testing.T) {
 		t.Fatal("CompactIndex must cache")
 	}
 }
-
-func TestRowViewCompact(t *testing.T) {
-	m := randomSquareCSR(50, 0.1, true, 13)
-	// Before CompactIndex is built the compact view reports ok=false.
-	if _, _, ok := m.RowViewCompact(0); ok {
-		t.Fatal("RowViewCompact must report ok=false before CompactIndex")
-	}
-	if _, _, ok := m.CompactIndex(); !ok {
-		t.Fatal("50×50 must fit int32")
-	}
-	for i := 0; i < m.Rows(); i++ {
-		cols, vals := m.RowView(i)
-		cols32, vals32, ok := m.RowViewCompact(i)
-		if !ok {
-			t.Fatalf("row %d: compact view unavailable after CompactIndex", i)
-		}
-		if len(cols32) != len(cols) || len(vals32) != len(vals) {
-			t.Fatalf("row %d: compact view length mismatch", i)
-		}
-		for p := range cols {
-			if int(cols32[p]) != cols[p] || vals32[p] != vals[p] {
-				t.Fatalf("row %d entry %d: compact (%d,%g) wide (%d,%g)",
-					i, p, cols32[p], vals32[p], cols[p], vals[p])
-			}
-		}
-	}
-}

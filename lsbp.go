@@ -37,7 +37,7 @@
 //
 //	res, err := s.Solve(ctx, e)
 //	if err != nil { ... }                            // errors.Is(err, lsbp.ErrNotConverged) etc.
-//	for node, classes := range res.Top { ... }
+//	for node, classes := range res.Beliefs.TopAssignment() { ... }
 //
 // The same Solver serves the other methods through Prepare(p, m) or
 // the PrepareBP/PrepareSBP/PrepareFABP constructors, batches

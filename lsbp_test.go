@@ -19,9 +19,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top := res.Beliefs.TopAssignment()
 	for s := 0; s < 4; s++ {
-		if len(res.Top[s]) != 1 || res.Top[s][0] != 0 {
-			t.Fatalf("homophily chain should all be class 0: node %d = %v", s, res.Top[s])
+		if len(top[s]) != 1 || top[s][0] != 0 {
+			t.Fatalf("homophily chain should all be class 0: node %d = %v", s, top[s])
 		}
 	}
 }

@@ -77,19 +77,17 @@ func residualBenchEps(b *testing.B, g *graph.Graph, e *beliefs.Residual) float64
 }
 
 // benchResidualUpdate is the shared measurement loop: one full Update
-// round trip (overlay commit + epoch swap + warm re-solve) absorbing
-// the delta under the given schedule. Each op alternates inserting and
-// removing the same batch so the graph (and the overlay) stays bounded
-// across b.N. rows/update reports the mean relaxed-row count where the
-// residual plane ran — the "cost what you touch" claim made measurable
-// — and iters/update the round-equivalent work.
+// round trip (copy-on-write commit + epoch swap + warm re-solve +
+// result gather) absorbing the delta under the given schedule. Each op
+// alternates inserting and removing the same batch so the graph stays
+// bounded across b.N. rows/update reports the mean relaxed-row count
+// where the residual plane ran — the "cost what you touch" claim made
+// measurable — and iters/update the round-equivalent work.
 //
-// Every topology update pays a fixed commit cost — the O(nnz) overlay
-// merge, compact-index rebuild, and epoch swap — identically under
-// both schedules; the re-solve comparison in EXPERIMENTS.md subtracts
-// the `floor` variant (tol so loose the warm seed already satisfies
-// it, so the re-solve is a no-op and the op measures the commit path
-// alone) from the per-schedule totals.
+// reportStages adds the per-stage layer costs from the solver's
+// Update clocks (commit, re-solve, publish), so EXPERIMENTS.md states
+// each layer directly. The `floor` variant (tol so loose the warm seed
+// already satisfies it) is the op with a no-op re-solve.
 func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps float64, sched core.Schedule, tol float64, delta []graph.Edge) {
 	p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: eps}
 	s, err := core.Prepare(p, core.MethodLinBP,
@@ -103,7 +101,7 @@ func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps 
 		b.Fatal(err)
 	}
 	var iters int
-	pre := s.Stats().ResidualRowsRelaxed
+	pre := s.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,8 +117,22 @@ func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps 
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(iters)/float64(b.N), "iters/update")
-	if relaxed := s.Stats().ResidualRowsRelaxed - pre; relaxed > 0 {
-		b.ReportMetric(float64(relaxed)/float64(b.N), "rows/update")
+	reportStages(b, pre, s.Stats())
+}
+
+// reportStages reports the Update layer costs accumulated between two
+// Stats snapshots as per-op metrics: the commit (explicit apply,
+// adjacency commit, epoch swap), the re-solve, the publish (result
+// gather), the adjacency rows committed, and — where the residual
+// plane ran — the relaxed rows.
+func reportStages(b *testing.B, pre, post core.SolverStats) {
+	n := float64(b.N)
+	b.ReportMetric(float64(post.UpdateCommitNS-pre.UpdateCommitNS)/n, "commit-ns/op")
+	b.ReportMetric(float64(post.UpdateResolveNS-pre.UpdateResolveNS)/n, "resolve-ns/op")
+	b.ReportMetric(float64(post.UpdatePublishNS-pre.UpdatePublishNS)/n, "publish-ns/op")
+	b.ReportMetric(float64(post.RowsCommitted-pre.RowsCommitted)/n, "rows-committed/op")
+	if relaxed := post.ResidualRowsRelaxed - pre.ResidualRowsRelaxed; relaxed > 0 {
+		b.ReportMetric(float64(relaxed)/n, "rows/update")
 	}
 }
 
@@ -148,7 +160,7 @@ func BenchmarkResidualUpdate(b *testing.B) {
 		{"auto", core.ScheduleAuto, 1e-9},
 		// The commit-cost probe: with tol this loose the warm seed
 		// satisfies convergence outright, so the op measures the
-		// overlay merge + rebuild + epoch swap shared by every variant.
+		// commit + epoch swap + gather shared by every variant.
 		{"floor", core.ScheduleResidual, 1e3},
 	} {
 		b.Run(fmt.Sprintf("%s/power%d_nodes%d_delta%d", tc.name, power, g.N(), len(delta)), func(b *testing.B) {
@@ -158,12 +170,11 @@ func BenchmarkResidualUpdate(b *testing.B) {
 }
 
 // BenchmarkResidualResolve isolates the re-solve from the commit: a
-// belief-only update (SetExplicit on 16 nodes) skips the overlay
-// merge, CSR rebuild, and epoch swap entirely, so the op is the warm
-// re-solve alone — full n-row rounds under ScheduleRounds against the
-// seeded relaxation under ScheduleResidual. This is the cleanest
-// wall-clock statement of the re-solve speedup: no shared fixed cost
-// dilutes the ratio.
+// belief-only update (SetExplicit on 16 nodes) skips the adjacency
+// commit and epoch swap entirely, so the op is the warm re-solve plus
+// the explicit-row scan and the result gather — full n-row rounds
+// under ScheduleRounds against the seeded relaxation under
+// ScheduleResidual.
 func BenchmarkResidualResolve(b *testing.B) {
 	power := reorderBenchPower()
 	g := gen.Kronecker(power)
@@ -206,7 +217,7 @@ func BenchmarkResidualResolve(b *testing.B) {
 				b.Fatal(err)
 			}
 			var iters int
-			pre := s.Stats().ResidualRowsRelaxed
+			pre := s.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -218,9 +229,7 @@ func BenchmarkResidualResolve(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/update")
-			if relaxed := s.Stats().ResidualRowsRelaxed - pre; relaxed > 0 {
-				b.ReportMetric(float64(relaxed)/float64(b.N), "rows/update")
-			}
+			reportStages(b, pre, s.Stats())
 		})
 	}
 }

@@ -13,17 +13,18 @@ import (
 // context cancellation at round boundaries.
 //
 // Solvers are epoch-versioned: Update absorbs edge/belief streams
-// (inserts, deletes, relabels) without re-preparing from scratch.
-// Deltas accumulate in a tombstoned overlay over the prepared CSR;
-// each committed topology update merges the overlay in one pass,
-// builds a fresh immutable snapshot reusing the prepare-time
-// reordering and partitions, and swaps it in RCU-style — in-flight
-// solves drain on the old snapshot, new solves land on the new one,
-// and the kernel-backed methods re-solve warm-started from the
-// previous fixpoint (fewer iterations after small deltas, same unique
-// answer). When the overlay outgrows WithUpdatePolicy's compaction
-// threshold the commit replays reordering and partitioning on the
-// merged graph. Stats reports Epoch/Updates/Rebuilds/OverlayNNZ.
+// (inserts, deletes, relabels) without re-preparing from scratch. For
+// the kernel-backed methods a committed topology update copies only
+// the row blocks it edits (a copy-on-write adjacency reusing the
+// prepare-time reordering and partitions), moves the previous epoch's
+// engines over, and swaps the new snapshot in RCU-style — in-flight
+// solves drain on the old snapshot, new solves land on the new one —
+// then re-solves in place on the maintained fixpoint, warm-started
+// (fewer iterations after small deltas, same unique answer). When the
+// cells that differ from the compaction base outgrow
+// WithUpdatePolicy's threshold the commit replays reordering and
+// partitioning on the current graph. Stats reports
+// Epoch/Updates/Rebuilds/OverlayNNZ and the per-stage Update clocks.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // share one Solver (updates serialize internally); per-solve
@@ -227,8 +228,8 @@ func ParseSchedule(name string) (Schedule, error) { return core.ParseSchedule(na
 func WithSchedule(s Schedule) Option { return core.WithSchedule(s) }
 
 // WithUpdatePolicy sets the dynamic plane's policy for Solver.Update:
-// the overlay-growth ratio that triggers a compaction rebuild
-// (reordering + partitioning replayed on the merged graph) and whether
+// the drift ratio that triggers a compaction rebuild (reordering +
+// partitioning replayed on the current graph) and whether
 // Update's re-solves warm-start from the previous fixpoint (the
 // default) or run cold. Solvers that never see an Update ignore it.
 func WithUpdatePolicy(p UpdatePolicy) Option { return core.WithUpdatePolicy(p) }

@@ -39,9 +39,10 @@ func TestPrepareFacade(t *testing.T) {
 		if err != nil && !errors.Is(err, lsbp.ErrNotConverged) {
 			t.Fatalf("%s: %v", name, err)
 		}
+		top := res.Beliefs.TopAssignment()
 		for v := 0; v < 4; v++ {
-			if len(res.Top[v]) != 1 || res.Top[v][0] != 0 {
-				t.Fatalf("%s: node %d top = %v, want class 0", name, v, res.Top[v])
+			if len(top[v]) != 1 || top[v][0] != 0 {
+				t.Fatalf("%s: node %d top = %v, want class 0", name, v, top[v])
 			}
 		}
 		if st := s.Stats(); st.Solves != 1 || st.N != 4 || st.K != 2 {
@@ -134,7 +135,7 @@ func TestLegacySolveStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Top[3][0] != 0 {
+	if !res.Converged || res.Beliefs.TopAssignment()[3][0] != 0 {
 		t.Fatalf("legacy solve: %+v", res)
 	}
 }
