@@ -3,7 +3,7 @@
 #   make verify   - tier-1 gate: build + gofmt + vet + lint + full test
 #                   suite + the race-detector pass over the concurrent
 #                   packages + the crash-recovery fault-injection matrix
-#                   under -race
+#                   under -race + vet and tests of the servebench module
 #   make lint     - the lsbplint invariant analyzers (hot-path allocs,
 #                   atomic fields, error taxonomy, durable format lock,
 #                   RACE_PKGS completeness) + staticcheck/govulncheck
@@ -54,6 +54,11 @@
 #                   2x-saturation shed/recovery test, the WAL-broken
 #                   degraded-mode flip, and the lsbpd daemon boot/drain
 #                   round trip — under -race
+#   make servebench-ab WORKLOAD=W - PAIRS alternating parent/working-tree
+#                   pairs of 30-s servebench runs (PARENT, default HEAD,
+#                   exported under .bench_build/ab/; pair i uses seed
+#                   SEED+i), summarized per end-to-end metric as
+#                   quartiles, median ratio and the change's wins
 #
 # Tuning knobs (see EXPERIMENTS.md):
 #   LSBP_BENCH_MAXGRAPH=N  largest Fig. 6a Kronecker graph to bench (1-9)
@@ -78,9 +83,9 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
 	./internal/serve/ ./internal/metrics/
 
-.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz
+.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab
 
-verify: build fmt vet lint test test-race crash
+verify: build fmt vet lint test test-race crash servebench-test
 
 build:
 	$(GO) build ./...
@@ -116,6 +121,22 @@ test-race:
 
 # Kept as an alias for the pre-PR 4 target name.
 race: test-race
+
+# servebench is its own module, so ./... above skips it; its tests are
+# short power-6 runs that catch a core or serve API change breaking the
+# benchmark before the benchmark itself runs.
+servebench-test:
+	cd servebench && $(GO) vet . && $(GO) test .
+
+# Paired A/B of the serving benchmark (choosing-metrics §8): PAIRS
+# alternating runs of PARENT's tree and the working tree on WORKLOAD.
+# Everything it builds and writes stays under .bench_build/.
+PARENT ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+servebench-ab:
+	@test -n "$(WORKLOAD)" || { echo "usage: make servebench-ab WORKLOAD=ingest|mixed|query [PARENT=rev] [PAIRS=n] [SEED=s]"; exit 2; }
+	GOCACHE=$(CURDIR)/.bench_build/gocache $(GO) run ./cmd/servebenchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # The durable-plane acceptance matrix: every injected fault (torn WAL
 # append, bit rot in log or snapshot, dropped/failed fsyncs, power

@@ -1,7 +1,8 @@
 // Benchmarks for the durable serving plane: recovering a prepared
 // solver from its on-disk snapshot (map + verify + adopt) against the
 // full re-Prepare it replaces (reordering, partitioning, the εH
-// search), plus the write-ahead-log append overhead per fsync policy.
+// search), the write-ahead-log append overhead per fsync policy, and
+// the live heap a durable serving stack keeps after set-up.
 // `make bench-durable` archives these into BENCH_results.json; the
 // acceptance bar is snapshot-load cold start ≥ 5× faster than
 // re-Prepare on the large Kronecker regime.
@@ -10,6 +11,8 @@ package lsbp_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/durable"
 	"repro/internal/gen"
+	"repro/internal/serve"
 )
 
 // BenchmarkColdStartOpenVsPrepare measures a serving cold start both
@@ -79,6 +83,43 @@ func BenchmarkColdStartOpenVsPrepare(b *testing.B) {
 	if _, err := r.Update(context.Background(), core.Update{}); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkServeStackLiveHeap reports what a serving stack keeps
+// resident: the live heap, after two collections, of the stack the
+// serving benchmark brings up (durable Prepare with the auto schedule,
+// serve.New, the first Update{}) above the generated graph and labels
+// it was built from. Nothing uses the problem after Prepare, as in a
+// server, so only what the solver and the front end retain counts.
+func BenchmarkServeStackLiveHeap(b *testing.B) {
+	power := reorderBenchPower()
+	g := gen.Kronecker(power)
+	e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 7})
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	var above uint64
+	for i := 0; i < b.N; i++ {
+		base := live()
+		p := &core.Problem{Graph: g.Clone(), Explicit: e.Clone(), Ho: coupling.Fig6bResidual(), EpsilonH: 0.01497919}
+		s, err := core.Prepare(p, core.MethodLinBP, core.WithTol(1e-12), core.WithMaxIter(200),
+			core.WithSchedule(core.ScheduleAuto), core.WithDurability(b.TempDir(), core.DurabilityPolicy{Sync: core.SyncAlways}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := serve.New(s, serve.Config{})
+		if _, err := f.Update(context.Background(), core.Update{}); err != nil {
+			b.Fatal(err)
+		}
+		above = live() - base
+		f.Close()
+		s.Close()
+	}
+	b.ReportMetric(float64(above)/1e6, "live-MB")
 }
 
 // BenchmarkWALAppend isolates the per-update durability overhead: one

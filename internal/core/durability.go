@@ -179,9 +179,11 @@ func (d *dynSolver) checkpointLocked() error {
 
 // snapshotImageLocked assembles the durable image of the maintained
 // state: the current adjacency as a flat CSR (the layout-order table of
-// the kernel methods — flattening is free for an uncommitted epoch-0
-// table — or the caller-order graph of BP/SBP), the layout metadata,
-// and the belief matrices in caller order.
+// the kernel methods, or the caller-order graph of BP/SBP), the layout
+// metadata, and the belief matrices in caller order. An uncommitted
+// kernel table is written from its one whole block — only the row
+// pointers are widened to the format's i64 section — so a checkpoint
+// does not rebuild the int column index the compact layout dropped.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	img := &durable.Snapshot{
 		Method:     uint32(d.method),
@@ -193,23 +195,23 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		BandBefore: d.info.bandBefore,
 		BandAfter:  d.info.bandAfter,
 	}
-	var a *sparse.CSR
-	if d.kernelMethod() {
-		a = d.rows.Flatten()
-	} else {
+	switch {
+	case !d.kernelMethod():
 		img.GraphOrder = true
 		g := d.g
 		if g == nil {
 			g = d.srcGraph
 		}
-		a = g.Adjacency()
-	}
-	rowPtr, colIdx, vals := a.Index()
-	img.RowPtr, img.Vals = rowPtr, vals
-	if _, ci32, ok := a.CompactIndex(); ok {
-		img.ColIdx32 = ci32
-	} else {
-		img.ColIdx = colIdx
+		imageCSR(img, g.Adjacency())
+	case d.rows.Whole() != nil:
+		w := d.rows.Whole()
+		img.RowPtr = make([]int, len(w.RowPtr))
+		for i, p := range w.RowPtr {
+			img.RowPtr[i] = int(p)
+		}
+		img.ColIdx32, img.Vals = w.Col, w.Val
+	default:
+		imageCSR(img, d.rows.Flatten())
 	}
 	if d.perm != nil {
 		img.Perm = []int(d.perm)
@@ -225,6 +227,18 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		img.Last = d.gatherLocked().Matrix().Data()
 	}
 	return img, nil
+}
+
+// imageCSR sets the image's adjacency sections from a flat CSR: the
+// compact column index whenever the matrix fits it.
+func imageCSR(img *durable.Snapshot, a *sparse.CSR) {
+	rowPtr, colIdx, vals := a.Index()
+	img.RowPtr, img.Vals = rowPtr, vals
+	if _, ci32, ok := a.CompactIndex(); ok {
+		img.ColIdx32 = ci32
+	} else {
+		img.ColIdx = colIdx
+	}
 }
 
 // recordFromUpdate encodes the batch exactly as the apply path reads
@@ -372,6 +386,8 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	}
 	ho := dense.New(k, k)
 	copy(ho.Data(), snap.HO)
+	// A private copy of the (possibly mapped) explicit section: the
+	// first Update adopts it as the maintained beliefs.
 	expM := dense.New(n, k)
 	copy(expM.Data(), snap.Explicit)
 	exp := beliefs.FromMatrix(expM)

@@ -244,3 +244,61 @@ func TestKernelDivergenceSurfacesNonFinite(t *testing.T) {
 		t.Errorf("divergence not counted as NotConverged: %+v", st)
 	}
 }
+
+// TestPrepareCopiesExplicit: Prepare keeps its own copy of
+// Problem.Explicit, so a caller reusing the matrix afterwards changes
+// neither the served fixpoint nor the durable image — the served
+// fixpoint matches a fresh solve of the problem as it was at Prepare,
+// and a recovery reproduces it.
+func TestPrepareCopiesExplicit(t *testing.T) {
+	for _, durableState := range []bool{false, true} {
+		p := kronProblem(t, 4, 3)
+		atPrepare := &Problem{Graph: p.Graph.Clone(), Explicit: p.Explicit.Clone(), Ho: p.Ho, EpsilonH: p.EpsilonH}
+		fs := durable.NewMemFS()
+		opts := durTight
+		if durableState {
+			opts = append([]Option{WithDurabilityFS(fs, "st", DurabilityPolicy{Sync: SyncAlways})}, durTight...)
+		}
+		s, err := Prepare(p, MethodLinBP, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The caller reuses its matrix: two unlabeled rows get labels.
+		changed := 0
+		for v := 0; changed < 2; v++ {
+			if !p.Explicit.IsExplicit(v) {
+				p.Explicit.Set(v, beliefs.LabelResidual(3, changed, 0.1))
+				changed++
+			}
+		}
+		ctx := context.Background()
+		u := Update{AddEdges: absentEdges(p.Graph, 1, 3)}
+		served, err := s.Update(ctx, u)
+		if err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		applyMirror(atPrepare, u)
+		want := freshSolve(t, atPrepare, MethodLinBP, atPrepare.Explicit, durTight...)
+		if d := maxAbsDiff(served.Beliefs, want); d > 1e-12 {
+			t.Errorf("durable=%v: served fixpoint differs from the problem as prepared by %g", durableState, d)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !durableState {
+			continue
+		}
+		r, err := OpenFS(fs, "st", durTight...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := r.Update(ctx, Update{})
+		if err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(recovered.Beliefs, served.Beliefs); d > 1e-12 {
+			t.Errorf("recovered fixpoint differs from the served one by %g", d)
+		}
+		r.Close()
+	}
+}

@@ -159,7 +159,8 @@ type dynSolver struct {
 	closed bool
 	// srcGraph is the prepared caller-order graph of BP and SBP (nil
 	// for the kernel methods, which keep no graph); srcExp the prepared
-	// explicit beliefs.
+	// explicit beliefs, a private copy the first Update adopts as exp
+	// (nil from then on).
 	srcGraph *graph.Graph
 	srcExp   *beliefs.Residual
 	exp      *beliefs.Residual // maintained explicit beliefs (caller order)
@@ -248,7 +249,7 @@ type kernelPlane struct {
 // are lifted off the concrete snapshot types so updates can reuse them
 // without re-deriving anything from the problem.
 func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
-	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
+	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit.Clone()}
 	switch s := inner.(type) {
 	case *linbpSolver:
 		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
@@ -633,10 +634,10 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 }
 
 // initDynState lazily sets up the mutable dynamic state on the first
-// Update, so a solver that is never updated pays no copy: the
-// maintained explicit beliefs, and for the kernel methods the
-// maintained fixpoint engine (BP/SBP clone their graph and build the
-// caller-order drift-accounting table instead).
+// Update, so a solver that is never updated pays no copy: it adopts the
+// prepared explicit beliefs as the maintained ones, and for the kernel
+// methods builds the maintained fixpoint engine (BP/SBP clone their
+// graph and build the caller-order drift-accounting table instead).
 func (d *dynSolver) initDynState() error {
 	if d.exp != nil {
 		return nil
@@ -648,19 +649,19 @@ func (d *dynSolver) initDynState() error {
 			return fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
 		}
 		d.g, d.rows, d.baseNNZ = d.srcGraph.Clone(), rows, a.NNZ()
-		d.exp = d.srcExp.Clone()
+		d.exp, d.srcExp = d.srcExp, nil
 		return nil
 	}
-	d.exp = d.srcExp.Clone()
+	d.exp = d.srcExp
 	kp, err := d.newKernelPlane(d.rows, d.perm, d.eps)
 	if err != nil {
 		d.exp = nil
 		return err
 	}
-	d.kern = kp
+	d.kern, d.srcExp = kp, nil
 	d.baseNNZ = d.rows.NNZ()
 	if d.partStarts != nil {
-		d.part = newPartDiag(d.rows.Flatten(), d.partStarts)
+		d.part = newPartDiag(d.rows, d.partStarts)
 	}
 	return nil
 }
@@ -901,7 +902,7 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	d.installLayout(info, perm, lay.rows)
 	d.kern, d.partStarts, d.part = kp, lay.partStarts, nil
 	if d.partStarts != nil {
-		d.part = newPartDiag(lay.rows.Flatten(), d.partStarts)
+		d.part = newPartDiag(lay.rows, d.partStarts)
 	}
 	return snap, nil
 }
@@ -1045,9 +1046,18 @@ type partDiag struct {
 	total    int
 }
 
-func newPartDiag(a *sparse.CSR, starts []int) *partDiag {
-	st := order.StatsForStarts(a, starts)
-	return &partDiag{starts: starts, blockNNZ: st.BlockNNZ, cut: st.CutEdges, total: a.NNZ()}
+// newPartDiag computes the diagnostics of table m for the partition
+// boundaries starts (order.StatsForStarts's block nnz and cut edges)
+// by walking its rows.
+func newPartDiag(m *sparse.RowBlocks, starts []int) *partDiag {
+	p := &partDiag{starts: starts, blockNNZ: make([]int, len(starts)-1)}
+	for i := 0; i < m.Rows(); i++ {
+		b, nnz, cut := p.rowStats(m, i)
+		p.blockNNZ[b] += nnz
+		p.total += nnz
+		p.cut += cut
+	}
+	return p
 }
 
 // rowStats returns row i's partition, stored entries, and entries whose

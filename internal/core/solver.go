@@ -443,8 +443,11 @@ type snapshot interface {
 
 // Prepare validates the problem once and builds a prepared Solver for
 // the method. The problem's Graph, Ho, and EpsilonH are fixed at
-// preparation time; Explicit only participates in shape validation and
-// may be a zero matrix for pure serving use.
+// preparation time. Explicit seeds the maintained problem that Update
+// evolves (and a durable Prepare checkpoints): Prepare copies it, so
+// later changes to the caller's matrix reach neither. It may be a
+// zero matrix for pure serving use, since Solve takes its explicit
+// beliefs per call.
 func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	var cfg config
 	for _, o := range opts {

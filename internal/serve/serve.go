@@ -30,7 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -539,8 +539,11 @@ type NodeBelief struct {
 }
 
 // TopK returns the k nodes with the highest residual belief for
-// class, descending (ties by node id). Same fixpoint requirement as
-// Beliefs.
+// class, descending (ties by node id; k >= n returns every node). Same
+// fixpoint requirement as Beliefs. It is one pass over the class
+// column that keeps the best k in a k-entry heap — O(n log k) time,
+// and the k-entry answer is its one allocation, so a caller keeping
+// answers keeps k rows each, not n.
 func (f *FrontEnd) TopK(class, k int) ([]NodeBelief, error) {
 	b := f.fix.Load()
 	if b == nil {
@@ -552,20 +555,77 @@ func (f *FrontEnd) TopK(class, k int) ([]NodeBelief, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: top-k needs k >= 1, got %d: %w", k, errs.ErrInvalidInput)
 	}
-	if k > f.n {
-		k = f.n
+	top := make([]NodeBelief, min(k, f.n))
+	selectTop(top, b.Matrix().Data(), f.k, class)
+	return top, nil
+}
+
+// selectTop fills top (1 <= len(top) <= n) with the entries of column
+// col of the row-major n×stride matrix data that rank first
+// (ranksBefore), in rank order. top holds the best entries seen so far
+// as a heap whose root ranks last among them; since nodes are scanned
+// in ascending id, a later node displaces the root only with a
+// strictly higher belief, so ties keep the lower id. A heapsort then
+// orders the survivors in place.
+//
+//lsbp:hotpath
+func selectTop(top []NodeBelief, data []float64, stride, col int) {
+	k := len(top)
+	for i := range top {
+		top[i] = NodeBelief{Node: i, Belief: data[i*stride+col]}
 	}
-	all := make([]NodeBelief, f.n)
-	for i := 0; i < f.n; i++ {
-		all[i] = NodeBelief{Node: i, Belief: b.Row(i)[class]}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Belief != all[j].Belief {
-			return all[i].Belief > all[j].Belief
+	for i, p := k, k*stride+col; p < len(data); i, p = i+1, p+stride {
+		// A NaN root ranks after every number (ranksBefore).
+		if v, th := data[p], top[0].Belief; v > th || (th != th && v == v) {
+			top[0] = NodeBelief{Node: i, Belief: v}
+			siftDown(top, 0)
 		}
-		return all[i].Node < all[j].Node
-	})
-	return all[:k], nil
+	}
+	for end := k - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftDown(top[:end], 0)
+	}
+}
+
+// siftDown moves h[i] down until no child ranks after its parent —
+// the order of selectTop's heap, whose root ranks last.
+//
+//lsbp:hotpath
+func siftDown(h []NodeBelief, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && ranksBefore(h[c], h[r]) {
+			c = r
+		}
+		if !ranksBefore(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// ranksBefore reports whether a precedes b in a TopK answer: the
+// higher belief first, ties by ascending node id, NaN after every
+// number.
+//
+//lsbp:hotpath
+func ranksBefore(a, b NodeBelief) bool {
+	switch {
+	case a.Belief > b.Belief:
+		return true
+	case a.Belief < b.Belief:
+		return false
+	case a.Belief != b.Belief && math.IsNaN(a.Belief) != math.IsNaN(b.Belief):
+		return math.IsNaN(b.Belief)
+	}
+	return a.Node < b.Node
 }
 
 // Degraded reports whether the front end is in read-only mode.

@@ -3,17 +3,18 @@
 // BlockRows consecutive rows; every block is immutable once published,
 // so any number of solves may read one epoch's table while the next
 // epoch is being committed. The epoch-0 table aliases the prepared
-// (possibly mmap-backed) flat CSR arrays — no copy — and Commit
-// produces the next epoch by copying only the blocks that hold edited
-// rows plus the block table itself: untouched blocks are shared by
-// pointer between epochs, so a small edge delta costs O(touched
-// blocks), not O(nnz).
+// (possibly mmap-backed) flat CSR's compact index, values and degrees
+// — no copy — and Commit produces the next epoch by copying only the
+// blocks that hold edited rows plus the block table itself: untouched
+// blocks are shared by pointer between epochs, so a small edge delta
+// costs O(touched blocks), not O(nnz).
 //
 // Rows keep their column order and values exactly as a flat merge of
 // the same edits would store them, so a kernel reading rows through
 // the table computes bitwise the same sums as one reading the flat
 // CSR. A flat matrix is materialized (Flatten) only where a whole-graph
-// image is needed: durable checkpoints and compaction relayouts.
+// image is needed: checkpoints of committed epochs and compaction
+// relayouts.
 package sparse
 
 import (
@@ -36,10 +37,10 @@ const BlockRows = 1 << BlockShift
 // table entry. Row i's entries are Col[RowPtr[i−Off]:RowPtr[i−Off+1]]
 // (ascending columns) with the matching values in Val, and its degree
 // is Deg[i−Off]. An epoch-0 table points every entry at one block that
-// aliases the whole flat CSR (Off = 0, absolute offsets); a copied
-// block owns arrays for exactly its BlockRows rows (Off = its first
-// row, offsets from zero). Callers must not modify any field or
-// element.
+// aliases the whole flat CSR's compact index (Off = 0, absolute
+// offsets); a copied block owns arrays for exactly its BlockRows rows
+// (Off = its first row, offsets from zero). Callers must not modify
+// any field or element.
 type Block struct {
 	Off    int
 	RowPtr []int32
@@ -64,10 +65,10 @@ type RowBlocks struct {
 	// entry is whole (see Block).
 	blocks    []*Block
 	wide, deg bool
-	// flat is the CSR an epoch-0 table aliases (nil for committed
-	// epochs); Flatten returns it instead of materializing a copy.
-	// whole is the one block every epoch-0 entry points at.
-	flat  *CSR
+	// whole is the one block every epoch-0 entry points at. The table
+	// keeps no reference to the CSR it was built from: once the builder
+	// drops that CSR, its int row pointers are garbage, and so are its
+	// int columns unless the table keeps wide indices.
 	whole Block
 	// base is the compaction base (the epoch-0 table of this lineage)
 	// and diff the number of cells whose value differs from it.
@@ -77,9 +78,10 @@ type RowBlocks struct {
 
 // NewRowBlocks builds the epoch-0 table over a, aliasing a's compact
 // index and values (a's compact index is built if needed, so call it
-// while a has no concurrent readers). deg, when non-nil, supplies the
-// per-row degrees (aliased); wide keeps the int column indices for
-// RowView. It fails when a does not fit the int32 index.
+// while a has no concurrent readers) but holding no reference to a
+// itself. deg, when non-nil, supplies the per-row degrees (aliased);
+// wide keeps a's int column indices for RowView. It fails when a does
+// not fit the int32 index.
 func NewRowBlocks(a *CSR, deg []float64, wide bool) (*RowBlocks, error) {
 	m := new(RowBlocks)
 	if err := m.Init(a, deg, wide); err != nil {
@@ -98,7 +100,7 @@ func (m *RowBlocks) Init(a *CSR, deg []float64, wide bool) error {
 	if deg != nil && len(deg) != a.rows {
 		return fmt.Errorf("sparse: degree vector length %d, want %d", len(deg), a.rows)
 	}
-	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), wide: wide, deg: deg != nil, flat: a,
+	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), wide: wide, deg: deg != nil,
 		whole: Block{RowPtr: rp32, Col: ci32, Val: a.val, Deg: deg}}
 	if wide {
 		m.whole.Wide = a.colIdx
@@ -459,12 +461,8 @@ func (m *RowBlocks) diffDelta(row int, edits []Edit, oc []int32, ov []float64, n
 }
 
 // Flatten materializes the table as one flat CSR (wide and compact
-// index, values) sharing no storage with the blocks — except for an
-// uncommitted epoch-0 table, which returns the CSR it aliases.
+// index, values) sharing no storage with the blocks.
 func (m *RowBlocks) Flatten() *CSR {
-	if m.flat != nil {
-		return m.flat
-	}
 	out := &CSR{
 		rows:     m.rows,
 		cols:     m.cols,

@@ -2,10 +2,12 @@ package sparse
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // cellMirror is the ground truth a row-block table must match: one
@@ -467,4 +469,51 @@ func FuzzRowBlocksCommit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRowBlocksHoldNoSourceCSR: an epoch-0 table without wide indices
+// keeps no reference to the source CSR's int column array — a finalizer
+// on that array fires while only the table is live — and Flatten still
+// returns a CSR equal to the source. A wide table keeps the array.
+func TestRowBlocksHoldNoSourceCSR(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		a := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
+		want := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
+		m, err := NewRowBlocks(a, a.RowSumsSquared(), wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := make(chan struct{})
+		_, colIdx, _ := a.Index()
+		runtime.SetFinalizer(&colIdx[0], func(*int) { close(freed) })
+		a, colIdx = nil, nil
+		if got := collected(freed); got == wide {
+			t.Errorf("wide=%v: source column array collected = %v", wide, got)
+		}
+		flat := m.Flatten()
+		frp, fci, fv := flat.Index()
+		wrp, wci, wv := want.Index()
+		frp32, fci32, _ := flat.CompactIndex()
+		wrp32, wci32, _ := want.CompactIndex()
+		if flat.Rows() != want.Rows() || flat.Cols() != want.Cols() ||
+			!slices.Equal(frp, wrp) || !slices.Equal(fci, wci) || !slices.Equal(fv, wv) ||
+			!slices.Equal(frp32, wrp32) || !slices.Equal(fci32, wci32) {
+			t.Errorf("wide=%v: Flatten differs from the source CSR", wide)
+		}
+		runtime.KeepAlive(m)
+	}
+}
+
+// collected runs the collector until the finalizer closes freed,
+// giving up after a bounded number of cycles.
+func collected(freed <-chan struct{}) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
