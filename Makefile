@@ -13,8 +13,11 @@
 #   make cover    - per-package coverage with a floor: fails when any of
 #                   internal/{kernel,order,sparse,core} drops below
 #                   $(COVER_FLOOR)% statement coverage
-#   make bench    - run every benchmark with -benchmem and archive the
-#                   results as BENCH_results.json via cmd/benchjson
+#   make bench    - run every benchmark with -benchmem and merge the
+#                   results into the BENCH_results.json ledger via
+#                   cmd/benchjson (every bench-* target merges the same
+#                   way: entries are keyed by benchmark, GOMAXPROCS,
+#                   commit and CPU, so no run overwrites another's)
 #   make bench-quick - the headline kernel benchmarks only (fast)
 #   make bench-batch - the prepared-Solver serving benchmark: SolveBatch
 #                   vs sequential one-shot Solve throughput rows into
@@ -70,6 +73,16 @@
 
 GO ?= go
 BENCHTIME ?= 1s
+# BENCH_COMMIT labels the merged entries with the code measured: HEAD's
+# hash, then "+" and a hash of the Go changes not yet committed
+# (tracked diffs and untracked .go files) when there are any, so two
+# different working trees never share a label. Outside a git checkout
+# it is empty and benchjson refuses to merge: pass BENCH_COMMIT=LABEL.
+BENCH_COMMIT ?= $(shell h=$$(git rev-parse --short=12 HEAD 2>/dev/null) || exit 0; \
+	if [ -n "$$(git status --porcelain -- '*.go' go.mod)" ]; then \
+	h=$$h+$$( { git diff HEAD -- '*.go' go.mod; git ls-files -o --exclude-standard -- '*.go' | xargs -r tail -v -n +1; } | sha256sum | cut -c1-12); \
+	fi; echo $$h)
+BENCHJSON = $(GO) run ./cmd/benchjson -commit '$(BENCH_COMMIT)' BENCH_results.json
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 70
 COVER_PKGS = internal/kernel internal/order internal/sparse internal/core internal/difftest internal/durable internal/errs internal/serve cmd/benchjson
@@ -165,40 +178,31 @@ cover:
 	done
 
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench . -benchmem -run '^$$' -benchtime $(BENCHTIME) ./... | $(BENCHJSON)
 
 bench-quick:
-	$(GO) test -bench 'Fig7aLinBP|EngineReuse' -benchmem -run '^$$' -benchtime 300ms . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'Fig7aLinBP|EngineReuse' -benchmem -run '^$$' -benchtime 300ms . | $(BENCHJSON)
 
 bench-batch:
-	$(GO) test -bench 'SolveBatch' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'SolveBatch' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-reorder:
-	$(GO) test -bench 'BenchmarkReorder' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkReorder' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-partition:
-	$(GO) test -bench 'BenchmarkPartition' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkPartition' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-update:
-	$(GO) test -bench 'BenchmarkUpdate' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkUpdate' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-residual:
-	$(GO) test -bench 'BenchmarkResidual' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkResidual' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-durable:
-	$(GO) test -bench 'BenchmarkColdStart|BenchmarkWALAppend' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkColdStart|BenchmarkWALAppend' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-serve:
-	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' -benchtime $(BENCHTIME) ./internal/serve/ | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
+	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' -benchtime $(BENCHTIME) ./internal/serve/ | $(BENCHJSON)
 
 # The serving-plane acceptance smoke (see EXPERIMENTS.md "Overload
 # behavior"): typed shedding at 2x saturation with bounded p99 and

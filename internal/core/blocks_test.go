@@ -6,9 +6,11 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/beliefs"
 	"repro/internal/coupling"
+	"repro/internal/durable"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernel"
@@ -191,11 +193,14 @@ func TestEpochSolvesDuringCommits(t *testing.T) {
 	}
 }
 
-// TestUpdateStageCounters checks the per-stage Update clocks move and
-// RowsCommitted counts the rewritten adjacency rows.
+// TestUpdateStageCounters checks the per-stage Update clocks move,
+// cover no more than the call's wall time between them, and that
+// RowsCommitted counts the rewritten adjacency rows and ResidualPushes
+// the localized re-solve's neighbor pushes.
 func TestUpdateStageCounters(t *testing.T) {
 	p := randomProblem(t, 120, 300, 3, 0.05, 23)
-	s, err := Prepare(p, MethodLinBP, WithSchedule(ScheduleAuto))
+	s, err := Prepare(p, MethodLinBP, WithSchedule(ScheduleAuto),
+		WithDurabilityFS(durable.NewMemFS(), "st", DurabilityPolicy{Sync: SyncAlways}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +211,11 @@ func TestUpdateStageCounters(t *testing.T) {
 	}
 	before := s.Stats()
 	edges := absentEdges(p.Graph, 3, 5)
-	if _, err := s.Update(ctx, Update{AddEdges: edges}); err != nil {
+	start := time.Now()
+	if _, err := s.Update(ctx, Update{AddEdges: edges, SetExplicit: labelMatrix(p.Graph.N(), 3, map[int]int{7: 1})}); err != nil {
 		t.Fatal(err)
 	}
+	wall := time.Since(start)
 	after := s.Stats()
 	rows := map[int]bool{}
 	for _, e := range edges {
@@ -217,14 +224,25 @@ func TestUpdateStageCounters(t *testing.T) {
 	if got := after.RowsCommitted - before.RowsCommitted; got != int64(len(rows)) {
 		t.Errorf("RowsCommitted grew by %d, want %d", got, len(rows))
 	}
+	var sum int64
 	for name, v := range map[string]int64{
-		"commit":  after.UpdateCommitNS - before.UpdateCommitNS,
-		"resolve": after.UpdateResolveNS - before.UpdateResolveNS,
-		"publish": after.UpdatePublishNS - before.UpdatePublishNS,
+		"validate": after.UpdateValidateNS - before.UpdateValidateNS,
+		"wal":      after.UpdateWALNS - before.UpdateWALNS,
+		"commit":   after.UpdateCommitNS - before.UpdateCommitNS,
+		"resolve":  after.UpdateResolveNS - before.UpdateResolveNS,
+		"publish":  after.UpdatePublishNS - before.UpdatePublishNS,
 	} {
 		if v <= 0 {
 			t.Errorf("%s clock did not advance (%d ns)", name, v)
 		}
+		sum += v
+	}
+	if sum > int64(wall) {
+		t.Errorf("stage clocks sum to %d ns, more than the call's %d ns", sum, wall)
+	}
+	relaxed := after.ResidualRowsRelaxed - before.ResidualRowsRelaxed
+	if pushes := after.ResidualPushes - before.ResidualPushes; relaxed <= 0 || pushes < relaxed {
+		t.Errorf("localized re-solve: %d relaxations, %d pushes; want relaxations with at least one push each on this graph", relaxed, pushes)
 	}
 }
 

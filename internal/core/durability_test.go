@@ -302,3 +302,100 @@ func TestPrepareCopiesExplicit(t *testing.T) {
 		r.Close()
 	}
 }
+
+// TestPrepareCopiesCoupling is TestPrepareCopiesExplicit for
+// Problem.Ho: the caller rescales its coupling matrix after a durable
+// Prepare, and a forced compaction then rebuilds the layout, the
+// maintained fixpoint's engine, and a checkpoint from the solver's
+// coupling — which must still be the prepared one, served and
+// recovered.
+func TestPrepareCopiesCoupling(t *testing.T) {
+	p := kronProblem(t, 4, 3)
+	atPrepare := &Problem{Graph: p.Graph.Clone(), Explicit: p.Explicit.Clone(), Ho: p.Ho.Clone(), EpsilonH: p.EpsilonH}
+	fs := durable.NewMemFS()
+	opts := append([]Option{WithDurabilityFS(fs, "st", DurabilityPolicy{Sync: SyncAlways}),
+		WithUpdatePolicy(UpdatePolicy{CompactionRatio: 1e-12})}, durTight...)
+	s, err := Prepare(p, MethodLinBP, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd := p.Ho.Data()
+	for i := range hd {
+		hd[i] *= 3
+	}
+	ctx := context.Background()
+	u := Update{AddEdges: absentEdges(p.Graph, 1, 3)}
+	served, err := s.Update(ctx, u)
+	if err != nil && !errors.Is(err, ErrNotConverged) {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("Rebuilds = %d, want the forced compaction", st.Rebuilds)
+	}
+	applyMirror(atPrepare, u)
+	want := freshSolve(t, atPrepare, MethodLinBP, atPrepare.Explicit, durTight...)
+	if d := maxAbsDiff(served.Beliefs, want); d > 1e-12 {
+		t.Errorf("served fixpoint differs from the problem as prepared by %g", d)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFS(fs, "st", durTight...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	recovered, err := r.Update(ctx, Update{})
+	if err != nil && !errors.Is(err, ErrNotConverged) {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(recovered.Beliefs, served.Beliefs); d > 1e-12 {
+		t.Errorf("recovered fixpoint differs from the served one by %g", d)
+	}
+}
+
+// TestPrepareCopiesGraph is the same pin for BP's and SBP's
+// Problem.Graph: edges the caller adds to its graph after a durable
+// Prepare reach neither the next Update's fixpoint nor the recovered
+// one.
+func TestPrepareCopiesGraph(t *testing.T) {
+	for _, m := range []Method{MethodBP, MethodSBP} {
+		p := randomProblem(t, 70, 150, 3, 0.05, 29)
+		atPrepare := &Problem{Graph: p.Graph.Clone(), Explicit: p.Explicit.Clone(), Ho: p.Ho, EpsilonH: p.EpsilonH}
+		fs := durable.NewMemFS()
+		opts := append([]Option{WithDurabilityFS(fs, "st", DurabilityPolicy{Sync: SyncAlways})}, durTight...)
+		s, err := Prepare(p, m, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range absentEdges(p.Graph, 4, 7) {
+			p.Graph.AddEdge(e.S, e.T, e.W)
+		}
+		ctx := context.Background()
+		u := Update{AddEdges: absentEdges(atPrepare.Graph, 1, 3)}
+		served, err := s.Update(ctx, u)
+		if err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		applyMirror(atPrepare, u)
+		want := freshSolve(t, atPrepare, m, atPrepare.Explicit, durTight...)
+		if d := maxAbsDiff(served.Beliefs, want); d > 1e-12 {
+			t.Errorf("%v: served fixpoint differs from the problem as prepared by %g", m, d)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFS(fs, "st", durTight...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := r.Update(ctx, Update{})
+		if err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(recovered.Beliefs, served.Beliefs); d > 1e-12 {
+			t.Errorf("%v: recovered fixpoint differs from the served one by %g", m, d)
+		}
+		r.Close()
+	}
+}

@@ -157,10 +157,10 @@ type dynSolver struct {
 	// caller-order graph, and the layout and compaction bookkeeping.
 	mu     sync.Mutex
 	closed bool
-	// srcGraph is the prepared caller-order graph of BP and SBP (nil
-	// for the kernel methods, which keep no graph); srcExp the prepared
-	// explicit beliefs, a private copy the first Update adopts as exp
-	// (nil from then on).
+	// srcGraph is the prepared caller-order graph of BP and SBP, a
+	// private copy (nil for the kernel methods, which keep no graph);
+	// srcExp the prepared explicit beliefs, a private copy the first
+	// Update adopts as exp (nil from then on).
 	srcGraph *graph.Graph
 	srcExp   *beliefs.Residual
 	exp      *beliefs.Residual // maintained explicit beliefs (caller order)
@@ -206,14 +206,15 @@ type dynSolver struct {
 	dur *durability
 
 	// Stats counters, read without mu by Stats(). The stage clocks
-	// accumulate Update's commit (apply + table commit + epoch swap),
+	// accumulate Update's validate (batch checks + first-Update state
+	// set-up), WAL append, commit (apply + table commit + epoch swap),
 	// re-solve, and publish (result gather) time; rowsCommitted counts
 	// the adjacency rows commits rewrote.
 	//
 	//lsbp:atomic
 	epochN, updates, rebuilds, overlayNNZ atomic.Int64
 	//lsbp:atomic
-	commitNS, resolveNS, publishNS, rowsCommitted atomic.Int64
+	validateNS, walNS, commitNS, resolveNS, publishNS, rowsCommitted atomic.Int64
 
 	// degraded latches true when the durable plane breaks stickily
 	// (ErrWALBroken from a WAL append): the solver keeps serving reads
@@ -247,9 +248,11 @@ type kernelPlane struct {
 
 // newDynSolver wraps the freshly prepared snapshot. The layout fields
 // are lifted off the concrete snapshot types so updates can reuse them
-// without re-deriving anything from the problem.
+// without re-deriving anything from the problem. p must be Prepare's
+// private copy: the solver keeps its coupling, explicit beliefs, and
+// (BP/SBP) graph by reference.
 func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
-	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit.Clone()}
+	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
 		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
@@ -331,6 +334,7 @@ func (d *dynSolver) Stats() SolverStats {
 	st.NotConverged += r.NotConverged
 	st.Cancelled += r.Cancelled
 	st.ResidualRowsRelaxed += r.ResidualRowsRelaxed
+	st.ResidualPushes += r.ResidualPushes
 	if r.ResidualQueuePeak > st.ResidualQueuePeak {
 		st.ResidualQueuePeak = r.ResidualQueuePeak
 	}
@@ -338,6 +342,8 @@ func (d *dynSolver) Stats() SolverStats {
 	st.Updates = d.updates.Load()
 	st.Rebuilds = d.rebuilds.Load()
 	st.OverlayNNZ = d.overlayNNZ.Load()
+	st.UpdateValidateNS = d.validateNS.Load()
+	st.UpdateWALNS = d.walNS.Load()
 	st.UpdateCommitNS = d.commitNS.Load()
 	st.UpdateResolveNS = d.resolveNS.Load()
 	st.UpdatePublishNS = d.publishNS.Load()
@@ -361,6 +367,7 @@ func (d *dynSolver) foldRetiredLocked(st SolverStats) {
 	d.retired.NotConverged += st.NotConverged
 	d.retired.Cancelled += st.Cancelled
 	d.retired.ResidualRowsRelaxed += st.ResidualRowsRelaxed
+	d.retired.ResidualPushes += st.ResidualPushes
 	// The queue peak is a lifetime maximum, not a sum.
 	if st.ResidualQueuePeak > d.retired.ResidualQueuePeak {
 		d.retired.ResidualQueuePeak = st.ResidualQueuePeak
@@ -380,6 +387,7 @@ func statsDelta(post, pre SolverStats) SolverStats {
 		// The per-snapshot peak is monotone, so the drained snapshot's
 		// final peak is the right value to fold (max, not difference).
 		ResidualRowsRelaxed: post.ResidualRowsRelaxed - pre.ResidualRowsRelaxed,
+		ResidualPushes:      post.ResidualPushes - pre.ResidualPushes,
 		ResidualQueuePeak:   post.ResidualQueuePeak,
 	}
 }
@@ -420,6 +428,7 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 	if d.closed {
 		return nil, fmt.Errorf("core: %v solver: %w", d.method, errs.ErrClosed)
 	}
+	start := time.Now()
 	rows, err := d.validateUpdate(u)
 	if err != nil {
 		return nil, err
@@ -427,11 +436,15 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 	if err := d.initDynState(); err != nil {
 		return nil, err
 	}
+	d.validateNS.Add(int64(time.Since(start)))
 	// Write-ahead: the batch is durably logged before any in-memory
 	// mutation, so a crash recovers either the pre-batch or post-batch
 	// state — never a torn middle. A failed append commits nothing.
 	if d.dur != nil {
-		if err := d.appendWALLocked(u, rows); err != nil {
+		start = time.Now()
+		err := d.appendWALLocked(u, rows)
+		d.walNS.Add(int64(time.Since(start)))
+		if err != nil {
 			if errors.Is(err, durable.ErrWALBroken) {
 				// The WAL is stickily unusable: no further write can
 				// commit durably. Latch degraded so Stats (and any
@@ -441,7 +454,7 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 			return nil, err
 		}
 	}
-	start := time.Now()
+	start = time.Now()
 	// The localized touched-row seed is only sound when the maintained
 	// fixpoint converged on exactly the previous epoch and this batch is
 	// the whole epoch delta — a pending (retried) swap folds an earlier
@@ -611,6 +624,11 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 			var sum float64
 			nonzero := false
 			for _, x := range row {
+				// Most entries of a relabel batch are zero: finite, and
+				// nothing to add, so they skip the checks below.
+				if x == 0 {
+					continue
+				}
 				// NaN must be rejected explicitly: it fails every
 				// comparison, so a NaN row would sail through the |sum|
 				// check and silently poison the fixpoint.
@@ -618,7 +636,7 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 					return nil, fmt.Errorf("core: update belief row %d holds %v: %w", v, x, errs.ErrNonFinite)
 				}
 				sum += x
-				nonzero = nonzero || x != 0
+				nonzero = true
 			}
 			if !nonzero {
 				continue
@@ -986,6 +1004,7 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 				kp.fix.SeedResume(kp.exp, nil)
 			}
 			relaxed, peak, maxResid, converged, runErr := kp.fix.Run(ctx, kp.maxRelax)
+			sb.pushes.Add(int64(kp.fix.Pushes()))
 			info, err = sb.record(residualInfo(d.n, relaxed, peak, maxResid, converged), runErr)
 		}
 	} else {

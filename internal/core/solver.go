@@ -319,13 +319,18 @@ type SolverStats struct {
 	// leaves no difference — and resets to 0 at every compaction.
 	Epoch, Updates, Rebuilds int64
 	OverlayNNZ               int64
-	// UpdateCommitNS, UpdateResolveNS, and UpdatePublishNS accumulate
-	// the wall time Update spent per stage: the commit (explicit-belief
-	// apply, adjacency commit, and epoch swap — after the WAL append),
-	// the re-solve, and the publish (the gather of the maintained
-	// fixpoint into the returned result). RowsCommitted counts the
-	// adjacency rows the commits rewrote. Dividing by Updates gives the
-	// per-Update layer costs.
+	// UpdateValidateNS, UpdateWALNS, UpdateCommitNS, UpdateResolveNS,
+	// and UpdatePublishNS accumulate the wall time Update spent per
+	// stage, in call order: validation (the batch checks and the
+	// SetExplicit scan, plus the first Update's one-time set-up of the
+	// maintained state), the write-ahead log append and its sync (0
+	// without durability), the commit (explicit-belief apply, adjacency
+	// commit, and epoch swap), the re-solve, and the publish (the gather
+	// of the maintained fixpoint into the returned result). Together
+	// they cover a successful Update except its wait for the update
+	// lock. RowsCommitted counts the adjacency rows the commits
+	// rewrote. Dividing by Updates gives the per-Update layer costs.
+	UpdateValidateNS, UpdateWALNS                    int64
 	UpdateCommitNS, UpdateResolveNS, UpdatePublishNS int64
 	RowsCommitted                                    int64
 	// Solves counts completed Solve/SolveInto calls; BatchRequests
@@ -344,9 +349,14 @@ type SolverStats struct {
 	// residual-scheduled solves (the plane's unit of work, the analogue
 	// of Iterations·n for rounds); ResidualQueuePeak is the largest
 	// queue population any single residual-scheduled solve reached over
-	// the solver's lifetime. Both stay 0 under ScheduleRounds.
+	// the solver's lifetime. ResidualPushes accumulates the neighbor
+	// pushes of those relaxations (each adds its adjacency row length),
+	// the plane's per-entry work: UpdateResolveNS/ResidualPushes is the
+	// cost per push of an Update-only stream. All three stay 0 under
+	// ScheduleRounds.
 	ResidualRowsRelaxed int64
 	ResidualQueuePeak   int64
+	ResidualPushes      int64
 	// BatchHint is the number of requests the method fuses into one
 	// SolveBatch kernel chunk (always ≥ 1; 1 for methods that serve
 	// batches sequentially). A front end coalescing concurrent requests
@@ -509,6 +519,17 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 		base.bandAfter = order.Bandwidth(a, perm)
 	}
 
+	// The solver keeps private copies of the problem parts it reads
+	// after Prepare returns: the explicit beliefs (adopted by the first
+	// Update), the coupling (every snapshot rebuild, compaction, and
+	// checkpoint), and BP/SBP's caller-order graph (their snapshots and
+	// updates). A caller reusing any of them then changes neither the
+	// served nor the recovered problem. The kernel methods keep only the
+	// layout built from the graph here.
+	p = &Problem{Graph: p.Graph, Explicit: p.Explicit.Clone(), Ho: p.Ho.Clone(), EpsilonH: p.EpsilonH}
+	if m == MethodBP || m == MethodSBP {
+		p.Graph = p.Graph.Clone()
+	}
 	var inner snapshot
 	var err error
 	switch m {
@@ -801,7 +822,7 @@ type solverBase struct {
 	solves, batches, batchReqs atomic.Int64
 	iterations                 atomic.Int64
 	notConverged, cancelled    atomic.Int64
-	rowsRelaxed                atomic.Int64
+	rowsRelaxed, pushes        atomic.Int64
 	// queuePeak is a lifetime maximum, not a sum; record folds it with
 	// a CAS-max.
 	queuePeak atomic.Int64
@@ -855,6 +876,7 @@ func (b *solverBase) Stats() SolverStats {
 		Solves:    b.solves.Load(), Batches: b.batches.Load(), BatchRequests: b.batchReqs.Load(),
 		Iterations: b.iterations.Load(), NotConverged: b.notConverged.Load(), Cancelled: b.cancelled.Load(),
 		ResidualRowsRelaxed: b.rowsRelaxed.Load(), ResidualQueuePeak: b.queuePeak.Load(),
+		ResidualPushes: b.pushes.Load(),
 	}
 }
 
@@ -1258,6 +1280,7 @@ func (s *linbpSolver) solveResidual(ctx context.Context, dst, e *beliefs.Residua
 	}
 	defer s.rstates.put(eng)
 	relaxed, peak, maxResid, converged, err := eng.SolveContext(ctx, dst, e)
+	s.pushes.Add(int64(eng.Pushes()))
 	return s.record(residualInfo(s.n, relaxed, peak, maxResid, converged), err)
 }
 
@@ -1934,6 +1957,7 @@ func (s *fabpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (S
 		var maxResid float64
 		var converged bool
 		relaxed, peak, maxResid, converged, err = st.reng.Solve(ctx, st.bs, st.es)
+		s.pushes.Add(int64(st.reng.Pushes()))
 		info = residualInfo(s.n, relaxed, peak, maxResid, converged)
 	} else {
 		info.Iterations, info.Delta, info.Converged, err = st.eng.SolveInto(ctx, st.bs, st.es)

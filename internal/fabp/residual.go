@@ -71,6 +71,12 @@ func (s *ResidualEngine) Solve(ctx context.Context, dst, e []float64) (relaxed, 
 	return relaxed, peak, maxResid, converged, err
 }
 
+// Pushes returns the neighbor pushes of the last solve (see
+// kernel.ResidualEngine.Pushes).
+//
+//lsbp:hotpath
+func (s *ResidualEngine) Pushes() int { return s.eng.Pushes() }
+
 // Rebind follows the engine's adjacency to a later epoch of its
 // row-block table (see kernel.ResidualEngine.Rebind).
 func (s *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {

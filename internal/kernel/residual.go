@@ -71,18 +71,24 @@ type ResidualEngine struct {
 	echo    bool
 	tol     float64
 
-	b    []float64 // accumulated beliefs, flat n×k
-	r    []float64 // residuals, flat n×k
-	rmag []float64 // per-row max-abs residual magnitude
-	ph   []float64 // k-wide push scratch: δ·Hˆ
-	pg   []float64 // k-wide push scratch: δ·Hˆ₂
+	b []float64 // accumulated beliefs, flat n×k
+	// r packs each row's residual with its queue action threshold:
+	// row i is r[i*s : i*s+k], and r[i*s+k] is the magnitude above which
+	// a touch must update the queue — thrFresh while the row is
+	// untouched since the last reset, tol while it is idle, and its
+	// bucket's upper bound bhi[b] while it is queued in bucket b. A
+	// neighbor push therefore reads and writes one s-float row and makes
+	// one compare; only a row that crosses its threshold takes touchSlow.
+	r  []float64
+	s  int       // row stride of r: k+1
+	ph []float64 // k-wide push scratch: δ·Hˆ
+	pg []float64 // k-wide push scratch: δ·Hˆ₂
 
 	// Intrusive bucket queue: qnext/qprev link the rows of one bucket
 	// into a doubly-linked list, heads holds each bucket's first row
 	// (-1 when empty), occ mirrors bucket non-emptiness as a bitmask so
 	// the top non-empty bucket is one bits.Len64 away, and qbkt records
-	// each row's current bucket (qIdle when unqueued, qFresh when the
-	// row has not been touched since the last reset).
+	// each row's current bucket (qIdle when unqueued).
 	qnext, qprev []int32
 	heads        [residualBuckets]int32
 	occ          uint64
@@ -90,20 +96,22 @@ type ResidualEngine struct {
 	queued       int
 	peak         int
 
-	// touched lists the rows whose residual, magnitude, or queue slot
-	// may be non-zero since the last reset (the rows whose qbkt left
-	// qFresh), so a warm seed resets only what the previous solve
+	// touched lists the rows whose residual or queue slot may be
+	// non-zero since the last reset (the rows whose threshold left
+	// thrFresh), so a warm seed resets only what the previous solve
 	// touched instead of O(n·k) state.
 	touched  []int32
 	ntouched int
 
-	// bhi[b] is bucket b's magnitude upper bound tol·2ᵇ⁺¹: a touched
-	// row whose magnitude stays at or below its current bucket's bound
-	// needs no migration, so the hot push path skips the Ilogb of
-	// bucketOf entirely — one compare instead of an exponent extraction
-	// per neighbor touch.
+	// bhi[b] is bucket b's magnitude upper bound tol·2ᵇ⁺¹ (clamped to
+	// the largest finite float, so an infinite magnitude always crosses
+	// it): the threshold of a row queued in bucket b. A row whose
+	// magnitude stays at or below it needs no migration.
 	bhi [residualBuckets]float64
 
+	// pushes counts the neighbor pushes since the last seed: each
+	// relaxation adds its row length.
+	pushes   int
 	diverged bool
 }
 
@@ -146,8 +154,8 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 		echo:    rows.HasDegrees(),
 		tol:     tol,
 		b:       make([]float64, n*k),
-		r:       make([]float64, n*k),
-		rmag:    make([]float64, n),
+		r:       make([]float64, n*(k+1)),
+		s:       k + 1,
 		ph:      make([]float64, k),
 		pg:      make([]float64, k),
 		qnext:   make([]int32, n),
@@ -156,7 +164,7 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 		touched: make([]int32, n),
 	}
 	for b := 0; b < residualBuckets; b++ {
-		e.bhi[b] = math.Ldexp(tol, b+1)
+		e.bhi[b] = min(math.Ldexp(tol, b+1), math.MaxFloat64)
 	}
 	// Hoist H and the echo coupling into flat slices, mirroring New.
 	hbuf := make([]float64, 2*k*k)
@@ -198,11 +206,13 @@ func (e *ResidualEngine) Tol() float64 { return e.tol }
 //lsbp:hotpath
 func (e *ResidualEngine) Beliefs() []float64 { return e.b }
 
-// Queue-slot states of qbkt besides a bucket number.
-const (
-	qIdle  = -1 // touched since the last reset, not queued
-	qFresh = -2 // untouched since the last reset: residual and magnitude are zero
-)
+// qIdle is qbkt's value for an unqueued row.
+const qIdle = -1
+
+// thrFresh is the threshold of a row untouched since the last reset:
+// below every magnitude (a max-abs is non-negative or NaN), so the
+// first touch always takes touchSlow, which lists the row.
+const thrFresh = -1.0
 
 // resetState clears beliefs, residuals, and the queue — the prologue
 // of a cold seed.
@@ -211,31 +221,33 @@ const (
 func (e *ResidualEngine) resetState() {
 	for i := range e.b {
 		e.b[i] = 0
+	}
+	for i := range e.r {
 		e.r[i] = 0
 	}
-	for i := range e.rmag {
-		e.rmag[i] = 0
-		e.qbkt[i] = qFresh
+	for i := range e.qbkt {
+		e.r[i*e.s+e.k] = thrFresh
+		e.qbkt[i] = qIdle
 	}
 	e.ntouched = 0
 	e.resetQueue()
 }
 
-// resetTouched zeroes the residuals, magnitudes, and queue slots of
-// exactly the rows the previous solve touched — O(touched), leaving
-// every other row's (already zero) state alone — and clears the
-// queue. Beliefs are kept.
+// resetTouched zeroes the residuals and queue slots of exactly the
+// rows the previous solve touched — O(touched), leaving every other
+// row's (already zero) state alone — and clears the queue. Beliefs are
+// kept.
 //
 //lsbp:hotpath
 func (e *ResidualEngine) resetTouched() {
 	k := e.k
 	for _, i := range e.touched[:e.ntouched] {
-		ri := e.r[int(i)*k : int(i)*k+k]
-		for c := range ri {
+		ri := e.r[int(i)*e.s : int(i)*e.s+k+1]
+		for c := 0; c < k; c++ {
 			ri[c] = 0
 		}
-		e.rmag[i] = 0
-		e.qbkt[i] = qFresh
+		ri[k] = thrFresh
+		e.qbkt[i] = qIdle
 	}
 	e.ntouched = 0
 	e.resetQueue()
@@ -251,6 +263,7 @@ func (e *ResidualEngine) resetQueue() {
 	e.occ = 0
 	e.queued = 0
 	e.peak = 0
+	e.pushes = 0
 	e.diverged = false
 }
 
@@ -271,12 +284,13 @@ func (e *ResidualEngine) bucketOf(mag float64) int32 {
 	return int32(b)
 }
 
-// enqueue pushes row i onto bucket bkt's list. The row must be
-// unqueued.
+// enqueue pushes row i onto bucket bkt's list and raises its
+// threshold to the bucket's bound. The row must be unqueued.
 //
 //lsbp:hotpath
 func (e *ResidualEngine) enqueue(i, bkt int32) {
 	e.qbkt[i] = int8(bkt)
+	e.r[int(i)*e.s+e.k] = e.bhi[bkt]
 	h := e.heads[bkt]
 	e.qnext[i] = h
 	e.qprev[i] = -1
@@ -291,7 +305,7 @@ func (e *ResidualEngine) enqueue(i, bkt int32) {
 	}
 }
 
-// dequeue unlinks queued row i from its bucket list.
+// dequeue unlinks queued row i from its bucket list, leaving it idle.
 //
 //lsbp:hotpath
 func (e *ResidualEngine) dequeue(i int32) {
@@ -309,40 +323,46 @@ func (e *ResidualEngine) dequeue(i int32) {
 		e.qprev[nx] = p
 	}
 	e.qbkt[i] = qIdle
+	e.r[int(i)*e.s+e.k] = e.tol
 	e.queued--
 }
 
-// touch records row i's new residual magnitude and keeps the queue
-// consistent: rows above tol are enqueued (or migrated upward when
-// their bucket grew — downward migration is lazy, pop filters stale
-// entries), rows at or below tol are left to drain. Non-finite
-// magnitudes trip the divergence flag.
+// touch records that row i's residual changed to max-abs magnitude
+// mag: nothing happens while mag stays at or below the row's
+// threshold (NaN never does).
 //
 //lsbp:hotpath
 func (e *ResidualEngine) touch(i int32, mag float64) {
-	cur := e.qbkt[i]
-	if cur == qFresh {
-		// First touch since the last reset: list the row so the next
-		// seed resets it.
-		cur = qIdle
-		e.qbkt[i] = qIdle
+	if !(mag <= e.r[int(i)*e.s+e.k]) {
+		e.touchSlow(i, mag)
+	}
+}
+
+// touchSlow is the queue bookkeeping of a touch whose magnitude
+// crossed row i's threshold: a fresh row is listed for the next reset
+// (and left idle when mag is at most tol), rows above tol are enqueued
+// or migrated upward when their bucket grew — downward migration is
+// lazy, pop filters stale entries — and non-finite magnitudes trip the
+// divergence flag.
+//
+//lsbp:hotpath
+func (e *ResidualEngine) touchSlow(i int32, mag float64) {
+	thr := &e.r[int(i)*e.s+e.k]
+	if *thr == thrFresh {
+		*thr = e.tol
 		e.touched[e.ntouched] = i
 		e.ntouched++
-	}
-	e.rmag[i] = mag
-	if mag <= e.tol {
-		return
+		if mag <= e.tol {
+			return
+		}
 	}
 	// mag is a max-abs, so it is non-negative: the single comparison
 	// rejects both NaN (compares false) and +Inf.
 	if !(mag <= math.MaxFloat64) {
 		e.diverged = true
 	}
-	if cur >= 0 && mag <= e.bhi[cur] {
-		return // already queued, still within its bucket — no migration
-	}
 	bkt := e.bucketOf(mag)
-	if cur < 0 {
+	if cur := e.qbkt[i]; cur < 0 {
 		e.enqueue(i, bkt)
 	} else if int32(cur) < bkt {
 		e.dequeue(i)
@@ -361,7 +381,7 @@ func (e *ResidualEngine) pop() int32 {
 		bkt := int32(bits.Len64(e.occ)) - 1
 		i := e.heads[bkt]
 		e.dequeue(i)
-		if e.rmag[i] > e.tol {
+		if e.rowMag(int(i)) > e.tol {
 			return i
 		}
 	}
@@ -374,8 +394,8 @@ func (e *ResidualEngine) pop() int32 {
 //
 //lsbp:hotpath
 func (e *ResidualEngine) relax(i int32) {
-	k := e.k
-	ri := e.r[int(i)*k : int(i)*k+k]
+	k, st := e.k, e.s
+	ri := e.r[int(i)*st : int(i)*st+k]
 	bi := e.b[int(i)*k : int(i)*k+k]
 	h := e.h
 	ph := e.ph
@@ -402,7 +422,6 @@ func (e *ResidualEngine) relax(i int32) {
 		bi[c] += ri[c]
 		ri[c] = 0
 	}
-	e.rmag[i] = 0
 	if e.echo {
 		d := e.adj.Degree(int(i))
 		pg := e.pg
@@ -418,13 +437,17 @@ func (e *ResidualEngine) relax(i int32) {
 		}
 		e.touch(i, m)
 	}
-	// Neighbor push. A self-loop entry lands back on ri — additive, so
-	// it composes with the echo push above.
-	if e.compact {
-		cols, vals := e.adj.RowViewCompact(int(i))
-		for p, j := range cols {
+	// Neighbor push: add w·δĤ to the neighbor's row, fold its max-abs,
+	// and compare it with the threshold in the same row. A self-loop
+	// entry lands back on ri — additive, so it composes with the echo
+	// push above.
+	r := e.r
+	if !e.compact {
+		cols, vals := e.adj.RowView(int(i))
+		e.pushes += len(cols)
+		for p, jj := range cols {
 			w := vals[p]
-			rj := e.r[int(j)*k : int(j)*k+k]
+			rj := r[jj*st : jj*st+st]
 			var m float64
 			for c := 0; c < k; c++ {
 				rj[c] += w * ph[c]
@@ -432,14 +455,21 @@ func (e *ResidualEngine) relax(i int32) {
 					m = a
 				}
 			}
-			e.touch(j, m)
+			if !(m <= rj[k]) {
+				e.touchSlow(int32(jj), m)
+			}
 		}
 		return
 	}
-	cols, vals := e.adj.RowView(int(i))
-	for p, jj := range cols {
+	cols, vals := e.adj.RowViewCompact(int(i))
+	e.pushes += len(cols)
+	if k == 3 {
+		e.push3(cols, vals)
+		return
+	}
+	for p, j := range cols {
 		w := vals[p]
-		rj := e.r[jj*k : jj*k+k]
+		rj := r[int(j)*st : int(j)*st+st]
 		var m float64
 		for c := 0; c < k; c++ {
 			rj[c] += w * ph[c]
@@ -447,7 +477,42 @@ func (e *ResidualEngine) relax(i int32) {
 				m = a
 			}
 		}
-		e.touch(int32(jj), m)
+		if !(m <= rj[k]) {
+			e.touchSlow(j, m)
+		}
+	}
+}
+
+// push3 is relax's neighbor push for k=3 over compact columns,
+// unrolled as rows3Compact is. It performs the generic loop's adds and
+// max-abs folds in the same order (the first fold, |x₀| against 0,
+// is |x₀| itself, NaN included), so the two are bitwise
+// interchangeable; it costs ~0.77× the generic loop per push on the
+// served tol 1e-12 Update (EXPERIMENTS.md).
+//
+//lsbp:hotpath
+func (e *ResidualEngine) push3(cols []int32, vals []float64) {
+	r := e.r
+	p0, p1, p2 := e.ph[0], e.ph[1], e.ph[2]
+	vals = vals[:len(cols)]
+	for p, j := range cols {
+		w := vals[p]
+		o := int(j) * 4
+		rj := r[o : o+4 : o+4]
+		x0 := rj[0] + w*p0
+		x1 := rj[1] + w*p1
+		x2 := rj[2] + w*p2
+		rj[0], rj[1], rj[2] = x0, x1, x2
+		m := math.Abs(x0)
+		if a := math.Abs(x1); !(a <= m) {
+			m = a
+		}
+		if a := math.Abs(x2); !(a <= m) {
+			m = a
+		}
+		if !(m <= rj[3]) {
+			e.touchSlow(j, m)
+		}
 	}
 }
 
@@ -456,7 +521,7 @@ func (e *ResidualEngine) relax(i int32) {
 //lsbp:hotpath
 func (e *ResidualEngine) rowMag(i int) float64 {
 	k := e.k
-	ri := e.r[i*k : i*k+k]
+	ri := e.r[i*e.s : i*e.s+k]
 	var m float64
 	for _, v := range ri {
 		if a := math.Abs(v); !(a <= m) {
@@ -479,8 +544,9 @@ func (e *ResidualEngine) SeedExplicit(explicit []float64) {
 	if explicit == nil {
 		return
 	}
-	copy(e.r, explicit)
+	k, s := e.k, e.s
 	for i := 0; i < e.n; i++ {
+		copy(e.r[i*s:i*s+k], explicit[i*k:i*k+k])
 		if m := e.rowMag(i); m != 0 {
 			e.touch(int32(i), m)
 		}
@@ -578,7 +644,7 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 		}
 	}
 	h := e.h
-	ri := e.r[int(i)*k : int(i)*k+k]
+	ri := e.r[int(i)*e.s : int(i)*e.s+k]
 	bi := e.b[int(i)*k : int(i)*k+k]
 	var m float64
 	for c := 0; c < k; c++ {
@@ -606,8 +672,6 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 	}
 	if m != 0 {
 		e.touch(i, m)
-	} else {
-		e.rmag[i] = 0
 	}
 }
 
@@ -653,15 +717,22 @@ func (e *ResidualEngine) Run(ctx context.Context, maxRelax int) (relaxed, peak i
 
 // maxResidual scans the touched rows' magnitudes for the largest
 // remaining residual — the plane's analogue of the round engines'
-// final delta (every other row's magnitude is zero).
+// final delta (every other row's residual is zero).
 //
 //lsbp:hotpath
 func (e *ResidualEngine) maxResidual() float64 {
 	var m float64
 	for _, i := range e.touched[:e.ntouched] {
-		if v := e.rmag[i]; v > m {
+		if v := e.rowMag(int(i)); v > m {
 			m = v
 		}
 	}
 	return m
 }
+
+// Pushes returns the neighbor pushes since the last seed: the summed
+// adjacency row lengths of the rows relaxed, the plane's per-entry unit
+// of work (a relaxation's echo push onto its own row is not counted).
+//
+//lsbp:hotpath
+func (e *ResidualEngine) Pushes() int { return e.pushes }

@@ -6,7 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/errs"
+	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
 
@@ -307,5 +309,107 @@ func TestResidualSolveAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("residual solve cycle allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestResidualThresholdSlot walks one row's packed threshold (slot k of
+// its residual row) through its states — thrFresh until the first
+// touch, tol while idle, the bucket bound while queued, tol again once
+// popped, thrFresh after the next seed — and checks that NaN and +Inf
+// residuals produced by a real neighbor push cross every threshold
+// (take touchSlow) and surface as ErrNonFinite.
+func TestResidualThresholdSlot(t *testing.T) {
+	const n, k, tol = 4, 2, 1e-6
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i+1 < n; i++ {
+		b.AddSym(i, i+1, 1) // path 0-1-2-3
+	}
+	a := b.ToCSR()
+	e, err := NewResidual(Config{A: a, H: randomCoupling(k, 1), SymmetricA: true}, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thr := func(i int) float64 { return e.r[i*e.s+k] }
+	e.SeedExplicit(nil)
+	for i := 0; i < n; i++ {
+		if thr(i) != thrFresh || e.qbkt[i] != qIdle {
+			t.Fatalf("row %d after a cold seed: threshold %v, bucket %d; want fresh and unqueued", i, thr(i), e.qbkt[i])
+		}
+	}
+	// A first touch at or below tol lists the row and leaves it idle.
+	e.touch(1, tol/2)
+	if thr(1) != tol || e.ntouched != 1 || e.queued != 0 {
+		t.Fatalf("fresh -> idle: threshold %v, listed %d, queued %d", thr(1), e.ntouched, e.queued)
+	}
+	e.touch(1, tol) // at the idle threshold: nothing to do
+	if e.ntouched != 1 || e.queued != 0 {
+		t.Fatalf("idle touch at tol listed or queued the row (%d, %d)", e.ntouched, e.queued)
+	}
+	// Crossing tol queues the row; its threshold becomes the bucket bound.
+	e.r[1*e.s] = 3 * tol
+	e.touch(1, 3*tol)
+	if bkt := e.bucketOf(3 * tol); e.qbkt[1] != int8(bkt) || thr(1) != e.bhi[bkt] || thr(1) != 4*tol {
+		t.Fatalf("idle -> queued: bucket %d threshold %v, want bucket %d threshold %v", e.qbkt[1], thr(1), bkt, 4*tol)
+	}
+	e.touch(1, 4*tol) // within the bucket bound: no migration
+	if e.qbkt[1] != int8(e.bucketOf(3*tol)) {
+		t.Fatalf("touch within the bound migrated the row to bucket %d", e.qbkt[1])
+	}
+	e.r[1*e.s] = 100 * tol
+	e.touch(1, 100*tol) // above it: upward migration
+	if bkt := e.bucketOf(100 * tol); e.qbkt[1] != int8(bkt) || thr(1) != e.bhi[bkt] || e.queued != 1 {
+		t.Fatalf("upward migration: bucket %d threshold %v queued %d, want bucket %d", e.qbkt[1], thr(1), e.queued, bkt)
+	}
+	if got := e.pop(); got != 1 || thr(1) != tol || e.qbkt[1] != qIdle {
+		t.Fatalf("pop = %d leaves threshold %v bucket %d, want row 1 idle at tol", got, thr(1), e.qbkt[1])
+	}
+	e.SeedResume(nil, []int32{})
+	if thr(1) != thrFresh || e.r[1*e.s] != 0 || e.ntouched != 0 {
+		t.Fatalf("reset leaves threshold %v residual %v listed %d", thr(1), e.r[1*e.s], e.ntouched)
+	}
+
+	// One relaxation whose pushes stay below tol: Pushes is the row length.
+	x := make([]float64, n*k)
+	x[1*k], x[1*k+1] = 1, -1
+	loose, err := NewResidual(Config{A: a, H: randomCoupling(k, 1), SymmetricA: true}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose.SeedExplicit(x)
+	if relaxed, _, _, conv, err := loose.Run(context.Background(), 100); relaxed != 1 || !conv || err != nil || loose.Pushes() != 2 {
+		t.Fatalf("single relaxation: relaxed=%d conv=%v err=%v pushes=%d, want 1 relaxation and 2 pushes", relaxed, conv, err, loose.Pushes())
+	}
+	loose.SeedExplicit(nil)
+	if loose.Pushes() != 0 {
+		t.Fatalf("Pushes = %d after a new seed, want 0", loose.Pushes())
+	}
+
+	// δ·Hˆ of the relaxed row carries 0·∞ = NaN into the last column, or
+	// overflows to +Inf: the neighbors' max-abs compares false against
+	// any threshold, so the push takes touchSlow and Run stops.
+	for _, tc := range []struct {
+		name string
+		h    [][]float64
+		seed float64
+	}{
+		{"nan", [][]float64{{0.01, 0}, {0, math.Inf(1)}}, 1},
+		{"inf", [][]float64{{1e308, 0}, {0, 0.01}}, 10},
+	} {
+		e, err := NewResidual(Config{A: a, H: dense.NewFromRows(tc.h), SymmetricA: true}, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, n*k)
+		x[1*k] = tc.seed
+		e.SeedExplicit(x)
+		relaxed, _, _, _, err := e.Run(context.Background(), 100)
+		if !errors.Is(err, errs.ErrNonFinite) || relaxed != 1 {
+			t.Fatalf("%s: Run after %d relaxations returned %v, want ErrNonFinite after 1", tc.name, relaxed, err)
+		}
+		for _, j := range []int{0, 2} {
+			if e.r[j*e.s+k] != e.bhi[residualBuckets-1] || e.qbkt[j] != residualBuckets-1 {
+				t.Fatalf("%s: neighbor %d in bucket %d (threshold %v), want queued in the top bucket", tc.name, j, e.qbkt[j], e.r[j*e.s+k])
+			}
+		}
 	}
 }

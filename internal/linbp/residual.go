@@ -104,6 +104,12 @@ func (s *ResidualEngine) SolveContext(ctx context.Context, dst, e *beliefs.Resid
 	return relaxed, peak, maxResid, converged, err
 }
 
+// Pushes returns the neighbor pushes of the last solve (see
+// kernel.ResidualEngine.Pushes).
+//
+//lsbp:hotpath
+func (s *ResidualEngine) Pushes() int { return s.eng.Pushes() }
+
 // Rebind follows the engine's adjacency to a later epoch of its
 // row-block table (see kernel.ResidualEngine.Rebind).
 func (s *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {

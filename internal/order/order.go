@@ -76,12 +76,22 @@ func (p Permutation) ApplyRows(dst, src []float64, k int) {
 
 // InvertRows writes dst row i = src row p[i] — the inverse of
 // ApplyRows, used to bring permuted solver output back to the caller's
-// node order. dst and src must not alias.
+// node order (every Update ends with it). dst and src must not alias.
+// Rows of k = 3 move as element assignments, not one copy call per
+// row.
 //
 //lsbp:hotpath
 func (p Permutation) InvertRows(dst, src []float64, k int) {
 	if p == nil {
 		copy(dst, src)
+		return
+	}
+	if k == 3 {
+		for i, nw := range p {
+			s := src[nw*3 : nw*3+3 : nw*3+3]
+			d := dst[i*3 : i*3+3 : i*3+3]
+			d[0], d[1], d[2] = s[0], s[1], s[2]
+		}
 		return
 	}
 	for i, nw := range p {

@@ -132,6 +132,35 @@ func TestPermutationRows(t *testing.T) {
 	}
 }
 
+// TestInvertRowsWidths checks the row width InvertRows special-cases
+// (and the generic copy on either side) against the definition
+// dst row i = src row p[i], and the ApplyRows round trip.
+func TestInvertRowsWidths(t *testing.T) {
+	p := Permutation{3, 0, 4, 1, 2}
+	for k := 1; k <= 5; k++ {
+		src := make([]float64, len(p)*k)
+		for i := range src {
+			src[i] = float64(i) + 0.5
+		}
+		dst := make([]float64, len(src))
+		p.InvertRows(dst, src, k)
+		for i, nw := range p {
+			for c := 0; c < k; c++ {
+				if dst[i*k+c] != src[nw*k+c] {
+					t.Fatalf("k=%d: InvertRows row %d = %v, want row %d of %v", k, i, dst[i*k:i*k+k], nw, src)
+				}
+			}
+		}
+		back := make([]float64, len(src))
+		p.ApplyRows(back, dst, k)
+		for i := range src {
+			if back[i] != src[i] {
+				t.Fatalf("k=%d: ApplyRows(InvertRows) = %v, want %v", k, back, src)
+			}
+		}
+	}
+}
+
 func TestValidateRejectsBadPermutations(t *testing.T) {
 	for _, bad := range []Permutation{
 		{0, 0, 2},

@@ -85,13 +85,15 @@ func residualBenchEps(b *testing.B, g *graph.Graph, e *beliefs.Residual) float64
 // measurable — and iters/update the round-equivalent work.
 //
 // reportStages adds the per-stage layer costs from the solver's
-// Update clocks (commit, re-solve, publish), so EXPERIMENTS.md states
-// each layer directly. The `floor` variant (tol so loose the warm seed
-// already satisfies it) is the op with a no-op re-solve.
-func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps float64, sched core.Schedule, tol float64, delta []graph.Edge) {
+// Update clocks (validate, WAL, commit, re-solve, publish), so
+// EXPERIMENTS.md states each layer directly. The `floor` variant (tol
+// so loose the warm seed already satisfies it) is the op with a no-op
+// re-solve. opts extend the solver's options (the served variant's
+// durability).
+func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps float64, sched core.Schedule, tol float64, delta []graph.Edge, opts ...core.Option) {
 	p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: eps}
-	s, err := core.Prepare(p, core.MethodLinBP,
-		core.WithMaxIter(200), core.WithTol(tol), core.WithSchedule(sched))
+	s, err := core.Prepare(p, core.MethodLinBP, append([]core.Option{
+		core.WithMaxIter(200), core.WithTol(tol), core.WithSchedule(sched)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,18 +123,23 @@ func benchResidualUpdate(b *testing.B, g *graph.Graph, e *beliefs.Residual, eps 
 }
 
 // reportStages reports the Update layer costs accumulated between two
-// Stats snapshots as per-op metrics: the commit (explicit apply,
-// adjacency commit, epoch swap), the re-solve, the publish (result
-// gather), the adjacency rows committed, and — where the residual
-// plane ran — the relaxed rows.
+// Stats snapshots as per-op metrics: the validation (batch checks and
+// the SetExplicit scan), the WAL append (0 without durability), the
+// commit (explicit apply, adjacency commit, epoch swap), the re-solve,
+// the publish (result gather), the adjacency rows committed, and —
+// where the residual plane ran — the relaxed rows and their neighbor
+// pushes (resolve-ns/op ÷ pushes/update is the cost per push).
 func reportStages(b *testing.B, pre, post core.SolverStats) {
 	n := float64(b.N)
+	b.ReportMetric(float64(post.UpdateValidateNS-pre.UpdateValidateNS)/n, "validate-ns/op")
+	b.ReportMetric(float64(post.UpdateWALNS-pre.UpdateWALNS)/n, "wal-ns/op")
 	b.ReportMetric(float64(post.UpdateCommitNS-pre.UpdateCommitNS)/n, "commit-ns/op")
 	b.ReportMetric(float64(post.UpdateResolveNS-pre.UpdateResolveNS)/n, "resolve-ns/op")
 	b.ReportMetric(float64(post.UpdatePublishNS-pre.UpdatePublishNS)/n, "publish-ns/op")
 	b.ReportMetric(float64(post.RowsCommitted-pre.RowsCommitted)/n, "rows-committed/op")
 	if relaxed := post.ResidualRowsRelaxed - pre.ResidualRowsRelaxed; relaxed > 0 {
 		b.ReportMetric(float64(relaxed)/n, "rows/update")
+		b.ReportMetric(float64(post.ResidualPushes-pre.ResidualPushes)/n, "pushes/update")
 	}
 }
 
@@ -154,17 +161,25 @@ func BenchmarkResidualUpdate(b *testing.B) {
 		name     string
 		schedule core.Schedule
 		tol      float64
+		durable  bool
 	}{
-		{"rounds", core.ScheduleRounds, 1e-9},
-		{"residual", core.ScheduleResidual, 1e-9},
-		{"auto", core.ScheduleAuto, 1e-9},
+		{"rounds", core.ScheduleRounds, 1e-9, false},
+		{"residual", core.ScheduleResidual, 1e-9, false},
+		{"auto", core.ScheduleAuto, 1e-9, false},
 		// The commit-cost probe: with tol this loose the warm seed
 		// satisfies convergence outright, so the op measures the
 		// commit + epoch swap + gather shared by every variant.
-		{"floor", core.ScheduleResidual, 1e3},
+		{"floor", core.ScheduleResidual, 1e3, false},
+		// The setting lsbpd and servebench serve: tol 1e-12 (~4.8× the
+		// relaxations of 1e-9 here) behind a WAL synced per Update.
+		{"served", core.ScheduleAuto, 1e-12, true},
 	} {
 		b.Run(fmt.Sprintf("%s/power%d_nodes%d_delta%d", tc.name, power, g.N(), len(delta)), func(b *testing.B) {
-			benchResidualUpdate(b, g, e, eps, tc.schedule, tc.tol, delta)
+			var opts []core.Option
+			if tc.durable {
+				opts = append(opts, core.WithDurability(b.TempDir(), core.DurabilityPolicy{Sync: core.SyncAlways}))
+			}
+			benchResidualUpdate(b, g, e, eps, tc.schedule, tc.tol, delta, opts...)
 		})
 	}
 }
