@@ -42,8 +42,9 @@
 #                   archived into BENCH_results.json
 #   make bench-durable - the durable-plane benchmark: snapshot-load cold
 #                   start (Open) vs full re-Prepare on the same large
-#                   Kronecker graph, plus WAL append overhead per fsync
-#                   policy, archived into BENCH_results.json
+#                   Kronecker graph, WAL append overhead per fsync
+#                   policy, and the live heap a durable serving stack
+#                   keeps resident, archived into BENCH_results.json
 #   make bench-serve - the serving front-end benchmark: closed-loop
 #                   Solve throughput through admission control and
 #                   request coalescing, archived into BENCH_results.json
@@ -94,7 +95,7 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/core/ ./internal/difftest/ ./internal/durable/ ./internal/bp/ \
 	./internal/sbp/ ./internal/order/ ./internal/experiments/ ./internal/gen/ \
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
-	./internal/serve/ ./internal/metrics/
+	./internal/serve/ ./internal/metrics/ ./internal/graph/
 
 .PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab
 
@@ -199,7 +200,7 @@ bench-residual:
 	$(GO) test -bench 'BenchmarkResidual' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-durable:
-	$(GO) test -bench 'BenchmarkColdStart|BenchmarkWALAppend' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
+	$(GO) test -bench 'BenchmarkColdStart|BenchmarkWALAppend|BenchmarkServeStackLiveHeap' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-serve:
 	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' -benchtime $(BENCHTIME) ./internal/serve/ | $(BENCHJSON)

@@ -270,6 +270,88 @@ func TestKernelUpdatesKeepNoGraph(t *testing.T) {
 	}
 }
 
+// TestResidualPlaneKeepsNoIdleRoundsEngine: when the residual plane
+// serves the updates (ScheduleAuto), the rounds engine of the first
+// fixpoint is closed instead of returned to the Solve pool, and no later
+// epoch swap or compaction brings one back; when rounds serve the
+// steady updates (ScheduleRounds, or ScheduleAuto without warm starts)
+// the engine stays pooled.
+func TestResidualPlaneKeepsNoIdleRoundsEngine(t *testing.T) {
+	idle := func(s Solver) int {
+		switch snap := s.(*dynSolver).cur.Load().snap.(type) {
+		case *linbpSolver:
+			return snap.states.idle()
+		case *fabpSolver:
+			return snap.states.idle()
+		}
+		t.Fatal("not a kernel snapshot")
+		return 0
+	}
+	ctx := context.Background()
+	for _, m := range []Method{MethodLinBP, MethodFABP} {
+		k := 3
+		if m == MethodFABP {
+			k = 2
+		}
+		for _, tc := range []struct {
+			sched  Schedule
+			policy UpdatePolicy
+			want   int
+		}{
+			{ScheduleAuto, UpdatePolicy{}, 0},
+			{ScheduleRounds, UpdatePolicy{}, 1},
+			{ScheduleAuto, UpdatePolicy{DisableWarmStart: true}, 1},
+		} {
+			name := fmt.Sprintf("%v/%v/cold=%v", m, tc.sched, tc.policy.DisableWarmStart)
+			p := kronProblem(t, 4, k)
+			s, err := Prepare(p, m, WithSchedule(tc.sched), WithUpdatePolicy(tc.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := idle(s); got != 1 {
+				t.Fatalf("%s: %d idle engines after Prepare, want the one it validated", name, got)
+			}
+			if _, err := s.Update(ctx, Update{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := idle(s); got != tc.want {
+				t.Errorf("%s: %d idle rounds engines after the first fixpoint, want %d", name, got, tc.want)
+			}
+			for seed := uint64(1); seed <= 2; seed++ {
+				if _, err := s.Update(ctx, Update{AddEdges: absentEdges(p.Graph, 2, seed)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := idle(s); got != tc.want {
+				t.Errorf("%s: %d idle rounds engines after two epoch swaps, want %d", name, got, tc.want)
+			}
+			s.Close()
+
+			// A compaction builds a new snapshot, which validates a fresh
+			// rounds engine; the re-solve after it still seeds locally.
+			policy := tc.policy
+			policy.CompactionRatio = 1e-12
+			s, err = Prepare(p, m, WithSchedule(tc.sched), WithUpdatePolicy(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Update(ctx, Update{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Update(ctx, Update{AddEdges: absentEdges(p.Graph, 2, 3)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().Rebuilds; got != 1 {
+				t.Fatalf("%s: %d compactions, want 1", name, got)
+			}
+			if got := idle(s); got != tc.want {
+				t.Errorf("%s: %d idle rounds engines after a compaction, want %d", name, got, tc.want)
+			}
+			s.Close()
+		}
+	}
+}
+
 // BenchmarkCommit measures the copy-on-write commit alone at the serving
 // scale's block size: a 16-edge insert or delete on the power-p
 // Kronecker layout table.

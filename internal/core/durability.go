@@ -180,10 +180,10 @@ func (d *dynSolver) checkpointLocked() error {
 // snapshotImageLocked assembles the durable image of the maintained
 // state: the current adjacency as a flat CSR (the layout-order table of
 // the kernel methods, or the caller-order graph of BP/SBP), the layout
-// metadata, and the belief matrices in caller order. An uncommitted
-// kernel table is written from its one whole block — only the row
-// pointers are widened to the format's i64 section — so a checkpoint
-// does not rebuild the int column index the compact layout dropped.
+// metadata, and the belief matrices in caller order. A kernel table is
+// written straight from its blocks (sparse.RowBlocks.CompactArrays), so
+// a checkpoint does not rebuild the int column index the compact layout
+// dropped.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	img := &durable.Snapshot{
 		Method:     uint32(d.method),
@@ -195,23 +195,15 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		BandBefore: d.info.bandBefore,
 		BandAfter:  d.info.bandAfter,
 	}
-	switch {
-	case !d.kernelMethod():
+	if d.kernelMethod() {
+		img.RowPtr, img.ColIdx32, img.Vals = d.rows.CompactArrays()
+	} else {
 		img.GraphOrder = true
 		g := d.g
 		if g == nil {
 			g = d.srcGraph
 		}
 		imageCSR(img, g.Adjacency())
-	case d.rows.Whole() != nil:
-		w := d.rows.Whole()
-		img.RowPtr = make([]int, len(w.RowPtr))
-		for i, p := range w.RowPtr {
-			img.RowPtr[i] = int(p)
-		}
-		img.ColIdx32, img.Vals = w.Col, w.Val
-	default:
-		imageCSR(img, d.rows.Flatten())
 	}
 	if d.perm != nil {
 		img.Perm = []int(d.perm)

@@ -7,11 +7,13 @@
 //
 //   - The adjacency is a copy-on-write row-block table
 //     (sparse.RowBlocks) in the prepare-time layout order. The epoch-0
-//     table aliases the prepared (possibly mmapped) flat arrays; a
-//     commit copies only the blocks holding edited rows plus the block
-//     table, recomputing just those rows' degrees and patching the
-//     partition diagnostics per edited row — no merge, no reordering,
-//     no partition recompute, and no caller-order graph mirror.
+//     table's blocks alias the prepared (possibly mmapped) flat arrays,
+//     except that unit-weight blocks share one slice of ones instead of
+//     the values; a commit copies only the blocks holding edited rows
+//     plus the block table, recomputing just those rows' degrees and
+//     patching the partition diagnostics per edited row — no merge, no
+//     reordering, no partition recompute, and no caller-order graph
+//     mirror.
 //   - The snapshot swap is RCU-style: the current-epoch pointer is
 //     swapped atomically, solves already in flight drain on the old
 //     snapshot (its Close waits for them), and new solves land on the
@@ -130,8 +132,14 @@ type kernelSnapshot interface {
 	// from this one's, moving the idle engines over (rebound).
 	successor(rows *sparse.RowBlocks, info solverInfo) snapshot
 	// solveLayout runs one round-scheduled solve over layout-order
-	// buffers (start nil = cold), copying the final iterate into out.
-	solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error)
+	// buffers (start nil = cold) on an engine of the snapshot's Solve
+	// pool, copying the final iterate into out. keep returns the engine
+	// to the pool; without it the engine is closed (see
+	// kernelPlane.keepRounds).
+	solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error)
+	// closeIdle closes the idle engines of the Solve pool: on a fresh
+	// snapshot, the one its constructor validated.
+	closeIdle()
 }
 
 // dynSolver is the epoch-versioned Solver every Prepare returns. The
@@ -238,8 +246,15 @@ type kernelPlane struct {
 	// residual reports that the residual plane may serve re-solves (a
 	// non-rounds schedule with a convergence tolerance).
 	residual bool
-	maxRelax int
-	w        int
+	// keepRounds reports that rounds serve the steady re-solves, so the
+	// rounds engine stays in the snapshot's Solve pool between them.
+	// Otherwise the rounds solves left to the dynamic plane (the first
+	// fixpoint, a re-solve after a cancelled swap or a non-converged
+	// one) close their engine, and a compaction closes the one its new
+	// snapshot validated: no idle n×k engine is kept for them.
+	keepRounds bool
+	maxRelax   int
+	w          int
 	// exp is the maintained explicit beliefs in layout order (n×w).
 	exp []float64
 	// tl is the layout-order touched-row scratch.
@@ -688,10 +703,14 @@ func (d *dynSolver) initDynState() error {
 // rows laid out under perm with coupling scale eps, and seeds its
 // explicit beliefs from d.exp (shuffled into that layout).
 func (d *dynSolver) newKernelPlane(rows *sparse.RowBlocks, perm order.Permutation, eps float64) (*kernelPlane, error) {
+	residual := d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0
 	kp := &kernelPlane{
-		residual: d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0,
-		w:        d.k,
-		tl:       make([]int32, 0, d.n),
+		residual: residual,
+		// ScheduleAuto relaxes only localized warm re-solves, so without
+		// warm starts rounds serve every one.
+		keepRounds: !residual || (d.cfg.schedule == ScheduleAuto && d.cfg.policy.DisableWarmStart),
+		w:          d.k,
+		tl:         make([]int32, 0, d.n),
 	}
 	maxIter, tol := d.cfg.maxIter, d.cfg.tol
 	cfg := kernel.Config{Rows: rows, Layout: d.cfg.layout, SymmetricA: true}
@@ -887,7 +906,7 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var snap snapshot
+	var snap kernelSnapshot
 	if d.method == MethodFABP {
 		snap, err = newFABPSolverOn(info.eps*d.ho.At(0, 0), info, d.cfg, lay)
 	} else {
@@ -900,6 +919,9 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	if err != nil {
 		snap.Close()
 		return nil, err
+	}
+	if !kp.keepRounds {
+		snap.closeIdle()
 	}
 	if old, oldPerm := d.kern, d.perm; old.hasFix {
 		// Carry the maintained fixpoint into the new layout order.
@@ -1015,7 +1037,7 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 		// The rounds engine copies the start into its own state before
 		// the first round, so the maintained beliefs can receive the
 		// result in place.
-		info, err = snap.solveLayout(ctx, kp.fix.Beliefs(), kp.exp, from)
+		info, err = snap.solveLayout(ctx, kp.fix.Beliefs(), kp.exp, from, kp.keepRounds)
 	}
 	d.resolveNS.Add(int64(time.Since(start)))
 	if err != nil && !isNotConverged(err) {

@@ -738,20 +738,24 @@ func (p *statePool[T]) dropLocked(v T) {
 	}
 }
 
+// discard takes v, a state get returned, out of the pool for good and
+// destroys it, instead of returning it for reuse.
+func (p *statePool[T]) discard(v T) {
+	p.mu.Lock()
+	p.dropLocked(v)
+	p.mu.Unlock()
+	if p.destroy != nil {
+		p.destroy(v)
+	}
+}
+
 // moveIdle transfers every idle state of from into to after rebind
 // succeeds on it (a state that fails to rebind is destroyed): how an
 // epoch successor inherits its predecessor's engines instead of
 // building new ones. The moved states leave from's Close registry, so
 // from's closeAll does not destroy them.
 func moveIdle[T comparable](from, to *statePool[T], rebind func(T) error) {
-	from.mu.Lock()
-	idle := from.free
-	from.free = nil
-	for _, v := range idle {
-		from.dropLocked(v)
-	}
-	from.mu.Unlock()
-	for _, v := range idle {
+	for _, v := range from.takeIdle() {
 		if err := rebind(v); err != nil {
 			if from.destroy != nil {
 				from.destroy(v)
@@ -762,6 +766,28 @@ func moveIdle[T comparable](from, to *statePool[T], rebind func(T) error) {
 		to.free = append(to.free, v)
 		to.all = append(to.all, v)
 		to.mu.Unlock()
+	}
+}
+
+// takeIdle empties the free list and takes its states out of the Close
+// registry: the caller owns them.
+func (p *statePool[T]) takeIdle() []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idle := p.free
+	p.free = nil
+	for _, v := range idle {
+		p.dropLocked(v)
+	}
+	return idle
+}
+
+// closeIdle destroys every idle state.
+func (p *statePool[T]) closeIdle() {
+	for _, v := range p.takeIdle() {
+		if p.destroy != nil {
+			p.destroy(v)
+		}
 	}
 }
 
@@ -1200,8 +1226,10 @@ func (s *linbpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapsho
 // solveLayout runs one round-scheduled solve of the dynamic plane on a
 // pooled engine over layout-order buffers: e the explicit beliefs,
 // start the warm start (nil = cold). When a round ran and no error
-// aborted it, the final iterate is copied into out.
-func (s *linbpSolver) solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error) {
+// aborted it, the final iterate is copied into out. keep returns the
+// engine to the pool; otherwise it leaves the pool and is closed (see
+// kernelSnapshot).
+func (s *linbpSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
 	s.solves.Add(1)
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
@@ -1210,13 +1238,19 @@ func (s *linbpSolver) solveLayout(ctx context.Context, out, e, start []float64) 
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.states.put(eng)
 	state, iters, delta, converged, err := eng.RunLayout(ctx, e, start)
 	if iters > 0 && err == nil {
 		copy(out, state)
 	}
+	if keep {
+		s.states.put(eng)
+	} else {
+		s.states.discard(eng)
+	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
+
+func (s *linbpSolver) closeIdle() { s.states.closeIdle() }
 
 func (s *linbpSolver) base() *solverBase { return &s.solverBase }
 
@@ -1881,7 +1915,7 @@ func (s *fabpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot
 
 // solveLayout is linbpSolver.solveLayout for the scalar collapse: e,
 // start, and out are layout-order scalar vectors.
-func (s *fabpSolver) solveLayout(ctx context.Context, out, e, start []float64) (SolveInfo, error) {
+func (s *fabpSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
 	s.solves.Add(1)
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
@@ -1890,13 +1924,19 @@ func (s *fabpSolver) solveLayout(ctx context.Context, out, e, start []float64) (
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.states.put(st)
 	iters, delta, converged, err := st.eng.SolveFromInto(ctx, st.bs, e, start)
 	if iters > 0 && err == nil {
 		copy(out, st.bs)
 	}
+	if keep {
+		s.states.put(st)
+	} else {
+		s.states.discard(st)
+	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
+
+func (s *fabpSolver) closeIdle() { s.states.closeIdle() }
 
 func (s *fabpSolver) base() *solverBase { return &s.solverBase }
 

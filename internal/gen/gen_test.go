@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/spectral"
@@ -287,9 +288,10 @@ func TestDBLPInvalidConfigPanics(t *testing.T) {
 	DBLP(DBLPConfig{})
 }
 
-// TestKroneckerComponentsHaveStructure sanity-checks that the graph is a
-// meaningful test workload: a hub-dominated structure with max degree
-// 2^p on the center-power node.
+// TestKroneckerDegreeDistribution pins the structure the workload's
+// results depend on: a hub-dominated graph with max degree 2^p on the
+// center-power node, split into exactly 2^(p−1) connected components
+// (the star is bipartite) whose largest holds 2^p + 1 nodes.
 func TestKroneckerDegreeDistribution(t *testing.T) {
 	g := Kronecker(5)
 	maxDeg := 0
@@ -301,8 +303,17 @@ func TestKroneckerDegreeDistribution(t *testing.T) {
 	if maxDeg != 32 { // 2^5: the all-center node
 		t.Fatalf("max degree = %d, want 32", maxDeg)
 	}
-	_, count := g.ConnectedComponents()
-	if count <= 1 {
-		t.Fatalf("star Kronecker powers are disconnected by construction; got %d component", count)
+	for p := 1; p <= 9; p++ {
+		labels, count := Kronecker(p).ConnectedComponents()
+		sizes := make([]int, count)
+		for _, c := range labels {
+			sizes[c]++
+		}
+		if want := 1 << (p - 1); count != want {
+			t.Errorf("power %d: %d components, want 2^(p-1) = %d", p, count, want)
+		}
+		if got, want := slices.Max(sizes), 1<<p+1; got != want {
+			t.Errorf("power %d: largest component %d nodes, want 2^p+1 = %d", p, got, want)
+		}
 	}
 }

@@ -54,7 +54,8 @@ type Config struct {
 	// when the table carries them, the degrees that enable the echo
 	// term) through this copy-on-write row-block table — the dynamic
 	// plane's epoch adjacency. Without it New builds an epoch-0 table
-	// aliasing A and D. Either way every kernel reads through a table.
+	// over A and D, whose block split A caches (sparse.NewRowBlocks).
+	// Either way every kernel reads through a table.
 	Rows *sparse.RowBlocks
 	// H is the k×k residual coupling matrix Hˆ.
 	H *dense.Matrix
@@ -724,14 +725,9 @@ func (e *Engine) Rebind(rows *sparse.RowBlocks) error {
 //lsbp:hotpath
 func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
 	var delta float64
-	whole := e.adj.Whole()
 	for lo < hi {
-		// An epoch-0 table serves the whole range from one block.
-		blk, end := whole, hi
-		if blk == nil {
-			b := lo >> sparse.BlockShift
-			blk, end = e.adj.Block(b), min(hi, (b+1)<<sparse.BlockShift)
-		}
+		b := lo >> sparse.BlockShift
+		blk, end := e.adj.Block(b), min(hi, (b+1)<<sparse.BlockShift)
 		off := blk.Off
 		var d float64
 		if e.compact && !e.wideBatch {

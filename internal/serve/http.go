@@ -105,7 +105,8 @@ type errorJSON struct {
 //	GET  /healthz           liveness: 200 while the process serves
 //	GET  /readyz            readiness: 503 while draining; ?require=write
 //	                        also 503 in read-only degraded mode
-//	GET  /statz             the full Stats snapshot
+//	GET  /statz             the full Stats snapshot, solver counters and
+//	                        update-path stage clocks included
 func (f *FrontEnd) Handler(cfg HTTPConfig) http.Handler {
 	cfg.withDefaults()
 	mux := http.NewServeMux()
@@ -127,6 +128,8 @@ func (f *FrontEnd) handleSolve(w http.ResponseWriter, r *http.Request, cfg HTTPC
 	ctx, cancel := requestCtx(r.Context(), cfg.Timeout, req.TimeoutMS)
 	defer cancel()
 
+	// The whole request is checked before admission: a bad row or node
+	// id costs no queue slot and no solve.
 	e := beliefs.New(f.n, f.k)
 	for _, row := range req.Explicit {
 		if row.Node < 0 || row.Node >= f.n || len(row.Belief) != f.k {
@@ -135,6 +138,12 @@ func (f *FrontEnd) handleSolve(w http.ResponseWriter, r *http.Request, cfg HTTPC
 			return
 		}
 		e.Set(row.Node, row.Belief)
+	}
+	for _, node := range req.Nodes {
+		if node < 0 || node >= f.n {
+			writeError(w, fmt.Errorf("serve: requested node %d out of range [0,%d): %w", node, f.n, errs.ErrInvalidInput))
+			return
+		}
 	}
 	dst, info, err := f.Solve(ctx, e)
 	if err != nil && !(errors.Is(err, errs.ErrNotConverged) && dst != nil) {
@@ -151,10 +160,6 @@ func (f *FrontEnd) handleSolve(w http.ResponseWriter, r *http.Request, cfg HTTPC
 	resp := SolveResponse{Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta}
 	resp.Beliefs = make([]NodeRow, 0, len(nodes))
 	for _, node := range nodes {
-		if node < 0 || node >= f.n {
-			writeError(w, fmt.Errorf("serve: requested node %d out of range [0,%d): %w", node, f.n, errs.ErrInvalidInput))
-			return
-		}
 		row := dst.Row(node)
 		out := make([]float64, len(row))
 		copy(out, row)
@@ -284,14 +289,29 @@ func (f *FrontEnd) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"p50_ns":            int64(st.P50),
 		"p99_ns":            int64(st.P99),
 		"solver": map[string]any{
-			"method":     st.Solver.Method.String(),
-			"n":          st.Solver.N,
-			"k":          st.Solver.K,
-			"solves":     st.Solver.Solves,
-			"batches":    st.Solver.Batches,
-			"cancelled":  st.Solver.Cancelled,
-			"batch_hint": st.Solver.BatchHint,
-			"degraded":   st.Solver.Degraded,
+			"method":                st.Solver.Method.String(),
+			"n":                     st.Solver.N,
+			"k":                     st.Solver.K,
+			"solves":                st.Solver.Solves,
+			"batches":               st.Solver.Batches,
+			"cancelled":             st.Solver.Cancelled,
+			"batch_hint":            st.Solver.BatchHint,
+			"degraded":              st.Solver.Degraded,
+			"iterations":            st.Solver.Iterations,
+			"not_converged":         st.Solver.NotConverged,
+			"residual_rows_relaxed": st.Solver.ResidualRowsRelaxed,
+			"residual_pushes":       st.Solver.ResidualPushes,
+			"residual_queue_peak":   st.Solver.ResidualQueuePeak,
+			"epoch":                 st.Solver.Epoch,
+			"updates":               st.Solver.Updates,
+			"rebuilds":              st.Solver.Rebuilds,
+			"overlay_nnz":           st.Solver.OverlayNNZ,
+			"rows_committed":        st.Solver.RowsCommitted,
+			"update_validate_ns":    st.Solver.UpdateValidateNS,
+			"update_wal_ns":         st.Solver.UpdateWALNS,
+			"update_commit_ns":      st.Solver.UpdateCommitNS,
+			"update_resolve_ns":     st.Solver.UpdateResolveNS,
+			"update_publish_ns":     st.Solver.UpdatePublishNS,
 		},
 	})
 }

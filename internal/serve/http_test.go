@@ -201,6 +201,35 @@ func TestHTTPErrorMapping(t *testing.T) {
 	assertErr(resp, body, http.StatusServiceUnavailable, "ErrClosed")
 }
 
+// TestHTTPSolveRejectsBadNodesBeforeAdmission: a solve that names a
+// node outside [0, n) is a 400 invalid-input answered before admission
+// — it holds no admission slot and runs no solve.
+func TestHTTPSolveRejectsBadNodesBeforeAdmission(t *testing.T) {
+	p := testProblem(t, 80, 170, 3, 24)
+	s := prepared(t, p)
+	f := New(s, Config{})
+	defer f.Close()
+	srv := testServer(t, f, HTTPConfig{})
+	for _, node := range []int{-1, p.Graph.N()} {
+		admitted, solves := f.Stats().Admitted, s.Stats()
+		resp, body := postJSON(t, srv.URL+"/v1/solve", SolveRequest{Explicit: explicitRows(p), Nodes: []int{0, node}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("node %d: status %d (%s), want 400", node, resp.StatusCode, body)
+		}
+		var e errorJSON
+		if err := json.Unmarshal(body, &e); err != nil || e.Class != "ErrInvalidInput" {
+			t.Errorf("node %d: body %s, want class ErrInvalidInput", node, body)
+		}
+		if got := f.Stats().Admitted; got != admitted {
+			t.Errorf("node %d: Admitted %d -> %d, want unchanged", node, admitted, got)
+		}
+		if got := s.Stats(); got.Solves != solves.Solves || got.BatchRequests != solves.BatchRequests {
+			t.Errorf("node %d: solver ran %d solves and %d batched requests, want none",
+				node, got.Solves-solves.Solves, got.BatchRequests-solves.BatchRequests)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) []byte {
 	t.Helper()
 	defer resp.Body.Close()
@@ -268,12 +297,40 @@ func TestHTTPUpdateAndReads(t *testing.T) {
 }
 
 // TestHTTPHealthAndStats: liveness stays 200 through drain, readiness
-// flips 503, and the stats endpoint exposes the shed counters.
+// flips 503, and the stats endpoint exposes the shed counters and the
+// solver's update path — epochs, commits, the five Update stage clocks,
+// the iteration and residual-plane counters — advancing with a POST
+// /v1/update.
 func TestHTTPHealthAndStats(t *testing.T) {
 	p := testProblem(t, 80, 170, 3, 23)
 	f := New(prepared(t, p), Config{})
 	defer f.Close()
 	srv := testServer(t, f, HTTPConfig{})
+	solverStats := func() map[string]any {
+		t.Helper()
+		var st map[string]any
+		if resp := getJSON(t, srv.URL+"/statz", &st); resp.StatusCode != http.StatusOK {
+			t.Fatalf("statz = %d", resp.StatusCode)
+		}
+		return st["solver"].(map[string]any)
+	}
+	before := solverStats()
+	if resp, body := postJSON(t, srv.URL+"/v1/update", UpdateRequest{AddEdges: []EdgeJSON{{S: 1, T: 60, W: 1}}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status %d: %s", resp.StatusCode, body)
+	}
+	after := solverStats()
+	for _, key := range []string{"epoch", "updates", "rebuilds", "overlay_nnz", "rows_committed",
+		"update_validate_ns", "update_wal_ns", "update_commit_ns", "update_resolve_ns", "update_publish_ns",
+		"iterations", "not_converged", "residual_rows_relaxed", "residual_pushes", "residual_queue_peak"} {
+		if _, ok := after[key]; !ok {
+			t.Errorf("statz solver missing %q", key)
+		}
+	}
+	for _, key := range []string{"updates", "epoch"} {
+		if after[key].(float64) <= before[key].(float64) {
+			t.Errorf("statz solver.%s %v -> %v, want it to advance", key, before[key], after[key])
+		}
+	}
 
 	var h healthJSON
 	if resp := getJSON(t, srv.URL+"/healthz", &h); resp.StatusCode != http.StatusOK || !h.Ready {

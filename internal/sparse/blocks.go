@@ -2,24 +2,32 @@
 // A RowBlocks table splits the rows of a sparse matrix into blocks of
 // BlockRows consecutive rows; every block is immutable once published,
 // so any number of solves may read one epoch's table while the next
-// epoch is being committed. The epoch-0 table aliases the prepared
-// (possibly mmap-backed) flat CSR's compact index, values and degrees
-// — no copy — and Commit produces the next epoch by copying only the
-// blocks that hold edited rows plus the block table itself: untouched
-// blocks are shared by pointer between epochs, so a small edge delta
-// costs O(touched blocks), not O(nnz).
+// epoch is being committed. The epoch-0 table splits the prepared
+// (possibly mmap-backed) flat CSR into blocks whose columns, degrees
+// and wide indices alias the flat arrays — only the row pointers are
+// rebased per block — and Commit produces the next epoch by copying
+// only the blocks that hold edited rows plus the block table itself:
+// untouched blocks are shared by pointer between epochs, so a small
+// edge delta costs O(touched blocks), not O(nnz).
+//
+// A block whose values are all 1.0 — every block of an unweighted
+// graph — owns no values array: its Val is cut from one shared,
+// read-only slice of ones (a block beyond maxSharedOnes entries, a
+// high-degree hub's, owns its ones instead). Multiplying by 1.0 is
+// exact, so kernels read such a block exactly as they read a block that
+// owns its ones.
 //
 // Rows keep their column order and values exactly as a flat merge of
 // the same edits would store them, so a kernel reading rows through
 // the table computes bitwise the same sums as one reading the flat
-// CSR. A flat matrix is materialized (Flatten) only where a whole-graph
-// image is needed: checkpoints of committed epochs and compaction
-// relayouts.
+// CSR. Flat arrays are materialized (CompactArrays, Flatten) only where
+// a whole-graph image is needed: checkpoints and compaction relayouts.
 package sparse
 
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // BlockShift is log2 of the rows per block. 64-row blocks keep the
@@ -33,14 +41,15 @@ const BlockShift = 6
 // shorter).
 const BlockRows = 1 << BlockShift
 
-// Block is one immutable row block holding (at least) the rows of one
-// table entry. Row i's entries are Col[RowPtr[i−Off]:RowPtr[i−Off+1]]
-// (ascending columns) with the matching values in Val, and its degree
-// is Deg[i−Off]. An epoch-0 table points every entry at one block that
-// aliases the whole flat CSR's compact index (Off = 0, absolute
-// offsets); a copied block owns arrays for exactly its BlockRows rows
-// (Off = its first row, offsets from zero). Callers must not modify
-// any field or element.
+// Block is one immutable row block holding the rows [Off,
+// Off+len(RowPtr)-1). Row i's entries are Col[RowPtr[i−Off]:
+// RowPtr[i−Off+1]] (ascending columns, RowPtr[0] = 0) with the matching
+// values in Val, and its degree is Deg[i−Off]. An epoch-0 block aliases
+// sub-slices of the flat arrays it was split from; a committed or
+// private copy owns its arrays; either way a block whose values are all
+// 1.0 shares its Val with every other such block up to maxSharedOnes
+// entries (see unitValues).
+// Callers must not modify any field or element.
 type Block struct {
 	Off    int
 	RowPtr []int32
@@ -55,33 +64,35 @@ type Block struct {
 	Deg []float64
 }
 
+// nnz returns the number of entries the block stores.
+func (b *Block) nnz() int { return int(b.RowPtr[len(b.RowPtr)-1]) }
+
 // RowBlocks is a copy-on-write row-block sparse matrix; see the file
 // comment. The zero value is not usable; build one with NewRowBlocks
 // and derive later epochs with Commit.
 type RowBlocks struct {
 	rows, cols int
 	nnz        int
-	// blocks is the block table; nil for an epoch-0 table, whose every
-	// entry is whole (see Block).
+	// blocks is the block table, one entry per BlockRows rows. The
+	// table keeps no reference to the CSR it was built from: once the
+	// builder drops that CSR, its int row pointers are garbage, its
+	// values are too when every block is unit-weight, and so are its int
+	// columns unless the table keeps wide indices.
 	blocks    []*Block
 	wide, deg bool
-	// whole is the one block every epoch-0 entry points at. The table
-	// keeps no reference to the CSR it was built from: once the builder
-	// drops that CSR, its int row pointers are garbage, and so are its
-	// int columns unless the table keeps wide indices.
-	whole Block
 	// base is the compaction base (the epoch-0 table of this lineage)
 	// and diff the number of cells whose value differs from it.
 	base *RowBlocks
 	diff int
 }
 
-// NewRowBlocks builds the epoch-0 table over a, aliasing a's compact
-// index and values (a's compact index is built if needed, so call it
-// while a has no concurrent readers) but holding no reference to a
-// itself. deg, when non-nil, supplies the per-row degrees (aliased);
-// wide keeps a's int column indices for RowView. It fails when a does
-// not fit the int32 index.
+// NewRowBlocks builds the epoch-0 table over a (see CSR.blockSplit):
+// blocks aliasing a's compact index, values and deg, which, when
+// non-nil, supplies the per-row degrees; wide keeps a's int column
+// indices for RowView. a's compact index and the split are built if
+// needed, so call it while a has no concurrent readers. The table
+// holds no reference to a itself. It fails when a does not fit the
+// int32 index.
 func NewRowBlocks(a *CSR, deg []float64, wide bool) (*RowBlocks, error) {
 	m := new(RowBlocks)
 	if err := m.Init(a, deg, wide); err != nil {
@@ -93,20 +104,124 @@ func NewRowBlocks(a *CSR, deg []float64, wide bool) (*RowBlocks, error) {
 // Init makes m the epoch-0 table over a in place (see NewRowBlocks),
 // for holders that embed their table instead of allocating it.
 func (m *RowBlocks) Init(a *CSR, deg []float64, wide bool) error {
-	rp32, ci32, ok := a.CompactIndex()
-	if !ok {
-		return fmt.Errorf("sparse: %dx%d matrix with %d entries does not fit the int32 row-block index", a.rows, a.cols, len(a.val))
-	}
 	if deg != nil && len(deg) != a.rows {
 		return fmt.Errorf("sparse: degree vector length %d, want %d", len(deg), a.rows)
 	}
-	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), wide: wide, deg: deg != nil,
-		whole: Block{RowPtr: rp32, Col: ci32, Val: a.val, Deg: deg}}
-	if wide {
-		m.whole.Wide = a.colIdx
+	blocks, err := a.blockSplit(deg, wide)
+	if err != nil {
+		return err
 	}
+	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), blocks: blocks, wide: wide, deg: deg != nil}
 	m.base = m
 	return nil
+}
+
+// rowSplit is a CSR's cached epoch-0 block split for one degree vector
+// and index form.
+type rowSplit struct {
+	deg    []float64
+	wide   bool
+	blocks []*Block
+}
+
+// blockSplit returns a's rows as epoch-0 blocks: one array of rebased
+// int32 row pointers, the columns, values, wide indices (when wide)
+// and deg (when non-nil) as per-block sub-slices of a's arrays, and
+// the shared ones instead of a's values for every unit-weight block.
+// The split is cached on a: a later call with the same index form and
+// a degree vector holding the same values gets the cached blocks back
+// (whose degrees alias the first caller's vector), so the engines the
+// one-shot solvers build per call on one graph allocate nothing here.
+func (a *CSR) blockSplit(deg []float64, wide bool) ([]*Block, error) {
+	if s := a.split.Load(); s != nil && s.wide == wide && (s.deg == nil) == (deg == nil) && slices.Equal(s.deg, deg) {
+		return s.blocks, nil
+	}
+	rp32, ci32, ok := a.CompactIndex()
+	if !ok {
+		return nil, fmt.Errorf("sparse: %dx%d matrix with %d entries does not fit the int32 row-block index", a.rows, a.cols, len(a.val))
+	}
+	n := a.rows
+	nb := (n + BlockRows - 1) >> BlockShift
+	rowPtr := make([]int32, n+nb) // each block's rows plus its end pointer
+	store := make([]Block, nb)
+	blocks := make([]*Block, nb)
+	for b := range store {
+		lo, hi := b<<BlockShift, min((b+1)<<BlockShift, n)
+		first, last := rp32[lo], rp32[hi]
+		rp := rowPtr[lo+b : hi+b+1 : hi+b+1]
+		for q := range rp {
+			rp[q] = rp32[lo+q] - first
+		}
+		blk := &store[b]
+		*blk = Block{Off: lo, RowPtr: rp, Col: ci32[first:last:last], Val: a.val[first:last:last]}
+		if allOnes(blk.Val) {
+			blk.Val = unitValues(len(blk.Val))
+		}
+		if deg != nil {
+			blk.Deg = deg[lo:hi:hi]
+		}
+		if wide {
+			blk.Wide = a.colIdx[first:last:last]
+		}
+		blocks[b] = blk
+	}
+	a.split.Store(&rowSplit{deg: deg, wide: wide, blocks: blocks})
+	return blocks, nil
+}
+
+// maxSharedOnes caps the shared ones at 32,768 entries (256 KB), eight
+// times the largest unit-weight block of the power-11 Kronecker graph
+// under RCM (4,032 entries). A larger unit-weight block owns its ones,
+// so a high-degree hub's are freed with its block.
+const maxSharedOnes = 1 << 15
+
+// ones is the shared read-only slice of 1.0 that the Val of every
+// unit-weight block of at most maxSharedOnes entries is cut from. Its
+// length is a power of two, at least 1,024, that grows to cover the
+// largest such block built so far, and a block keeps the slice it was
+// cut from, so the process retains less than 2·maxSharedOnes shared
+// values (512 KB) once every table is gone.
+var ones atomic.Pointer[[]float64]
+
+// unitValues returns a read-only slice of n ones, capped at n: cut from
+// the shared ones, or a slice of its own beyond maxSharedOnes.
+func unitValues(n int) []float64 {
+	if n > maxSharedOnes {
+		return newOnes(n)
+	}
+	for {
+		p := ones.Load()
+		if p != nil && len(*p) >= n {
+			return (*p)[:n:n]
+		}
+		size := 1024
+		for size < n {
+			size *= 2
+		}
+		s := newOnes(size)
+		if ones.CompareAndSwap(p, &s) {
+			return s[:n:n]
+		}
+	}
+}
+
+// newOnes returns a fresh slice of n ones.
+func newOnes(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}
+
+// allOnes reports whether every value is exactly 1.0.
+func allOnes(v []float64) bool {
+	for _, x := range v {
+		if x != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Rows returns the number of rows.
@@ -127,29 +242,12 @@ func (m *RowBlocks) HasWide() bool { return m.wide }
 // NumBlocks returns the number of block-table entries.
 func (m *RowBlocks) NumBlocks() int { return (m.rows + BlockRows - 1) >> BlockShift }
 
-// Whole returns the single block an uncommitted epoch-0 table serves
-// every row from (rows [0, Rows()) with Off 0), or nil once the table
-// has committed blocks — kernels then walk the range block by block.
-//
-//lsbp:hotpath
-func (m *RowBlocks) Whole() *Block {
-	if m.blocks == nil {
-		return &m.whole
-	}
-	return nil
-}
-
 // Block returns block-table entry b, the block holding rows
 // [b·BlockRows, min((b+1)·BlockRows, Rows())). Blocks are shared
 // between epochs and must not be modified.
 //
 //lsbp:hotpath
-func (m *RowBlocks) Block(b int) *Block {
-	if m.blocks == nil {
-		return &m.whole
-	}
-	return m.blocks[b]
-}
+func (m *RowBlocks) Block(b int) *Block { return m.blocks[b] }
 
 // DiffCells returns the number of cells whose value differs from the
 // compaction base — the epoch-0 table this one was committed from. An
@@ -324,38 +422,34 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 		}
 		b := r.row >> BlockShift
 		if len(copies) == 0 || copies[len(copies)-1].b != b {
-			lo, hi := m.blockRange(b)
 			blk := m.Block(b)
-			nnz := int(blk.RowPtr[hi-blk.Off] - blk.RowPtr[lo-blk.Off])
-			copies = append(copies, blockCopy{b: b, nnz: nnz, rows: hi - lo, first: i})
+			copies = append(copies, blockCopy{b: b, nnz: blk.nnz(), rows: len(blk.RowPtr) - 1, first: i})
 		}
 		grow := (r.hi - r.lo) - m.RowNNZ(r.row)
 		copies[len(copies)-1].nnz += grow
 		nnz += grow
 	}
-	blocks := m.table()
+	blocks := slices.Clone(m.blocks)
 	for _, c := range copies {
-		old := m.Block(c.b)
-		nb := newBlock(c.b<<BlockShift, c.rows, c.nnz, m.wide, m.deg)
-		ri := c.first
+		off := c.b << BlockShift
+		src := mergedRows{old: m.Block(c.b), res: res[c.first:], tc: tc, tv: tv}
+		// A block whose merged values are all 1.0 shares the ones
+		// instead of owning a values array.
+		unit := true
+		for q := 0; q < c.rows && unit; q++ {
+			_, vals, _ := src.row(off + q)
+			unit = allOnes(vals)
+		}
+		src.ri = 0
+		nb := newBlock(off, c.rows, c.nnz, m.wide, m.deg, unit)
 		pos := int32(0)
 		for q := 0; q < c.rows; q++ {
-			row := nb.Off + q
-			for ri < len(res) && (!res[ri].changed || res[ri].row < row) && res[ri].row>>BlockShift == c.b {
-				ri++
-			}
-			var cols []int32
-			var vals []float64
-			fresh := ri < len(res) && res[ri].row == row && res[ri].changed
-			if fresh {
-				cols, vals = tc[res[ri].lo:res[ri].hi], tv[res[ri].lo:res[ri].hi]
-			} else {
-				rs, re := old.RowPtr[row-old.Off], old.RowPtr[row-old.Off+1]
-				cols, vals = old.Col[rs:re], old.Val[rs:re]
-			}
+			cols, vals, fresh := src.row(off + q)
 			nb.RowPtr[q] = pos
 			copy(nb.Col[pos:], cols)
-			copy(nb.Val[pos:], vals)
+			if !unit {
+				copy(nb.Val[pos:], vals)
+			}
 			if m.wide {
 				for p, j := range cols {
 					nb.Wide[int(pos)+p] = int(j)
@@ -369,13 +463,13 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 					}
 					nb.Deg[q] = s
 				} else {
-					nb.Deg[q] = old.Deg[row-old.Off]
+					nb.Deg[q] = src.old.Deg[q]
 				}
 			}
 			pos += int32(len(cols))
 		}
 		nb.RowPtr[c.rows] = pos
-		if bb := m.base.Block(c.b); m.base != m && sameRows(nb, bb, nb.Off, c.rows) {
+		if bb := m.base.Block(c.b); m.base != m && sameRows(nb, bb, off, c.rows) {
 			// The block is back to its compaction-base content (an
 			// insert undone by a delete): share the base block again
 			// instead of keeping a copy alive.
@@ -387,20 +481,55 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 		wide: m.wide, deg: m.deg, base: m.base, diff: diff}, changedRows
 }
 
+// mergedRows yields, in ascending row order, the rows of one block a
+// commit copies: a changed row's merged content from the commit's
+// scratch, any other row from the old block.
+type mergedRows struct {
+	old *Block
+	res []rowEdit // the edited rows, from the block's first changed one
+	tc  []int32
+	tv  []float64
+	ri  int // cursor into res
+}
+
+// row returns row i's columns and values and whether they are merged
+// content; successive calls must ask for ascending rows.
+func (s *mergedRows) row(i int) (cols []int32, vals []float64, fresh bool) {
+	for s.ri < len(s.res) && s.res[s.ri].row < i {
+		s.ri++
+	}
+	if s.ri < len(s.res) && s.res[s.ri].row == i && s.res[s.ri].changed {
+		r := s.res[s.ri]
+		return s.tc[r.lo:r.hi], s.tv[r.lo:r.hi], true
+	}
+	q := i - s.old.Off
+	rs, re := s.old.RowPtr[q], s.old.RowPtr[q+1]
+	return s.old.Col[rs:re], s.old.Val[rs:re], false
+}
+
 // newBlock allocates a block for rows [off, off+rows) holding nnz
-// entries: one int32 array backs RowPtr and Col, one float64 array
-// Val and Deg, so a block costs three allocations (four with wide
-// indices) and is freed as a unit once no epoch references it.
-func newBlock(off, rows, nnz int, wide, deg bool) *Block {
+// entries: one int32 array backs RowPtr and Col and one float64 array
+// Val and Deg — a unit-weight block takes its Val from the shared ones
+// and owns only the degrees — so a block costs at most three
+// allocations (four with wide indices) and is freed as a unit once no
+// epoch references it.
+func newBlock(off, rows, nnz int, wide, deg, unit bool) *Block {
 	ints := make([]int32, rows+1+nnz)
-	nf := nnz
+	own := nnz // values the block stores itself
+	if unit {
+		own = 0
+	}
+	nf := own
 	if deg {
 		nf += rows
 	}
 	floats := make([]float64, nf)
-	nb := &Block{Off: off, RowPtr: ints[: rows+1 : rows+1], Col: ints[rows+1:], Val: floats[:nnz:nnz]}
+	nb := &Block{Off: off, RowPtr: ints[: rows+1 : rows+1], Col: ints[rows+1:], Val: floats[:own:own]}
+	if unit {
+		nb.Val = unitValues(nnz)
+	}
 	if deg {
-		nb.Deg = floats[nnz:]
+		nb.Deg = floats[own:]
 	}
 	if wide {
 		nb.Wide = make([]int, nnz)
@@ -460,29 +589,38 @@ func (m *RowBlocks) diffDelta(row int, edits []Edit, oc []int32, ov []float64, n
 	return delta
 }
 
+// CompactArrays materializes the table as flat arrays sharing no
+// storage with the blocks: int row pointers (the checkpoint format's
+// i64 section), int32 columns, and values — 1.0 for every entry of a
+// unit-weight block. Unlike Flatten it builds no int column index.
+func (m *RowBlocks) CompactArrays() (rowPtr []int, cols []int32, vals []float64) {
+	rowPtr = make([]int, m.rows+1)
+	cols = make([]int32, m.nnz)
+	vals = make([]float64, m.nnz)
+	pos := 0
+	for _, blk := range m.blocks {
+		nnz := blk.nnz()
+		copy(cols[pos:], blk.Col[:nnz])
+		copy(vals[pos:], blk.Val[:nnz])
+		for q, p := range blk.RowPtr[1:] {
+			rowPtr[blk.Off+q+1] = pos + int(p)
+		}
+		pos += nnz
+	}
+	return rowPtr, cols, vals
+}
+
 // Flatten materializes the table as one flat CSR (wide and compact
 // index, values) sharing no storage with the blocks.
 func (m *RowBlocks) Flatten() *CSR {
-	out := &CSR{
-		rows:     m.rows,
-		cols:     m.cols,
-		rowPtr:   make([]int, m.rows+1),
-		colIdx:   make([]int, m.nnz),
-		val:      make([]float64, m.nnz),
-		rowPtr32: make([]int32, m.rows+1),
-		colIdx32: make([]int32, m.nnz),
+	rp, ci, vals := m.CompactArrays()
+	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: rp, colIdx: make([]int, len(ci)), val: vals,
+		rowPtr32: make([]int32, len(rp)), colIdx32: ci}
+	for p, j := range ci {
+		out.colIdx[p] = int(j)
 	}
-	pos := 0
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowViewCompact(i)
-		copy(out.colIdx32[pos:], cols)
-		copy(out.val[pos:], vals)
-		for p, j := range cols {
-			out.colIdx[pos+p] = int(j)
-		}
-		pos += len(cols)
-		out.rowPtr[i+1] = pos
-		out.rowPtr32[i+1] = int32(pos)
+	for i, p := range rp {
+		out.rowPtr32[i] = int32(p)
 	}
 	return out
 }
@@ -510,46 +648,27 @@ func (m *RowBlocks) PrivateCopy(lo, hi int, prev, prevSrc *RowBlocks) *RowBlocks
 			out.blocks[b] = prev.blocks[b]
 			continue
 		}
-		lo, hi := m.blockRange(b)
-		out.blocks[b] = copyBlock(src, lo, hi)
+		out.blocks[b] = copyBlock(src)
 	}
 	return out
 }
 
-// table returns a fresh copy of the block table (materializing an
-// epoch-0 table's implicit one).
-func (m *RowBlocks) table() []*Block {
-	if m.blocks != nil {
-		return slices.Clone(m.blocks)
+// copyBlock deep-copies src into a fresh block (sharing the ones when
+// src is unit-weight).
+func copyBlock(src *Block) *Block {
+	rows, nnz := len(src.RowPtr)-1, src.nnz()
+	unit := allOnes(src.Val[:nnz])
+	nb := newBlock(src.Off, rows, nnz, src.Wide != nil, src.Deg != nil, unit)
+	copy(nb.RowPtr, src.RowPtr)
+	copy(nb.Col, src.Col[:nnz])
+	if !unit {
+		copy(nb.Val, src.Val[:nnz])
 	}
-	t := make([]*Block, m.NumBlocks())
-	for b := range t {
-		t[b] = &m.whole
-	}
-	return t
-}
-
-// blockRange returns the rows [lo, hi) table entry b covers.
-func (m *RowBlocks) blockRange(b int) (lo, hi int) {
-	lo = b << BlockShift
-	return lo, min(lo+BlockRows, m.rows)
-}
-
-// copyBlock deep-copies rows [lo, hi) of src into a fresh block.
-func copyBlock(src *Block, lo, hi int) *Block {
-	rp := src.RowPtr[lo-src.Off : hi-src.Off+1]
-	first, last := rp[0], rp[len(rp)-1]
-	nb := newBlock(lo, hi-lo, int(last-first), src.Wide != nil, src.Deg != nil)
-	for q, p := range rp {
-		nb.RowPtr[q] = p - first
-	}
-	copy(nb.Col, src.Col[first:last])
-	copy(nb.Val, src.Val[first:last])
 	if src.Wide != nil {
-		copy(nb.Wide, src.Wide[first:last])
+		copy(nb.Wide, src.Wide[:nnz])
 	}
 	if src.Deg != nil {
-		copy(nb.Deg, src.Deg[lo-src.Off:hi-src.Off])
+		copy(nb.Deg, src.Deg)
 	}
 	return nb
 }

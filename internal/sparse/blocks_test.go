@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // cellMirror is the ground truth a row-block table must match: one
@@ -115,6 +116,12 @@ func checkTable(t *testing.T, m *RowBlocks, want, base cellMirror) {
 	if m.NNZ() != nnz {
 		t.Fatalf("NNZ = %d, want %d", m.NNZ(), nnz)
 	}
+	for b := 0; b < m.NumBlocks(); b++ {
+		blk := m.Block(b)
+		if unit := allOnes(blk.Val[:blk.nnz()]) && blk.nnz() <= maxSharedOnes; sharesOnes(blk) != unit {
+			t.Fatalf("block %d: shares the ones = %v, all of its %d values 1.0 = %v", b, sharesOnes(blk), blk.nnz(), allOnes(blk.Val[:blk.nnz()]))
+		}
+	}
 	if m.DiffCells() != diff {
 		t.Fatalf("DiffCells = %d, want %d", m.DiffCells(), diff)
 	}
@@ -136,6 +143,46 @@ func checkTable(t *testing.T, m *RowBlocks, want, base cellMirror) {
 			}
 		}
 	}
+}
+
+// The shared ones are grown once, before any test builds a block, to
+// their cap, more entries than any test block holds: the slice then
+// never changes, so sharesOnes can identify it by its first element.
+func init() { unitValues(maxSharedOnes) }
+
+// sharesOnes reports whether blk's values are cut from the shared ones
+// (every shared slice starts at the ones' first element).
+func sharesOnes(blk *Block) bool {
+	return unsafe.SliceData(blk.Val) == unsafe.SliceData(*ones.Load())
+}
+
+// unitBase builds an unweighted symmetric matrix: about perRow distinct
+// neighbors per row, every stored value 1.0.
+func unitBase(rng *rand.Rand, n, perRow int) *CSR {
+	b := NewBuilder(n, n)
+	seen := map[[2]int]bool{}
+	for i := 0; i < n; i++ {
+		for d := 0; d < perRow; d++ {
+			j := rng.Intn(n)
+			if j == i || seen[[2]int{min(i, j), max(i, j)}] {
+				continue
+			}
+			seen[[2]int{min(i, j), max(i, j)}] = true
+			b.AddSym(i, j, 1)
+		}
+	}
+	return b.ToCSR()
+}
+
+// mirrorCSR rebuilds a flat CSR holding exactly the mirror's cells.
+func mirrorCSR(c cellMirror) *CSR {
+	b := NewBuilder(len(c), len(c))
+	for i, row := range c {
+		for j, v := range row {
+			b.Add(i, j, v)
+		}
+	}
+	return b.ToCSR()
 }
 
 // randomBase builds a random matrix spanning several blocks with a
@@ -432,16 +479,48 @@ func TestRowBlocksConcurrentEpochReads(t *testing.T) {
 	}
 }
 
+// TestUnitValuesConcurrentGrowth: goroutines that ask for ever longer
+// runs of ones at once, growing the shared slice from empty, each get
+// exactly n ones (run under -race). The shared slice is restored
+// afterwards, so sharesOnes keeps working for the other tests.
+func TestUnitValuesConcurrentGrowth(t *testing.T) {
+	saved := ones.Load()
+	defer ones.Store(saved)
+	ones.Store(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n < 1<<15; n = 2*n + 1 {
+				if v := unitValues(n); len(v) != n || cap(v) != n || !allOnes(v) {
+					t.Errorf("unitValues(%d): len %d cap %d", n, len(v), cap(v))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // FuzzRowBlocksCommit decodes the input into edit batches over a small
-// multi-block matrix and checks every epoch against the mirror.
+// multi-block matrix — unit-weight or weighted by the input's parity,
+// with edits drawing unit and non-unit weights — and checks every epoch
+// against the mirror and, block by block and bitwise, against the
+// epoch-0 table of a flat rebuild of the same cells (which also pins
+// which blocks share the ones).
 func FuzzRowBlocksCommit(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{255, 0, 0, 255, 128, 64, 1, 2, 200, 3, 3, 3, 3})
 	f.Add([]byte{7, 7, 7, 7, 0, 0, 0, 0, 130, 130, 130, 130})
+	f.Add([]byte{3, 9, 40, 67, 9, 40, 3, 40, 9, 65, 9, 40})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		n := 2*BlockRows + 3
 		rng := rand.New(rand.NewSource(int64(len(raw))))
-		a := randomBase(rng, n, 1)
+		a := unitBase(rng, n, 2)
+		if len(raw)%3 == 1 {
+			a = randomBase(rng, n, 1)
+		}
 		m, err := NewRowBlocks(a, a.RowSumsSquared(), len(raw)%2 == 0)
 		if err != nil {
 			t.Fatal(err)
@@ -456,7 +535,8 @@ func FuzzRowBlocksCommit(f *testing.F) {
 			if op&0x8 != 0 {
 				j = i
 			}
-			e := Edit{Row: i, Col: j, W: float64(op%5) * 0.25}
+			// Weights 1 (twice as likely), 0.5, 2 and a removal.
+			e := Edit{Row: i, Col: j, W: []float64{0, 1, 1, 0.5, 2}[op%5]}
 			if op%5 == 0 {
 				e.Remove = true
 			}
@@ -465,10 +545,38 @@ func FuzzRowBlocksCommit(f *testing.F) {
 				next, _ := m.Commit(batch, nil)
 				want.apply(batch)
 				checkTable(t, next, want, base)
+				checkAgainstRebuild(t, next, want)
 				m, batch = next, nil
 			}
 		}
 	})
+}
+
+// checkAgainstRebuild compares m block by block, bitwise, with the
+// epoch-0 table of a flat rebuild of want: row pointers, columns,
+// values, degrees, and whether the block shares the ones.
+func checkAgainstRebuild(t *testing.T, m *RowBlocks, want cellMirror) {
+	t.Helper()
+	a := mirrorCSR(want)
+	var deg []float64
+	if m.HasDegrees() {
+		deg = a.RowSumsSquared()
+	}
+	ref, err := NewRowBlocks(a, deg, m.HasWide())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < m.NumBlocks(); b++ {
+		got, exp := m.Block(b), ref.Block(b)
+		nnz := exp.nnz()
+		if got.Off != exp.Off || !slices.Equal(got.RowPtr, exp.RowPtr) || !slices.Equal(got.Col[:got.nnz()], exp.Col[:nnz]) ||
+			!slices.Equal(got.Val[:got.nnz()], exp.Val[:nnz]) || !slices.Equal(got.Deg, exp.Deg) {
+			t.Fatalf("block %d differs from the flat rebuild's", b)
+		}
+		if sharesOnes(got) != sharesOnes(exp) {
+			t.Fatalf("block %d shares the ones = %v, the rebuild's = %v", b, sharesOnes(got), sharesOnes(exp))
+		}
+	}
 }
 
 // TestRowBlocksHoldNoSourceCSR: an epoch-0 table without wide indices
@@ -516,4 +624,157 @@ func collected(freed <-chan struct{}) bool {
 		}
 	}
 	return false
+}
+
+// TestRowBlocksUnitTableHoldsNoSourceValues: a unit-weight epoch-0
+// table shares the ones instead of aliasing the source CSR's values, so
+// a finalizer on the source's values array fires while only the table
+// is live; a weighted table keeps the array. Both read back the
+// source's cells bitwise.
+func TestRowBlocksUnitTableHoldsNoSourceValues(t *testing.T) {
+	for _, unit := range []bool{true, false} {
+		build := func() *CSR {
+			rng := rand.New(rand.NewSource(4))
+			if unit {
+				return unitBase(rng, 1000, 4)
+			}
+			return randomBase(rng, 1000, 3)
+		}
+		a, want := build(), build()
+		m, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := make(chan struct{})
+		_, _, vals := a.Index()
+		runtime.SetFinalizer(&vals[0], func(*float64) { close(freed) })
+		a, vals = nil, nil
+		if got := collected(freed); got != unit {
+			t.Errorf("unit=%v: source values array collected = %v", unit, got)
+		}
+		for b := 0; b < m.NumBlocks(); b++ {
+			if sharesOnes(m.Block(b)) != unit {
+				t.Fatalf("unit=%v: block %d shares the ones = %v", unit, b, !unit)
+			}
+		}
+		checkTable(t, m, mirrorOf(want), mirrorOf(want))
+		runtime.KeepAlive(m)
+	}
+}
+
+// TestRowBlocksHubOwnsItsOnes: a unit-weight block beyond maxSharedOnes
+// entries (a star's hub) owns its ones instead of growing the shared
+// slice, and aliases no source values either — the finalizer on the
+// source CSR's values array still fires — while the other blocks share;
+// a unit-weight commit to the hub's block keeps it owning its ones.
+func TestRowBlocksHubOwnsItsOnes(t *testing.T) {
+	leaves := maxSharedOnes + BlockRows
+	build := func() *CSR {
+		b := NewBuilder(leaves+1, leaves+1)
+		for j := 1; j <= leaves; j++ {
+			b.AddSym(0, j, 1)
+		}
+		return b.ToCSR()
+	}
+	a, want := build(), build()
+	m, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	_, _, vals := a.Index()
+	runtime.SetFinalizer(&vals[0], func(*float64) { close(freed) })
+	a, vals = nil, nil
+	if !collected(freed) {
+		t.Error("source values array not collected")
+	}
+	check := func(m *RowBlocks) {
+		t.Helper()
+		for b := 0; b < m.NumBlocks(); b++ {
+			blk := m.Block(b)
+			if hub := blk.nnz() > maxSharedOnes; sharesOnes(blk) == hub || !allOnes(blk.Val) || len(blk.Val) != blk.nnz() {
+				t.Fatalf("block %d (%d entries): shares the ones = %v, want %v", b, blk.nnz(), !hub, hub)
+			}
+		}
+		if got := len(*ones.Load()); got != maxSharedOnes {
+			t.Fatalf("shared ones hold %d entries, want the cap %d", got, maxSharedOnes)
+		}
+	}
+	check(m)
+	mirror := mirrorOf(want)
+	next, _ := m.Commit([]Edit{{Row: 1, Col: 2, W: 1}, {Row: 2, Col: 1, W: 1}}, nil)
+	check(next)
+	mirror.apply([]Edit{{Row: 1, Col: 2, W: 1}, {Row: 2, Col: 1, W: 1}})
+	checkTable(t, next, mirror, mirrorOf(want))
+}
+
+// TestRowBlocksCommitKeepsUnitSharing pins the unit-weight rule across
+// commits: blocks that gain W = 1 edges keep sharing the ones, a block
+// that gains a W = 2 edge owns its values, and it shares again once its
+// values are all 1.0 — whether it returns to the base content or not.
+func TestRowBlocksCommitKeepsUnitSharing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := 4 * BlockRows
+	a := unitBase(rng, n, 3)
+	base, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := mirrorOf(a)
+	want := mirror.clone()
+	shared := func(m *RowBlocks, owners ...int) {
+		t.Helper()
+		for b := 0; b < m.NumBlocks(); b++ {
+			if got := sharesOnes(m.Block(b)); got == slices.Contains(owners, b) {
+				t.Fatalf("block %d shares the ones = %v, want %v", b, got, !got)
+			}
+		}
+		checkTable(t, m, want, mirror)
+	}
+	edge := func(i, j int, w float64) []Edit {
+		return []Edit{{Row: i, Col: j, W: w}, {Row: j, Col: i, W: w}}
+	}
+	unedge := func(i, j int) []Edit {
+		return []Edit{{Row: i, Col: j, Remove: true}, {Row: j, Col: i, Remove: true}}
+	}
+	commit := func(m *RowBlocks, edits []Edit) *RowBlocks {
+		t.Helper()
+		next, rows := m.Commit(edits, nil)
+		if len(rows) == 0 {
+			t.Fatal("commit changed nothing")
+		}
+		want.apply(edits)
+		return next
+	}
+	shared(base)
+	i0, j0 := pickAbsent(t, a, 0, 2)
+	m := commit(base, edge(i0, j0, 1)) // blocks 0 and 2 copied, still unit
+	if m.Block(0) == base.Block(0) || m.Block(2) == base.Block(2) {
+		t.Fatal("the W = 1 commit copied no block")
+	}
+	shared(m)
+	i1, j1 := pickAbsent(t, a, 1, 3)
+	i2, j2 := pickAbsent(t, a, 1, 1)
+	m = commit(m, append(edge(i1, j1, 2), edge(i2, j2, 1)...))
+	shared(m, 1, 3)
+	m = commit(m, unedge(i1, j1)) // block 1 keeps the W = 1 edge, block 3 is back to base
+	shared(m)
+	if m.Block(1) == base.Block(1) || m.Block(3) != base.Block(3) {
+		t.Fatal("want block 1 a unit copy and block 3 the base block again")
+	}
+}
+
+// pickAbsent returns an absent off-diagonal cell (i, j) with i in block
+// bi and j in block bj.
+func pickAbsent(t *testing.T, a *CSR, bi, bj int) (int, int) {
+	t.Helper()
+	for i := bi * BlockRows; i < (bi+1)*BlockRows; i++ {
+		for j := bj * BlockRows; j < (bj+1)*BlockRows; j++ {
+			if i != j && a.At(i, j) == 0 {
+				return i, j
+			}
+		}
+	}
+	t.Fatalf("no absent cell in blocks %d/%d", bi, bj)
+	return 0, 0
 }

@@ -13,6 +13,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Builder accumulates (row, col, value) triplets for a rows×cols matrix
@@ -151,6 +152,9 @@ type CSR struct {
 	// value array is shared — only the index metadata is duplicated.
 	rowPtr32 []int32
 	colIdx32 []int32
+	// split caches the epoch-0 row-block split NewRowBlocks builds on
+	// the compact index; see blockSplit.
+	split atomic.Pointer[rowSplit]
 }
 
 // NewCSRFromDense builds a CSR from a dense row-major value grid, keeping
@@ -429,6 +433,7 @@ func (m *CSR) TransposeInto(dst *CSR) {
 	dst.colIdx = growInts(dst.colIdx, len(m.colIdx))
 	dst.val = growFloats(dst.val, len(m.val))
 	dst.rowPtr32, dst.colIdx32 = nil, nil // stale for the new content
+	dst.split.Store(nil)
 	for i := range dst.rowPtr {
 		dst.rowPtr[i] = 0
 	}
