@@ -22,9 +22,9 @@
 #   make bench-batch - the prepared-Solver serving benchmark: SolveBatch
 #                   vs sequential one-shot Solve throughput rows into
 #                   BENCH_results.json
-#   make bench-reorder - the graph-layout comparison on a >=100k-node
-#                   Kronecker graph (PR 2 wide/natural layout vs the
-#                   compact-index + auto-reordered one), archived into
+#   make bench-reorder - the graph-layout benchmark on a >=100k-node
+#                   Kronecker graph (natural order vs the auto-chosen
+#                   reordering, one SolveBatch row), archived into
 #                   BENCH_results.json
 #   make bench-partition - the partition-parallel plane vs the PR 3
 #                   baseline on the same large Kronecker graph
@@ -63,6 +63,8 @@
 #                   exported under .bench_build/ab/; pair i uses seed
 #                   SEED+i), summarized per end-to-end metric as
 #                   quartiles, median ratio and the change's wins
+#   make loc      - the non-test Go line count of the main module (the
+#                   ROADMAP's Subtract bar)
 #
 # Tuning knobs (see EXPERIMENTS.md):
 #   LSBP_BENCH_MAXGRAPH=N  largest Fig. 6a Kronecker graph to bench (1-9)
@@ -97,7 +99,7 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
 	./internal/serve/ ./internal/metrics/ ./internal/graph/
 
-.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab
+.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab loc
 
 verify: build fmt vet lint test test-race crash servebench-test
 
@@ -151,6 +153,13 @@ SEED ?= 1
 servebench-ab:
 	@test -n "$(WORKLOAD)" || { echo "usage: make servebench-ab WORKLOAD=ingest|mixed|query [PARENT=rev] [PAIRS=n] [SEED=s]"; exit 2; }
 	GOCACHE=$(CURDIR)/.bench_build/gocache $(GO) run ./cmd/servebenchab -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
+
+# Non-test Go lines of the main module: tracked .go files without
+# *_test.go, servebench/ (its own module) and testdata/ fixtures.
+# Only tracked files count, so nothing under .bench_build/ does; `git
+# add` a new file before counting it.
+loc:
+	@git ls-files -z -- '*.go' ':!:*_test.go' ':!:servebench/**' ':!:**/testdata/**' | xargs -0 cat | wc -l
 
 # The durable-plane acceptance matrix: every injected fault (torn WAL
 # append, bit rot in log or snapshot, dropped/failed fsyncs, power

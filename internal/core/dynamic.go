@@ -677,7 +677,7 @@ func (d *dynSolver) initDynState() error {
 	}
 	if !d.kernelMethod() {
 		a := d.srcGraph.Adjacency()
-		rows, err := sparse.NewRowBlocks(a, nil, false)
+		rows, err := sparse.NewRowBlocks(a, nil)
 		if err != nil {
 			return fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
 		}
@@ -713,7 +713,7 @@ func (d *dynSolver) newKernelPlane(rows *sparse.RowBlocks, perm order.Permutatio
 		tl:         make([]int32, 0, d.n),
 	}
 	maxIter, tol := d.cfg.maxIter, d.cfg.tol
-	cfg := kernel.Config{Rows: rows, Layout: d.cfg.layout, SymmetricA: true}
+	cfg := kernel.Config{Rows: rows, SymmetricA: true}
 	if d.method == MethodFABP {
 		if maxIter == 0 {
 			maxIter = 1000
@@ -955,7 +955,7 @@ func (d *dynSolver) compactGraphLocked() (snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sparse.NewRowBlocks(a, nil, false)
+	rows, err := sparse.NewRowBlocks(a, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
 	}

@@ -191,31 +191,3 @@ func TestReorderAutoSmallGraphIsNone(t *testing.T) {
 		t.Fatal("test graph unexpectedly at or above the auto gate")
 	}
 }
-
-// TestReorderingWideLayout checks WithCompactIndices(false) — the PR 2
-// wide-index baseline — against the default compact layout: results
-// must be bitwise identical (the index width never changes arithmetic).
-func TestReorderingWideLayout(t *testing.T) {
-	p := reorderProblems(t, 3)["kronecker"]
-	wide, err := Prepare(p, MethodLinBP, WithCompactIndices(false), WithMaxIter(20), WithTol(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wide.Close()
-	compact, err := Prepare(p, MethodLinBP, WithCompactIndices(true), WithMaxIter(20), WithTol(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer compact.Close()
-	a := beliefs.New(p.Graph.N(), 3)
-	b := beliefs.New(p.Graph.N(), 3)
-	if _, err := wide.SolveInto(context.Background(), a, p.Explicit); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	if _, err := compact.SolveInto(context.Background(), b, p.Explicit); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(a, b); d != 0 {
-		t.Fatalf("wide vs compact layouts differ by %g, want bitwise identity", d)
-	}
-}

@@ -54,7 +54,6 @@ type config struct {
 	echoSet    bool
 	autoEps    bool
 	reorder    Reordering
-	layout     kernel.Layout
 	partitions int
 	schedule   Schedule
 	policy     UpdatePolicy
@@ -126,20 +125,6 @@ func WithAutoEpsilonH() Option { return func(c *config) { c.autoEps = true } }
 // extra steady-state allocations on SolveInto or SolveBatch. Stats()
 // reports the ordering chosen and the bandwidth before/after.
 func WithReordering(r Reordering) Option { return func(c *config) { c.reorder = r } }
-
-// WithCompactIndices toggles the engines' compact (int32) CSR index
-// layout, on by default whenever the matrix fits it. Turning it off
-// restores the wide layout of PR 2; layout benchmarks and debugging are
-// the only reasons to do so.
-func WithCompactIndices(on bool) Option {
-	return func(c *config) {
-		if on {
-			c.layout = kernel.LayoutCompact
-		} else {
-			c.layout = kernel.LayoutWide
-		}
-	}
-}
 
 // PartitionsAuto asks WithPartitions to size the partition-parallel
 // plane automatically: serving-scale graphs get one partition per
@@ -1057,8 +1042,7 @@ type linbpSolver struct {
 	rows       *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP) shared by all engines
 	h          *dense.Matrix
 	perm       order.Permutation // nil = natural order
-	layout     kernel.Layout
-	partStarts []int // nil = unpartitioned plane
+	partStarts []int             // nil = unpartitioned plane
 	maxIter    int
 	tol        float64
 
@@ -1095,18 +1079,18 @@ func newKernelLayout(a *sparse.CSR, echo bool, perm order.Permutation, cfg confi
 	}
 	lay := kernelLayout{perm: perm, partStarts: resolvePartition(cfg.partitions, cfg.workers, a, base)}
 	var err error
-	lay.rows, err = layoutRows(a, echo, cfg.layout)
+	lay.rows, err = layoutRows(a, echo)
 	return lay, err
 }
 
 // layoutRows wraps a layout-ordered adjacency in an epoch-0 row-block
 // table.
-func layoutRows(a *sparse.CSR, echo bool, layout kernel.Layout) (*sparse.RowBlocks, error) {
+func layoutRows(a *sparse.CSR, echo bool) (*sparse.RowBlocks, error) {
 	var d []float64
 	if echo {
 		d = a.RowSumsSquared()
 	}
-	rows, err := sparse.NewRowBlocks(a, d, kernel.WideIndexWanted(a.Rows(), layout))
+	rows, err := sparse.NewRowBlocks(a, d)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
 	}
@@ -1128,7 +1112,6 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 	s := &linbpSolver{
 		h:          h,
 		perm:       lay.perm,
-		layout:     cfg.layout,
 		partStarts: lay.partStarts,
 		maxIter:    cfg.maxIter,
 		tol:        cfg.tol,
@@ -1170,7 +1153,6 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 			MaxIter:          s.maxIter,
 			Tol:              s.tol,
 			Workers:          s.workers,
-			Layout:           s.layout,
 			PartitionStarts:  s.partStarts,
 		})
 	}).withDestroy(func(e *linbp.Engine) { e.Close() })
@@ -1181,7 +1163,7 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 			ws := kernel.GetWorkspace()
 			eng, err := kernel.New(kernel.Config{
 				Rows: s.rows, H: s.h,
-				Workers: s.workers, Blocks: c, Layout: s.layout,
+				Workers: s.workers, Blocks: c,
 				SymmetricA: true, PartitionStarts: s.partStarts,
 			}, ws)
 			if err != nil {
@@ -1199,7 +1181,6 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 			return linbp.NewResidualEngineRows(s.rows, s.h, s.perm, linbp.Options{
 				MaxIter: s.maxIter,
 				Tol:     s.tol,
-				Layout:  s.layout,
 			})
 		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
 	}
@@ -1211,7 +1192,7 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 // table (an engine that cannot rebind is destroyed and rebuilt on
 // demand).
 func (s *linbpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
-	next := &linbpSolver{h: s.h, perm: s.perm, layout: s.layout, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
+	next := &linbpSolver{h: s.h, perm: s.perm, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
 	next.initPools(rows, base)
 	moveIdle(s.states, next.states, func(e *linbp.Engine) error { return e.Rebind(rows) })
 	for i := range s.batch {

@@ -1,22 +1,22 @@
 // Package difftest is the reusable differential-correctness harness of
 // the repository: it solves one identical problem instance under every
 // serving configuration axis the prepared-Solver API exposes — method,
-// class count, wide/compact index layout, prepare-time reordering,
-// partition-parallel plane, and kernel worker count — and asserts that
+// class count, prepare-time reordering, partition-parallel plane, and
+// kernel worker count — and asserts that
 // every variant reproduces the reference configuration within a tight
 // divergence bound (1e-12 by default; the kernel planes are in fact
 // bitwise identical, the reordered ones differ only by summation
 // order).
 //
 // It replaces the per-PR ad-hoc equivalence tests: a PR that adds a new
-// execution plane or layout axis extends Variants once and every
+// execution plane or configuration axis extends Variants once and every
 // method × k combination is covered, including the fuzzed edge-list
 // entry point (FuzzLinBPEquivalence in this package's tests).
 //
 // The dynamic half of the harness (RunDynamic/RunDynamicMatrix) checks
 // the epoch-versioned update plane: any stream of edge inserts,
 // deletes, and relabels applied through Solver.Update — under every
-// layout × ordering × partition variant and every compaction policy,
+// ordering × partition × schedule variant and every compaction policy,
 // including forced rebuilds — must land within the same bound of a
 // fresh Prepare+Solve on the final graph. FuzzDynamicEquivalence is
 // the fuzzed entry point for byte-encoded update streams.
@@ -85,14 +85,13 @@ func (v Variant) bound(tol float64) float64 {
 }
 
 // Reference is the baseline configuration every variant is compared
-// against: natural order, compact indices (the default), serial,
-// unpartitioned.
+// against: natural order, serial, unpartitioned.
 func Reference() Variant {
 	return Variant{Name: "reference", Opts: []core.Option{core.WithReordering(core.ReorderNone)}}
 }
 
 // Variants enumerates the configuration axes for a method: the full
-// layout × ordering × partitions × workers cross product for the
+// ordering × partitions × workers cross product for the
 // kernel-backed methods, and the ordering axis alone for the
 // message-passing methods (BP, SBP), which consume no kernel options.
 func Variants(m core.Method) []Variant {
@@ -114,24 +113,17 @@ func Variants(m core.Method) []Variant {
 		}
 		return out
 	}
-	for _, layout := range []struct {
-		name    string
-		compact bool
-	}{{"compact", true}, {"wide", false}} {
-		for _, o := range orderings {
-			for _, parts := range []int{0, 1, 3} {
-				for _, workers := range []int{0, 4} {
-					out = append(out, Variant{
-						Name: fmt.Sprintf("layout=%s/order=%s/parts=%d/workers=%d",
-							layout.name, o.name, parts, workers),
-						Opts: []core.Option{
-							core.WithCompactIndices(layout.compact),
-							core.WithReordering(o.r),
-							core.WithPartitions(parts),
-							core.WithWorkers(workers),
-						},
-					})
-				}
+	for _, o := range orderings {
+		for _, parts := range []int{0, 1, 3} {
+			for _, workers := range []int{0, 4} {
+				out = append(out, Variant{
+					Name: fmt.Sprintf("order=%s/parts=%d/workers=%d", o.name, parts, workers),
+					Opts: []core.Option{
+						core.WithReordering(o.r),
+						core.WithPartitions(parts),
+						core.WithWorkers(workers),
+					},
+				})
 			}
 		}
 	}
@@ -210,7 +202,7 @@ func RunMatrix(t *testing.T, n, edges int, seed uint64, extra ...core.Option) {
 
 // RunKernelK1 is the k = 1 cell of the matrix: the scalar kernel (the
 // engine behind FABP's Appendix E collapse) run under every kernel
-// configuration axis — layout × partitions × workers — and compared to
+// configuration axis — partitions × workers — and compared to
 // the serial reference within tol after a fixed number of rounds.
 func RunKernelK1(t testing.TB, n, edges int, seed uint64, tol float64) {
 	if tol <= 0 {
@@ -238,24 +230,22 @@ func RunKernelK1(t testing.TB, n, edges int, seed uint64, tol float64) {
 		return append([]float64(nil), eng.Beliefs()...)
 	}
 	want := run(kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true})
-	for _, layout := range []kernel.Layout{kernel.LayoutCompact, kernel.LayoutWide} {
-		for _, parts := range []int{0, 1, 3} {
-			for _, workers := range []int{1, 4} {
-				cfg := kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true, Layout: layout, Workers: workers}
-				if parts > 0 {
-					cfg.PartitionStarts = order.PartitionRows(a, parts).Starts
+	for _, parts := range []int{0, 1, 3} {
+		for _, workers := range []int{1, 4} {
+			cfg := kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true, Workers: workers}
+			if parts > 0 {
+				cfg.PartitionStarts = order.PartitionRows(a, parts).Starts
+			}
+			got := run(cfg)
+			for i := range got {
+				diff := got[i] - want[i]
+				if diff < 0 {
+					diff = -diff
 				}
-				got := run(cfg)
-				for i := range got {
-					diff := got[i] - want[i]
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > tol {
-						t.Errorf("k=1 layout=%v parts=%d workers=%d: belief[%d] diverges by %g",
-							layout, parts, workers, i, diff)
-						return
-					}
+				if diff > tol {
+					t.Errorf("k=1 parts=%d workers=%d: belief[%d] diverges by %g",
+						parts, workers, i, diff)
+					return
 				}
 			}
 		}
@@ -336,10 +326,15 @@ func DynamicStream(p *core.Problem, batches int, seed uint64) []DynamicBatch {
 }
 
 // DynamicVariants enumerates the serving axes of the dynamic
-// differential suite per the acceptance matrix: wide+compact layouts ×
-// all orderings × partitions ∈ {1, auto} × schedules for the kernel
-// methods, and the ordering axis alone for BP and SBP (which have no
-// kernel options or residual plane). The residual and auto schedules
+// differential suite per the acceptance matrix: all orderings ×
+// kernel planes × schedules for the kernel methods, and the ordering
+// axis alone for BP and SBP (which have no kernel options or residual
+// plane). The plane axis is the single-block partitioned plane (the
+// overhead baseline), the auto choice (the unpartitioned serial plane
+// at the suite's cache-resident sizes), a three-block partitioned plane
+// with its per-round merge, and the unpartitioned span pool at four
+// workers — so epoch swaps are checked against every data plane a
+// prepared engine can run on. The residual and auto schedules
 // carry the looser ResidualScheduleTol bound — the documented
 // tolerance ladder: relaxation order is data-dependent, so those
 // variants agree with the rounds reference within the tolerance
@@ -372,28 +367,27 @@ func DynamicVariants(m core.Method) []Variant {
 		{"residual", core.ScheduleResidual, ResidualScheduleTol},
 		{"auto", core.ScheduleAuto, ResidualScheduleTol},
 	}
-	for _, layout := range []struct {
-		name    string
-		compact bool
-	}{{"compact", true}, {"wide", false}} {
-		for _, o := range orderings {
-			for _, parts := range []struct {
-				name string
-				n    int
-			}{{"1", 1}, {"auto", core.PartitionsAuto}} {
-				for _, sched := range schedules {
-					out = append(out, Variant{
-						Name: fmt.Sprintf("layout=%s/order=%s/parts=%s/schedule=%s",
-							layout.name, o.name, parts.name, sched.name),
-						Opts: []core.Option{
-							core.WithCompactIndices(layout.compact),
-							core.WithReordering(o.r),
-							core.WithPartitions(parts.n),
-							core.WithSchedule(sched.s),
-						},
-						Tol: sched.tol,
-					})
-				}
+	planes := []struct {
+		name string
+		opt  core.Option
+	}{
+		{"parts=1", core.WithPartitions(1)},
+		{"parts=auto", core.WithPartitions(core.PartitionsAuto)},
+		{"parts=3", core.WithPartitions(3)},
+		{"workers=4", core.WithWorkers(4)},
+	}
+	for _, o := range orderings {
+		for _, plane := range planes {
+			for _, sched := range schedules {
+				out = append(out, Variant{
+					Name: fmt.Sprintf("order=%s/%s/schedule=%s", o.name, plane.name, sched.name),
+					Opts: []core.Option{
+						core.WithReordering(o.r),
+						plane.opt,
+						core.WithSchedule(sched.s),
+					},
+					Tol: sched.tol,
+				})
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzLinBPEquivalence fuzzes edge lists and explicit beliefs and
-// asserts that every serving configuration (layout × ordering ×
-// partitions × workers) of the prepared LinBP solver reproduces the
+// asserts that every serving configuration (ordering × partitions ×
+// workers) of the prepared LinBP solver reproduces the
 // reference within 1e-12 after a fixed number of rounds. Run the seeds
 // with plain `go test`; explore with
 //

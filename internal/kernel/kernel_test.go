@@ -334,18 +334,23 @@ func TestEngineUseAfterClosePanics(t *testing.T) {
 // TestEngineBlockedMatchesSingle checks the multi-block batch path:
 // every block of a Blocks=B engine must evolve exactly as the same
 // problem does in its own single engine. For k outside the unrolled
-// fast paths both sides run the blocked kernel and match bitwise; for
-// unrolled k the summation order of the coupling multiply differs by
-// ~1 ulp per round.
+// fast paths both sides run the blocked kernel and match bitwise, and
+// so do the width-12 batch blocks, which mirror the unrolled k=3 and
+// k=2 paths' summation order; for unrolled k against the generic
+// blocked kernel the summation order of the coupling multiply differs
+// by ~1 ulp per round.
 func TestEngineBlockedMatchesSingle(t *testing.T) {
-	const blocks, iters = 5, 6
+	const iters = 6
 	for _, tc := range []struct {
-		k   int
-		tol float64
+		k, blocks int
+		tol       float64
 	}{
-		{4, 0},     // generic path on both sides: bitwise
-		{3, 1e-13}, // unrolled single vs blocked: rounding only
+		{4, 5, 0},     // generic path on both sides: bitwise
+		{3, 5, 1e-13}, // unrolled single vs blocked: rounding only
+		{3, 4, 0},     // 3×4 batch block vs unrolled k=3: bitwise
+		{2, 6, 0},     // 2×6 batch block vs unrolled k=2: bitwise
 	} {
+		blocks := tc.blocks
 		n := 97
 		a := randomCSR(n, 6, 7)
 		h := randomCoupling(tc.k, 9)
@@ -491,73 +496,8 @@ func TestRunContext(t *testing.T) {
 	}
 }
 
-// TestCompactLayoutBitwiseIdentical pins the compact-index (int32)
-// layout to the wide (int) layout: the index width changes only which
-// bytes the traversal loads, never the arithmetic, so every fast path
-// must produce bitwise-identical iterates — across class counts,
-// echo settings, batch blocks, and the sparse round-2 activity map.
-func TestCompactLayoutBitwiseIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		k, blocks int
-		echo      bool
-	}{
-		{1, 1, true}, {2, 1, true}, {3, 1, true}, {5, 1, true},
-		{4, 1, true},               // generic blocked path
-		{3, 1, false},              // no echo
-		{3, 4, true},               // rows3x4 batch fast path
-		{2, 6, true},               // rows2x6 batch fast path
-		{3, 2, true}, {4, 3, true}, // generic batch widths
-	} {
-		a := randomCSR(300, 6, 11)
-		var d []float64
-		if tc.echo {
-			d = degrees(a)
-		}
-		h := randomCoupling(tc.k, 5)
-		wd := tc.blocks * tc.k
-		e := make([]float64, a.Rows()*wd)
-		for i := 0; i < len(e); i += 17 {
-			e[i] = 0.07
-		}
-
-		wide, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutWide}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compact, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !compact.compact {
-			t.Fatal("compact engine did not adopt the int32 layout")
-		}
-		if wide.compact {
-			t.Fatal("LayoutWide engine must stay on the wide layout")
-		}
-		wide.SetExplicit(e)
-		compact.SetExplicit(e)
-		for round := 0; round < 5; round++ {
-			dw := wide.Step()
-			dc := compact.Step()
-			if dw != dc {
-				t.Fatalf("k=%d blocks=%d echo=%v round %d: delta %g vs %g",
-					tc.k, tc.blocks, tc.echo, round, dw, dc)
-			}
-			bw, bc := wide.Beliefs(), compact.Beliefs()
-			for i := range bw {
-				if bw[i] != bc[i] {
-					t.Fatalf("k=%d blocks=%d echo=%v round %d: beliefs differ at %d: %g vs %g",
-						tc.k, tc.blocks, tc.echo, round, i, bw[i], bc[i])
-				}
-			}
-		}
-		wide.Close()
-		compact.Close()
-	}
-}
-
-// TestCompactLayoutParallel checks the worker-pool pass on the compact
-// layout against the serial wide reference.
+// TestCompactLayoutParallel checks the worker-pool pass against the
+// serial engine, bitwise.
 func TestCompactLayoutParallel(t *testing.T) {
 	a := randomCSR(500, 8, 13)
 	d := degrees(a)
@@ -566,11 +506,11 @@ func TestCompactLayoutParallel(t *testing.T) {
 	for i := 0; i < len(e); i += 7 {
 		e[i] = 0.04
 	}
-	serial, err := New(Config{A: a, D: d, H: h, Layout: LayoutWide}, nil)
+	serial, err := New(Config{A: a, D: d, H: h}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(Config{A: a, D: d, H: h, Workers: 4, Layout: LayoutCompact}, nil)
+	par, err := New(Config{A: a, D: d, H: h, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +534,7 @@ func TestCompactLayoutParallel(t *testing.T) {
 }
 
 // TestSparseRoundBitwiseIdentical pins the push-based sparse round
-// (SymmetricA, serial, compact layout) against the plain pull round:
+// (SymmetricA, serial) against the plain pull round:
 // starting from sparse explicit beliefs, every iterate across several
 // rounds must be bitwise identical, for the k=3 fast epilogue, the k=1
 // scalar path, generic k, and a batched width.
@@ -617,11 +557,11 @@ func TestSparseRoundBitwiseIdentical(t *testing.T) {
 		for i := 0; i < len(e); i += 23 * wd { // sparse explicit rows
 			e[i] = 0.07
 		}
-		pull, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact}, nil)
+		pull, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		push, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact, SymmetricA: true}, nil)
+		push, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, SymmetricA: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -646,9 +586,10 @@ func TestSparseRoundBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestCompactBatchKernelsLargeGraph exercises the width-12 compact
-// batch blocks, which only dispatch above compactBatchMinNodes: results
-// must stay bitwise identical to the wide register blocks.
+// TestCompactBatchKernelsLargeGraph exercises the width-12 batch blocks
+// above compactBatchMinNodes, where round 2 runs as the batched push
+// round: every block of the batched engine must stay bitwise identical
+// to the same problem in its own single engine.
 func TestCompactBatchKernelsLargeGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a graph above compactBatchMinNodes")
@@ -657,36 +598,48 @@ func TestCompactBatchKernelsLargeGraph(t *testing.T) {
 		a := randomCSR(compactBatchMinNodes+10, 4, 31)
 		d := degrees(a)
 		h := randomCoupling(tc.k, 5)
-		wd := tc.k * tc.blocks
-		e := make([]float64, a.Rows()*wd)
+		n, k, wd := a.Rows(), tc.k, tc.k*tc.blocks
+		e := make([]float64, n*wd)
 		for i := 0; i < len(e); i += 37 {
 			e[i] = 0.03
 		}
-		wide, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutWide}, nil)
+		// SymmetricA exercises the batched push-based sparse round,
+		// which only dispatches above the size gate.
+		batched, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, SymmetricA: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// SymmetricA additionally exercises the batched push-based
-		// sparse round, which only dispatches above the size gate.
-		compact, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact, SymmetricA: true}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide.SetExplicit(e)
-		compact.SetExplicit(e)
-		for round := 0; round < 3; round++ {
-			dw, dc := wide.Step(), compact.Step()
-			if dw != dc {
-				t.Fatalf("k=%d blocks=%d round %d: delta %g vs %g", tc.k, tc.blocks, round, dw, dc)
+		batched.SetExplicit(e)
+		singles := make([]*Engine, tc.blocks)
+		for b := range singles {
+			eb := make([]float64, n*k)
+			for i := 0; i < n; i++ {
+				copy(eb[i*k:i*k+k], e[i*wd+b*k:i*wd+b*k+k])
 			}
-			bw, bc := wide.Beliefs(), compact.Beliefs()
-			for i := range bw {
-				if bw[i] != bc[i] {
-					t.Fatalf("k=%d blocks=%d round %d: beliefs differ at %d", tc.k, tc.blocks, round, i)
+			if singles[b], err = New(Config{A: a, D: d, H: h, SymmetricA: true}, nil); err != nil {
+				t.Fatal(err)
+			}
+			singles[b].SetExplicit(eb)
+		}
+		for round := 0; round < 3; round++ {
+			batched.Step()
+			state := batched.Beliefs()
+			for b, single := range singles {
+				single.Step()
+				got := single.Beliefs()
+				for i := 0; i < n; i++ {
+					for c := 0; c < k; c++ {
+						if v := state[i*wd+b*k+c]; v != got[i*k+c] {
+							t.Fatalf("k=%d blocks=%d round %d: block %d node %d class %d: %g, want %g",
+								tc.k, tc.blocks, round, b, i, c, v, got[i*k+c])
+						}
+					}
 				}
 			}
 		}
-		wide.Close()
-		compact.Close()
+		batched.Close()
+		for _, single := range singles {
+			single.Close()
+		}
 	}
 }

@@ -90,7 +90,7 @@ func (e *Engine) startPartWorkers() {
 }
 
 // run is the partition worker loop. All block-local state — the private
-// CSR copy, its compact index, the scratch row — is allocated and
+// row-block copy and the scratch row — is allocated and
 // written here, on the locked OS thread that will use it every round,
 // so first-touch page placement keeps it NUMA-local to this worker.
 //
@@ -116,7 +116,6 @@ func (w *partWorker) run(parent *Engine, ready *sync.WaitGroup) {
 func (w *partWorker) refresh() {
 	priv := w.pending.PrivateCopy(w.lo, w.hi, w.sub.adj, w.src)
 	w.sub.adj = priv
-	w.sub.wideBatch = w.sub.batchOnWide()
 	w.src, w.pending = w.pending, nil
 }
 
@@ -128,23 +127,21 @@ func (w *partWorker) refresh() {
 func (w *partWorker) init(parent *Engine) {
 	priv := parent.adj.PrivateCopy(w.lo, w.hi, nil, nil)
 	sub := &Engine{
-		adj:     priv,
-		compact: parent.compact,
-		kern:    parent.kern,
-		h:       parent.h,
-		h2:      parent.h2,
-		n:       parent.n,
-		k:       parent.k,
-		blocks:  parent.blocks,
-		wd:      parent.wd,
-		echo:    parent.echo,
+		adj:    priv,
+		kern:   parent.kern,
+		h:      parent.h,
+		h2:     parent.h2,
+		n:      parent.n,
+		k:      parent.k,
+		blocks: parent.blocks,
+		wd:     parent.wd,
+		echo:   parent.echo,
 		// symA stays false: the push-based sparse round writes rows
 		// outside the block and is licensed only on the parent.
 		workers: 1,
 		ws:      parent.ws,
 		track:   true,
 	}
-	sub.wideBatch = sub.batchOnWide()
 	w.src = parent.adj
 	w.scratch = make([]float64, scratchStride(parent.wd))
 	w.sub = sub

@@ -91,40 +91,6 @@ func TestPartitionedBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionedWideLayout checks the partitioned plane over the wide
-// (int-indexed) kernels as well — the sub-engines must follow the
-// parent's layout choice.
-func TestPartitionedWideLayout(t *testing.T) {
-	n := 97
-	a := randomCSR(n, 5, 21)
-	h := randomCoupling(3, 8)
-	e := make([]float64, n*3)
-	rngFill(e, 4)
-
-	ref, err := New(Config{A: a, H: h, Layout: LayoutWide}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetExplicit(e)
-	ref.Run(4, -1, nil)
-	want := append([]float64(nil), ref.Beliefs()...)
-	ref.Close()
-
-	p := order.PartitionRows(a, 4)
-	eng, err := New(Config{A: a, H: h, Layout: LayoutWide, PartitionStarts: p.Starts}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.SetExplicit(e)
-	eng.Run(4, -1, nil)
-	for i, v := range eng.Beliefs() {
-		if v != want[i] {
-			t.Fatalf("wide belief[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
 // TestPartitionStartsValidation pins the Config contract.
 func TestPartitionStartsValidation(t *testing.T) {
 	a := randomCSR(10, 3, 1)

@@ -64,12 +64,11 @@ const residualCtxStride = 1024
 // A ResidualEngine is not safe for concurrent use; run one per
 // goroutine or pool them as the prepared solvers do.
 type ResidualEngine struct {
-	adj     *sparse.RowBlocks // adjacency, with degrees when echo is on
-	compact bool              // int32 index stream (false: LayoutWide)
-	h, h2   []float64         // flat k×k coupling and echo coupling
-	n, k    int
-	echo    bool
-	tol     float64
+	adj   *sparse.RowBlocks // adjacency, with degrees when echo is on
+	h, h2 []float64         // flat k×k coupling and echo coupling
+	n, k  int
+	echo  bool
+	tol   float64
 
 	b []float64 // accumulated beliefs, flat n×k
 	// r packs each row's residual with its queue action threshold:
@@ -148,7 +147,6 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 	}
 	e := &ResidualEngine{
 		adj:     rows,
-		compact: cfg.Layout != LayoutWide,
 		n:       n,
 		k:       k,
 		echo:    rows.HasDegrees(),
@@ -442,25 +440,6 @@ func (e *ResidualEngine) relax(i int32) {
 	// entry lands back on ri — additive, so it composes with the echo
 	// push above.
 	r := e.r
-	if !e.compact {
-		cols, vals := e.adj.RowView(int(i))
-		e.pushes += len(cols)
-		for p, jj := range cols {
-			w := vals[p]
-			rj := r[jj*st : jj*st+st]
-			var m float64
-			for c := 0; c < k; c++ {
-				rj[c] += w * ph[c]
-				if a := math.Abs(rj[c]); !(a <= m) {
-					m = a
-				}
-			}
-			if !(m <= rj[k]) {
-				e.touchSlow(int32(jj), m)
-			}
-		}
-		return
-	}
 	cols, vals := e.adj.RowViewCompact(int(i))
 	e.pushes += len(cols)
 	if k == 3 {
@@ -483,12 +462,11 @@ func (e *ResidualEngine) relax(i int32) {
 	}
 }
 
-// push3 is relax's neighbor push for k=3 over compact columns,
-// unrolled as rows3Compact is. It performs the generic loop's adds and
-// max-abs folds in the same order (the first fold, |x₀| against 0,
-// is |x₀| itself, NaN included), so the two are bitwise
-// interchangeable; it costs ~0.77× the generic loop per push on the
-// served tol 1e-12 Update (EXPERIMENTS.md).
+// push3 is relax's neighbor push for k=3, unrolled as rows3 is. It
+// performs the generic loop's adds and max-abs folds in the same order
+// (the first fold, |x₀| against 0, is |x₀| itself, NaN included), so
+// the two are bitwise interchangeable; it costs ~0.77× the generic loop
+// per push on the served tol 1e-12 Update (EXPERIMENTS.md).
 //
 //lsbp:hotpath
 func (e *ResidualEngine) push3(cols []int32, vals []float64) {
@@ -597,16 +575,16 @@ func (e *ResidualEngine) SetBeliefs(b []float64) {
 }
 
 // Rebind points the engine at another epoch of its adjacency (a table
-// committed from the one it was built on: same shape, degree presence,
-// and index layout). The held beliefs and the touched-row bookkeeping
+// committed from the one it was built on: same shape and degree
+// presence). The held beliefs and the touched-row bookkeeping
 // carry over, so the next SeedResume continues from the fixpoint of
 // the previous epoch.
 func (e *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {
 	if rows.Rows() != e.n || rows.Cols() != e.n {
 		return fmt.Errorf("kernel: rebind to %dx%d adjacency, engine has n=%d: %w", rows.Rows(), rows.Cols(), e.n, errs.ErrDimensionMismatch)
 	}
-	if rows.HasDegrees() != e.echo || (!e.compact && !rows.HasWide()) {
-		return fmt.Errorf("kernel: rebind table does not match the engine's degree/index layout: %w", errs.ErrInvalidInput)
+	if rows.HasDegrees() != e.echo {
+		return fmt.Errorf("kernel: rebind table does not match the engine's degree presence: %w", errs.ErrInvalidInput)
 	}
 	e.adj = rows
 	return nil
@@ -624,23 +602,12 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 	for c := 0; c < k; c++ {
 		ph[c] = 0
 	}
-	if e.compact {
-		cols, vals := e.adj.RowViewCompact(int(i))
-		for p, j := range cols {
-			w := vals[p]
-			bj := e.b[int(j)*k : int(j)*k+k]
-			for c := 0; c < k; c++ {
-				ph[c] += w * bj[c]
-			}
-		}
-	} else {
-		cols, vals := e.adj.RowView(int(i))
-		for p, jj := range cols {
-			w := vals[p]
-			bj := e.b[jj*k : jj*k+k]
-			for c := 0; c < k; c++ {
-				ph[c] += w * bj[c]
-			}
+	cols, vals := e.adj.RowViewCompact(int(i))
+	for p, j := range cols {
+		w := vals[p]
+		bj := e.b[int(j)*k : int(j)*k+k]
+		for c := 0; c < k; c++ {
+			ph[c] += w * bj[c]
 		}
 	}
 	h := e.h

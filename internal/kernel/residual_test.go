@@ -42,51 +42,49 @@ func maxAbsDiff(a, b []float64) float64 {
 }
 
 // TestResidualMatchesRounds pins the residual-scheduled fixpoint to
-// the round-based fixpoint across class counts, echo on/off, and both
-// CSR layouts. The two schedules sum in different orders, so the
-// budget is a tolerance band, not bitwise equality: each plane is
-// within O(tol/(1-ρ)) of the unique fixpoint.
+// the round-based fixpoint across class counts and echo on/off. The
+// two schedules sum in different orders, so the budget is a tolerance
+// band, not bitwise equality: each plane is within O(tol/(1-ρ)) of the
+// unique fixpoint.
 func TestResidualMatchesRounds(t *testing.T) {
 	const tol = 1e-12
 	for _, n := range []int{1, 9, 257} {
 		for _, k := range []int{1, 2, 3, 5, 7} {
 			for _, echo := range []bool{false, true} {
-				for _, layout := range []Layout{LayoutCompact, LayoutWide} {
-					a := randomCSR(n, 6, uint64(n*k+1))
-					h := randomCoupling(k, uint64(k)+3)
-					var d []float64
-					if echo {
-						d = degrees(a)
+				a := randomCSR(n, 6, uint64(n*k+1))
+				h := randomCoupling(k, uint64(k)+3)
+				var d []float64
+				if echo {
+					d = degrees(a)
+				}
+				rng := xrand.New(uint64(n) + 17)
+				e := make([]float64, n*k)
+				for i := range e {
+					if rng.Float64() < 0.2 {
+						e[i] = rng.Float64() - 0.5
 					}
-					rng := xrand.New(uint64(n) + 17)
-					e := make([]float64, n*k)
-					for i := range e {
-						if rng.Float64() < 0.2 {
-							e[i] = rng.Float64() - 0.5
-						}
-					}
+				}
 
-					ref := roundsFixpoint(t, Config{A: a, D: d, H: h, SymmetricA: true, Layout: layout}, e, 1e-14)
+				ref := roundsFixpoint(t, Config{A: a, D: d, H: h, SymmetricA: true}, e, 1e-14)
 
-					res, err := NewResidual(Config{A: a, D: d, H: h, SymmetricA: true, Layout: layout}, tol)
-					if err != nil {
-						t.Fatalf("n=%d k=%d: %v", n, k, err)
-					}
-					res.SeedExplicit(e)
-					relaxed, peak, maxResid, conv, err := res.Run(context.Background(), 5000*n+1)
-					if err != nil || !conv {
-						t.Fatalf("n=%d k=%d echo=%v: residual solve conv=%v err=%v", n, k, echo, conv, err)
-					}
-					if maxResid > tol {
-						t.Fatalf("n=%d k=%d: converged with residual %g > tol %g", n, k, maxResid, tol)
-					}
-					if diff := maxAbsDiff(ref, res.Beliefs()); diff > 1e-10 {
-						t.Fatalf("n=%d k=%d echo=%v layout=%v: fixpoints differ by %g (relaxed=%d peak=%d)",
-							n, k, echo, layout, diff, relaxed, peak)
-					}
-					if relaxed > 0 && peak == 0 {
-						t.Fatalf("n=%d k=%d: relaxed %d rows but peak queue population is 0", n, k, relaxed)
-					}
+				res, err := NewResidual(Config{A: a, D: d, H: h, SymmetricA: true}, tol)
+				if err != nil {
+					t.Fatalf("n=%d k=%d: %v", n, k, err)
+				}
+				res.SeedExplicit(e)
+				relaxed, peak, maxResid, conv, err := res.Run(context.Background(), 5000*n+1)
+				if err != nil || !conv {
+					t.Fatalf("n=%d k=%d echo=%v: residual solve conv=%v err=%v", n, k, echo, conv, err)
+				}
+				if maxResid > tol {
+					t.Fatalf("n=%d k=%d: converged with residual %g > tol %g", n, k, maxResid, tol)
+				}
+				if diff := maxAbsDiff(ref, res.Beliefs()); diff > 1e-10 {
+					t.Fatalf("n=%d k=%d echo=%v: fixpoints differ by %g (relaxed=%d peak=%d)",
+						n, k, echo, diff, relaxed, peak)
+				}
+				if relaxed > 0 && peak == 0 {
+					t.Fatalf("n=%d k=%d: relaxed %d rows but peak queue population is 0", n, k, relaxed)
 				}
 			}
 		}

@@ -2,28 +2,25 @@ package kernel
 
 import "repro/internal/sparse"
 
-// The compact-layout row kernels. Each mirrors its wide counterpart in
-// kernel.go operation for operation — identical summation order, so the
-// two layouts are bitwise interchangeable — but reads the CSR through
-// the int32 index stream (half the index bytes per traversal), hoists
-// the Engine fields the loop touches into locals (stores through the
-// belief buffers keep the compiler from proving the struct unchanged,
-// so the method-style wide kernels reload them every row), and reads
-// the k×k coupling coefficients by constant index in the row epilogue
-// instead of holding k² locals across the loop — Go's register
-// allocator spills that many long-lived floats straight through the
-// sparse inner loop, which costs more than the per-row reloads.
+// The unrolled row kernels. Each reads its rows through the block's
+// int32 index stream, hoists the Engine fields the loop touches into
+// locals (stores through the belief buffers keep the compiler from
+// proving the struct unchanged, so fields read through e would reload
+// every row), and reads the k×k coupling coefficients by constant index
+// in the row epilogue instead of holding k² locals across the loop —
+// Go's register allocator spills that many long-lived floats straight
+// through the sparse inner loop, which costs more than the per-row
+// reloads.
 
-// rows1Compact is the k = 1 scalar collapse (FABP, Appendix E). Unlike
-// the wide path, the compact fast paths honor the round-2 activity map
-// (act != nil only in the round after the Bˆ¹ = Eˆ shortcut): skipping
-// neighbors whose belief rows are exactly zero drops only v·0 terms, so
-// the result stays bitwise identical while the mostly-dead round-2
-// loads disappear. The act == nil branch keeps the dense rounds on the
-// unchecked loop.
+// rows1 is the k = 1 scalar collapse (FABP, Appendix E). The fast
+// paths honor the round-2 activity map (act != nil only in the round
+// after the Bˆ¹ = Eˆ shortcut): skipping neighbors whose belief rows are
+// exactly zero drops only v·0 terms, so the result stays bitwise
+// identical while the mostly-dead round-2 loads disappear. The act ==
+// nil branch keeps the dense rounds on the unchecked loop.
 //
 //lsbp:hotpath
-func (e *Engine) rows1Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows1(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -74,7 +71,7 @@ func (e *Engine) rows1Compact(blk *sparse.Block, off, lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows2Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows2(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -136,7 +133,7 @@ func (e *Engine) rows2Compact(blk *sparse.Block, off, lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows3Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows3(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -203,7 +200,7 @@ func (e *Engine) rows3Compact(blk *sparse.Block, off, lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows5Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows5(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -281,11 +278,13 @@ func (e *Engine) rows5Compact(blk *sparse.Block, off, lo, hi int) float64 {
 	return delta
 }
 
-// rows3x4Compact fuses four k=3 solves (width 12) over the compact
-// index stream; see rows3x4 for the register-blocking rationale.
+// rows3x4 fuses four k=3 solves (width 12): one traversal per row feeds
+// twelve register accumulators, sharing each index and value load
+// across the four requests, then the coupling and echo terms are
+// applied per block in rows3's summation order.
 //
 //lsbp:hotpath
-func (e *Engine) rows3x4Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows3x4(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -381,11 +380,11 @@ func (e *Engine) rows3x4Compact(blk *sparse.Block, off, lo, hi int) float64 {
 	return delta
 }
 
-// rows2x6Compact fuses six k=2 solves (width 12) over the compact index
-// stream, the k=2 analogue of rows3x4Compact.
+// rows2x6 fuses six k=2 solves (width 12), the k=2 analogue of
+// rows3x4 in rows2's summation order.
 //
 //lsbp:hotpath
-func (e *Engine) rows2x6Compact(blk *sparse.Block, off, lo, hi int) float64 {
+func (e *Engine) rows2x6(blk *sparse.Block, off, lo, hi int) float64 {
 	rowPtr, colIdx, avals := blk.RowPtr[lo-off:hi-off+1], blk.Col, blk.Val
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, blk.Deg, e.echo, e.track, e.act
@@ -481,7 +480,7 @@ func (e *Engine) rows2x6Compact(blk *sparse.Block, off, lo, hi int) float64 {
 	return delta
 }
 
-// sparseRoundCompact executes one full round from the Bˆ = Eˆ state
+// sparseRound executes one full round from the Bˆ = Eˆ state
 // (the round after the solve-from-scratch shortcut) in push form: Eˆ
 // has nonzero rows only at the explicitly labeled nodes, so instead of
 // pulling every stored entry the engine zeroes the output, pushes each
@@ -493,7 +492,7 @@ func (e *Engine) rows2x6Compact(blk *sparse.Block, off, lo, hi int) float64 {
 // kernels' summation order, so the iterate is bitwise identical.
 //
 //lsbp:hotpath
-func (e *Engine) sparseRoundCompact() float64 {
+func (e *Engine) sparseRound() float64 {
 	adj := e.adj
 	n, k, wd := e.n, e.k, e.wd
 	cur, next := e.ws.cur[:n*wd], e.ws.next[:n*wd]

@@ -81,7 +81,7 @@ func newEngine(cfg kernel.Config, h *dense.Matrix, perm []int, opts Options) (*E
 	if perm != nil && len(perm) != n {
 		return nil, fmt.Errorf("linbp: permutation length %d does not match n=%d: %w", len(perm), n, errs.ErrDimensionMismatch)
 	}
-	cfg.H, cfg.Workers, cfg.Layout, cfg.SymmetricA, cfg.PartitionStarts = h, opts.Workers, opts.Layout, true, opts.PartitionStarts
+	cfg.H, cfg.Workers, cfg.SymmetricA, cfg.PartitionStarts = h, opts.Workers, true, opts.PartitionStarts
 	ws := kernel.GetWorkspace()
 	eng, err := kernel.New(cfg, ws)
 	if err != nil {

@@ -11,11 +11,11 @@ import (
 )
 
 // The maintained-state Incremental type that used to live here was
-// superseded by the epoch-versioned dynamic solver (core/dynamic.go +
-// the lsbp.IncrementalLinBP wrapper): incremental maintenance now runs
-// through the prepared kernel engines, layouts, partitions, and
-// concurrency machinery instead of this package's one-shot path. What
-// remains is the warm-start run primitive both paths are built on.
+// superseded by the epoch-versioned dynamic solver (core/dynamic.go,
+// reached through a prepared Solver's Update): incremental maintenance
+// now runs through the prepared kernel engines, layouts, partitions,
+// and concurrency machinery instead of this package's one-shot path.
+// What remains is the warm-start run primitive.
 
 // runFrom is Run with a caller-provided starting point instead of Bˆ = 0.
 // It drives the fused kernel engine with a pooled workspace. The

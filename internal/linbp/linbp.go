@@ -22,7 +22,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/errs"
 	"repro/internal/graph"
-	"repro/internal/kernel"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
@@ -46,10 +45,6 @@ type Options struct {
 	// implementation). 0 or 1 keeps the single-threaded kernel the
 	// paper's evaluation uses.
 	Workers int
-	// Layout selects the kernel's CSR index representation (the zero
-	// value auto-adopts the compact int32 form whenever the graph fits
-	// it); layout benchmarks pin it to kernel.LayoutWide.
-	Layout kernel.Layout
 	// PartitionStarts, when set, selects the kernel's partition-parallel
 	// data plane: one OS-thread-locked persistent worker per contiguous
 	// row block, with first-touched private block state (see

@@ -56,7 +56,7 @@ func NewResidualEngineRows(rows *sparse.RowBlocks, h *dense.Matrix, perm []int, 
 	if perm != nil && len(perm) != n {
 		return nil, fmt.Errorf("linbp: permutation length %d does not match n=%d: %w", len(perm), n, errs.ErrDimensionMismatch)
 	}
-	eng, err := kernel.NewResidual(kernel.Config{Rows: rows, H: h, Layout: opts.Layout, SymmetricA: true}, opts.Tol)
+	eng, err := kernel.NewResidual(kernel.Config{Rows: rows, H: h, SymmetricA: true}, opts.Tol)
 	if err != nil {
 		return nil, fmt.Errorf("linbp: %w", err)
 	}

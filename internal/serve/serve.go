@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,8 +112,14 @@ type waiter struct {
 }
 
 func (w *waiter) finish(dst *beliefs.Residual, info core.SolveInfo, err error) {
-	w.dst, w.info, w.err = dst, info, err
+	w.answer(dst, info, err)
 	close(w.done)
+}
+
+// answer records a dispatched waiter's outcome; its worker closes done
+// once the batch no longer counts as in flight.
+func (w *waiter) answer(dst *beliefs.Residual, info core.SolveInfo, err error) {
+	w.dst, w.info, w.err = dst, info, err
 }
 
 // FrontEnd is the serving surface. Create with New, share freely: all
@@ -256,8 +263,7 @@ func (f *FrontEnd) Solve(ctx context.Context, e *beliefs.Residual) (*beliefs.Res
 	select {
 	case <-w.done:
 	case <-ctx.Done():
-		if w.state.CompareAndSwap(wQueued, wCancelled) {
-			// Still queued: the dispatcher will discard it unserved.
+		if f.abandon(w) {
 			f.expired.Add(1)
 			return nil, core.SolveInfo{}, fmt.Errorf("serve: abandoned in queue: %w", ctx.Err())
 		}
@@ -267,6 +273,22 @@ func (f *FrontEnd) Solve(ctx context.Context, e *beliefs.Residual) (*beliefs.Res
 		f.lat.Observe(time.Since(w.enq))
 	}
 	return w.dst, w.info, w.err
+}
+
+// abandon withdraws a waiter whose caller gave up: if it is still
+// queued it leaves the queue before the caller returns, so QueueLen
+// never counts a request nobody waits for. It reports false when a
+// dispatcher, an eviction or Close took the waiter first.
+func (f *FrontEnd) abandon(w *waiter) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !w.state.CompareAndSwap(wQueued, wCancelled) {
+		return false
+	}
+	if i := slices.Index(f.queue, w); i >= 0 {
+		f.queue = slices.Delete(f.queue, i, i+1)
+	}
+	return true
 }
 
 // admissible runs the shed-before-queue checks: lifecycle, context,
@@ -316,7 +338,10 @@ func (f *FrontEnd) estimate() time.Duration {
 }
 
 // worker is one dispatch loop: it sleeps until work arrives, takes up
-// to MaxBatch waiters, and serves them as one SolveBatch.
+// to MaxBatch waiters, sheds those that can no longer be served, and
+// serves the rest as one SolveBatch. The gauges settle before any
+// caller has its outcome: a shed waiter is answered before the batch
+// counts as in flight, and a served one only after it stops counting.
 func (f *FrontEnd) worker() {
 	defer f.wg.Done()
 	f.mu.Lock()
@@ -328,15 +353,18 @@ func (f *FrontEnd) worker() {
 			f.mu.Unlock()
 			return
 		}
-		batch := f.take()
-		if len(batch) == 0 {
-			continue // everything popped had been cancelled
+		live := f.shedAtDispatch(f.take())
+		if len(live) == 0 {
+			continue // every taken waiter was shed
 		}
 		f.inFlight++
 		f.mu.Unlock()
-		f.runBatch(batch)
+		f.runBatch(live)
 		f.mu.Lock()
 		f.inFlight--
+		for _, w := range live {
+			close(w.done)
+		}
 	}
 }
 
@@ -357,10 +385,10 @@ func (f *FrontEnd) take() []*waiter {
 	return batch
 }
 
-// runBatch serves one coalesced batch: dispatch-time expiry recheck,
-// fused SolveBatch under panic confinement, singleton retries for
-// panic cohabitants and poisoned fused chunks, latency bookkeeping.
-func (f *FrontEnd) runBatch(batch []*waiter) {
+// shedAtDispatch answers the taken waiters that can no longer be
+// served — expired, or without the budget for one batch round — and
+// returns the rest. Caller holds mu.
+func (f *FrontEnd) shedAtDispatch(batch []*waiter) []*waiter {
 	ewma := time.Duration(f.est.Value())
 	live := batch[:0]
 	for _, w := range batch {
@@ -381,10 +409,14 @@ func (f *FrontEnd) runBatch(batch []*waiter) {
 		}
 		live = append(live, w)
 	}
-	if len(live) == 0 {
-		return
-	}
+	return live
+}
 
+// runBatch serves one coalesced batch — fused SolveBatch under panic
+// confinement, singleton retries for panic cohabitants and poisoned
+// fused chunks, latency bookkeeping — and records every waiter's
+// answer; the worker delivers them.
+func (f *FrontEnd) runBatch(live []*waiter) {
 	start := time.Now()
 	reqs := make([]core.Request, len(live))
 	for i, w := range live {
@@ -420,11 +452,11 @@ func (f *FrontEnd) runBatch(batch []*waiter) {
 			// converting late deliveries is what keeps served latency
 			// bounded by deadline + one batch round.
 			f.expired.Add(1)
-			w.finish(nil, core.SolveInfo{}, fmt.Errorf("serve: answer ready after deadline: %w", cerr))
+			w.answer(nil, core.SolveInfo{}, fmt.Errorf("serve: answer ready after deadline: %w", cerr))
 			continue
 		}
 		f.completed.Add(1)
-		w.finish(r.Beliefs, r.Info, r.Err)
+		w.answer(r.Beliefs, r.Info, r.Err)
 	}
 }
 
@@ -464,10 +496,10 @@ func (f *FrontEnd) retrySingleton(w *waiter, req core.Request) {
 	info, err := f.solveOneGuarded(w.ctx, req)
 	f.completed.Add(1)
 	if err != nil {
-		w.finish(nil, info, err)
+		w.answer(nil, info, err)
 		return
 	}
-	w.finish(req.Dst, info, nil)
+	w.answer(req.Dst, info, nil)
 }
 
 func (f *FrontEnd) solveOneGuarded(ctx context.Context, req core.Request) (info core.SolveInfo, err error) {

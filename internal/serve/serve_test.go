@@ -519,6 +519,70 @@ func TestClosedLoopOverload(t *testing.T) {
 	}
 }
 
+// gateSolver holds every SolveBatch until release is closed, signalling
+// entered once per call — a dispatch worker it can park on demand.
+type gateSolver struct {
+	core.Solver
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateSolver) SolveBatch(ctx context.Context, reqs []core.Request) []core.Response {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Solver.SolveBatch(ctx, reqs)
+}
+
+// TestGaugesSettleBeforeAnswer: the QueueLen and InFlight gauges are
+// settled by the time a caller has its outcome. (a) A caller that gives
+// up while queued behind a busy worker leaves no waiter behind in the
+// queue. (b) Sequential solves through one worker each read InFlight 0
+// right after the answer arrives.
+func TestGaugesSettleBeforeAnswer(t *testing.T) {
+	p := testProblem(t, 60, 130, 3, 9)
+	t.Run("abandoned", func(t *testing.T) {
+		g := &gateSolver{Solver: prepared(t, p), entered: make(chan struct{}, 1), release: make(chan struct{})}
+		f := New(g, Config{MaxInFlight: 1})
+		defer f.Close()
+		first := make(chan error, 1)
+		go func() {
+			_, _, err := f.Solve(context.Background(), p.Explicit)
+			first <- err
+		}()
+		<-g.entered // the only worker is parked inside SolveBatch
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, err := f.Solve(ctx, p.Explicit)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("queued solve err = %v, want DeadlineExceeded", err)
+		}
+		if st := f.Stats(); st.QueueLen != 0 {
+			t.Errorf("QueueLen = %d right after the queued caller gave up, want 0", st.QueueLen)
+		}
+		close(g.release)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("sequential", func(t *testing.T) {
+		f := New(prepared(t, p), Config{MaxInFlight: 1})
+		defer f.Close()
+		const solves = 3000
+		busy := 0
+		for i := 0; i < solves; i++ {
+			if _, _, err := f.Solve(context.Background(), p.Explicit); err != nil {
+				t.Fatal(err)
+			}
+			if st := f.Stats(); st.InFlight != 0 || st.QueueLen != 0 {
+				busy++
+			}
+		}
+		if busy != 0 {
+			t.Errorf("%d of %d answered solves read a busy front end (InFlight or QueueLen != 0)", busy, solves)
+		}
+	})
+}
+
 // TestEveryShedPathIsTyped sweeps the front end's rejection paths and
 // asserts each error classifies into the taxonomy — the analyzer-less
 // half of the "never drop a request without a typed error" gate.

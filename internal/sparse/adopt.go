@@ -64,10 +64,10 @@ func NewCSRFromRaw(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, e
 // NewCSRFromCompact adopts a compact-index serialization: int32 column
 // indices (the on-disk form whenever the matrix fits them) plus wide
 // row pointers and values. The compact index is installed directly as
-// the CSR's cached int32 form — so the compact-layout kernels read the
-// adopted (possibly mmap-backed) array with no rebuild — and the wide
-// column array the remaining code paths need is materialized by one
-// widening pass.
+// the CSR's cached int32 form — so the row-block tables the kernels
+// read alias the adopted (possibly mmap-backed) array with no rebuild —
+// and the int column array the remaining code paths need is
+// materialized by one widening pass.
 func NewCSRFromCompact(rows, cols int, rowPtr []int, colIdx32 []int32, val []float64) (*CSR, error) {
 	const maxInt32 = 1<<31 - 1
 	if rows >= maxInt32 || cols >= maxInt32 || len(val) >= maxInt32 {

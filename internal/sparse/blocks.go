@@ -3,8 +3,8 @@
 // BlockRows consecutive rows; every block is immutable once published,
 // so any number of solves may read one epoch's table while the next
 // epoch is being committed. The epoch-0 table splits the prepared
-// (possibly mmap-backed) flat CSR into blocks whose columns, degrees
-// and wide indices alias the flat arrays — only the row pointers are
+// (possibly mmap-backed) flat CSR into blocks whose int32 columns,
+// values and degrees alias the flat arrays — only the row pointers are
 // rebased per block — and Commit produces the next epoch by copying
 // only the blocks that hold edited rows plus the block table itself:
 // untouched blocks are shared by pointer between epochs, so a small
@@ -55,9 +55,6 @@ type Block struct {
 	RowPtr []int32
 	Col    []int32
 	Val    []float64
-	// Wide holds the column indices as int, parallel to Col; nil unless
-	// the table keeps the wide form (HasWide).
-	Wide []int
 	// Deg holds each row's weighted degree Σ_j a(i,j)² in column order
 	// (RowSumsSquared's summation order); nil unless the table carries
 	// degrees (HasDegrees).
@@ -75,11 +72,10 @@ type RowBlocks struct {
 	nnz        int
 	// blocks is the block table, one entry per BlockRows rows. The
 	// table keeps no reference to the CSR it was built from: once the
-	// builder drops that CSR, its int row pointers are garbage, its
-	// values are too when every block is unit-weight, and so are its int
-	// columns unless the table keeps wide indices.
-	blocks    []*Block
-	wide, deg bool
+	// builder drops that CSR, its int row pointers and int columns are
+	// garbage, and so are its values when every block is unit-weight.
+	blocks []*Block
+	deg    bool
 	// base is the compaction base (the epoch-0 table of this lineage)
 	// and diff the number of cells whose value differs from it.
 	base *RowBlocks
@@ -88,14 +84,13 @@ type RowBlocks struct {
 
 // NewRowBlocks builds the epoch-0 table over a (see CSR.blockSplit):
 // blocks aliasing a's compact index, values and deg, which, when
-// non-nil, supplies the per-row degrees; wide keeps a's int column
-// indices for RowView. a's compact index and the split are built if
-// needed, so call it while a has no concurrent readers. The table
-// holds no reference to a itself. It fails when a does not fit the
-// int32 index.
-func NewRowBlocks(a *CSR, deg []float64, wide bool) (*RowBlocks, error) {
+// non-nil, supplies the per-row degrees. a's compact index and the
+// split are built if needed, so call it while a has no concurrent
+// readers. The table holds no reference to a itself. It fails when a
+// does not fit the int32 index.
+func NewRowBlocks(a *CSR, deg []float64) (*RowBlocks, error) {
 	m := new(RowBlocks)
-	if err := m.Init(a, deg, wide); err != nil {
+	if err := m.Init(a, deg); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -103,37 +98,35 @@ func NewRowBlocks(a *CSR, deg []float64, wide bool) (*RowBlocks, error) {
 
 // Init makes m the epoch-0 table over a in place (see NewRowBlocks),
 // for holders that embed their table instead of allocating it.
-func (m *RowBlocks) Init(a *CSR, deg []float64, wide bool) error {
+func (m *RowBlocks) Init(a *CSR, deg []float64) error {
 	if deg != nil && len(deg) != a.rows {
 		return fmt.Errorf("sparse: degree vector length %d, want %d", len(deg), a.rows)
 	}
-	blocks, err := a.blockSplit(deg, wide)
+	blocks, err := a.blockSplit(deg)
 	if err != nil {
 		return err
 	}
-	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), blocks: blocks, wide: wide, deg: deg != nil}
+	*m = RowBlocks{rows: a.rows, cols: a.cols, nnz: len(a.val), blocks: blocks, deg: deg != nil}
 	m.base = m
 	return nil
 }
 
-// rowSplit is a CSR's cached epoch-0 block split for one degree vector
-// and index form.
+// rowSplit is a CSR's cached epoch-0 block split for one degree vector.
 type rowSplit struct {
 	deg    []float64
-	wide   bool
 	blocks []*Block
 }
 
 // blockSplit returns a's rows as epoch-0 blocks: one array of rebased
-// int32 row pointers, the columns, values, wide indices (when wide)
-// and deg (when non-nil) as per-block sub-slices of a's arrays, and
-// the shared ones instead of a's values for every unit-weight block.
-// The split is cached on a: a later call with the same index form and
-// a degree vector holding the same values gets the cached blocks back
-// (whose degrees alias the first caller's vector), so the engines the
-// one-shot solvers build per call on one graph allocate nothing here.
-func (a *CSR) blockSplit(deg []float64, wide bool) ([]*Block, error) {
-	if s := a.split.Load(); s != nil && s.wide == wide && (s.deg == nil) == (deg == nil) && slices.Equal(s.deg, deg) {
+// int32 row pointers, the int32 columns, values and deg (when non-nil)
+// as per-block sub-slices of a's arrays, and the shared ones instead of
+// a's values for every unit-weight block. The split is cached on a: a
+// later call with a degree vector holding the same values gets the
+// cached blocks back (whose degrees alias the first caller's vector),
+// so the engines the one-shot solvers build per call on one graph
+// allocate nothing here.
+func (a *CSR) blockSplit(deg []float64) ([]*Block, error) {
+	if s := a.split.Load(); s != nil && (s.deg == nil) == (deg == nil) && slices.Equal(s.deg, deg) {
 		return s.blocks, nil
 	}
 	rp32, ci32, ok := a.CompactIndex()
@@ -160,12 +153,9 @@ func (a *CSR) blockSplit(deg []float64, wide bool) ([]*Block, error) {
 		if deg != nil {
 			blk.Deg = deg[lo:hi:hi]
 		}
-		if wide {
-			blk.Wide = a.colIdx[first:last:last]
-		}
 		blocks[b] = blk
 	}
-	a.split.Store(&rowSplit{deg: deg, wide: wide, blocks: blocks})
+	a.split.Store(&rowSplit{deg: deg, blocks: blocks})
 	return blocks, nil
 }
 
@@ -236,9 +226,6 @@ func (m *RowBlocks) NNZ() int { return m.nnz }
 // HasDegrees reports whether the blocks carry per-row degrees.
 func (m *RowBlocks) HasDegrees() bool { return m.deg }
 
-// HasWide reports whether the blocks keep int column indices.
-func (m *RowBlocks) HasWide() bool { return m.wide }
-
 // NumBlocks returns the number of block-table entries.
 func (m *RowBlocks) NumBlocks() int { return (m.rows + BlockRows - 1) >> BlockShift }
 
@@ -254,17 +241,6 @@ func (m *RowBlocks) Block(b int) *Block { return m.blocks[b] }
 // edge inserted and deleted again leaves no difference behind, so a
 // stream that returns to its base graph reports 0.
 func (m *RowBlocks) DiffCells() int { return m.diff }
-
-// RowView returns row i's wide column indices and values, aliasing the
-// block storage. The table must keep wide indices (HasWide).
-//
-//lsbp:hotpath
-func (m *RowBlocks) RowView(i int) (cols []int, vals []float64) {
-	blk := m.Block(i >> BlockShift)
-	q := i - blk.Off
-	rs, re := blk.RowPtr[q], blk.RowPtr[q+1]
-	return blk.Wide[rs:re], blk.Val[rs:re]
-}
 
 // RowViewCompact returns row i's int32 column indices and values,
 // aliasing the block storage.
@@ -441,7 +417,7 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 			unit = allOnes(vals)
 		}
 		src.ri = 0
-		nb := newBlock(off, c.rows, c.nnz, m.wide, m.deg, unit)
+		nb := newBlock(off, c.rows, c.nnz, m.deg, unit)
 		pos := int32(0)
 		for q := 0; q < c.rows; q++ {
 			cols, vals, fresh := src.row(off + q)
@@ -449,11 +425,6 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 			copy(nb.Col[pos:], cols)
 			if !unit {
 				copy(nb.Val[pos:], vals)
-			}
-			if m.wide {
-				for p, j := range cols {
-					nb.Wide[int(pos)+p] = int(j)
-				}
 			}
 			if m.deg {
 				if fresh {
@@ -478,7 +449,7 @@ func (m *RowBlocks) Commit(edits []Edit, rowsBuf []int) (*RowBlocks, []int) {
 		blocks[c.b] = nb
 	}
 	return &RowBlocks{rows: m.rows, cols: m.cols, nnz: nnz, blocks: blocks,
-		wide: m.wide, deg: m.deg, base: m.base, diff: diff}, changedRows
+		deg: m.deg, base: m.base, diff: diff}, changedRows
 }
 
 // mergedRows yields, in ascending row order, the rows of one block a
@@ -511,9 +482,8 @@ func (s *mergedRows) row(i int) (cols []int32, vals []float64, fresh bool) {
 // entries: one int32 array backs RowPtr and Col and one float64 array
 // Val and Deg — a unit-weight block takes its Val from the shared ones
 // and owns only the degrees — so a block costs at most three
-// allocations (four with wide indices) and is freed as a unit once no
-// epoch references it.
-func newBlock(off, rows, nnz int, wide, deg, unit bool) *Block {
+// allocations and is freed as a unit once no epoch references it.
+func newBlock(off, rows, nnz int, deg, unit bool) *Block {
 	ints := make([]int32, rows+1+nnz)
 	own := nnz // values the block stores itself
 	if unit {
@@ -530,9 +500,6 @@ func newBlock(off, rows, nnz int, wide, deg, unit bool) *Block {
 	}
 	if deg {
 		nb.Deg = floats[own:]
-	}
-	if wide {
-		nb.Wide = make([]int, nnz)
 	}
 	return nb
 }
@@ -610,7 +577,7 @@ func (m *RowBlocks) CompactArrays() (rowPtr []int, cols []int32, vals []float64)
 	return rowPtr, cols, vals
 }
 
-// Flatten materializes the table as one flat CSR (wide and compact
+// Flatten materializes the table as one flat CSR (int and int32
 // index, values) sharing no storage with the blocks.
 func (m *RowBlocks) Flatten() *CSR {
 	rp, ci, vals := m.CompactArrays()
@@ -638,7 +605,7 @@ func (m *RowBlocks) PrivateCopy(lo, hi int, prev, prevSrc *RowBlocks) *RowBlocks
 		panic(fmt.Sprintf("sparse: row range [%d, %d) out of range %d rows", lo, hi, m.rows))
 	}
 	out := &RowBlocks{rows: m.rows, cols: m.cols, nnz: m.nnz, blocks: make([]*Block, m.NumBlocks()),
-		wide: m.wide, deg: m.deg, base: m.base, diff: m.diff}
+		deg: m.deg, base: m.base, diff: m.diff}
 	if lo == hi {
 		return out
 	}
@@ -658,14 +625,11 @@ func (m *RowBlocks) PrivateCopy(lo, hi int, prev, prevSrc *RowBlocks) *RowBlocks
 func copyBlock(src *Block) *Block {
 	rows, nnz := len(src.RowPtr)-1, src.nnz()
 	unit := allOnes(src.Val[:nnz])
-	nb := newBlock(src.Off, rows, nnz, src.Wide != nil, src.Deg != nil, unit)
+	nb := newBlock(src.Off, rows, nnz, src.Deg != nil, unit)
 	copy(nb.RowPtr, src.RowPtr)
 	copy(nb.Col, src.Col[:nnz])
 	if !unit {
 		copy(nb.Val, src.Val[:nnz])
-	}
-	if src.Wide != nil {
-		copy(nb.Wide, src.Wide[:nnz])
 	}
 	if src.Deg != nil {
 		copy(nb.Deg, src.Deg)

@@ -69,8 +69,8 @@ func (c cellMirror) sortedRow(i int) ([]int32, []float64) {
 	return out32, vals
 }
 
-// checkTable asserts every row, degree, and wide index of m bitwise
-// against the mirror, plus the table-level counters and a flat
+// checkTable asserts every row and degree of m bitwise against the
+// mirror, plus the table-level counters and a flat
 // rebuild.
 func checkTable(t *testing.T, m *RowBlocks, want, base cellMirror) {
 	t.Helper()
@@ -83,14 +83,6 @@ func checkTable(t *testing.T, m *RowBlocks, want, base cellMirror) {
 		}
 		if m.RowNNZ(i) != len(wc) {
 			t.Fatalf("RowNNZ(%d) = %d, want %d", i, m.RowNNZ(i), len(wc))
-		}
-		if m.HasWide() {
-			w, _ := m.RowView(i)
-			for p, j := range w {
-				if int32(j) != wc[p] {
-					t.Fatalf("row %d wide index %v, want %v", i, w, wc)
-				}
-			}
 		}
 		if m.HasDegrees() {
 			var s float64
@@ -238,7 +230,7 @@ func TestRowBlocksCommitProperty(t *testing.T) {
 		n := 3*BlockRows + 1 + rng.Intn(BlockRows-1)
 		a := randomBase(rng, n, 2)
 		deg := a.RowSumsSquared()
-		m, err := NewRowBlocks(a, deg, seed%2 == 0)
+		m, err := NewRowBlocks(a, deg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +267,7 @@ func TestRowBlocksCommitProperty(t *testing.T) {
 func TestRowBlocksSharesUntouchedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 4 * BlockRows
-	m, err := NewRowBlocks(randomBase(rng, n, 2), nil, false)
+	m, err := NewRowBlocks(randomBase(rng, n, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +288,7 @@ func TestRowBlocksSharesUntouchedBlocks(t *testing.T) {
 
 func TestRowBlocksTombstoneOnAbsentCell(t *testing.T) {
 	base := NewCSRFromDense([][]float64{{0, 1, 0}, {1, 0, 2}, {0, 2, 0}})
-	m, _ := NewRowBlocks(base, nil, true)
+	m, _ := NewRowBlocks(base, nil)
 	next, rows := m.Commit([]Edit{{Row: 0, Col: 0, Remove: true}, {Row: 0, Col: 2, Remove: true}, {Row: 2, Col: 0, Remove: true}}, nil)
 	if next != m || len(rows) != 0 || next.DiffCells() != 0 {
 		t.Fatalf("absent-only removes changed the table: rows=%v diff=%d", rows, next.DiffCells())
@@ -305,7 +297,7 @@ func TestRowBlocksTombstoneOnAbsentCell(t *testing.T) {
 
 func TestRowBlocksAddRemoveAddOneBatch(t *testing.T) {
 	base := NewCSRFromDense([][]float64{{0, 4}, {4, 0}})
-	m, _ := NewRowBlocks(base, nil, false)
+	m, _ := NewRowBlocks(base, nil)
 	// The removal discards the base entry and the first addition; the
 	// final value is exactly the last addition — not base+w, not w1+w2.
 	m, _ = m.Commit([]Edit{{Row: 0, Col: 1, W: 3}, {Row: 0, Col: 1, Remove: true}, {Row: 0, Col: 1, W: 7}}, nil)
@@ -328,7 +320,7 @@ func TestRowBlocksAddRemoveAddOneBatch(t *testing.T) {
 
 func TestRowBlocksLastRowOnly(t *testing.T) {
 	base := NewCSRFromDense([][]float64{{0, 1, 0, 0}, {1, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 9}})
-	m, _ := NewRowBlocks(base, base.RowSumsSquared(), true)
+	m, _ := NewRowBlocks(base, base.RowSumsSquared())
 	m, rows := m.Commit([]Edit{{Row: 3, Col: 0, W: 2}, {Row: 3, Col: 3, Remove: true}, {Row: 3, Col: 3, W: 1.25}}, nil)
 	if !slices.Equal(rows, []int{3}) || m.NNZ() != 4 {
 		t.Fatalf("rows=%v nnz=%d, want [3]/4", rows, m.NNZ())
@@ -354,7 +346,7 @@ func TestRowBlocksChurnLeavesNoDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 2*BlockRows + 7
 	a := randomBase(rng, n, 2)
-	base, _ := NewRowBlocks(a, a.RowSumsSquared(), false)
+	base, _ := NewRowBlocks(a, a.RowSumsSquared())
 	m := base
 	for cycle := 0; cycle < 40; cycle++ {
 		var add, del []Edit
@@ -391,7 +383,7 @@ func TestRowBlocksPrivateCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 5 * BlockRows
 	a := randomBase(rng, n, 3)
-	m, _ := NewRowBlocks(a, a.RowSumsSquared(), true)
+	m, _ := NewRowBlocks(a, a.RowSumsSquared())
 	lo, hi := BlockRows+3, 3*BlockRows+9
 	priv := m.PrivateCopy(lo, hi, nil, nil)
 	for b := 0; b < priv.NumBlocks(); b++ {
@@ -408,8 +400,7 @@ func TestRowBlocksPrivateCopy(t *testing.T) {
 	for i := lo; i < hi; i++ {
 		wc, wv := want.sortedRow(i)
 		gc, gv := priv.RowViewCompact(i)
-		gw, _ := priv.RowView(i)
-		if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) || len(gw) != len(wc) || priv.Degree(i) != m.Degree(i) {
+		if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) || priv.Degree(i) != m.Degree(i) {
 			t.Fatalf("private row %d differs", i)
 		}
 	}
@@ -434,7 +425,7 @@ func TestRowBlocksConcurrentEpochReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 6 * BlockRows
 	a := randomBase(rng, n, 3)
-	m, _ := NewRowBlocks(a, a.RowSumsSquared(), true)
+	m, _ := NewRowBlocks(a, a.RowSumsSquared())
 	m, _ = m.Commit(randomEdits(rng, n, 10), nil)
 	snapshot := m.Flatten()
 	var wg sync.WaitGroup
@@ -451,8 +442,6 @@ func TestRowBlocksConcurrentEpochReads(t *testing.T) {
 						s += vals[p] * float64(j)
 					}
 					s += m.Degree(i)
-					w, _ := m.RowView(i)
-					s += float64(len(w))
 				}
 				sums[r] = s
 			}
@@ -521,7 +510,7 @@ func FuzzRowBlocksCommit(f *testing.F) {
 		if len(raw)%3 == 1 {
 			a = randomBase(rng, n, 1)
 		}
-		m, err := NewRowBlocks(a, a.RowSumsSquared(), len(raw)%2 == 0)
+		m, err := NewRowBlocks(a, a.RowSumsSquared())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,7 +551,7 @@ func checkAgainstRebuild(t *testing.T, m *RowBlocks, want cellMirror) {
 	if m.HasDegrees() {
 		deg = a.RowSumsSquared()
 	}
-	ref, err := NewRowBlocks(a, deg, m.HasWide())
+	ref, err := NewRowBlocks(a, deg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,37 +568,35 @@ func checkAgainstRebuild(t *testing.T, m *RowBlocks, want cellMirror) {
 	}
 }
 
-// TestRowBlocksHoldNoSourceCSR: an epoch-0 table without wide indices
-// keeps no reference to the source CSR's int column array — a finalizer
-// on that array fires while only the table is live — and Flatten still
-// returns a CSR equal to the source. A wide table keeps the array.
+// TestRowBlocksHoldNoSourceCSR: an epoch-0 table keeps no reference to
+// the source CSR's int column array — a finalizer on that array fires
+// while only the table is live — and Flatten still returns a CSR equal
+// to the source.
 func TestRowBlocksHoldNoSourceCSR(t *testing.T) {
-	for _, wide := range []bool{false, true} {
-		a := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
-		want := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
-		m, err := NewRowBlocks(a, a.RowSumsSquared(), wide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freed := make(chan struct{})
-		_, colIdx, _ := a.Index()
-		runtime.SetFinalizer(&colIdx[0], func(*int) { close(freed) })
-		a, colIdx = nil, nil
-		if got := collected(freed); got == wide {
-			t.Errorf("wide=%v: source column array collected = %v", wide, got)
-		}
-		flat := m.Flatten()
-		frp, fci, fv := flat.Index()
-		wrp, wci, wv := want.Index()
-		frp32, fci32, _ := flat.CompactIndex()
-		wrp32, wci32, _ := want.CompactIndex()
-		if flat.Rows() != want.Rows() || flat.Cols() != want.Cols() ||
-			!slices.Equal(frp, wrp) || !slices.Equal(fci, wci) || !slices.Equal(fv, wv) ||
-			!slices.Equal(frp32, wrp32) || !slices.Equal(fci32, wci32) {
-			t.Errorf("wide=%v: Flatten differs from the source CSR", wide)
-		}
-		runtime.KeepAlive(m)
+	a := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
+	want := randomBase(rand.New(rand.NewSource(3)), 2000, 3)
+	m, err := NewRowBlocks(a, a.RowSumsSquared())
+	if err != nil {
+		t.Fatal(err)
 	}
+	freed := make(chan struct{})
+	_, colIdx, _ := a.Index()
+	runtime.SetFinalizer(&colIdx[0], func(*int) { close(freed) })
+	a, colIdx = nil, nil
+	if !collected(freed) {
+		t.Error("source column array not collected while only the table is live")
+	}
+	flat := m.Flatten()
+	frp, fci, fv := flat.Index()
+	wrp, wci, wv := want.Index()
+	frp32, fci32, _ := flat.CompactIndex()
+	wrp32, wci32, _ := want.CompactIndex()
+	if flat.Rows() != want.Rows() || flat.Cols() != want.Cols() ||
+		!slices.Equal(frp, wrp) || !slices.Equal(fci, wci) || !slices.Equal(fv, wv) ||
+		!slices.Equal(frp32, wrp32) || !slices.Equal(fci32, wci32) {
+		t.Error("Flatten differs from the source CSR")
+	}
+	runtime.KeepAlive(m)
 }
 
 // collected runs the collector until the finalizer closes freed,
@@ -641,7 +628,7 @@ func TestRowBlocksUnitTableHoldsNoSourceValues(t *testing.T) {
 			return randomBase(rng, 1000, 3)
 		}
 		a, want := build(), build()
-		m, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+		m, err := NewRowBlocks(a, a.RowSumsSquared())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +664,7 @@ func TestRowBlocksHubOwnsItsOnes(t *testing.T) {
 		return b.ToCSR()
 	}
 	a, want := build(), build()
-	m, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+	m, err := NewRowBlocks(a, a.RowSumsSquared())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +703,7 @@ func TestRowBlocksCommitKeepsUnitSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 4 * BlockRows
 	a := unitBase(rng, n, 3)
-	base, err := NewRowBlocks(a, a.RowSumsSquared(), false)
+	base, err := NewRowBlocks(a, a.RowSumsSquared())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,10 +234,12 @@ func (m *CSR) Index() (rowPtr, colIdx []int, vals []float64) {
 
 // CompactIndex returns the int32 form of the row pointers and column
 // indices, building and caching it on first use; values are shared with
-// the wide form. Halving the index width halves the index bytes the
+// the int form. Halving the index width halves the index bytes the
 // memory system moves per SpMM traversal, which is what dominates the
-// solve cost on large graphs. ok is false when the dimensions or the
-// nonzero count do not fit in int32 (callers then stay on Index).
+// solve cost on large graphs; every kernel reads it through a
+// RowBlocks table. ok is false when the dimensions or the nonzero count
+// do not fit in int32: no row-block table, and so no kernel, can then
+// be built over the matrix.
 //
 // The build is not synchronized: trigger it from a single goroutine
 // (the prepare path does) before any concurrent readers start.

@@ -85,8 +85,6 @@
 package lsbp
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/beliefs"
@@ -203,107 +201,6 @@ func MaxEpsilonH(g *Graph, ho *Matrix, echo, exact bool) (float64, error) {
 func AutoEpsilonH(g *Graph, ho *Matrix, m Method) (float64, error) {
 	return core.AutoEpsilonH(g, ho, m)
 }
-
-// LinBPEngine is a LinBP solver prepared once for a fixed graph and
-// coupling and reused across many solves, backed by the fused
-// zero-allocation compute kernel — the right shape for serving heavy
-// repeated classification traffic over one network. Construct with
-// NewLinBPEngine; Close it when done.
-type LinBPEngine = linbp.Engine
-
-// LinBPOptions tunes a LinBPEngine (echo cancellation, iteration
-// bounds, and the Workers count for the row-partitioned parallel pass).
-type LinBPOptions = linbp.Options
-
-// NewLinBPEngine prepares a reusable solver for the problem's graph and
-// scaled coupling. Explicit beliefs are supplied per solve:
-//
-//	eng, _ := lsbp.NewLinBPEngine(p, lsbp.LinBPOptions{EchoCancellation: true})
-//	defer eng.Close()
-//	res, _ := eng.Solve(e)          // fresh result
-//	eng.SolveInto(dst, e)           // zero-allocation serving path
-func NewLinBPEngine(p *Problem, opts LinBPOptions) (*LinBPEngine, error) {
-	return linbp.NewEngine(p.Graph, p.ScaledH(), opts)
-}
-
-// IncrementalLinBP maintains a LinBP fixpoint across belief changes and
-// edge insertions/deletions by warm-starting the iteration (the
-// future-work direction of the paper's Section 8). It is a thin wrapper
-// over the epoch-versioned Solver.Update path, so incremental
-// maintenance runs through the same prepared kernel engines, layouts,
-// partitions, and concurrency machinery as every other solve — the
-// wrapped Solver (available via Solver()) can serve ad-hoc queries
-// concurrently while this state evolves it. Construct with
-// NewIncrementalLinBP; Close when done.
-type IncrementalLinBP struct {
-	s    Solver
-	last *Result
-}
-
-// NewIncrementalLinBP prepares a dynamic LinBP solver, performs the
-// initial solve, and returns the maintained state together with the
-// initial Result (historically this result was computed and silently
-// discarded; callers needing the pre-update fixpoint had to re-solve).
-// Additional options (WithWorkers, WithPartitions, WithReordering,
-// WithUpdatePolicy, ...) pass through to Prepare.
-func NewIncrementalLinBP(p *Problem, echo bool, maxIter int, opts ...Option) (*IncrementalLinBP, *Result, error) {
-	all := append([]Option{WithEchoCancellation(echo), WithMaxIter(maxIter)}, opts...)
-	s, err := Prepare(p, LinBP, all...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.Update(context.Background(), Update{})
-	if err != nil {
-		s.Close()
-		return nil, nil, fmt.Errorf("lsbp: incremental initial solve: %w", err)
-	}
-	return &IncrementalLinBP{s: s, last: res}, res, nil
-}
-
-// Beliefs returns the current fixpoint (aliased; treat as read-only).
-func (inc *IncrementalLinBP) Beliefs() *Beliefs { return inc.last.Beliefs }
-
-// Solver exposes the underlying dynamic Solver for ad-hoc queries,
-// stats, and batches against the maintained graph.
-func (inc *IncrementalLinBP) Solver() Solver { return inc.s }
-
-// UpdateExplicitBeliefs installs the non-zero rows of en as new or
-// replacement explicit beliefs and re-solves warm-started from the
-// previous fixpoint, returning the refreshed result.
-func (inc *IncrementalLinBP) UpdateExplicitBeliefs(en *Beliefs) (*Result, error) {
-	return inc.update(Update{SetExplicit: en})
-}
-
-// UpdateEdges inserts new edges and re-solves from the previous
-// fixpoint. The caller must ensure the perturbed system still satisfies
-// the convergence criterion; otherwise an error wrapping
-// ErrNotConverged is returned after MaxIter rounds.
-func (inc *IncrementalLinBP) UpdateEdges(edges []Edge) (*Result, error) {
-	return inc.update(Update{AddEdges: edges})
-}
-
-// RemoveEdges deletes edges (all parallel edges between each listed
-// pair) and re-solves from the previous fixpoint — deletions only
-// shrink the spectral radius, so they always preserve convergence.
-func (inc *IncrementalLinBP) RemoveEdges(edges []Edge) (*Result, error) {
-	return inc.update(Update{RemoveEdges: edges})
-}
-
-func (inc *IncrementalLinBP) update(u Update) (*Result, error) {
-	res, err := inc.s.Update(context.Background(), u)
-	// The delta is committed even when the re-solve errors (the solver
-	// already serves the updated graph), so track whatever iterate came
-	// back — on ErrNotConverged that is the solver's own next warm
-	// start; going stale here would desynchronize Beliefs() from the
-	// wrapped Solver.
-	if res != nil && res.Beliefs != nil {
-		inc.last = res
-	}
-	return res, err
-}
-
-// Close releases the underlying solver. Idempotent.
-func (inc *IncrementalLinBP) Close() error { return inc.s.Close() }
 
 // SBPState is the materialized single-pass result supporting
 // incremental updates (AddExplicitBeliefs, AddEdges, AddEdgesSorted).

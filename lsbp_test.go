@@ -1,6 +1,7 @@
 package lsbp_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -190,46 +191,52 @@ func TestEstimateCouplingFacade(t *testing.T) {
 	}
 }
 
+// TestIncrementalLinBPFacade maintains a LinBP fixpoint through the
+// facade's prepared Solver: Update{} publishes the initial fixpoint,
+// later Updates relabel a node and round-trip an edge, and the final
+// fixpoint must match a from-scratch solve on the final problem.
 func TestIncrementalLinBPFacade(t *testing.T) {
 	g := lsbp.RandomGraph(40, 80, 3)
 	e, _ := lsbp.SeedBeliefs(40, 3, lsbp.SeedConfig{Fraction: 0.1, Seed: 1})
 	ho, _ := lsbp.NewCouplingFromStochastic(lsbp.Fig1c())
 	p := &lsbp.Problem{Graph: g, Explicit: e, Ho: ho, EpsilonH: 0.02}
-	inc, initial, err := lsbp.NewIncrementalLinBP(p, true, 500)
+	s, err := lsbp.Prepare(p, lsbp.LinBP, lsbp.WithEchoCancellation(true), lsbp.WithMaxIter(500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inc.Close()
+	defer s.Close()
+	ctx := context.Background()
+	initial, err := s.Update(ctx, lsbp.Update{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if initial == nil || !initial.Converged || initial.Beliefs == nil {
 		t.Fatalf("initial result not returned or not converged: %+v", initial)
 	}
-	if inc.Beliefs() != initial.Beliefs {
-		t.Error("Beliefs() does not expose the initial fixpoint")
-	}
 	en := lsbp.NewBeliefs(40, 3)
 	en.Set(2, lsbp.LabelResidual(3, 1, 0.1))
-	res, err := inc.UpdateExplicitBeliefs(en)
+	res, err := s.Update(ctx, lsbp.Update{SetExplicit: en})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations == 0 {
 		t.Error("belief update reported zero iterations")
 	}
-	if _, err := inc.UpdateEdges([]lsbp.Edge{{S: 0, T: 20, W: 1}}); err != nil {
+	if _, err := s.Update(ctx, lsbp.Update{AddEdges: []lsbp.Edge{{S: 0, T: 20, W: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.RemoveEdges([]lsbp.Edge{{S: 0, T: 20}}); err != nil {
+	last, err := s.Update(ctx, lsbp.Update{RemoveEdges: []lsbp.Edge{{S: 0, T: 20}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The maintained state rides the dynamic Solver: its stats must
-	// reflect the three committed updates plus the initial solve.
-	st := inc.Solver().Stats()
+	// The stats must reflect the three committed updates plus the
+	// initial solve.
+	st := s.Stats()
 	if st.Updates != 4 || st.Epoch != 2 {
 		t.Errorf("solver stats: updates=%d epoch=%d, want 4/2", st.Updates, st.Epoch)
 	}
-	// And the final fixpoint must match a from-scratch solve on the
-	// final problem: the edge round-tripped away, so only the label on
-	// node 2 distinguishes it from the original.
+	// The edge round-tripped away, so only the label on node 2
+	// distinguishes the final problem from the original.
 	e2 := e.Clone()
 	e2.Set(2, lsbp.LabelResidual(3, 1, 0.1))
 	want, err := lsbp.Solve(&lsbp.Problem{Graph: g, Explicit: e2, Ho: ho, EpsilonH: 0.02},
@@ -238,7 +245,7 @@ func TestIncrementalLinBPFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var diff float64
-	wd, gd := want.Beliefs.Matrix().Data(), inc.Beliefs().Matrix().Data()
+	wd, gd := want.Beliefs.Matrix().Data(), last.Beliefs.Matrix().Data()
 	for i := range wd {
 		if d := wd[i] - gd[i]; d > diff {
 			diff = d

@@ -177,11 +177,6 @@ func ParseReordering(name string) (Reordering, error) { return core.ParseReorder
 // bandwidth before/after.
 func WithReordering(r Reordering) Option { return core.WithReordering(r) }
 
-// WithCompactIndices toggles the engines' compact (int32) CSR index
-// layout, on by default whenever the graph fits it; false restores the
-// wide index layout (for layout benchmarks and debugging).
-func WithCompactIndices(on bool) Option { return core.WithCompactIndices(on) }
-
 // PartitionsAuto asks WithPartitions to size the partition-parallel
 // plane from the graph and worker count (serving-scale graphs get one
 // partition per worker; small graphs keep the unpartitioned plane).
