@@ -9,7 +9,7 @@
 #                   RACE_PKGS completeness) + staticcheck/govulncheck
 #                   when installed
 #   make test-race - race-detector pass (the 32-goroutine shared-Solver
-#                   stress, the partitioned kernel, the pools)
+#                   stress, the span pool, the engine pools)
 #   make cover    - per-package coverage with a floor: fails when any of
 #                   internal/{kernel,order,sparse,core} drops below
 #                   $(COVER_FLOOR)% statement coverage
@@ -20,16 +20,17 @@
 #                   commit and CPU, so no run overwrites another's)
 #   make bench-quick - the headline kernel benchmarks only (fast)
 #   make bench-batch - the prepared-Solver serving benchmark: SolveBatch
-#                   vs sequential one-shot Solve throughput rows into
+#                   vs sequential Prepare+Solve+Close throughput rows into
 #                   BENCH_results.json
 #   make bench-reorder - the graph-layout benchmark on a >=100k-node
 #                   Kronecker graph (natural order vs the auto-chosen
 #                   reordering, one SolveBatch row), archived into
 #                   BENCH_results.json
-#   make bench-partition - the partition-parallel plane vs the PR 3
-#                   baseline on the same large Kronecker graph
-#                   (partitions 1..GOMAXPROCS + the span pool), archived
-#                   into BENCH_results.json
+#   make bench-parallel - the serial kernel vs the span pool at
+#                   GOMAXPROCS workers on the same large Kronecker graph
+#                   and on a connected random graph of its size, plus
+#                   the shared-Solver concurrency rows, archived into
+#                   BENCH_results.json
 #   make bench-update - the dynamic-plane benchmark on the same large
 #                   Kronecker graph: Update round-trip (overlay commit +
 #                   epoch swap + re-solve) warm vs cold, plus the
@@ -68,7 +69,7 @@
 #
 # Tuning knobs (see EXPERIMENTS.md):
 #   LSBP_BENCH_MAXGRAPH=N  largest Fig. 6a Kronecker graph to bench (1-9)
-#   LSBP_BENCH_REORDER_POWER=P  Kronecker power of the layout/partition
+#   LSBP_BENCH_REORDER_POWER=P  Kronecker power of the layout/parallel
 #                   benchmarks (default 11 = 177,147 nodes)
 #   LSBP_BENCH_RESIDUAL_EPS=E  skip bench-residual's one-time auto-εH
 #                   spectral derivation (minutes at power 11) and use E
@@ -99,7 +100,7 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
 	./internal/serve/ ./internal/metrics/ ./internal/graph/
 
-.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab loc
+.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-parallel bench-update bench-residual bench-durable race test-race crash fuzz servebench-test servebench-ab loc
 
 verify: build fmt vet lint test test-race crash servebench-test
 
@@ -199,8 +200,8 @@ bench-batch:
 bench-reorder:
 	$(GO) test -bench 'BenchmarkReorder' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
-bench-partition:
-	$(GO) test -bench 'BenchmarkPartition' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
+bench-parallel:
+	$(GO) test -bench 'BenchmarkParallel|BenchmarkSharedSolver' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-update:
 	$(GO) test -bench 'BenchmarkUpdate' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)

@@ -139,9 +139,9 @@ func BenchmarkEngineReuse(b *testing.B) {
 // BenchmarkSolveBatch measures the serving surface of the unified
 // prepared-Solver API on the Fig. 7a graph3 workload (5 fixed LinBP
 // rounds, the paper's timing convention): R independent classification
-// requests answered (a) by R sequential one-shot lsbp.Solve calls —
-// each paying validation, preparation, the result matrix, and the top
-// assignment — and (b) by one SolveBatch on a prepared solver, which
+// requests answered (a) by R one-shot Prepare + Solve + Close sequences
+// — each paying validation, preparation, and the result matrix — and
+// (b) by one SolveBatch on a prepared solver, which
 // fuses the requests into multi-block kernel rounds that traverse the
 // CSR once per round for the whole batch. Compare the oneshot and
 // batch ns/op per request; the batch path is the serving-throughput
@@ -161,9 +161,14 @@ func BenchmarkSolveBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, e := range es {
 				q := &core.Problem{Graph: g, Explicit: e, Ho: ho, EpsilonH: 0.001}
-				if _, err := core.Solve(q, core.MethodLinBP, core.Options{MaxIter: timingIters, Tol: -1}); err != nil {
+				s, err := core.Prepare(q, core.MethodLinBP, core.WithMaxIter(timingIters), core.WithTol(-1))
+				if err != nil {
 					b.Fatal(err)
 				}
+				if _, err := s.Solve(context.Background(), e); err != nil && !errors.Is(err, core.ErrNotConverged) {
+					b.Fatal(err)
+				}
+				s.Close()
 			}
 		}
 	})

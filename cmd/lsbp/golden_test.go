@@ -26,7 +26,7 @@ func TestGolden(t *testing.T) {
 		{"linbpstar_k3_rcm", []string{"-labels", "testdata/labels3.txt", "-k", "3", "-method", "linbpstar", "-eps", "0.05", "-order", "rcm"}},
 		{"bp_k2", []string{"-labels", "testdata/labels2.txt", "-k", "2", "-method", "bp", "-eps", "0.05"}},
 		{"sbp_k3", []string{"-labels", "testdata/labels3.txt", "-k", "3", "-method", "sbp", "-eps", "0.05"}},
-		{"fabp_partitioned", []string{"-labels", "testdata/labels2.txt", "-k", "2", "-method", "fabp", "-eps", "0.05", "-partitions", "2", "-v"}},
+		{"fabp_workers", []string{"-labels", "testdata/labels2.txt", "-k", "2", "-method", "fabp", "-eps", "0.05", "-workers", "2", "-v"}},
 		{"linbp_updates", []string{"-labels", "testdata/labels3.txt", "-k", "3", "-method", "linbp", "-eps", "0.05", "-order", "none", "-updates", "testdata/updates.txt"}},
 		{"sbp_updates", []string{"-labels", "testdata/labels3.txt", "-k", "3", "-method", "sbp", "-eps", "0.05", "-updates", "testdata/updates.txt"}},
 		{"linbp_residual", []string{"-labels", "testdata/labels2.txt", "-k", "2", "-method", "linbp", "-eps", "0.05", "-order", "none", "-schedule", "residual"}},
@@ -50,12 +50,7 @@ func TestGoldenUsageErrors(t *testing.T) {
 		t.Fatalf("missing flags: exit %d, want 2", code)
 	}
 	stderr.Reset()
-	args := []string{"-edges", "testdata/graph.txt", "-labels", "testdata/labels2.txt", "-partitions", "-3"}
-	if code := run(args, &stdout, &stderr); code != 1 {
-		t.Fatalf("bad -partitions: exit %d, want 1 (stderr %q)", code, stderr.String())
-	}
-	stderr.Reset()
-	args = []string{"-edges", "testdata/graph.txt", "-labels", "testdata/labels2.txt", "-updates", "testdata/no_such_stream.txt"}
+	args := []string{"-edges", "testdata/graph.txt", "-labels", "testdata/labels2.txt", "-updates", "testdata/no_such_stream.txt"}
 	if code := run(args, &stdout, &stderr); code != 1 {
 		t.Fatalf("missing -updates file: exit %d, want 1 (stderr %q)", code, stderr.String())
 	}

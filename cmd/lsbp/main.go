@@ -14,9 +14,9 @@
 // εH is derived from the exact convergence criterion (Lemma 8). The
 // coupling defaults to k-class homophily; -coupling FILE loads a k×k
 // stochastic coupling matrix (whitespace-separated rows) instead.
-// -partitions engages the kernel's partition-parallel data plane
-// (0 = off, auto, or an explicit block count). -schedule picks the
-// kernel execution schedule: rounds (the default synchronous plane),
+// -workers runs LinBP's and LinBP*'s rounds on a span pool of that
+// many goroutines (0 = the serial kernel). -schedule picks the kernel
+// execution schedule: rounds (the default synchronous plane),
 // residual (a priority queue relaxes only rows whose residual exceeds
 // tolerance — localized updates cost what they touch), or auto (rounds
 // for cold solves, residual for localized re-solves). -updates FILE
@@ -72,12 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "kernel worker goroutines (0 = serial)")
 		timeout   = fs.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 		orderFlag = fs.String("order", "auto", "prepare-time node reordering: auto | rcm | degree | none")
-		partsFlag = fs.String("partitions", "0", "partition-parallel data plane: 0 = off, auto, or a block count")
 		schedFlag = fs.String("schedule", "rounds", "kernel execution schedule: rounds | residual | auto")
 		updates   = fs.String("updates", "", "event stream file replayed against the prepared solver: 'add s t [w]' | 'del s t' | 'label node class [strength]' | 'commit' lines; beliefs print per epoch")
 		statePath = fs.String("state", "", "durable state directory: first run persists a snapshot + update WAL there, later runs recover from it (ignoring -edges/-labels)")
 		fsyncFlag = fs.String("fsync", "always", "WAL fsync cadence under -state: always | interval=N | never")
-		verbose   = fs.Bool("v", false, "print the solver stats line (ordering, bandwidth, partitions, epochs, iterations) to stderr")
+		verbose   = fs.Bool("v", false, "print the solver stats line (ordering, bandwidth, epochs, iterations) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -150,15 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		partitions, err := parsePartitions(*partsFlag)
-		if err != nil {
-			return fail(err)
-		}
 
 		opts := []lsbp.Option{
 			lsbp.WithMaxIter(*maxIter), lsbp.WithTol(*tol),
 			lsbp.WithWorkers(*workers), lsbp.WithReordering(reorder),
-			lsbp.WithPartitions(partitions), lsbp.WithSchedule(sched),
+			lsbp.WithSchedule(sched),
 		}
 		if *eps == 0 && m != lsbp.SBP {
 			opts = append(opts, lsbp.WithAutoEpsilonH())
@@ -222,9 +217,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *verbose {
 		st := s.Stats()
-		fmt.Fprintf(stderr, "stats: method=%v n=%d k=%d ordering=%v bandwidth=%d→%d partitions=%d cut=%d imbalance=%.3f schedule=%v iters=%d converged=%v relaxed=%d qpeak=%d\n",
+		fmt.Fprintf(stderr, "stats: method=%v n=%d k=%d ordering=%v bandwidth=%d→%d schedule=%v iters=%d converged=%v relaxed=%d qpeak=%d\n",
 			st.Method, st.N, st.K, st.Ordering, st.BandwidthBefore, st.BandwidthAfter,
-			st.Partitions, st.CutEdges, st.Imbalance, st.Schedule, res.Iterations, res.Converged,
+			st.Schedule, res.Iterations, res.Converged,
 			st.ResidualRowsRelaxed, st.ResidualQueuePeak)
 	}
 
@@ -435,19 +430,6 @@ func parseFsync(s string) (lsbp.DurabilityPolicy, error) {
 	default:
 		return lsbp.DurabilityPolicy{}, fmt.Errorf("invalid -fsync %q (want always, interval=N, or never)", s)
 	}
-}
-
-// parsePartitions maps the -partitions spellings (0 = off, "auto", or
-// an explicit positive block count) onto WithPartitions values.
-func parsePartitions(s string) (int, error) {
-	if strings.ToLower(s) == "auto" {
-		return lsbp.PartitionsAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -partitions %q (want 0, auto, or a positive count)", s)
-	}
-	return n, nil
 }
 
 func loadGraph(path string) (*lsbp.Graph, error) {

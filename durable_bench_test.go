@@ -1,8 +1,8 @@
 // Benchmarks for the durable serving plane: recovering a prepared
 // solver from its on-disk snapshot (map + verify + adopt) against the
-// full re-Prepare it replaces (reordering, partitioning, the εH
-// search), the write-ahead-log append overhead per fsync policy, and
-// the live heap a durable serving stack keeps after set-up.
+// full re-Prepare it replaces (reordering, the εH search), the
+// write-ahead-log append overhead per fsync policy, and the live heap a
+// durable serving stack keeps after set-up.
 // `make bench-durable` archives these into BENCH_results.json; the
 // acceptance bar is snapshot-load cold start ≥ 5× faster than
 // re-Prepare on the large Kronecker regime.

@@ -131,11 +131,10 @@ func TestUpdateAllocsIndependentOfN(t *testing.T) {
 // table while the solver commits epochs N+1 and N+2 (run under -race:
 // the commits must never write a block epoch N shares), and requires
 // every one of those solves to be bitwise identical to a solve on a
-// flat CSR of epoch N — on the serial, span-parallel, and partitioned
-// planes.
+// flat CSR of epoch N — on the serial and span-parallel planes.
 func TestEpochSolvesDuringCommits(t *testing.T) {
 	p := randomProblem(t, 300, 900, 3, 0.05, 17)
-	s, err := Prepare(p, MethodLinBP, WithReordering(ReorderRCM), WithPartitions(3))
+	s, err := Prepare(p, MethodLinBP, WithReordering(ReorderRCM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +163,11 @@ func TestEpochSolvesDuringCommits(t *testing.T) {
 	flat := epochN.Flatten()
 	want := solve(kernel.Config{A: flat, D: flat.RowSumsSquared(), H: h, SymmetricA: true})
 	var wg sync.WaitGroup
-	results := make([][]float64, 3)
 	configs := []kernel.Config{
 		{Rows: epochN, H: h, SymmetricA: true},
 		{Rows: epochN, H: h, SymmetricA: true, Workers: 3},
-		{Rows: epochN, H: h, SymmetricA: true, PartitionStarts: d.partStarts},
 	}
+	results := make([][]float64, len(configs))
 	for i, cfg := range configs {
 		wg.Add(1)
 		go func(i int, cfg kernel.Config) {

@@ -4,11 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"slices"
 	"testing"
 
 	"repro/internal/durable"
-	"repro/internal/order"
 )
 
 // The tests below run on the power-10 Kronecker graph (59,049 nodes),
@@ -103,32 +101,5 @@ func TestCompactLayoutForcedRelayout(t *testing.T) {
 	want := freshSolve(t, mirror, MethodLinBP, mirror.Explicit, kron10Opts...)
 	if d := maxAbsDiff(res.Beliefs, want); d > 1e-12 {
 		t.Errorf("compacted epoch diverges from a fresh Prepare by %g", d)
-	}
-}
-
-// TestCompactLayoutPartDiag: the partition diagnostics built by walking
-// a compact-only table, and patched per commit, equal
-// order.StatsForStarts on the flattened table.
-func TestCompactLayoutPartDiag(t *testing.T) {
-	p := kronProblem(t, 10, 3)
-	s, err := Prepare(p, MethodLinBP, append([]Option{WithPartitions(3)}, kron10Opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	d := s.(*dynSolver)
-	ctx := context.Background()
-	for _, u := range []Update{{}, {AddEdges: absentEdges(p.Graph, 16, 9)}} {
-		if _, err := s.Update(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-		want := order.StatsForStarts(d.rows.Flatten(), d.partStarts)
-		if !slices.Equal(d.part.blockNNZ, want.BlockNNZ) || d.part.cut != want.CutEdges || d.part.total != d.rows.NNZ() {
-			t.Errorf("epoch %d: table-built diagnostics nnz %v cut %d total %d, want nnz %v cut %d total %d",
-				d.epochN.Load(), d.part.blockNNZ, d.part.cut, d.part.total, want.BlockNNZ, want.CutEdges, d.rows.NNZ())
-		}
-		if st := s.Stats(); st.CutEdges != want.CutEdges || st.Imbalance != want.Imbalance {
-			t.Errorf("epoch %d: Stats cut %d imbalance %v, want %d %v", st.Epoch, st.CutEdges, st.Imbalance, want.CutEdges, want.Imbalance)
-		}
 	}
 }

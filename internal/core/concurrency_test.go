@@ -126,8 +126,8 @@ func stressSolver(t *testing.T, p *Problem, m Method, iters int, opts ...Option)
 }
 
 // TestConcurrentSolverStress runs the 32-goroutine stress over every
-// method on one shared Solver each, including the partitioned and
-// span-parallel kernel planes.
+// method on one shared Solver each, including the span-parallel kernel
+// plane.
 func TestConcurrentSolverStress(t *testing.T) {
 	p3 := randomProblem(t, 220, 500, 3, 0.01, 61)
 	p2 := randomProblem(t, 220, 500, 2, 0.01, 61)
@@ -140,7 +140,6 @@ func TestConcurrentSolverStress(t *testing.T) {
 		opts  []Option
 	}{
 		{"LinBP", p3, MethodLinBP, 24, nil},
-		{"LinBP/partitioned", p3, MethodLinBP, 16, []Option{WithPartitions(3)}},
 		{"LinBP/workers", p3, MethodLinBP, 16, []Option{WithWorkers(2)}},
 		{"LinBPStar/reordered", p3, MethodLinBPStar, 16, []Option{WithReordering(ReorderRCM)}},
 		{"FABP", p2, MethodFABP, 24, nil},

@@ -2,14 +2,12 @@
 // type (graph + explicit beliefs + coupling, Problem 1 of the paper)
 // and the prepared-solver serving surface — Prepare builds a reusable
 // Solver for any of the methods the paper evaluates (standard loopy BP,
-// LinBP, LinBP*, SBP, and the binary FABP collapse of Appendix E), and
-// the legacy one-shot Solve entry point is a thin wrapper over it — so
-// that callers and experiments can swap methods freely.
+// LinBP, LinBP*, SBP, and the binary FABP collapse of Appendix E) — so
+// that callers and experiments can swap methods freely. A one-off
+// answer is Prepare, one Solve, and Close.
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -139,18 +137,7 @@ func (p *Problem) K() int { return p.Ho.Rows() }
 // ScaledH returns Hˆ = εH·Hˆo.
 func (p *Problem) ScaledH() *dense.Matrix { return coupling.Scale(p.Ho, p.EpsilonH) }
 
-// Options tunes Solve. The zero value selects per-method defaults.
-type Options struct {
-	// MaxIter bounds iterative methods (default: method-specific).
-	MaxIter int
-	// Tol is the convergence tolerance; negative forces MaxIter rounds.
-	Tol float64
-	// Workers sets the goroutine count of the fused LinBP/LinBP* kernel
-	// (0 or 1 selects the serial pass). BP and SBP ignore it.
-	Workers int
-}
-
-// Result is the uniform output of Solve.
+// Result is the uniform output of Solver.Solve and Solver.Update.
 type Result struct {
 	// Method that produced the result.
 	Method Method
@@ -164,29 +151,6 @@ type Result struct {
 	Delta      float64
 	// SBP exposes the incremental state when Method == MethodSBP.
 	SBP *sbp.State
-}
-
-// Solve runs the chosen method on the problem. It is a thin
-// compatibility wrapper over the prepared-solver API: it Prepares a
-// Solver, runs one solve, and Closes it. Callers issuing repeated
-// solves over the same graph should hold on to Prepare's Solver
-// instead. Unlike Solver.Solve, non-convergence is reported through
-// Result.Converged rather than as an error (the historical contract).
-//
-// For BP, the explicit residuals are auto-rescaled (Lemma 12 makes this
-// harmless for the classification) so the uncentered priors are valid
-// probabilities, and the coupling is uncentered to a stochastic matrix.
-func Solve(p *Problem, m Method, opts Options) (*Result, error) {
-	s, err := Prepare(p, m, WithWorkers(opts.Workers), WithMaxIter(opts.MaxIter), WithTol(opts.Tol))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	res, err := s.Solve(context.Background(), p.Explicit)
-	if err != nil && !errors.Is(err, ErrNotConverged) {
-		return nil, err
-	}
-	return res, nil
 }
 
 // bpSafeScale returns the λ that brings the largest explicit residual

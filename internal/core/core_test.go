@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -22,6 +24,23 @@ func torusProblem(t *testing.T, eps float64) *Problem {
 	e.Set(1, []float64{-1, 2, -1})
 	e.Set(2, []float64{-1, -1, 2})
 	return &Problem{Graph: gen.Torus(), Explicit: e, Ho: ho, EpsilonH: eps}
+}
+
+// solveOnce answers one solve of p's explicit beliefs on a freshly
+// prepared solver. Non-convergence is left to the caller, which reads
+// Result.Converged.
+func solveOnce(t *testing.T, p *Problem, m Method, opts ...Option) *Result {
+	t.Helper()
+	s, err := Prepare(p, m, opts...)
+	if err != nil {
+		t.Fatalf("%v: Prepare: %v", m, err)
+	}
+	defer s.Close()
+	res, err := s.Solve(context.Background(), p.Explicit)
+	if err != nil && !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("%v: Solve: %v", m, err)
+	}
+	return res
 }
 
 func TestValidate(t *testing.T) {
@@ -49,10 +68,7 @@ func TestValidate(t *testing.T) {
 func TestSolveAllMethods(t *testing.T) {
 	p := torusProblem(t, 0.1)
 	for _, m := range []Method{MethodBP, MethodLinBP, MethodLinBPStar, MethodSBP} {
-		res, err := Solve(p, m, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		res := solveOnce(t, p, m)
 		if res.Beliefs == nil || res.Beliefs.N() != 8 {
 			t.Fatalf("%v: incomplete result", m)
 		}
@@ -73,15 +89,9 @@ func TestSolveAllMethods(t *testing.T) {
 // at a small εH all four methods give the same top-belief assignment.
 func TestMethodsAgree(t *testing.T) {
 	p := torusProblem(t, 0.05)
-	base, err := Solve(p, MethodBP, Options{MaxIter: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := solveOnce(t, p, MethodBP, WithMaxIter(300))
 	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodSBP} {
-		res, err := Solve(p, m, Options{MaxIter: 300})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveOnce(t, p, m, WithMaxIter(300))
 		bt, rt := base.Beliefs.TopAssignment(), res.Beliefs.TopAssignment()
 		pr, err := metrics.Compare(bt, rt)
 		if err != nil {
@@ -95,10 +105,7 @@ func TestMethodsAgree(t *testing.T) {
 
 func TestSolveSBPExposesState(t *testing.T) {
 	p := torusProblem(t, 0.1)
-	res, err := Solve(p, MethodSBP, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, p, MethodSBP)
 	if res.SBP == nil {
 		t.Fatal("SBP state missing")
 	}
@@ -109,15 +116,13 @@ func TestSolveSBPExposesState(t *testing.T) {
 
 func TestSolveBPAutoRescale(t *testing.T) {
 	// Explicit residuals of magnitude 2 would be invalid BP priors;
-	// Solve must rescale internally rather than erroring.
+	// the BP solver must rescale internally rather than erroring.
 	p := torusProblem(t, 0.05)
-	if _, err := Solve(p, MethodBP, Options{}); err != nil {
-		t.Fatalf("auto-rescale failed: %v", err)
-	}
+	solveOnce(t, p, MethodBP)
 }
 
 func TestSolveUnknownMethod(t *testing.T) {
-	if _, err := Solve(torusProblem(t, 0.1), Method(99), Options{}); err == nil {
+	if _, err := Prepare(torusProblem(t, 0.1), Method(99)); err == nil {
 		t.Fatal("expected error")
 	}
 }

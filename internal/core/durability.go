@@ -13,10 +13,9 @@
 // snapshot's fold point.
 //
 // Open is the recovery path: load + verify the snapshot (cold start
-// is a map-and-validate, not a re-Prepare — no reordering, no
-// partitioning, no epsilon search), replay the intact WAL prefix into
-// the dynamic state, commit it as one epoch, and checkpoint so the
-// next crash replays nothing.
+// is a map-and-validate, not a re-Prepare — no reordering, no epsilon
+// search), replay the intact WAL prefix into the dynamic state, commit
+// it as one epoch, and checkpoint so the next crash replays nothing.
 package core
 
 import (
@@ -207,7 +206,6 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	if d.perm != nil {
 		img.Perm = []int(d.perm)
 	}
-	img.PartStarts = d.partStarts
 	img.HO = d.ho.Data()
 	exp := d.exp
 	if exp == nil {
@@ -351,6 +349,12 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 			return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
 		}
 	}
+	// A partition section (the row-block boundaries that builds with a
+	// partition-parallel plane wrote) is input read from disk, so it must
+	// be well formed; then it is ignored. That plane's answers were
+	// bitwise the serial kernel's, so the recovered solver serves the same
+	// answers on the plane its options select, and its next checkpoint
+	// writes no section.
 	if snap.PartStarts != nil {
 		if err := order.ValidateStarts(snap.PartStarts, n); err != nil {
 			return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
@@ -400,23 +404,15 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		if snap.GraphOrder {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
-		if snap.PartStarts != nil {
-			st := order.StatsForStarts(a, snap.PartStarts)
-			info.partitions = st.Blocks()
-			info.cutEdges = st.CutEdges
-			info.imbalance = st.Imbalance
-		}
-		lay := kernelLayout{perm: perm, partStarts: snap.PartStarts}
-		lay.rows, err = layoutRows(a, m != MethodLinBPStar)
+		d.rows, err = layoutRows(a, m != MethodLinBPStar, nil)
 		if err != nil {
 			return nil, err
 		}
 		if m == MethodFABP {
-			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, lay)
+			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, d.rows, perm)
 		} else {
-			inner, err = newLinBPSolverOn(coupling.Scale(ho, snap.EpsH), info, cfg, lay)
+			inner, err = newLinBPSolverOn(coupling.Scale(ho, snap.EpsH), info, cfg, d.rows, perm)
 		}
-		d.rows = lay.rows
 	default:
 		// BP and SBP keep a caller-order graph, rebuilt from the stored
 		// matrix (undoing the layout permutation if the matrix is in
@@ -447,7 +443,7 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	if err != nil {
 		return nil, err
 	}
-	d.info, d.perm, d.partStarts = info, perm, snap.PartStarts
+	d.info, d.perm = info, perm
 	d.n, d.k, d.eps = n, k, snap.EpsH
 	d.cur.Store(&epochState{snap: inner})
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}

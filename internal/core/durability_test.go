@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -158,6 +159,95 @@ func TestDurableOpenCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := OpenFS(fs, "st"); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("Open on flipped bit = %v, want ErrCorruptState", err)
+	}
+}
+
+// TestOpenIgnoresPartitionSection opens snapshots carrying the
+// partition section that builds with a partition-parallel plane wrote.
+// A section that is not an ascending list spanning [0, n) is corrupt
+// state; a valid one
+// opens and serves the writer's answer bitwise (that plane matched the
+// serial kernel bitwise, so the section changes no answer), and the
+// checkpoint after the next Update carries no section.
+func TestOpenIgnoresPartitionSection(t *testing.T) {
+	ctx := context.Background()
+	p := randomProblem(t, 90, 200, 3, 0.05, 43)
+	fs := durable.NewMemFS()
+	s, err := Prepare(p, MethodLinBP, append([]Option{WithDurabilityFS(fs, "st", DurabilityPolicy{Sync: SyncAlways})}, durTight...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Solve(ctx, p.Explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := durable.LoadSnapshot(fs, "st")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.PartStarts != nil {
+		t.Fatalf("Prepare wrote partition section %v", snap.PartStarts)
+	}
+	n := snap.N
+	rewrite := func(t *testing.T, starts []int) {
+		t.Helper()
+		snap.PartStarts = starts
+		if err := durable.WriteSnapshot(fs, "st", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bad := range []struct {
+		name   string
+		starts []int
+	}{
+		{"short", []int{0, n / 2}},
+		{"past-end", []int{0, n / 2, n + 1}},
+		{"wrong-origin", []int{1, n / 2, n}},
+		{"descending", []int{0, n/2 + 1, n / 2, n}},
+		{"single-bound", []int{0}},
+	} {
+		t.Run("corrupt/"+bad.name, func(t *testing.T) {
+			rewrite(t, bad.starts)
+			if _, err := OpenFS(fs, "st", durTight...); !errors.Is(err, ErrCorruptState) {
+				t.Fatalf("partition section %v: Open = %v, want ErrCorruptState", bad.starts, err)
+			}
+		})
+	}
+	rewrite(t, []int{0, n / 2, n})
+	snap.Close()
+
+	opts := append([]Option{WithWorkers(2), WithUpdatePolicy(UpdatePolicy{CompactionRatio: 1e-12})}, durTight...)
+	r, err := OpenFS(fs, "st", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Solve(ctx, p.Explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations || !slices.Equal(got.Beliefs.Matrix().Data(), want.Beliefs.Matrix().Data()) {
+		t.Fatalf("reopened solve (%d rounds) differs from the writer's (%d rounds)", got.Iterations, want.Iterations)
+	}
+	// A compacting Update checkpoints the recovered state.
+	if _, err := r.Update(ctx, Update{AddEdges: absentEdges(p.Graph, 2, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("Rebuilds = %d, want 1", st.Rebuilds)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := durable.LoadSnapshot(fs, "st")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if next.WALSeq != 1 || next.PartStarts != nil {
+		t.Fatalf("checkpoint after the Update: WALSeq %d, partition section %v; want 1 and none", next.WALSeq, next.PartStarts)
 	}
 }
 

@@ -10,10 +10,8 @@
 //     table's blocks alias the prepared (possibly mmapped) flat arrays,
 //     except that unit-weight blocks share one slice of ones instead of
 //     the values; a commit copies only the blocks holding edited rows
-//     plus the block table, recomputing just those rows' degrees and
-//     patching the partition diagnostics per edited row — no merge, no
-//     reordering, no partition recompute, and no caller-order graph
-//     mirror.
+//     plus the block table, recomputing just those rows' degrees — no
+//     merge, no reordering, and no caller-order graph mirror.
 //   - The snapshot swap is RCU-style: the current-epoch pointer is
 //     swapped atomically, solves already in flight drain on the old
 //     snapshot (its Close waits for them), and new solves land on the
@@ -31,9 +29,8 @@
 //   - When the cells that differ from the compaction base exceed
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
 //     compaction: a flat CSR is built from the table, and the
-//     reordering strategy, the partitioner, and (under
-//     WithAutoEpsilonH) the εH derivation replay on it exactly as
-//     Prepare would.
+//     reordering strategy and (under WithAutoEpsilonH) the εH
+//     derivation replay on it exactly as Prepare would.
 //
 // BP and SBP keep their caller-order graph and rebuild their snapshot
 // on every topology commit, re-solving cold.
@@ -50,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,12 +91,11 @@ type UpdatePolicy struct {
 	// CompactionRatio is the drift threshold that triggers a compaction
 	// rebuild: when the cells whose value differs from the compaction
 	// base exceed CompactionRatio × base nnz, the commit replays the
-	// reordering strategy and the partitioner on the current graph
-	// instead of committing over the stale layout (an edge inserted and
-	// deleted again leaves no difference behind). <= 0 selects
-	// DefaultCompactionRatio; a very small positive value forces a
-	// rebuild on every topology update (the differential tests use
-	// this), a huge one disables compaction.
+	// reordering strategy on the current graph instead of committing
+	// over the stale layout (an edge inserted and deleted again leaves
+	// no difference behind). <= 0 selects DefaultCompactionRatio; a very
+	// small positive value forces a rebuild on every topology update
+	// (the differential tests use this), a huge one disables compaction.
 	CompactionRatio float64
 	// DisableWarmStart makes Update re-solve from the Bˆ = 0 cold start
 	// instead of the previous fixpoint (for benchmarking the warm-start
@@ -175,16 +170,12 @@ type dynSolver struct {
 	// rows is the maintained adjacency table: the serving table in
 	// layout order for the kernel methods (set from the first snapshot),
 	// the drift-accounting table in caller order for BP/SBP.
-	rows *sparse.RowBlocks
-	kern *kernelPlane // kernel methods only; nil until the first Update
-	g    *graph.Graph // BP/SBP: current caller-order graph (private clone)
-	perm order.Permutation
-	// partStarts and part are the prepare-time partition boundaries and
-	// their incrementally maintained diagnostics (kernel methods).
-	partStarts []int
-	part       *partDiag
-	info       solverInfo
-	baseNNZ    int
+	rows    *sparse.RowBlocks
+	kern    *kernelPlane // kernel methods only; nil until the first Update
+	g       *graph.Graph // BP/SBP: current caller-order graph (private clone)
+	perm    order.Permutation
+	info    solverInfo
+	baseNNZ int
 
 	// pendingSwap records a committed-but-unswapped table (the Update's
 	// context was cancelled before the epoch swap); the next Update
@@ -270,9 +261,9 @@ func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
 	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
-		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
+		d.info, d.perm, d.rows = s.solverInfo, s.perm, s.rows
 	case *fabpSolver:
-		d.info, d.perm, d.partStarts, d.rows = s.solverInfo, s.perm, s.partStarts, s.rows
+		d.info, d.perm, d.rows = s.solverInfo, s.perm, s.rows
 	case *bpSolver:
 		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	case *sbpSolver:
@@ -584,9 +575,6 @@ func (d *dynSolver) applyTopologyLocked(u Update) bool {
 	if next == d.rows {
 		return false
 	}
-	if d.part != nil {
-		d.part.update(d.rows, next, changed)
-	}
 	d.rows = next
 	d.rowsCommitted.Add(int64(len(changed)))
 	if d.g != nil {
@@ -693,9 +681,6 @@ func (d *dynSolver) initDynState() error {
 	}
 	d.kern, d.srcExp = kp, nil
 	d.baseNNZ = d.rows.NNZ()
-	if d.partStarts != nil {
-		d.part = newPartDiag(d.rows, d.partStarts)
-	}
 	return nil
 }
 
@@ -793,14 +778,7 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	case compact:
 		snap, err = d.compactGraphLocked()
 	case d.kern != nil:
-		info := d.info
-		if d.part != nil {
-			// Keep the partition diagnostics honest while the structure
-			// drifts under the fixed prepare-time boundaries.
-			info.cutEdges, info.imbalance = d.part.cut, d.part.imbalance()
-		}
-		d.info = info
-		snap = d.cur.Load().snap.(kernelSnapshot).successor(d.rows, info)
+		snap = d.cur.Load().snap.(kernelSnapshot).successor(d.rows, d.info)
 	default:
 		snap, err = d.buildGraphSnapshot(d.info, d.perm)
 	}
@@ -887,11 +865,11 @@ func (d *dynSolver) installLayout(info solverInfo, perm order.Permutation, rows 
 }
 
 // compactKernelLocked is the kernel methods' compaction: flatten the
-// table, undo the layout permutation, replay the layout decisions and
-// the partitioner exactly as Prepare would, and rebuild the snapshot,
-// the maintained fixpoint engine, and the layout-order explicit
-// beliefs on the fresh layout. The maintained beliefs carry over
-// through the permutation change. On error nothing changes.
+// table, undo the layout permutation, replay the layout decisions
+// exactly as Prepare would, and rebuild the snapshot, the maintained
+// fixpoint engine, and the layout-order explicit beliefs on the fresh
+// layout. The maintained beliefs carry over through the permutation
+// change. On error nothing changes.
 func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	a := d.rows.Flatten()
 	if d.perm != nil {
@@ -901,21 +879,20 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	info.partitions, info.cutEdges, info.imbalance = 0, 0, 0
-	lay, err := newKernelLayout(a, d.method != MethodLinBPStar, perm, d.cfg, &info)
+	rows, err := layoutRows(a, d.method != MethodLinBPStar, perm)
 	if err != nil {
 		return nil, err
 	}
 	var snap kernelSnapshot
 	if d.method == MethodFABP {
-		snap, err = newFABPSolverOn(info.eps*d.ho.At(0, 0), info, d.cfg, lay)
+		snap, err = newFABPSolverOn(info.eps*d.ho.At(0, 0), info, d.cfg, rows, perm)
 	} else {
-		snap, err = newLinBPSolverOn(coupling.Scale(d.ho, info.eps), info, d.cfg, lay)
+		snap, err = newLinBPSolverOn(coupling.Scale(d.ho, info.eps), info, d.cfg, rows, perm)
 	}
 	if err != nil {
 		return nil, err
 	}
-	kp, err := d.newKernelPlane(lay.rows, perm, info.eps)
+	kp, err := d.newKernelPlane(rows, perm, info.eps)
 	if err != nil {
 		snap.Close()
 		return nil, err
@@ -939,11 +916,8 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 		kp.fix.SetBeliefs(nb)
 		kp.hasFix = true
 	}
-	d.installLayout(info, perm, lay.rows)
-	d.kern, d.partStarts, d.part = kp, lay.partStarts, nil
-	if d.partStarts != nil {
-		d.part = newPartDiag(lay.rows, d.partStarts)
-	}
+	d.installLayout(info, perm, rows)
+	d.kern = kp
 	return snap, nil
 }
 
@@ -1075,67 +1049,4 @@ func (d *dynSolver) gatherLocked() *beliefs.Residual {
 		d.perm.InvertRows(dd, b, d.k)
 	}
 	return out
-}
-
-// partDiag maintains the partition diagnostics (per-partition stored
-// entries and the cut-entry count) across commits, patching only the
-// rows a commit rewrote.
-type partDiag struct {
-	starts   []int
-	blockNNZ []int
-	cut      int
-	total    int
-}
-
-// newPartDiag computes the diagnostics of table m for the partition
-// boundaries starts (order.StatsForStarts's block nnz and cut edges)
-// by walking its rows.
-func newPartDiag(m *sparse.RowBlocks, starts []int) *partDiag {
-	p := &partDiag{starts: starts, blockNNZ: make([]int, len(starts)-1)}
-	for i := 0; i < m.Rows(); i++ {
-		b, nnz, cut := p.rowStats(m, i)
-		p.blockNNZ[b] += nnz
-		p.total += nnz
-		p.cut += cut
-	}
-	return p
-}
-
-// rowStats returns row i's partition, stored entries, and entries whose
-// column lies outside that partition.
-func (p *partDiag) rowStats(m *sparse.RowBlocks, i int) (part, nnz, cut int) {
-	part = sort.SearchInts(p.starts, i+1) - 1
-	lo, hi := p.starts[part], p.starts[part+1]
-	cols, _ := m.RowViewCompact(i)
-	for _, j := range cols {
-		if int(j) < lo || int(j) >= hi {
-			cut++
-		}
-	}
-	return part, len(cols), cut
-}
-
-// update moves the diagnostics from table old to next over the rows
-// the commit rewrote.
-func (p *partDiag) update(old, next *sparse.RowBlocks, rows []int) {
-	for _, i := range rows {
-		b, n0, c0 := p.rowStats(old, i)
-		_, n1, c1 := p.rowStats(next, i)
-		p.blockNNZ[b] += n1 - n0
-		p.total += n1 - n0
-		p.cut += c1 - c0
-	}
-}
-
-// imbalance is the heaviest partition's nnz relative to the ideal
-// per-partition share (order.StatsForStarts's definition).
-func (p *partDiag) imbalance() float64 {
-	if p.total == 0 {
-		return 1
-	}
-	heaviest := 0
-	for _, v := range p.blockNNZ {
-		heaviest = max(heaviest, v)
-	}
-	return float64(heaviest) * float64(len(p.blockNNZ)) / float64(p.total)
 }

@@ -283,7 +283,7 @@ func TestDynamicConcurrentUpdateStress(t *testing.T) {
 		updates = 12
 	)
 	p := randomProblem(t, 150, 300, 3, 0.05, 31)
-	opts := []Option{WithMaxIter(300), WithTol(1e-13), WithPartitions(2),
+	opts := []Option{WithMaxIter(300), WithTol(1e-13), WithWorkers(2),
 		WithUpdatePolicy(UpdatePolicy{CompactionRatio: 0.01})}
 	s, err := Prepare(p, MethodLinBP, opts...)
 	if err != nil {

@@ -41,26 +41,24 @@ import (
 	"repro/internal/sparse"
 )
 
-// Option configures Prepare. Options replace the zero-value Options
-// struct for the prepared API; unset options select the same per-method
-// defaults the one-shot Solve uses.
+// Option configures Prepare (and Open). Unset options select the
+// per-method defaults.
 type Option func(*config)
 
 type config struct {
-	workers    int
-	maxIter    int
-	tol        float64
-	echo       bool
-	echoSet    bool
-	autoEps    bool
-	reorder    Reordering
-	partitions int
-	schedule   Schedule
-	policy     UpdatePolicy
-	durFS      durable.FS
-	durDir     string
-	durPol     durable.Policy
-	durSet     bool
+	workers  int
+	maxIter  int
+	tol      float64
+	echo     bool
+	echoSet  bool
+	autoEps  bool
+	reorder  Reordering
+	schedule Schedule
+	policy   UpdatePolicy
+	durFS    durable.FS
+	durDir   string
+	durPol   durable.Policy
+	durSet   bool
 }
 
 // Reordering selects the prepare-time graph layout strategy; see
@@ -86,11 +84,11 @@ const (
 // Reordering values.
 func ParseReordering(name string) (Reordering, error) { return order.ParseStrategy(name) }
 
-// WithWorkers sets the goroutine count of the fused kernel's
-// row-partitioned parallel pass (LinBP, LinBP*, FABP, and their
-// batches). 0 or 1 selects the serial kernel. BP and SBP ignore it.
-// While WithPartitions is active the partitioned plane replaces the
-// span pool, and Workers only seeds the auto partition count.
+// WithWorkers sets the goroutine count of the fused kernel's span
+// pool: each rounds pass splits the rows into nnz-balanced spans that
+// the workers share (LinBP and LinBP*, single solves and batches). 0
+// or 1 selects the serial kernel. FABP, BP and SBP ignore it, and so
+// does the residual plane, which is sequential.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxIter bounds the update rounds of iterative methods
@@ -125,32 +123,6 @@ func WithAutoEpsilonH() Option { return func(c *config) { c.autoEps = true } }
 // extra steady-state allocations on SolveInto or SolveBatch. Stats()
 // reports the ordering chosen and the bandwidth before/after.
 func WithReordering(r Reordering) Option { return func(c *config) { c.reorder = r } }
-
-// PartitionsAuto asks WithPartitions to size the partition-parallel
-// plane automatically: serving-scale graphs get one partition per
-// kernel worker (or GOMAXPROCS when Workers is unset, capped at
-// maxAutoPartitions); small cache-resident graphs keep the
-// unpartitioned plane.
-const PartitionsAuto = -1
-
-// maxAutoPartitions caps the automatically chosen partition count: the
-// partitioned plane exists to pin blocks to sockets/cores, and past a
-// modest worker count the per-round merge step costs more than further
-// splitting buys.
-const maxAutoPartitions = 16
-
-// WithPartitions selects the kernel's partition-parallel data plane for
-// the kernel-backed methods (LinBP, LinBP*, FABP, and their batches):
-// the layout-ordered adjacency is split into n contiguous nnz-balanced
-// row blocks (order.PartitionRows), and each prepared engine binds one
-// persistent OS-thread-locked worker per block with first-touched
-// private block state and partition-local delta accumulators — one
-// merge/exchange step per round instead of span stealing. n = 1 runs a
-// single-block partitioned plane (the overhead baseline);
-// PartitionsAuto sizes the plane from the graph and worker count; 0
-// (the default) disables it. BP and SBP ignore partitions. Stats()
-// reports the partition count, cut edges, and nnz imbalance.
-func WithPartitions(n int) Option { return func(c *config) { c.partitions = n } }
 
 // Schedule selects the execution schedule of the kernel-backed methods
 // (LinBP, LinBP*, FABP); see WithSchedule. The zero value is
@@ -282,14 +254,6 @@ type SolverStats struct {
 	// under the natural and the chosen ordering (equal when Ordering
 	// is none).
 	BandwidthBefore, BandwidthAfter int
-	// Partitions is the row-block count of the partition-parallel
-	// plane (0 when the plane is off — the default — or the method
-	// does not use the fused kernel). CutEdges counts the stored
-	// adjacency entries crossing block boundaries and Imbalance is the
-	// heaviest block's nnz relative to the ideal per-block share
-	// (1.0 = perfectly balanced); both are 0 when Partitions is 0.
-	Partitions, CutEdges int
-	Imbalance            float64
 	// Schedule is the execution schedule of the kernel-backed methods
 	// (always ScheduleRounds for BP and SBP, which have no alternative
 	// plane).
@@ -297,11 +261,11 @@ type SolverStats struct {
 	// Epoch is the number of snapshot swaps the dynamic plane has
 	// performed (0 until the first topology Update); Updates counts
 	// committed Update calls, Rebuilds the subset that triggered a
-	// compaction relayout (reordering and partitioning replayed on the
-	// current graph). OverlayNNZ is the number of adjacency cells whose
-	// value currently differs from the compaction base (the prepared
-	// layout or the last relayout) — an edge inserted and deleted again
-	// leaves no difference — and resets to 0 at every compaction.
+	// compaction relayout (the reordering replayed on the current
+	// graph). OverlayNNZ is the number of adjacency cells whose value
+	// currently differs from the compaction base (the prepared layout or
+	// the last relayout) — an edge inserted and deleted again leaves no
+	// difference — and resets to 0 at every compaction.
 	Epoch, Updates, Rebuilds int64
 	OverlayNNZ               int64
 	// UpdateValidateNS, UpdateWALNS, UpdateCommitNS, UpdateResolveNS,
@@ -489,7 +453,7 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 		base.schedule = cfg.schedule
 	default:
 		// BP and SBP have no residual plane; they ignore the schedule
-		// the way they ignore Workers and Partitions.
+		// the way they ignore Workers.
 	}
 
 	// The layout optimizer runs once per prepared solver: resolve the
@@ -563,39 +527,6 @@ func permutedLayout(a *sparse.CSR, d []float64, perm order.Permutation) (*sparse
 	return ap, dp
 }
 
-// resolvePartition turns the WithPartitions setting into concrete block
-// boundaries over the layout-ordered adjacency, recording the partition
-// diagnostics in base. It returns nil (no partitioned plane) when the
-// setting is 0 or the auto heuristic keeps the unpartitioned plane.
-func resolvePartition(requested, workers int, a *sparse.CSR, base *solverInfo) []int {
-	parts := requested
-	if parts == 0 {
-		return nil
-	}
-	if parts < 0 { // PartitionsAuto
-		if a.Rows() < order.AutoMinNodes {
-			// Cache-resident graphs: the merge step per round costs
-			// more than block locality buys.
-			return nil
-		}
-		parts = workers
-		if parts < 1 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		if parts > maxAutoPartitions {
-			parts = maxAutoPartitions
-		}
-		if parts < 2 {
-			return nil
-		}
-	}
-	p := order.PartitionRows(a, parts)
-	base.partitions = p.Blocks()
-	base.cutEdges = p.CutEdges
-	base.imbalance = p.Imbalance
-	return p.Starts
-}
-
 // autoEpsilon is AutoEpsilonH without the method restriction: half the
 // exact Lemma 8 threshold for the chosen echo setting.
 func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
@@ -617,17 +548,16 @@ func autoEpsilonCSR(a *sparse.CSR, ho *dense.Matrix, echo bool) (float64, error)
 
 // statePool hands out per-solve workspaces from a strong-reference
 // free list — deliberately not a sync.Pool: the pooled states own real
-// resources (kernel worker goroutines, OS-thread-locked partition
-// workers, message buffers), and a GC-evicting pool would strand those
-// engines in the Close registry while cache misses build ever more —
-// an unbounded leak of memory and locked threads under sustained
-// traffic. The free list keeps built states reusable until Close, so
-// steady-state get/put allocate nothing and the mutex push/pop is
-// noise against a solve — but the retained population is bounded by
-// the maxFree high-water cap, not by peak concurrency: a burst of N
-// concurrent solves builds N states, and the ones beyond the cap are
-// destroyed as they come back instead of pinning their memory (and,
-// on the partitioned plane, their OS-thread-locked workers) forever.
+// resources (the span pool's worker goroutines, message buffers), and a
+// GC-evicting pool would strand those engines in the Close registry
+// while cache misses build ever more — an unbounded leak of memory and
+// goroutines under sustained traffic. The free list keeps built states
+// reusable until Close, so steady-state get/put allocate nothing and
+// the mutex push/pop is noise against a solve — but the retained
+// population is bounded by the maxFree high-water cap, not by peak
+// concurrency: a burst of N concurrent solves builds N states, and the
+// ones beyond the cap are destroyed as they come back instead of
+// pinning their memory (and their worker goroutines) forever.
 type statePool[T comparable] struct {
 	mu      sync.Mutex
 	free    []T
@@ -809,8 +739,6 @@ type solverInfo struct {
 
 	ordering              Reordering
 	bandBefore, bandAfter int
-	partitions, cutEdges  int
-	imbalance             float64
 	schedule              Schedule
 
 	// batchHint is the number of requests the method fuses into one
@@ -881,7 +809,6 @@ func (b *solverBase) Stats() SolverStats {
 	return SolverStats{
 		Method: b.method, N: b.n, K: b.k, Workers: b.workers, EpsilonH: b.eps,
 		Ordering: b.ordering, BandwidthBefore: b.bandBefore, BandwidthAfter: b.bandAfter,
-		Partitions: b.partitions, CutEdges: b.cutEdges, Imbalance: b.imbalance,
 		Schedule:  b.schedule,
 		BatchHint: bh,
 		Solves:    b.solves.Load(), Batches: b.batches.Load(), BatchRequests: b.batchReqs.Load(),
@@ -1034,17 +961,15 @@ type linbpBatchEngine struct {
 // engines: a statePool of single-problem engines for Solve/SolveInto
 // and one statePool of fused multi-block engines per batch chunk size
 // for SolveBatch. All engines share the immutable row-block adjacency
-// (with its degrees), coupling, and partition layout; only the mutable
-// workspaces are per-pool-entry, so concurrent solves never contend on
-// state.
+// (with its degrees), coupling, and layout; only the mutable workspaces
+// are per-pool-entry, so concurrent solves never contend on state.
 type linbpSolver struct {
 	solverBase
-	rows       *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP) shared by all engines
-	h          *dense.Matrix
-	perm       order.Permutation // nil = natural order
-	partStarts []int             // nil = unpartitioned plane
-	maxIter    int
-	tol        float64
+	rows    *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP) shared by all engines
+	h       *dense.Matrix
+	perm    order.Permutation // nil = natural order
+	maxIter int
+	tol     float64
 
 	states *statePool[*linbp.Engine]
 	batch  []*statePool[*linbpBatchEngine] // index c-1 → chunks of c requests
@@ -1054,38 +979,16 @@ type linbpSolver struct {
 	rstates *statePool[*linbp.ResidualEngine]
 }
 
-// kernelLayout is the concrete prepared layout a kernel-backed snapshot
-// runs on: the (possibly reordered) row-block adjacency carrying the
-// matching degrees (none disables echo cancellation), the relabeling
-// it was produced under, and the partition boundaries. Prepare derives
-// it from the problem; the dynamic plane commits later epochs of the
-// same table, reusing the prepare-time permutation and partitions
-// between compactions.
-type kernelLayout struct {
-	rows       *sparse.RowBlocks
-	perm       order.Permutation
-	partStarts []int
-}
-
-// newKernelLayout lays out a caller-order adjacency for the
-// kernel-backed methods: relabel it by perm, resolve the partitioning
-// (recording its diagnostics in base), and wrap the result in an
-// epoch-0 row-block table — with the squared-weight degrees when echo
-// is on. The degrees are the layout rows' RowSumsSquared, the same
-// value a commit recomputes for an edited row.
-func newKernelLayout(a *sparse.CSR, echo bool, perm order.Permutation, cfg config, base *solverInfo) (kernelLayout, error) {
+// layoutRows lays out a caller-order adjacency for the kernel-backed
+// methods: relabel it by perm (nil keeps the order) and wrap the result
+// in an epoch-0 row-block table — with the squared-weight degrees when
+// echo is on. The degrees are the layout rows' RowSumsSquared, the same
+// value a commit recomputes for an edited row. The dynamic plane
+// commits later epochs of the table, reusing perm between compactions.
+func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBlocks, error) {
 	if perm != nil {
 		a = a.Permute(perm)
 	}
-	lay := kernelLayout{perm: perm, partStarts: resolvePartition(cfg.partitions, cfg.workers, a, base)}
-	var err error
-	lay.rows, err = layoutRows(a, echo)
-	return lay, err
-}
-
-// layoutRows wraps a layout-ordered adjacency in an epoch-0 row-block
-// table.
-func layoutRows(a *sparse.CSR, echo bool) (*sparse.RowBlocks, error) {
 	var d []float64
 	if echo {
 		d = a.RowSumsSquared()
@@ -1098,23 +1001,22 @@ func layoutRows(a *sparse.CSR, echo bool) (*sparse.RowBlocks, error) {
 }
 
 func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
-	lay, err := newKernelLayout(p.Graph.Adjacency(), base.method == MethodLinBP, perm, cfg, &base)
+	rows, err := layoutRows(p.Graph.Adjacency(), base.method == MethodLinBP, perm)
 	if err != nil {
 		return nil, err
 	}
-	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, lay)
+	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, rows, perm)
 }
 
-// newLinBPSolverOn builds the snapshot on an explicit layout and
-// validates it by building the first engine eagerly; base must already
-// carry the partition diagnostics for lay.partStarts.
-func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLayout) (*linbpSolver, error) {
+// newLinBPSolverOn builds the snapshot on an explicit layout — a
+// row-block table and the relabeling it was laid out under — and
+// validates it by building the first engine eagerly.
+func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, rows *sparse.RowBlocks, perm order.Permutation) (*linbpSolver, error) {
 	s := &linbpSolver{
-		h:          h,
-		perm:       lay.perm,
-		partStarts: lay.partStarts,
-		maxIter:    cfg.maxIter,
-		tol:        cfg.tol,
+		h:       h,
+		perm:    perm,
+		maxIter: cfg.maxIter,
+		tol:     cfg.tol,
 	}
 	if s.maxIter == 0 {
 		s.maxIter = linbp.DefaultMaxIter
@@ -1122,7 +1024,7 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 	if s.tol == 0 {
 		s.tol = linbp.DefaultTol
 	}
-	s.initPools(lay.rows, base)
+	s.initPools(rows, base)
 	eng, err := s.states.get()
 	if err != nil {
 		return nil, err
@@ -1153,7 +1055,6 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 			MaxIter:          s.maxIter,
 			Tol:              s.tol,
 			Workers:          s.workers,
-			PartitionStarts:  s.partStarts,
 		})
 	}).withDestroy(func(e *linbp.Engine) { e.Close() })
 	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
@@ -1164,7 +1065,7 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 			eng, err := kernel.New(kernel.Config{
 				Rows: s.rows, H: s.h,
 				Workers: s.workers, Blocks: c,
-				SymmetricA: true, PartitionStarts: s.partStarts,
+				SymmetricA: true,
 			}, ws)
 			if err != nil {
 				ws.Release()
@@ -1187,12 +1088,11 @@ func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 }
 
 // successor builds the next epoch's snapshot on a table committed from
-// this one's: same coupling, layout, and partitions, and no engine
-// built — the idle engines of every pool move over, rebound to the new
+// this one's: same coupling and layout, and no engine built — the idle engines of every pool move over, rebound to the new
 // table (an engine that cannot rebind is destroyed and rebuilt on
 // demand).
 func (s *linbpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
-	next := &linbpSolver{h: s.h, perm: s.perm, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
+	next := &linbpSolver{h: s.h, perm: s.perm, maxIter: s.maxIter, tol: s.tol}
 	next.initPools(rows, base)
 	moveIdle(s.states, next.states, func(e *linbp.Engine) error { return e.Rebind(rows) })
 	for i := range s.batch {
@@ -1325,13 +1225,12 @@ func (s *linbpSolver) maxBlocks() int {
 
 // SolveBatch fuses the requests into multi-block kernel chunks: each
 // update round traverses the CSR once for every request in a chunk, so
-// a batch of R requests costs far less than R one-shot solves even on
-// a single core (and the chunks still run on the partitioned or
-// span-parallel plane when one is configured). Requests in a chunk
-// share rounds: iteration stops once every request's delta is within
-// tolerance, and the shared round count and maximum delta are reported
-// for each. Results match the request's one-shot solve up to
-// summation-order rounding (~1 ulp per round).
+// a batch of R requests costs far less than R single solves even on a
+// single core (and the chunks still run on the span pool when Workers
+// is set). Requests in a chunk share rounds: iteration stops once every
+// request's delta is within tolerance, and the shared round count and
+// maximum delta are reported for each. Results match the request's
+// single solve up to summation-order rounding (~1 ulp per round).
 //
 //lsbp:hotpath
 func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
@@ -1537,7 +1436,7 @@ type bpState struct {
 // prepared bp.Engine: the directed-edge layout is built once and
 // shared read-only; message buffers live in the pooled states.
 // Explicit residuals too large to be valid priors are rescaled per
-// solve exactly as the one-shot Solve always did (Lemma 12). Under a
+// solve (bpSafeScale; Lemma 12 keeps the classification). Under a
 // reordered layout the engines run on the relabeled graph with scratch
 // belief matrices carrying the permutation in and out.
 type bpSolver struct {
@@ -1813,40 +1712,38 @@ func (st *fabpState) rebind(rows *sparse.RowBlocks) error {
 // method.
 type fabpSolver struct {
 	solverBase
-	rows       *sparse.RowBlocks // layout-ordered adjacency + squared-weight degrees
-	hhat       float64
-	perm       order.Permutation
-	partStarts []int
-	maxIter    int
-	tol        float64
-	states     *statePool[*fabpState]
+	rows    *sparse.RowBlocks // layout-ordered adjacency + squared-weight degrees
+	hhat    float64
+	perm    order.Permutation
+	maxIter int
+	tol     float64
+	states  *statePool[*fabpState]
 }
 
 func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*fabpSolver, error) {
 	if p.K() != 2 {
 		return nil, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", p.K(), errs.ErrDimensionMismatch)
 	}
-	lay, err := newKernelLayout(p.Graph.Adjacency(), true, perm, cfg, &base)
+	rows, err := layoutRows(p.Graph.Adjacency(), true, perm)
 	if err != nil {
 		return nil, err
 	}
 	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
 	// the scaled ĥ is its (0,0) entry.
-	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, lay)
+	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, rows, perm)
 }
 
-// newFABPSolverOn builds the snapshot on an explicit layout and
-// validates it by building the first state eagerly; base must already
-// carry the partition diagnostics for lay.partStarts.
-func newFABPSolverOn(hhat float64, base solverInfo, cfg config, lay kernelLayout) (*fabpSolver, error) {
+// newFABPSolverOn builds the snapshot on an explicit layout (see
+// newLinBPSolverOn) and validates it by building the first state
+// eagerly.
+func newFABPSolverOn(hhat float64, base solverInfo, cfg config, rows *sparse.RowBlocks, perm order.Permutation) (*fabpSolver, error) {
 	s := &fabpSolver{
-		hhat:       hhat,
-		perm:       lay.perm,
-		partStarts: lay.partStarts,
-		maxIter:    cfg.maxIter,
-		tol:        cfg.tol,
+		hhat:    hhat,
+		perm:    perm,
+		maxIter: cfg.maxIter,
+		tol:     cfg.tol,
 	}
-	s.initPools(lay.rows, base)
+	s.initPools(rows, base)
 	st, err := s.states.get()
 	if err != nil {
 		return nil, err
@@ -1862,7 +1759,7 @@ func (s *fabpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 	s.solverInfo = base
 	s.states = newStatePool(func() (*fabpState, error) {
 		eng, err := fabp.NewEngineRows(s.rows, s.hhat, fabp.Options{
-			MaxIter: s.maxIter, Tol: s.tol, PartitionStarts: s.partStarts,
+			MaxIter: s.maxIter, Tol: s.tol,
 		})
 		if err != nil {
 			return nil, err
@@ -1888,7 +1785,7 @@ func (s *fabpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 // this one's, moving the idle states over rebound (see
 // linbpSolver.successor).
 func (s *fabpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
-	next := &fabpSolver{hhat: s.hhat, perm: s.perm, partStarts: s.partStarts, maxIter: s.maxIter, tol: s.tol}
+	next := &fabpSolver{hhat: s.hhat, perm: s.perm, maxIter: s.maxIter, tol: s.tol}
 	next.initPools(rows, base)
 	moveIdle(s.states, next.states, func(st *fabpState) error { return st.rebind(rows) })
 	return next

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -112,36 +113,9 @@ func TestPreparedEquivalence(t *testing.T) {
 	}
 }
 
-// TestLegacySolveMatchesPrepared pins the compat wrapper to the
-// prepared path it now delegates to.
-func TestLegacySolveMatchesPrepared(t *testing.T) {
-	p := randomProblem(t, 100, 220, 3, 0.01, 9)
-	for _, m := range []Method{MethodBP, MethodLinBP, MethodLinBPStar, MethodSBP} {
-		legacy, err := Solve(p, m, Options{MaxIter: 200})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		s, err := Prepare(p, m, WithMaxIter(200))
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		res, err := s.Solve(context.Background(), p.Explicit)
-		if err != nil && !errors.Is(err, ErrNotConverged) {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if d := maxAbsDiff(legacy.Beliefs, res.Beliefs); d != 0 {
-			t.Fatalf("%v: legacy vs prepared max diff %g", m, d)
-		}
-		if legacy.Iterations != res.Iterations || legacy.Converged != res.Converged {
-			t.Fatalf("%v: diagnostics diverge: %+v vs %+v", m, legacy, res)
-		}
-		s.Close()
-	}
-}
-
 // TestSolverReuse runs many solves with changing evidence through one
-// prepared solver and checks each against a fresh one-shot solve —
-// prepared state must not leak between requests.
+// prepared solver and checks each against a freshly prepared solver's
+// answer — prepared state must not leak between requests.
 func TestSolverReuse(t *testing.T) {
 	p := randomProblem(t, 120, 260, 3, 0.01, 3)
 	for _, m := range []Method{MethodBP, MethodLinBP, MethodSBP} {
@@ -155,12 +129,8 @@ func TestSolverReuse(t *testing.T) {
 			if _, err := s.SolveInto(context.Background(), dst, e); err != nil {
 				t.Fatalf("%v trial %d: %v", m, trial, err)
 			}
-			q := &Problem{Graph: p.Graph, Explicit: e, Ho: p.Ho, EpsilonH: p.EpsilonH}
-			want, err := Solve(q, m, Options{MaxIter: 300})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(dst, want.Beliefs); d > 1e-12 {
+			want := freshSolve(t, p, m, e, WithMaxIter(300))
+			if d := maxAbsDiff(dst, want); d > 1e-12 {
 				t.Fatalf("%v trial %d: reuse drift %g", m, trial, d)
 			}
 		}
@@ -212,6 +182,98 @@ func TestSolveBatchMatchesSolveInto(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestWithWorkersEquivalence: the span pool must reproduce the serial
+// solve bitwise — same beliefs, same round count — for both methods that
+// run on it, every forced ordering, and worker counts that split the
+// rows differently. The pool runs the serial kernel's row kernels over
+// nnz-balanced spans, so no summation order changes.
+func TestWithWorkersEquivalence(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		k    int
+		m    Method
+	}{
+		{"LinBP", 3, MethodLinBP},
+		{"LinBPStar", 5, MethodLinBPStar},
+	} {
+		p := randomProblem(t, 350, 800, tc.k, 0.01, 41)
+		for _, r := range []Reordering{ReorderNone, ReorderRCM, ReorderDegree} {
+			base, err := Prepare(p, tc.m, WithMaxIter(30), WithReordering(r))
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, r, err)
+			}
+			want := beliefs.New(p.Graph.N(), tc.k)
+			wantRes, err := base.SolveInto(ctx, want, p.Explicit)
+			if err != nil && !errors.Is(err, ErrNotConverged) {
+				t.Fatal(err)
+			}
+			base.Close()
+			for _, workers := range []int{2, 3, 5} {
+				t.Run(fmt.Sprintf("%s/order=%v/workers=%d", tc.name, r, workers), func(t *testing.T) {
+					s, err := Prepare(p, tc.m, WithMaxIter(30), WithReordering(r), WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					if st := s.Stats(); st.Workers != workers || st.Ordering != r {
+						t.Fatalf("Stats: workers=%d ordering=%v", st.Workers, st.Ordering)
+					}
+					got := beliefs.New(p.Graph.N(), tc.k)
+					res, err := s.SolveInto(ctx, got, p.Explicit)
+					if err != nil && !errors.Is(err, ErrNotConverged) {
+						t.Fatal(err)
+					}
+					if res.Iterations != wantRes.Iterations || res.Converged != wantRes.Converged {
+						t.Fatalf("%d rounds (converged %v), serial %d (converged %v)",
+							res.Iterations, res.Converged, wantRes.Iterations, wantRes.Converged)
+					}
+					if d := maxAbsDiff(got, want); d != 0 {
+						t.Fatalf("span pool vs serial diff %g, want bitwise identical", d)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestWithWorkersSolveBatch runs the fused batch path on the span pool
+// across a chunk boundary and compares each response against the
+// serial solve within 1e-12.
+func TestWithWorkersSolveBatch(t *testing.T) {
+	ctx := context.Background()
+	p := randomProblem(t, 300, 700, 3, 0.01, 43)
+	base, err := Prepare(p, MethodLinBP, WithMaxIter(5), WithTol(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	s, err := Prepare(p, MethodLinBP, WithMaxIter(5), WithTol(-1), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const nreq = 6 // 4 + 2: spans a chunk boundary
+	reqs := make([]Request, nreq)
+	for i := range reqs {
+		e, _ := beliefs.Seed(300, 3, beliefs.SeedConfig{Fraction: 0.1, Seed: uint64(i + 11)})
+		reqs[i] = Request{E: e, Dst: beliefs.New(300, 3)}
+	}
+	resps := s.SolveBatch(ctx, reqs)
+	dst := beliefs.New(300, 3)
+	for i, r := range resps {
+		if r.Err != nil && !errors.Is(r.Err, ErrNotConverged) {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if _, err := base.SolveInto(ctx, dst, reqs[i].E); err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(r.Beliefs, dst); d > 1e-12 {
+			t.Fatalf("request %d: span-pool batch vs serial diff %g", i, d)
+		}
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package difftest is the reusable differential-correctness harness of
 // the repository: it solves one identical problem instance under every
 // serving configuration axis the prepared-Solver API exposes — method,
-// class count, prepare-time reordering, partition-parallel plane, and
-// kernel worker count — and asserts that
-// every variant reproduces the reference configuration within a tight
-// divergence bound (1e-12 by default; the kernel planes are in fact
-// bitwise identical, the reordered ones differ only by summation
-// order).
+// class count, prepare-time reordering, and kernel worker count (the
+// serial kernel or the span pool) — and asserts that every variant
+// reproduces the reference configuration within a tight divergence
+// bound (1e-12 by default; the kernel planes are in fact bitwise
+// identical, the reordered ones differ only by summation order).
 //
 // It replaces the per-PR ad-hoc equivalence tests: a PR that adds a new
 // execution plane or configuration axis extends Variants once and every
@@ -16,7 +15,7 @@
 // The dynamic half of the harness (RunDynamic/RunDynamicMatrix) checks
 // the epoch-versioned update plane: any stream of edge inserts,
 // deletes, and relabels applied through Solver.Update — under every
-// ordering × partition × schedule variant and every compaction policy,
+// ordering × plane × schedule variant and every compaction policy,
 // including forced rebuilds — must land within the same bound of a
 // fresh Prepare+Solve on the final graph. FuzzDynamicEquivalence is
 // the fuzzed entry point for byte-encoded update streams.
@@ -36,7 +35,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kernel"
-	"repro/internal/order"
 	"repro/internal/xrand"
 )
 
@@ -85,14 +83,13 @@ func (v Variant) bound(tol float64) float64 {
 }
 
 // Reference is the baseline configuration every variant is compared
-// against: natural order, serial, unpartitioned.
+// against: natural order, serial.
 func Reference() Variant {
 	return Variant{Name: "reference", Opts: []core.Option{core.WithReordering(core.ReorderNone)}}
 }
 
 // Variants enumerates the configuration axes for a method: the full
-// ordering × partitions × workers cross product for the
-// kernel-backed methods, and the ordering axis alone for the
+// ordering × workers cross product for the kernel-backed methods, and the ordering axis alone for the
 // message-passing methods (BP, SBP), which consume no kernel options.
 func Variants(m core.Method) []Variant {
 	orderings := []struct {
@@ -114,17 +111,14 @@ func Variants(m core.Method) []Variant {
 		return out
 	}
 	for _, o := range orderings {
-		for _, parts := range []int{0, 1, 3} {
-			for _, workers := range []int{0, 4} {
-				out = append(out, Variant{
-					Name: fmt.Sprintf("order=%s/parts=%d/workers=%d", o.name, parts, workers),
-					Opts: []core.Option{
-						core.WithReordering(o.r),
-						core.WithPartitions(parts),
-						core.WithWorkers(workers),
-					},
-				})
-			}
+		for _, workers := range []int{0, 4} {
+			out = append(out, Variant{
+				Name: fmt.Sprintf("order=%s/workers=%d", o.name, workers),
+				Opts: []core.Option{
+					core.WithReordering(o.r),
+					core.WithWorkers(workers),
+				},
+			})
 		}
 	}
 	return out
@@ -201,9 +195,9 @@ func RunMatrix(t *testing.T, n, edges int, seed uint64, extra ...core.Option) {
 }
 
 // RunKernelK1 is the k = 1 cell of the matrix: the scalar kernel (the
-// engine behind FABP's Appendix E collapse) run under every kernel
-// configuration axis — partitions × workers — and compared to
-// the serial reference within tol after a fixed number of rounds.
+// engine behind FABP's Appendix E collapse) run serially and on the
+// span pool, and compared to the serial reference within tol after a
+// fixed number of rounds.
 func RunKernelK1(t testing.TB, n, edges int, seed uint64, tol float64) {
 	if tol <= 0 {
 		tol = DefaultTol
@@ -230,23 +224,16 @@ func RunKernelK1(t testing.TB, n, edges int, seed uint64, tol float64) {
 		return append([]float64(nil), eng.Beliefs()...)
 	}
 	want := run(kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true})
-	for _, parts := range []int{0, 1, 3} {
-		for _, workers := range []int{1, 4} {
-			cfg := kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true, Workers: workers}
-			if parts > 0 {
-				cfg.PartitionStarts = order.PartitionRows(a, parts).Starts
+	for _, workers := range []int{1, 4} {
+		got := run(kernel.Config{A: a, D: d, H: h, EchoH: echoH, SymmetricA: true, Workers: workers})
+		for i := range got {
+			diff := got[i] - want[i]
+			if diff < 0 {
+				diff = -diff
 			}
-			got := run(cfg)
-			for i := range got {
-				diff := got[i] - want[i]
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > tol {
-					t.Errorf("k=1 parts=%d workers=%d: belief[%d] diverges by %g",
-						parts, workers, i, diff)
-					return
-				}
+			if diff > tol {
+				t.Errorf("k=1 workers=%d: belief[%d] diverges by %g", workers, i, diff)
+				return
 			}
 		}
 	}
@@ -329,12 +316,11 @@ func DynamicStream(p *core.Problem, batches int, seed uint64) []DynamicBatch {
 // differential suite per the acceptance matrix: all orderings ×
 // kernel planes × schedules for the kernel methods, and the ordering
 // axis alone for BP and SBP (which have no kernel options or residual
-// plane). The plane axis is the single-block partitioned plane (the
-// overhead baseline), the auto choice (the unpartitioned serial plane
-// at the suite's cache-resident sizes), a three-block partitioned plane
-// with its per-round merge, and the unpartitioned span pool at four
-// workers — so epoch swaps are checked against every data plane a
-// prepared engine can run on. The residual and auto schedules
+// plane). The plane axis is the serial kernel and the span pool at two,
+// three and four workers (four nnz-balanced spans per worker) — so
+// epoch swaps are checked against every data plane a prepared engine
+// can run on, and the pool rebinds across commits under more than one
+// span layout. The residual and auto schedules
 // carry the looser ResidualScheduleTol bound — the documented
 // tolerance ladder: relaxation order is data-dependent, so those
 // variants agree with the rounds reference within the tolerance
@@ -371,9 +357,9 @@ func DynamicVariants(m core.Method) []Variant {
 		name string
 		opt  core.Option
 	}{
-		{"parts=1", core.WithPartitions(1)},
-		{"parts=auto", core.WithPartitions(core.PartitionsAuto)},
-		{"parts=3", core.WithPartitions(3)},
+		{"serial", core.WithWorkers(0)},
+		{"workers=2", core.WithWorkers(2)},
+		{"workers=3", core.WithWorkers(3)},
 		{"workers=4", core.WithWorkers(4)},
 	}
 	for _, o := range orderings {

@@ -11,9 +11,9 @@ import (
 
 // TestDifferentialMatrix is the canonical equivalence suite: every
 // method × k ∈ {1,2,3,5} on two deterministic random instances, each
-// solved under the full configuration cross product (ordering ×
-// partitions × workers for the kernel-backed methods, ordering for
-// BP/SBP) and pinned to the reference within 1e-12.
+// solved under the full configuration cross product (ordering × workers
+// for the kernel-backed methods, ordering for BP/SBP) and pinned to the
+// reference within 1e-12.
 func TestDifferentialMatrix(t *testing.T) {
 	RunMatrix(t, 350, 800, 7, core.WithMaxIter(60))
 }
@@ -27,21 +27,20 @@ func TestDifferentialMatrixFixedRounds(t *testing.T) {
 }
 
 // TestVariantsCoverAxes pins the harness itself: the kernel-backed
-// variant set must span all three orderings, the partition counts, and
-// both worker settings.
+// variant set must span all three orderings and both worker settings.
 func TestVariantsCoverAxes(t *testing.T) {
 	vs := Variants(core.MethodLinBP)
-	if len(vs) != 3*3*2 {
-		t.Fatalf("kernel variant count = %d, want %d", len(vs), 3*3*2)
+	if len(vs) != 3*2 {
+		t.Fatalf("kernel variant count = %d, want %d", len(vs), 3*2)
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
 		seen[v.Name] = true
 	}
 	for _, name := range []string{
-		"order=natural/parts=0/workers=0",
-		"order=degree/parts=3/workers=4",
-		"order=rcm/parts=1/workers=0",
+		"order=natural/workers=0",
+		"order=degree/workers=4",
+		"order=rcm/workers=0",
 	} {
 		if !seen[name] {
 			t.Fatalf("variant %q missing", name)
@@ -53,10 +52,9 @@ func TestVariantsCoverAxes(t *testing.T) {
 }
 
 // TestDynamicVariantsCoverPlanes pins the dynamic half of the harness:
-// the kernel-backed set spans every ordering × plane × schedule, and at
-// the dynamic suite's size each plane variant prepares onto the data
-// plane its name claims — one or three partition blocks, the
-// unpartitioned plane for auto, and a four-worker span pool — and keeps
+// the kernel-backed set spans every ordering × plane × schedule, and
+// each plane variant prepares onto the data plane its name claims — the
+// serial kernel or a span pool of two, three or four workers — and keeps
 // that plane across a forced-compaction Update.
 func TestDynamicVariantsCoverPlanes(t *testing.T) {
 	vs := DynamicVariants(core.MethodLinBP)
@@ -71,11 +69,11 @@ func TestDynamicVariantsCoverPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := DynamicStream(p, 1, 12)
-	want := map[string]struct{ parts, workers int }{
-		"order=rcm/parts=1/schedule=rounds":    {1, 0},
-		"order=rcm/parts=auto/schedule=rounds": {0, 0},
-		"order=rcm/parts=3/schedule=rounds":    {3, 0},
-		"order=rcm/workers=4/schedule=rounds":  {0, 4},
+	want := map[string]int{
+		"order=rcm/serial/schedule=rounds":    0,
+		"order=rcm/workers=2/schedule=rounds": 2,
+		"order=rcm/workers=3/schedule=rounds": 3,
+		"order=rcm/workers=4/schedule=rounds": 4,
 	}
 	for _, v := range vs {
 		w, ok := want[v.Name]
@@ -91,9 +89,8 @@ func TestDynamicVariantsCoverPlanes(t *testing.T) {
 		}
 		for phase := 0; phase < 2; phase++ {
 			st := s.Stats()
-			if st.Partitions != w.parts || st.Workers != w.workers {
-				t.Errorf("%s (phase %d): partitions=%d workers=%d, want %d, %d",
-					v.Name, phase, st.Partitions, st.Workers, w.parts, w.workers)
+			if st.Workers != w {
+				t.Errorf("%s (phase %d): workers=%d, want %d", v.Name, phase, st.Workers, w)
 			}
 			if phase == 0 {
 				if _, err := s.Update(context.Background(), stream[0].ToUpdate(p.Graph.N(), p.K())); err != nil && !errors.Is(err, errs.ErrNotConverged) {

@@ -91,8 +91,7 @@ func TestCompactionExposesRederivedEpsilonH(t *testing.T) {
 }
 
 // TestDynamicEquivalenceLargerKernel gives the kernel methods a second,
-// denser instance where the auto partitioner and reorderer make
-// non-trivial choices.
+// denser instance under the default options.
 func TestDynamicEquivalenceLargerKernel(t *testing.T) {
 	p, err := Problem(120, 300, 3, 77)
 	if err != nil {

@@ -10,15 +10,14 @@ import (
 )
 
 // FuzzLinBPEquivalence fuzzes edge lists and explicit beliefs and
-// asserts that every serving configuration (ordering × partitions ×
-// workers) of the prepared LinBP solver reproduces the
-// reference within 1e-12 after a fixed number of rounds. Run the seeds
+// asserts that every serving configuration (ordering × workers) of the
+// prepared LinBP solver reproduces the reference within 1e-12 after a fixed number of rounds. Run the seeds
 // with plain `go test`; explore with
 //
 //	go test -fuzz=FuzzLinBPEquivalence ./internal/difftest
 func FuzzLinBPEquivalence(f *testing.F) {
 	// Seed corpus: a triangle with one labeled node per class count, a
-	// star (hub stresses the nnz-balanced partitioner), a path, and a
+	// star (hub stresses the nnz-balanced span split), a path, and a
 	// denser random-ish blob.
 	f.Add([]byte{0, 1, 0, 1, 1, 2, 2, 0, 200, 17, 64, 190, 12, 250})
 	f.Add([]byte{1, 6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 9, 220, 31, 130, 77, 5, 255, 128})

@@ -11,12 +11,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
 	"repro/internal/beliefs"
+	"repro/internal/core"
 	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/gen"
@@ -110,6 +113,23 @@ func kronProblem(num int, cfg Config) (*graph.Graph, *beliefs.Residual) {
 	g := gen.Kronecker(gen.KroneckerGraphNumber(num))
 	e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: cfg.Seed + uint64(num)})
 	return g, e
+}
+
+// solveOnce answers one solve of p's explicit beliefs on a freshly
+// prepared solver and closes it. A run that exhausts its iteration
+// budget is a result, not an error: the sweeps cross the convergence
+// boundary on purpose and read Result.Converged.
+func solveOnce(p *core.Problem, m core.Method, opts ...core.Option) (*core.Result, error) {
+	s, err := core.Prepare(p, m, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	res, err := s.Solve(context.Background(), p.Explicit)
+	if err != nil && !errors.Is(err, core.ErrNotConverged) {
+		return nil, err
+	}
+	return res, nil
 }
 
 // timeIt measures one execution of fn.

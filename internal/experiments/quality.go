@@ -97,7 +97,7 @@ func Fig4(cfg Config) error {
 		p.EpsilonH = eps
 		row := fmt.Sprintf("%8.4f  ", eps)
 		for _, m := range []core.Method{core.MethodBP, core.MethodLinBP, core.MethodLinBPStar} {
-			res, err := core.Solve(p, m, core.Options{MaxIter: 200})
+			res, err := solveOnce(p, m, core.WithMaxIter(200))
 			if err != nil {
 				return err
 			}
@@ -108,7 +108,7 @@ func Fig4(cfg Config) error {
 			zz := res.Beliefs.StandardizedRow(3)
 			row += fmt.Sprintf("[%7.3f %7.3f %7.3f]  ", zz[0], zz[1], zz[2])
 		}
-		res, err := core.Solve(p, core.MethodLinBP, core.Options{MaxIter: 200})
+		res, err := solveOnce(p, core.MethodLinBP, core.WithMaxIter(200))
 		if err != nil {
 			return err
 		}
@@ -136,7 +136,7 @@ type sweepPoint struct {
 func qualitySweep(num int, cfg Config, epss []float64) ([]sweepPoint, error) {
 	g, e := kronProblem(num, cfg)
 	p := &core.Problem{Graph: g, Explicit: e, Ho: fig6b()}
-	sbpRes, err := core.Solve(p, core.MethodSBP, core.Options{})
+	sbpRes, err := solveOnce(p, core.MethodSBP)
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +144,15 @@ func qualitySweep(num int, cfg Config, epss []float64) ([]sweepPoint, error) {
 	for _, eps := range epss {
 		p.EpsilonH = eps
 		pt := sweepPoint{eps: eps}
-		bpRes, err := core.Solve(p, core.MethodBP, core.Options{MaxIter: 100})
+		bpRes, err := solveOnce(p, core.MethodBP, core.WithMaxIter(100))
 		if err != nil {
 			return nil, err
 		}
-		linbpRes, err := core.Solve(p, core.MethodLinBP, core.Options{MaxIter: 200})
+		linbpRes, err := solveOnce(p, core.MethodLinBP, core.WithMaxIter(200))
 		if err != nil {
 			return nil, err
 		}
-		starRes, err := core.Solve(p, core.MethodLinBPStar, core.Options{MaxIter: 200})
+		starRes, err := solveOnce(p, core.MethodLinBPStar, core.WithMaxIter(200))
 		if err != nil {
 			return nil, err
 		}
@@ -231,22 +231,22 @@ func Fig11b(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "nodes=%d directed-edges=%d labeled=%d\n",
 		n, d.G.DirectedEdgeCount(), len(seeded))
 
-	sbpRes, err := core.Solve(p, core.MethodSBP, core.Options{})
+	sbpRes, err := solveOnce(p, core.MethodSBP)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(cfg.Out, "%10s %10s %10s %10s %12s\n", "eps_H", "LinBP F1", "LinBP* F1", "SBP F1", "truth-acc")
 	for _, eps := range logspace(1e-5, 1e-2, 7) {
 		p.EpsilonH = eps
-		bpRes, err := core.Solve(p, core.MethodBP, core.Options{MaxIter: 100})
+		bpRes, err := solveOnce(p, core.MethodBP, core.WithMaxIter(100))
 		if err != nil {
 			return err
 		}
-		linbpRes, err := core.Solve(p, core.MethodLinBP, core.Options{MaxIter: 200})
+		linbpRes, err := solveOnce(p, core.MethodLinBP, core.WithMaxIter(200))
 		if err != nil {
 			return err
 		}
-		starRes, err := core.Solve(p, core.MethodLinBPStar, core.Options{MaxIter: 200})
+		starRes, err := solveOnce(p, core.MethodLinBPStar, core.WithMaxIter(200))
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func methodTime(num int, m core.Method, cfg Config) (time.Duration, int, error) 
 	g.WeightedDegrees()
 	var err error
 	d := timeIt(func() {
-		_, err = core.Solve(p, m, core.Options{MaxIter: cfg.Iterations, Tol: -1})
+		_, err = solveOnce(p, m, core.WithMaxIter(cfg.Iterations), core.WithTol(-1))
 	})
 	return d, g.DirectedEdgeCount(), err
 }

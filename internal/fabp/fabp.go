@@ -32,10 +32,6 @@ type Options struct {
 	MaxIter int
 	// Tol is the max-change stopping criterion (default 1e-12).
 	Tol float64
-	// PartitionStarts, when set, selects the kernel's partition-parallel
-	// data plane for the scalar collapse (see
-	// kernel.Config.PartitionStarts).
-	PartitionStarts []int
 }
 
 func (o Options) withDefaults() Options {
@@ -119,7 +115,6 @@ func newEngine(cfg kernel.Config, n int, hhat float64, opts Options) (*Engine, e
 	cfg.SymmetricA = true
 	cfg.H = dense.NewFromRows([][]float64{{c1}})
 	cfg.EchoH = dense.NewFromRows([][]float64{{c2}})
-	cfg.PartitionStarts = opts.PartitionStarts
 	ws := kernel.GetWorkspace()
 	eng, err := kernel.New(cfg, ws)
 	if err != nil {

@@ -31,8 +31,7 @@ type ResidualEngine struct {
 // degrees, mirroring NewEngineRows. opts.Tol is the relaxation
 // tolerance and must be positive (the residual schedule has no
 // fixed-round mode); opts.MaxIter bounds the work at MaxIter·n row
-// relaxations. opts.PartitionStarts is ignored — the plane is
-// sequential.
+// relaxations.
 func NewResidualEngineRows(rows *sparse.RowBlocks, hhat float64, opts Options) (*ResidualEngine, error) {
 	opts = opts.withDefaults()
 	if opts.Tol <= 0 {

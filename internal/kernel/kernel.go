@@ -84,14 +84,6 @@ type Config struct {
 	// the pull kernels term for term, so results stay bitwise
 	// identical.
 	SymmetricA bool
-	// PartitionStarts, when it holds at least two boundaries, selects
-	// the partition-parallel data plane (see partition.go): row block p
-	// covers [PartitionStarts[p], PartitionStarts[p+1]), one persistent
-	// OS-thread-locked worker per block with first-touched private CSR
-	// copies and partition-local delta accumulators. It must span
-	// [0, n) contiguously. Partitioned mode replaces the span pool, so
-	// Workers is ignored while it is set.
-	PartitionStarts []int
 }
 
 // span is one contiguous, nnz-balanced row range of a parallel pass.
@@ -200,12 +192,6 @@ type Engine struct {
 	results chan float64
 	started bool
 	closed  bool
-
-	// Partition-parallel plane (see partition.go), spawned lazily on
-	// the first partitioned pass. Non-nil partStarts selects the plane.
-	partStarts  []int
-	partWorkers []*partWorker
-	partStarted bool
 }
 
 // New validates cfg and builds an engine on ws. A nil ws allocates a
@@ -236,11 +222,6 @@ func New(cfg Config, ws *Workspace) (*Engine, error) {
 	if blocks < 1 {
 		blocks = 1
 	}
-	if cfg.PartitionStarts != nil {
-		if err := validPartitionStarts(cfg.PartitionStarts, n); err != nil {
-			return nil, err
-		}
-	}
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -252,9 +233,6 @@ func New(cfg Config, ws *Workspace) (*Engine, error) {
 	e.symA = cfg.SymmetricA
 	e.workers, e.ws, e.track = workers, ws, true
 	e.kern = e.pickKernel()
-	if len(cfg.PartitionStarts) >= 2 {
-		e.partStarts = cfg.PartitionStarts
-	}
 	// Hoist H (and the echo coupling) into flat row-major slices once.
 	e.h = ws.hbuf[:k*k]
 	e.h2 = ws.hbuf[k*k : 2*k*k]
@@ -504,9 +482,6 @@ func (e *Engine) ApplyInto(dst, src []float64) {
 //
 //lsbp:hotpath
 func (e *Engine) pass() float64 {
-	if e.partStarts != nil {
-		return e.partPass()
-	}
 	if e.workers > 1 && e.n >= 2*e.workers {
 		e.startWorkers()
 		for _, s := range e.spans {
@@ -569,11 +544,6 @@ func (e *Engine) worker(scratch []float64) {
 func (e *Engine) Close() {
 	if e.started && !e.closed {
 		close(e.work)
-	}
-	if e.partStarted && !e.closed {
-		for _, w := range e.partWorkers {
-			close(w.work)
-		}
 	}
 	e.closed = true
 }
@@ -639,10 +609,11 @@ func configRows(cfg Config, own *sparse.RowBlocks) (*sparse.RowBlocks, error) {
 
 // Rebind points the engine at another epoch of its adjacency — a table
 // committed from the one it was built on, with the same shape and
-// degree presence — without rebuilding anything: the next
-// round reads the new rows. Partition workers refresh their private
-// block copies on their next round, re-copying only the blocks the
-// commits rewrote. The engine must be idle (no round in flight).
+// degree presence — without rebuilding anything: the next round reads
+// the new rows on the serial kernel and the span pool alike (its
+// workers read the table through the engine; its spans, balanced on
+// the epoch of its first parallel round, stay valid row ranges). The
+// engine must be idle (no round in flight).
 func (e *Engine) Rebind(rows *sparse.RowBlocks) error {
 	e.checkOpen()
 	if rows.Rows() != e.n || rows.Cols() != e.n {
@@ -652,9 +623,6 @@ func (e *Engine) Rebind(rows *sparse.RowBlocks) error {
 		return fmt.Errorf("kernel: rebind table does not match the engine's degree presence: %w", errs.ErrInvalidInput)
 	}
 	e.adj = rows
-	for _, w := range e.partWorkers {
-		w.pending = rows
-	}
 	return nil
 }
 
@@ -798,14 +766,7 @@ const compactBatchMinNodes = 1 << 15
 //
 //lsbp:hotpath
 func (e *Engine) sparseRoundEligible() bool {
-	// The partitioned plane does not disqualify: the push round runs
-	// serially on the parent engine (Step takes it before dispatching
-	// to pass), reading the parent's full row-block table and never
-	// involving the partition workers — so partitioned solves keep the
-	// cheap round 2 and stay bitwise identical to the serial plane.
-	// Workers only matters on the span plane; it is ignored (here as
-	// everywhere) while PartitionStarts is set.
-	if !e.symA || (e.workers > 1 && e.partStarts == nil) {
+	if !e.symA || e.workers > 1 {
 		return false
 	}
 	if e.blocks == 1 {

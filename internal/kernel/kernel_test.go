@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/errs"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -530,6 +531,90 @@ func TestCompactLayoutParallel(t *testing.T) {
 				t.Fatalf("round %d: beliefs differ at %d", round, i)
 			}
 		}
+	}
+}
+
+// TestRebindSpanPool rebinds a span-pool engine whose workers already
+// ran to a committed epoch: its next solve must equal a fresh serial
+// engine's on that epoch bitwise, and a table of another size or degree
+// presence must be refused.
+func TestRebindSpanPool(t *testing.T) {
+	const n, k, rounds = 500, 3, 6
+	a := randomCSR(n, 8, 17)
+	epochA, err := sparse.NewRowBlocks(a, degrees(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := randomCoupling(k, 5)
+	e := make([]float64, n*k)
+	for i := 0; i < len(e); i += 5 {
+		e[i] = 0.03
+	}
+	solve := func(eng *Engine) ([]float64, float64) {
+		eng.Reset()
+		eng.SetExplicit(e)
+		_, delta, _ := eng.Run(rounds, -1, nil)
+		return append([]float64(nil), eng.Beliefs()...), delta
+	}
+
+	eng, err := New(Config{Rows: epochA, H: h, Workers: 3, SymmetricA: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	onA, _ := solve(eng)
+	if !eng.started {
+		t.Fatal("the span pool did not start on epoch A")
+	}
+
+	// Epoch B: new edges in the first, an interior and the last block,
+	// one edge removed and one reweighted.
+	cols, _ := epochA.RowViewCompact(200)
+	edits := []sparse.Edit{
+		{Row: 1, Col: 300, W: 1}, {Row: 300, Col: 1, W: 1},
+		{Row: 130, Col: 499, W: 2}, {Row: 499, Col: 130, W: 2},
+		{Row: 200, Col: int(cols[0]), Remove: true}, {Row: int(cols[0]), Col: 200, Remove: true},
+		{Row: 200, Col: int(cols[1]), W: 3}, {Row: int(cols[1]), Col: 200, W: 3},
+	}
+	epochB, _ := epochA.Commit(edits, nil)
+	if err := eng.Rebind(epochB); err != nil {
+		t.Fatal(err)
+	}
+	got, gotDelta := solve(eng)
+	fresh, err := New(Config{Rows: epochB, H: h, SymmetricA: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, wantDelta := solve(fresh)
+	if gotDelta != wantDelta {
+		t.Fatalf("rebound delta %v, fresh serial %v", gotDelta, wantDelta)
+	}
+	moved := false
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("belief[%d] = %v after Rebind, fresh serial engine on epoch B %v (bitwise)", i, got[i], want[i])
+		}
+		moved = moved || got[i] != onA[i]
+	}
+	if !moved {
+		t.Fatal("epoch B's solve equals epoch A's: the edits changed nothing")
+	}
+
+	other := randomCSR(n+1, 8, 17)
+	wider, err := sparse.NewRowBlocks(other, degrees(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Rebind(wider); !errors.Is(err, errs.ErrDimensionMismatch) {
+		t.Errorf("Rebind to %d rows: %v, want ErrDimensionMismatch", n+1, err)
+	}
+	noDeg, err := sparse.NewRowBlocks(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Rebind(noDeg); !errors.Is(err, errs.ErrInvalidInput) {
+		t.Errorf("Rebind to a table without degrees: %v, want ErrInvalidInput", err)
 	}
 }
 

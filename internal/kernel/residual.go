@@ -57,9 +57,8 @@ const residualCtxStride = 1024
 // fixed (A, D, H) configuration. Like Engine it is built once per
 // graph snapshot and reused across solves; unlike Engine it is
 // inherently sequential (the schedule is a priority order), so
-// Workers, Blocks, and PartitionStarts do not apply. A is required to
-// be symmetric (Config.SymmetricA) — the push step walks row i as
-// column i.
+// Workers and Blocks do not apply. A is required to be symmetric
+// (Config.SymmetricA) — the push step walks row i as column i.
 //
 // A ResidualEngine is not safe for concurrent use; run one per
 // goroutine or pool them as the prepared solvers do.
@@ -117,9 +116,9 @@ type ResidualEngine struct {
 // NewResidual validates cfg and builds a residual-scheduled engine
 // with convergence tolerance tol (the queue admission threshold: rows
 // whose residual magnitude is at most tol are never scheduled).
-// cfg.Workers and cfg.PartitionStarts are ignored — the plane is
-// sequential; cfg.Blocks > 1 and non-symmetric adjacencies are
-// rejected. All state is allocated here; solves reuse it.
+// cfg.Workers is ignored — the plane is sequential; cfg.Blocks > 1 and
+// non-symmetric adjacencies are rejected. All state is allocated here;
+// solves reuse it.
 func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 	if (cfg.A == nil && cfg.Rows == nil) || cfg.H == nil {
 		return nil, fmt.Errorf("kernel: residual config needs A (or Rows) and H: %w", errs.ErrInvalidInput)

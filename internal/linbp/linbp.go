@@ -22,6 +22,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
@@ -45,11 +46,6 @@ type Options struct {
 	// implementation). 0 or 1 keeps the single-threaded kernel the
 	// paper's evaluation uses.
 	Workers int
-	// PartitionStarts, when set, selects the kernel's partition-parallel
-	// data plane: one OS-thread-locked persistent worker per contiguous
-	// row block, with first-touched private block state (see
-	// kernel.Config.PartitionStarts). It replaces the Workers span pool.
-	PartitionStarts []int
 }
 
 // DefaultMaxIter and DefaultTol are the zero-value defaults of Options,
@@ -102,7 +98,30 @@ func validate(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix) (n, k int, e
 // one row-partitioned pass); the n×k work buffers come from the
 // engine's workspace pool, so repeated Runs do not reallocate them.
 func Run(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix, opts Options) (*Result, error) {
-	return runFrom(g, e, h, opts, nil)
+	opts = opts.withDefaults()
+	n, k, err := validate(g, e, h)
+	if err != nil {
+		return nil, err
+	}
+	var d []float64
+	if opts.EchoCancellation {
+		d = g.WeightedDegrees()
+	}
+	ws := kernel.GetWorkspace()
+	defer ws.Release()
+	eng, err := kernel.New(kernel.Config{A: g.Adjacency(), D: d, H: h, Workers: opts.Workers, SymmetricA: true}, ws)
+	if err != nil {
+		return nil, fmt.Errorf("linbp: %w", err)
+	}
+	defer eng.Close()
+	eng.SetExplicit(e.Matrix().Data())
+
+	res := &Result{}
+	res.Iterations, res.Delta, res.Converged = eng.Run(opts.MaxIter, opts.Tol, opts.OnIteration)
+	bm := dense.New(n, k)
+	copy(bm.Data(), eng.Beliefs())
+	res.Beliefs = beliefs.FromMatrix(bm)
+	return res, nil
 }
 
 // ClosedFormLimit is the largest n·k for which ClosedForm will

@@ -41,9 +41,8 @@ type ResidualEngine struct {
 // under. opts.Tol is the relaxation tolerance and must be positive —
 // the residual schedule has no fixed-round mode; opts.MaxIter bounds
 // the work at MaxIter·n row relaxations, the budget of MaxIter full
-// rounds. opts.Workers and opts.PartitionStarts are ignored (the plane
-// is sequential); opts.OnIteration is not invoked (there are no rounds
-// to observe).
+// rounds. opts.Workers is ignored (the plane is sequential);
+// opts.OnIteration is not invoked (there are no rounds to observe).
 func NewResidualEngineRows(rows *sparse.RowBlocks, h *dense.Matrix, perm []int, opts Options) (*ResidualEngine, error) {
 	opts = opts.withDefaults()
 	if opts.Tol <= 0 {

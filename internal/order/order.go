@@ -99,6 +99,24 @@ func (p Permutation) InvertRows(dst, src []float64, k int) {
 	}
 }
 
+// ValidateStarts checks a row-block boundary list, as a durable
+// snapshot's partition section stores it: at least two ascending
+// boundaries (empty blocks allowed) spanning [0, n).
+func ValidateStarts(starts []int, n int) error {
+	if len(starts) < 2 {
+		return fmt.Errorf("order: partition needs at least one block")
+	}
+	if starts[0] != 0 || starts[len(starts)-1] != n {
+		return fmt.Errorf("order: partition spans [%d, %d), want [0, %d)", starts[0], starts[len(starts)-1], n)
+	}
+	for i := 1; i < len(starts); i++ {
+		if starts[i] < starts[i-1] {
+			return fmt.Errorf("order: partition boundaries not ascending at %d", i)
+		}
+	}
+	return nil
+}
+
 // Strategy names a reordering choice.
 type Strategy int
 

@@ -177,6 +177,26 @@ func TestValidateRejectsBadPermutations(t *testing.T) {
 	}
 }
 
+func TestPartitionValidate(t *testing.T) {
+	for _, bad := range [][]int{
+		nil,
+		{0},
+		{1, 4},
+		{0, 3},
+		{0, 3, 2, 4},
+		{-1, 4},
+	} {
+		if err := ValidateStarts(bad, 4); err == nil {
+			t.Fatalf("invalid boundaries %v passed ValidateStarts", bad)
+		}
+	}
+	for _, good := range [][]int{{0, 4}, {0, 2, 4}, {0, 2, 2, 4}, {0, 0, 4}} {
+		if err := ValidateStarts(good, 4); err != nil {
+			t.Fatalf("boundaries %v (empty blocks allowed): %v", good, err)
+		}
+	}
+}
+
 func TestStrategyRoundTrip(t *testing.T) {
 	for _, s := range []Strategy{StrategyAuto, StrategyRCM, StrategyDegree, StrategyNone} {
 		got, err := ParseStrategy(s.String())

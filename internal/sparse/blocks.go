@@ -45,10 +45,10 @@ const BlockRows = 1 << BlockShift
 // Off+len(RowPtr)-1). Row i's entries are Col[RowPtr[i−Off]:
 // RowPtr[i−Off+1]] (ascending columns, RowPtr[0] = 0) with the matching
 // values in Val, and its degree is Deg[i−Off]. An epoch-0 block aliases
-// sub-slices of the flat arrays it was split from; a committed or
-// private copy owns its arrays; either way a block whose values are all
-// 1.0 shares its Val with every other such block up to maxSharedOnes
-// entries (see unitValues).
+// sub-slices of the flat arrays it was split from; a committed copy owns
+// its arrays; either way a block whose values are all 1.0 shares its Val
+// with every other such block up to maxSharedOnes entries (see
+// unitValues).
 // Callers must not modify any field or element.
 type Block struct {
 	Off    int
@@ -590,49 +590,4 @@ func (m *RowBlocks) Flatten() *CSR {
 		out.rowPtr32[i] = int32(p)
 	}
 	return out
-}
-
-// PrivateCopy returns a table for the rows [lo, hi) whose overlapping
-// blocks are deep copies written by the calling goroutine — under the
-// default first-touch page placement they land in memory local to it —
-// and whose other entries are nil (the caller reads only its range).
-// prev, when non-nil, is an earlier PrivateCopy of the same range taken
-// from the table prevSrc: blocks m still shares with prevSrc are reused
-// from prev instead of copied, so refreshing a private copy after a
-// commit costs only the blocks the commit rewrote.
-func (m *RowBlocks) PrivateCopy(lo, hi int, prev, prevSrc *RowBlocks) *RowBlocks {
-	if lo < 0 || hi < lo || hi > m.rows {
-		panic(fmt.Sprintf("sparse: row range [%d, %d) out of range %d rows", lo, hi, m.rows))
-	}
-	out := &RowBlocks{rows: m.rows, cols: m.cols, nnz: m.nnz, blocks: make([]*Block, m.NumBlocks()),
-		deg: m.deg, base: m.base, diff: m.diff}
-	if lo == hi {
-		return out
-	}
-	for b := lo >> BlockShift; b <= (hi-1)>>BlockShift; b++ {
-		src := m.Block(b)
-		if prev != nil && prevSrc != nil && prevSrc.Block(b) == src {
-			out.blocks[b] = prev.blocks[b]
-			continue
-		}
-		out.blocks[b] = copyBlock(src)
-	}
-	return out
-}
-
-// copyBlock deep-copies src into a fresh block (sharing the ones when
-// src is unit-weight).
-func copyBlock(src *Block) *Block {
-	rows, nnz := len(src.RowPtr)-1, src.nnz()
-	unit := allOnes(src.Val[:nnz])
-	nb := newBlock(src.Off, rows, nnz, src.Deg != nil, unit)
-	copy(nb.RowPtr, src.RowPtr)
-	copy(nb.Col, src.Col[:nnz])
-	if !unit {
-		copy(nb.Val, src.Val[:nnz])
-	}
-	if src.Deg != nil {
-		copy(nb.Deg, src.Deg)
-	}
-	return nb
 }

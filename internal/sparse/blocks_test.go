@@ -375,48 +375,6 @@ func TestRowBlocksChurnLeavesNoDiff(t *testing.T) {
 	checkTable(t, m, mirrorOf(a), mirrorOf(a))
 }
 
-// TestRowBlocksPrivateCopy checks the partition workers' private
-// copies: the range's blocks are fresh copies equal to the source, and
-// a refresh after a commit reuses exactly the blocks the commit left
-// alone.
-func TestRowBlocksPrivateCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 5 * BlockRows
-	a := randomBase(rng, n, 3)
-	m, _ := NewRowBlocks(a, a.RowSumsSquared())
-	lo, hi := BlockRows+3, 3*BlockRows+9
-	priv := m.PrivateCopy(lo, hi, nil, nil)
-	for b := 0; b < priv.NumBlocks(); b++ {
-		blk := priv.Block(b)
-		inRange := b >= lo>>BlockShift && b <= (hi-1)>>BlockShift
-		if (blk != nil) != inRange {
-			t.Fatalf("block %d present=%v, want %v", b, blk != nil, inRange)
-		}
-		if blk == m.Block(b) {
-			t.Fatalf("block %d aliases the source", b)
-		}
-	}
-	want := mirrorOf(a)
-	for i := lo; i < hi; i++ {
-		wc, wv := want.sortedRow(i)
-		gc, gv := priv.RowViewCompact(i)
-		if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) || priv.Degree(i) != m.Degree(i) {
-			t.Fatalf("private row %d differs", i)
-		}
-	}
-	next, _ := m.Commit([]Edit{{Row: 2*BlockRows + 1, Col: 0, W: 1}}, nil)
-	ref := next.PrivateCopy(lo, hi, priv, m)
-	for b := lo >> BlockShift; b <= (hi-1)>>BlockShift; b++ {
-		reused := ref.Block(b) == priv.Block(b)
-		if want := b != 2; reused != want {
-			t.Errorf("refresh block %d reused=%v, want %v", b, reused, want)
-		}
-	}
-	if got := ref.At(2*BlockRows+1, 0); got != next.At(2*BlockRows+1, 0) {
-		t.Errorf("refreshed row = %v, want %v", got, next.At(2*BlockRows+1, 0))
-	}
-}
-
 // TestRowBlocksConcurrentEpochReads runs readers over epoch N while
 // epochs N+1 and N+2 commit on another goroutine (run under -race: no
 // commit may write a block an older epoch shares), then checks epoch

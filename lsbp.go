@@ -54,8 +54,7 @@
 // write-ahead-logs every Update before it commits; Open(dir) recovers
 // by mapping and verifying the snapshot and replaying the log's
 // intact tail — a cold start without re-preparing (no reordering, no
-// partition replay, no εH search; ~79× faster on the 177k-node
-// benchmark graph). Corruption anywhere surfaces ErrCorruptState
+// εH search; ~79× faster on the 177k-node benchmark graph). Corruption anywhere surfaces ErrCorruptState
 // rather than a wrong solver.
 //
 // On-disk compatibility promise: the snapshot header carries an
@@ -66,17 +65,6 @@
 // reports the mismatch and a fresh Prepare (which rewrites the
 // directory) is the documented migration. The WAL is always safe to
 // discard in favor of its covering snapshot.
-//
-// # Migration from the legacy one-shot Solve
-//
-// lsbp.Solve(p, m, opts) remains supported as a thin wrapper that
-// prepares a solver, runs one solve, and closes it. Its historical
-// contract is unchanged — non-convergence is reported through
-// Result.Converged rather than as an error, and Options{} zero values
-// select per-method defaults. New code, and any caller that solves the
-// same graph more than once, should use Prepare with functional
-// options (WithWorkers, WithMaxIter, WithTol, WithEchoCancellation,
-// WithAutoEpsilonH) instead.
 //
 // Everything is implemented with the standard library only; the heavy
 // lifting lives in internal packages (sparse CSR kernels, dense linear
@@ -162,10 +150,7 @@ func Sinkhorn(m *Matrix) (*Matrix, error) { return coupling.Sinkhorn(m, 0, 0) }
 // Problem bundles one inference instance.
 type Problem = core.Problem
 
-// Options tunes Solve.
-type Options = core.Options
-
-// Result is Solve's uniform output.
+// Result is the uniform output of Solver.Solve and Solver.Update.
 type Result = core.Result
 
 // Method selects the inference algorithm.
@@ -178,9 +163,6 @@ const (
 	LinBPStar = core.MethodLinBPStar
 	SBP       = core.MethodSBP
 )
-
-// Solve runs the chosen method on the problem.
-func Solve(p *Problem, m Method, opts Options) (*Result, error) { return core.Solve(p, m, opts) }
 
 // Convergence reports the LinBP convergence criteria (Lemma 8/9).
 type Convergence = linbp.Convergence

@@ -2,11 +2,29 @@ package lsbp_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	lsbp "repro"
 )
+
+// solveOnce answers one solve of p's explicit beliefs on a freshly
+// prepared solver and closes it; running out of iterations is not an
+// error here (callers read Result.Converged).
+func solveOnce(t *testing.T, p *lsbp.Problem, m lsbp.Method, opts ...lsbp.Option) *lsbp.Result {
+	t.Helper()
+	s, err := lsbp.Prepare(p, m, opts...)
+	if err != nil {
+		t.Fatalf("%v: Prepare: %v", m, err)
+	}
+	defer s.Close()
+	res, err := s.Solve(context.Background(), p.Explicit)
+	if err != nil && !errors.Is(err, lsbp.ErrNotConverged) {
+		t.Fatalf("%v: Solve: %v", m, err)
+	}
+	return res
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	g := lsbp.NewGraph(4)
@@ -16,10 +34,7 @@ func TestQuickstartFlow(t *testing.T) {
 	e := lsbp.NewBeliefs(4, 2)
 	e.Set(0, lsbp.LabelResidual(2, 0, 0.1))
 	p := &lsbp.Problem{Graph: g, Explicit: e, Ho: lsbp.Homophily(2, 0.8), EpsilonH: 0.1}
-	res, err := lsbp.Solve(p, lsbp.LinBP, lsbp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, p, lsbp.LinBP)
 	top := res.Beliefs.TopAssignment()
 	for s := 0; s < 4; s++ {
 		if len(top[s]) != 1 || top[s][0] != 0 {
@@ -38,9 +53,7 @@ func TestAllMethodsThroughFacade(t *testing.T) {
 	}
 	p := &lsbp.Problem{Graph: g, Explicit: e, Ho: ho, EpsilonH: 0.1}
 	for _, m := range []lsbp.Method{lsbp.BP, lsbp.LinBP, lsbp.LinBPStar, lsbp.SBP} {
-		if _, err := lsbp.Solve(p, m, lsbp.Options{}); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		solveOnce(t, p, m)
 	}
 }
 
@@ -54,10 +67,7 @@ func TestClosedFormThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lsbp.Solve(p, lsbp.LinBP, lsbp.Options{MaxIter: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, p, lsbp.LinBP, lsbp.WithMaxIter(500))
 	if !cf.Matrix().EqualApprox(res.Beliefs.Matrix(), 1e-9) {
 		t.Fatal("closed form and iterative disagree through the facade")
 	}
@@ -239,11 +249,8 @@ func TestIncrementalLinBPFacade(t *testing.T) {
 	// distinguishes the final problem from the original.
 	e2 := e.Clone()
 	e2.Set(2, lsbp.LabelResidual(3, 1, 0.1))
-	want, err := lsbp.Solve(&lsbp.Problem{Graph: g, Explicit: e2, Ho: ho, EpsilonH: 0.02},
-		lsbp.LinBP, lsbp.Options{MaxIter: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := solveOnce(t, &lsbp.Problem{Graph: g, Explicit: e2, Ho: ho, EpsilonH: 0.02},
+		lsbp.LinBP, lsbp.WithMaxIter(500))
 	var diff float64
 	wd, gd := want.Beliefs.Matrix().Data(), last.Beliefs.Matrix().Data()
 	for i := range wd {

@@ -16,14 +16,14 @@ import (
 // (inserts, deletes, relabels) without re-preparing from scratch. For
 // the kernel-backed methods a committed topology update copies only
 // the row blocks it edits (a copy-on-write adjacency reusing the
-// prepare-time reordering and partitions), moves the previous epoch's
+// prepare-time reordering), moves the previous epoch's
 // engines over, and swaps the new snapshot in RCU-style — in-flight
 // solves drain on the old snapshot, new solves land on the new one —
 // then re-solves in place on the maintained fixpoint, warm-started
 // (fewer iterations after small deltas, same unique answer). When the
 // cells that differ from the compaction base outgrow
-// WithUpdatePolicy's threshold the commit replays reordering and
-// partitioning on the current graph. Stats reports
+// WithUpdatePolicy's threshold the commit replays the reordering on
+// the current graph. Stats reports
 // Epoch/Updates/Rebuilds/OverlayNNZ and the per-stage Update clocks.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
@@ -133,8 +133,9 @@ func PrepareFABP(p *Problem, opts ...Option) (Solver, error) {
 	return core.Prepare(p, core.MethodFABP, opts...)
 }
 
-// WithWorkers sets the kernel worker count for the row-partitioned
-// parallel pass (LinBP/LinBP*/FABP and their batches).
+// WithWorkers sets the worker count of the kernel's span pool, which
+// splits each rounds pass into nnz-balanced row spans (LinBP/LinBP*
+// solves and batches; 0 or 1 is the serial kernel).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithMaxIter bounds the update rounds of iterative methods.
@@ -177,22 +178,6 @@ func ParseReordering(name string) (Reordering, error) { return core.ParseReorder
 // bandwidth before/after.
 func WithReordering(r Reordering) Option { return core.WithReordering(r) }
 
-// PartitionsAuto asks WithPartitions to size the partition-parallel
-// plane from the graph and worker count (serving-scale graphs get one
-// partition per worker; small graphs keep the unpartitioned plane).
-const PartitionsAuto = core.PartitionsAuto
-
-// WithPartitions selects the kernel's partition-parallel data plane for
-// the kernel-backed methods (LinBP, LinBP*, FABP, and their batches):
-// the layout-ordered adjacency is split into n contiguous nnz-balanced
-// row blocks, and each prepared engine binds one persistent
-// OS-thread-locked worker per block with first-touched private block
-// state — one delta-merge/buffer-exchange step per round instead of
-// span stealing. 0 (the default) disables the plane; PartitionsAuto
-// sizes it automatically; BP and SBP ignore it. Stats() reports the
-// partition count, cut edges, and nnz imbalance.
-func WithPartitions(n int) Option { return core.WithPartitions(n) }
-
 // Schedule selects the execution schedule of the kernel-backed methods
 // (LinBP, LinBP*, FABP); see WithSchedule.
 type Schedule = core.Schedule
@@ -223,8 +208,8 @@ func ParseSchedule(name string) (Schedule, error) { return core.ParseSchedule(na
 func WithSchedule(s Schedule) Option { return core.WithSchedule(s) }
 
 // WithUpdatePolicy sets the dynamic plane's policy for Solver.Update:
-// the drift ratio that triggers a compaction rebuild (reordering +
-// partitioning replayed on the current graph) and whether
+// the drift ratio that triggers a compaction rebuild (the reordering
+// replayed on the current graph) and whether
 // Update's re-solves warm-start from the previous fixpoint (the
 // default) or run cold. Solvers that never see an Update ignore it.
 func WithUpdatePolicy(p UpdatePolicy) Option { return core.WithUpdatePolicy(p) }
@@ -255,8 +240,7 @@ const (
 
 // WithDurability makes the prepared solver durable under dir: Prepare
 // publishes a checksummed snapshot of the prepared state (format
-// version, layout permutation, partition boundaries, compact-index
-// CSR — each section independently CRC-32C protected, written via
+// version, layout permutation, compact-index CSR — each section independently CRC-32C protected, written via
 // temp-file + atomic rename), and every Update is write-ahead-logged
 // under the given policy before it commits. Prepare starts dir fresh;
 // use Open to resume. Compaction rebuilds checkpoint the snapshot and

@@ -79,7 +79,7 @@ func TestPrepareMethodEnum(t *testing.T) {
 }
 
 // TestSolveBatchFacade runs a small batch through the facade and
-// compares against the legacy one-shot Solve.
+// compares each answer against a freshly prepared solve.
 func TestSolveBatchFacade(t *testing.T) {
 	p, e := chainProblem(t)
 	s, err := lsbp.PrepareLinBP(p)
@@ -100,12 +100,9 @@ func TestSolveBatchFacade(t *testing.T) {
 	}
 	for i, ev := range []*lsbp.Beliefs{e, e2} {
 		q := &lsbp.Problem{Graph: p.Graph, Explicit: ev, Ho: p.Ho, EpsilonH: p.EpsilonH}
-		want, err := lsbp.Solve(q, lsbp.LinBP, lsbp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := solveOnce(t, q, lsbp.LinBP)
 		if !resps[i].Beliefs.Matrix().EqualApprox(want.Beliefs.Matrix(), 1e-9) {
-			t.Fatalf("request %d diverges from one-shot", i)
+			t.Fatalf("request %d diverges from a freshly prepared solve", i)
 		}
 	}
 }
@@ -125,17 +122,5 @@ func TestTimeoutFacade(t *testing.T) {
 	defer cancel()
 	if _, err := s.Solve(ctx, e); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-}
-
-// TestLegacySolveStillWorks pins the compat wrapper after the redesign.
-func TestLegacySolveStillWorks(t *testing.T) {
-	p, _ := chainProblem(t)
-	res, err := lsbp.Solve(p, lsbp.LinBP, lsbp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Beliefs.TopAssignment()[3][0] != 0 {
-		t.Fatalf("legacy solve: %+v", res)
 	}
 }
