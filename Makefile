@@ -6,8 +6,8 @@
 #                   under -race + vet and tests of the servebench module
 #   make lint     - the lsbplint invariant analyzers (hot-path allocs,
 #                   atomic fields, error taxonomy, durable format lock,
-#                   RACE_PKGS completeness) + staticcheck/govulncheck
-#                   when installed
+#                   unused functions, RACE_PKGS completeness) +
+#                   staticcheck/govulncheck when installed
 #   make test-race - race-detector pass (the 32-goroutine shared-Solver
 #                   stress, the span pool, the engine pools)
 #   make cover    - per-package coverage with a floor: fails when any of
@@ -118,9 +118,9 @@ vet:
 
 # The invariant lint gate: the in-tree analyzer suite (hot-path
 # allocation freedom, atomic-field discipline, error taxonomy, durable
-# format locking, RACE_PKGS completeness), plus staticcheck and
-# govulncheck when those tools are installed (they are not vendored, so
-# offline builds skip them).
+# format locking, unused functions, RACE_PKGS completeness), plus
+# staticcheck and govulncheck when those tools are installed (they are
+# not vendored, so offline builds skip them).
 lint:
 	$(GO) run ./cmd/lsbplint -makefile Makefile ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -107,28 +107,32 @@ func BenchmarkFig7aLinBPParallel(b *testing.B) {
 }
 
 // BenchmarkEngineReuse is the serving scenario: one prepared LinBP
-// engine answering repeated solves on the same graph. The fused kernel
-// reuses every buffer, so steady state must report 0 allocs/op (the
-// one-shot BenchmarkFig7aLinBP pays a fresh result matrix per call).
+// Solver answering repeated SolveInto calls on the same graph. The
+// pooled kernel engine reuses every buffer, so steady state must report
+// 0 allocs/op (the one-shot BenchmarkFig7aLinBP pays a fresh result
+// matrix per call). The solves run to the default tolerance (six
+// rounds on graphs 1–4): a fixed-round solve would allocate the
+// ErrNotConverged wrap it returns.
 func BenchmarkEngineReuse(b *testing.B) {
-	h := fig6bH()
 	workers := runtime.NumCPU()
 	for num := 1; num <= maxBenchGraph(); num++ {
 		g, e := kron(num)
 		b.Run(fmt.Sprintf("graph%d_edges%d", num, g.DirectedEdgeCount()), func(b *testing.B) {
-			eng, err := linbp.NewEngine(g, h, linbp.Options{EchoCancellation: true, MaxIter: timingIters, Tol: -1, Workers: workers})
+			p := &core.Problem{Graph: g, Explicit: beliefs.New(g.N(), 3), Ho: coupling.Fig6bResidual(), EpsilonH: 0.001}
+			s, err := core.Prepare(p, core.MethodLinBP, core.WithWorkers(workers), core.WithReordering(core.ReorderNone))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
+			defer s.Close()
+			ctx := context.Background()
 			dst := beliefs.New(g.N(), 3)
-			if _, _, _, err := eng.SolveInto(dst, e); err != nil { // warm the worker pool
+			if _, err := s.SolveInto(ctx, dst, e); err != nil { // warm the worker pool
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := eng.SolveInto(dst, e); err != nil {
+				if _, err := s.SolveInto(ctx, dst, e); err != nil {
 					b.Fatal(err)
 				}
 			}

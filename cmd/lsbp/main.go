@@ -14,17 +14,16 @@
 // εH is derived from the exact convergence criterion (Lemma 8). The
 // coupling defaults to k-class homophily; -coupling FILE loads a k×k
 // stochastic coupling matrix (whitespace-separated rows) instead.
-// -workers runs LinBP's and LinBP*'s rounds on a span pool of that
-// many goroutines (0 = the serial kernel). -schedule picks the kernel
-// execution schedule: rounds (the default synchronous plane),
+// -workers runs the rounds of LinBP, LinBP*, and FABP on a span pool
+// of that many goroutines (0 = the serial kernel). -schedule picks the
+// kernel execution schedule: rounds (the default synchronous plane),
 // residual (a priority queue relaxes only rows whose residual exceeds
 // tolerance — localized updates cost what they touch), or auto (rounds
 // for cold solves, residual for localized re-solves). -updates FILE
-// replays an
-// edge/belief event stream ('add s t [w]', 'del s t', 'label node
-// class [strength]', 'commit') against the prepared solver through the
-// epoch-versioned Update path, printing the top-belief assignment per
-// epoch instead of the single one-shot solve.
+// replays an edge/belief event stream ('add s t [w]', 'del s t',
+// 'label node class [strength]', 'commit') against the prepared solver
+// through the epoch-versioned Update path, printing the top-belief
+// assignment per epoch instead of the single one-shot solve.
 //
 // -state DIR makes the solver durable: the first invocation prepares
 // from -edges/-labels and persists a checksummed snapshot plus a

@@ -1,8 +1,8 @@
 // Command lsbplint is the project's invariant linter: it runs the
 // internal/analysis suite (hotpath-noalloc, epoch-atomics,
-// errs-taxonomy, durable-format) over the tree and, with -makefile,
-// also asserts that the Makefile's RACE_PKGS list has not drifted from
-// the set of concurrency-relevant packages.
+// errs-taxonomy, durable-format, unused-func) over the tree and, with
+// -makefile, also asserts that the Makefile's RACE_PKGS list has not
+// drifted from the set of concurrency-relevant packages.
 //
 // Usage:
 //
@@ -122,7 +122,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: lsbplint [-makefile Makefile] [-fixture dir=importpath]... [patterns...]
 
 Runs the in-tree invariant analyzers (hotpath-noalloc, epoch-atomics,
-errs-taxonomy, durable-format) over the packages matched by the go
-list patterns (default ./...). With -makefile, also checks RACE_PKGS
-drift. Exits 1 on any finding.`)
+errs-taxonomy, durable-format, unused-func) over the packages matched
+by the go list patterns (default ./...). With -makefile, also checks
+RACE_PKGS drift. Exits 1 on any finding.`)
 }

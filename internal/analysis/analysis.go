@@ -3,7 +3,7 @@
 // golang.org/x/tools module is deliberately not a dependency — the
 // loader in load.go drives go/parser + go/types over `go list -export`
 // output, so the suite builds offline with the standard library alone)
-// plus the four analyzers that machine-check the serving plane's
+// plus the five analyzers that machine-check the serving plane's
 // by-convention invariants:
 //
 //   - hotpath-noalloc (hotpath.go): functions annotated //lsbp:hotpath
@@ -21,6 +21,8 @@
 //     checksumming writer, and any edit to the format-affecting
 //     declarations must be accompanied by a FormatVersion/formatLock
 //     bump in the same package.
+//   - unused-func (unusedfunc.go): every unexported package-level
+//     function must be referenced by a non-test file of its package.
 //
 // A finding is suppressed with a justified directive on (or directly
 // above) the offending line:
@@ -317,7 +319,7 @@ func collectIgnores(into map[string]map[int]*ignoreDirective, fset *token.FileSe
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{HotpathNoAlloc, EpochAtomics, ErrsTaxonomy, DurableFormat}
+	return []*Analyzer{HotpathNoAlloc, EpochAtomics, ErrsTaxonomy, DurableFormat, UnusedFunc}
 }
 
 // Run executes the analyzers over every loaded package: annotations are

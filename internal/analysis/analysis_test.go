@@ -40,6 +40,10 @@ func TestDurableFormatStaleLock(t *testing.T) {
 	runFixtureTest(t, "durablefmtstale", DurableFormat)
 }
 
+func TestUnusedFuncFixture(t *testing.T) {
+	runFixtureTest(t, "unusedfunc", UnusedFunc)
+}
+
 func TestCleanFixtureAllAnalyzers(t *testing.T) {
 	diags := runFixtureTest(t, "clean", All()...)
 	if len(diags) != 0 {

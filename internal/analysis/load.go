@@ -150,7 +150,8 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*LoadedPackage, error) {
 }
 
 // LoadDir loads a single directory of Go files that is not a package
-// of the module build (an analyzer test fixture under testdata). The
+// of the module build (an analyzer test fixture under testdata) —
+// like LoadPatterns, its non-test files only. The
 // files' imports are resolved through the module context, so fixtures
 // may import both the standard library and module packages. importPath
 // names the resulting package in diagnostics.
@@ -161,7 +162,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*LoadedPackage, error) {
 	}
 	var goFiles []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 			goFiles = append(goFiles, e.Name())
 		}
 	}

@@ -19,3 +19,10 @@ func accumulate(dst []float64, src []float64, c *counter) float64 {
 	c.n.Add(1)
 	return sum
 }
+
+// Sum is the fixture's API: it references accumulate, as unused-func
+// requires of every unexported function.
+func Sum(dst, src []float64) float64 {
+	var c counter
+	return accumulate(dst, src, &c)
+}

@@ -116,7 +116,7 @@ func TestSolverPoolShrinksAfterBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	snap := s.(*dynSolver).cur.Load().snap.(*linbpSolver)
+	snap := s.(*dynSolver).cur.Load().snap.(*kernelSolver)
 
 	const burst = 4 * 16
 	var wg sync.WaitGroup
@@ -131,7 +131,7 @@ func TestSolverPoolShrinksAfterBurst(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, cap := snap.states.idle(), snap.states.maxFree; got > cap {
+	if got, cap := snap.chunks[0].idle(), snap.chunks[0].maxFree; got > cap {
 		t.Errorf("idle engines after burst = %d, want <= high-water cap %d", got, cap)
 	}
 }

@@ -276,14 +276,7 @@ func TestKernelUpdatesKeepNoGraph(t *testing.T) {
 // the engine stays pooled.
 func TestResidualPlaneKeepsNoIdleRoundsEngine(t *testing.T) {
 	idle := func(s Solver) int {
-		switch snap := s.(*dynSolver).cur.Load().snap.(type) {
-		case *linbpSolver:
-			return snap.states.idle()
-		case *fabpSolver:
-			return snap.states.idle()
-		}
-		t.Fatal("not a kernel snapshot")
-		return 0
+		return s.(*dynSolver).cur.Load().snap.(*kernelSolver).chunks[0].idle()
 	}
 	ctx := context.Background()
 	for _, m := range []Method{MethodLinBP, MethodFABP} {

@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"repro/internal/beliefs"
-	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
@@ -404,15 +403,14 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		if snap.GraphOrder {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
-		d.rows, err = layoutRows(a, m != MethodLinBPStar, nil)
-		if err != nil {
+		var op kernelOp
+		if op, err = kernelOperator(m, ho, snap.EpsH, k, cfg); err != nil {
 			return nil, err
 		}
-		if m == MethodFABP {
-			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, d.rows, perm)
-		} else {
-			inner, err = newLinBPSolverOn(coupling.Scale(ho, snap.EpsH), info, cfg, d.rows, perm)
+		if d.rows, err = layoutRows(a, op.echo, nil); err != nil {
+			return nil, err
 		}
+		inner, err = newKernelSolver(op, info, d.rows, perm)
 	default:
 		// BP and SBP keep a caller-order graph, rebuilt from the stored
 		// matrix (undoing the layout permutation if the matrix is in
@@ -462,16 +460,7 @@ func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 	if kp := d.kern; kp != nil && snap.Last != nil {
 		// Restore the warm-start fixpoint into the maintained state, in
 		// layout order (BP and SBP keep none: they re-solve cold).
-		b := make([]float64, d.n*kp.w)
-		for i := 0; i < d.n; i++ {
-			li := d.pm(i)
-			if kp.w == 1 {
-				b[li] = snap.Last[i*d.k]
-			} else {
-				copy(b[li*kp.w:li*kp.w+kp.w], snap.Last[i*d.k:i*d.k+d.k])
-			}
-		}
-		kp.fix.SetBeliefs(b)
+		kp.rm.in(kp.fix.Beliefs(), snap.Last, 1, 0)
 		kp.hasFix = true
 	}
 	changed := false

@@ -52,14 +52,11 @@ import (
 	"time"
 
 	"repro/internal/beliefs"
-	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
-	"repro/internal/fabp"
 	"repro/internal/graph"
 	"repro/internal/kernel"
-	"repro/internal/linbp"
 	"repro/internal/order"
 	"repro/internal/sparse"
 )
@@ -116,25 +113,6 @@ func WithUpdatePolicy(p UpdatePolicy) Option { return func(c *config) { c.policy
 // swaps.
 type epochState struct {
 	snap snapshot
-}
-
-// kernelSnapshot is the epoch surface of the kernel-backed methods
-// that the dynamic plane drives beyond the serving contract.
-type kernelSnapshot interface {
-	snapshot
-	base() *solverBase
-	// successor builds the next epoch's snapshot on a table committed
-	// from this one's, moving the idle engines over (rebound).
-	successor(rows *sparse.RowBlocks, info solverInfo) snapshot
-	// solveLayout runs one round-scheduled solve over layout-order
-	// buffers (start nil = cold) on an engine of the snapshot's Solve
-	// pool, copying the final iterate into out. keep returns the engine
-	// to the pool; without it the engine is closed (see
-	// kernelPlane.keepRounds).
-	solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error)
-	// closeIdle closes the idle engines of the Solve pool: on a fresh
-	// snapshot, the one its constructor validated.
-	closeIdle()
 }
 
 // dynSolver is the epoch-versioned Solver every Prepare returns. The
@@ -229,9 +207,9 @@ type dynSolver struct {
 
 // kernelPlane is the kernel methods' maintained state, in layout order.
 type kernelPlane struct {
-	// fix holds the maintained fixpoint (n×w beliefs, w = k for LinBP
-	// and LinBP*, 1 for FABP's scalar collapse) and runs the residual
-	// re-solves; hasFix reports that it holds a solve's iterate.
+	// fix holds the maintained fixpoint (n×w beliefs, in the snapshot
+	// operator's layout) and runs the residual re-solves; hasFix reports
+	// that it holds a solve's iterate.
 	fix    *kernel.ResidualEngine
 	hasFix bool
 	// residual reports that the residual plane may serve re-solves (a
@@ -245,7 +223,8 @@ type kernelPlane struct {
 	// snapshot validated: no idle n×k engine is kept for them.
 	keepRounds bool
 	maxRelax   int
-	w          int
+	// rm maps caller rows to the layout rows of fix and exp.
+	rm rowMap
 	// exp is the maintained explicit beliefs in layout order (n×w).
 	exp []float64
 	// tl is the layout-order touched-row scratch.
@@ -260,10 +239,8 @@ type kernelPlane struct {
 func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
 	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
 	switch s := inner.(type) {
-	case *linbpSolver:
-		d.info, d.perm, d.rows = s.solverInfo, s.perm, s.rows
-	case *fabpSolver:
-		d.info, d.perm, d.rows = s.solverInfo, s.perm, s.rows
+	case *kernelSolver:
+		d.info, d.perm, d.rows = s.solverInfo, s.rm.perm, s.rows
 	case *bpSolver:
 		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	case *sbpSolver:
@@ -535,12 +512,7 @@ func (d *dynSolver) applyExplicitLocked(set *beliefs.Residual, rows []int) {
 		row := set.Row(v)
 		d.exp.Set(v, row)
 		if kp := d.kern; kp != nil {
-			lv := d.pm(v)
-			if kp.w == 1 {
-				kp.exp[lv] = row[0]
-			} else {
-				copy(kp.exp[lv*kp.w:lv*kp.w+kp.w], row)
-			}
+			kp.rm.setRow(kp.exp, v, row)
 		}
 	}
 }
@@ -674,7 +646,7 @@ func (d *dynSolver) initDynState() error {
 		return nil
 	}
 	d.exp = d.srcExp
-	kp, err := d.newKernelPlane(d.rows, d.perm, d.eps)
+	kp, err := d.newKernelPlane(d.cur.Load().snap.(*kernelSolver))
 	if err != nil {
 		d.exp = nil
 		return err
@@ -684,69 +656,34 @@ func (d *dynSolver) initDynState() error {
 	return nil
 }
 
-// newKernelPlane builds the maintained-fixpoint engine on the table
-// rows laid out under perm with coupling scale eps, and seeds its
-// explicit beliefs from d.exp (shuffled into that layout).
-func (d *dynSolver) newKernelPlane(rows *sparse.RowBlocks, perm order.Permutation, eps float64) (*kernelPlane, error) {
+// newKernelPlane builds the maintained-fixpoint engine on snap's table
+// from its operator, and seeds its explicit beliefs from d.exp (mapped
+// into snap's layout).
+func (d *dynSolver) newKernelPlane(snap *kernelSolver) (*kernelPlane, error) {
 	residual := d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0
-	kp := &kernelPlane{
-		residual: residual,
-		// ScheduleAuto relaxes only localized warm re-solves, so without
-		// warm starts rounds serve every one.
-		keepRounds: !residual || (d.cfg.schedule == ScheduleAuto && d.cfg.policy.DisableWarmStart),
-		w:          d.k,
-		tl:         make([]int32, 0, d.n),
-	}
-	maxIter, tol := d.cfg.maxIter, d.cfg.tol
-	cfg := kernel.Config{Rows: rows, SymmetricA: true}
-	if d.method == MethodFABP {
-		if maxIter == 0 {
-			maxIter = 1000
-		}
-		if tol == 0 {
-			tol = 1e-12
-		}
-		hhat := eps * d.ho.At(0, 0)
-		if math.Abs(hhat) >= 0.5 {
-			return nil, fmt.Errorf("core: FABP |ĥ| = %v must be < 1/2: %w", hhat, errs.ErrInvalidCoupling)
-		}
-		c1, c2 := fabp.Coefficients(hhat)
-		cfg.H = dense.NewFromRows([][]float64{{c1}})
-		cfg.EchoH = dense.NewFromRows([][]float64{{c2}})
-		kp.w = 1
-	} else {
-		if maxIter == 0 {
-			maxIter = linbp.DefaultMaxIter
-		}
-		if tol == 0 {
-			tol = linbp.DefaultTol
-		}
-		cfg.H = coupling.Scale(d.ho, eps)
-	}
+	op := snap.op
+	tol := op.tol
 	if !(tol > 0) {
 		// A fixed-round configuration never runs the residual plane; the
 		// engine then only holds the maintained state.
 		tol = math.SmallestNonzeroFloat64
 	}
-	fix, err := kernel.NewResidual(cfg, tol)
+	fix, err := kernel.NewResidual(kernel.Config{Rows: snap.rows, H: op.h, EchoH: op.echoH, SymmetricA: true}, tol)
 	if err != nil {
 		return nil, err
 	}
-	kp.fix = fix
-	kp.maxRelax = maxIter * d.n
-	kp.exp = make([]float64, d.n*kp.w)
-	ed := d.exp.Matrix().Data()
-	for i := 0; i < d.n; i++ {
-		li := i
-		if perm != nil {
-			li = perm[i]
-		}
-		if kp.w == 1 {
-			kp.exp[li] = ed[i*d.k]
-		} else {
-			copy(kp.exp[li*kp.w:li*kp.w+kp.w], ed[i*d.k:i*d.k+d.k])
-		}
+	kp := &kernelPlane{
+		fix:      fix,
+		residual: residual,
+		// ScheduleAuto relaxes only localized warm re-solves, so without
+		// warm starts rounds serve every one.
+		keepRounds: !residual || (d.cfg.schedule == ScheduleAuto && d.cfg.policy.DisableWarmStart),
+		maxRelax:   op.maxIter * d.n,
+		rm:         snap.rm,
+		exp:        make([]float64, d.n*op.w),
+		tl:         make([]int32, 0, d.n),
 	}
+	kp.rm.in(kp.exp, d.exp.Matrix().Data(), 1, 0)
 	return kp, nil
 }
 
@@ -778,7 +715,7 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	case compact:
 		snap, err = d.compactGraphLocked()
 	case d.kern != nil:
-		snap = d.cur.Load().snap.(kernelSnapshot).successor(d.rows, d.info)
+		snap = d.cur.Load().snap.(*kernelSolver).successor(d.rows, d.info)
 	default:
 		snap, err = d.buildGraphSnapshot(d.info, d.perm)
 	}
@@ -879,41 +816,30 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := layoutRows(a, d.method != MethodLinBPStar, perm)
+	op, err := kernelOperator(d.method, d.ho, info.eps, d.k, d.cfg)
 	if err != nil {
 		return nil, err
 	}
-	var snap kernelSnapshot
-	if d.method == MethodFABP {
-		snap, err = newFABPSolverOn(info.eps*d.ho.At(0, 0), info, d.cfg, rows, perm)
-	} else {
-		snap, err = newLinBPSolverOn(coupling.Scale(d.ho, info.eps), info, d.cfg, rows, perm)
-	}
+	rows, err := layoutRows(a, op.echo, perm)
 	if err != nil {
 		return nil, err
 	}
-	kp, err := d.newKernelPlane(rows, perm, info.eps)
+	snap, err := newKernelSolver(op, info, rows, perm)
+	if err != nil {
+		return nil, err
+	}
+	kp, err := d.newKernelPlane(snap)
 	if err != nil {
 		snap.Close()
 		return nil, err
 	}
 	if !kp.keepRounds {
-		snap.closeIdle()
+		// Close the rounds engine the new snapshot validated.
+		snap.chunks[0].closeIdle()
 	}
-	if old, oldPerm := d.kern, d.perm; old.hasFix {
+	if old := d.kern; old.hasFix {
 		// Carry the maintained fixpoint into the new layout order.
-		ob, nb, w := old.fix.Beliefs(), make([]float64, d.n*old.w), old.w
-		for i := 0; i < d.n; i++ {
-			oi, ni := i, i
-			if oldPerm != nil {
-				oi = oldPerm[i]
-			}
-			if perm != nil {
-				ni = perm[i]
-			}
-			copy(nb[ni*w:ni*w+w], ob[oi*w:oi*w+w])
-		}
-		kp.fix.SetBeliefs(nb)
+		old.rm.moveTo(kp.rm, kp.fix.Beliefs(), old.fix.Beliefs())
 		kp.hasFix = true
 	}
 	d.installLayout(info, perm, rows)
@@ -972,8 +898,8 @@ func (d *dynSolver) resolveGraphLocked(ctx context.Context) (*Result, error) {
 // maintained beliefs into a fresh matrix.
 func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touched []int) (*Result, error) {
 	kp := d.kern
-	snap := d.cur.Load().snap.(kernelSnapshot)
-	sb := snap.base()
+	snap := d.cur.Load().snap.(*kernelSolver)
+	sb := &snap.solverBase
 	if err := kp.fix.Rebind(d.rows); err != nil {
 		return nil, err
 	}
@@ -1038,15 +964,6 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 // belief matrix — the one O(n·k) step of a kernel-method Update.
 func (d *dynSolver) gatherLocked() *beliefs.Residual {
 	out := beliefs.New(d.n, d.k)
-	dd := out.Matrix().Data()
-	b := d.kern.fix.Beliefs()
-	switch {
-	case d.kern.w == 1:
-		expandBinary(dd, b, d.perm)
-	case d.perm == nil:
-		copy(dd, b)
-	default:
-		d.perm.InvertRows(dd, b, d.k)
-	}
+	d.kern.rm.out(out.Matrix().Data(), d.kern.fix.Beliefs(), 1, 0)
 	return out
 }

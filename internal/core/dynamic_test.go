@@ -194,41 +194,50 @@ func TestDynamicUpdateBPAndSBP(t *testing.T) {
 
 // TestDynamicWarmStartSavesIterations pins the headline property: after
 // a small delta, the warm-started re-solve takes fewer rounds than a
-// cold solve of the same problem.
+// cold solve of the same problem, for LinBP and for FABP's scalar
+// collapse alike.
 func TestDynamicWarmStartSavesIterations(t *testing.T) {
-	p := randomProblem(t, 400, 900, 3, 0.03, 23)
-	opts := []Option{WithMaxIter(300), WithTol(1e-10)}
-	warm, err := Prepare(p, MethodLinBP, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	cold, err := Prepare(p, MethodLinBP, append([]Option{WithUpdatePolicy(UpdatePolicy{DisableWarmStart: true})}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	ctx := context.Background()
-	if _, err := warm.Update(ctx, Update{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Update(ctx, Update{}); err != nil {
-		t.Fatal(err)
-	}
-	delta := Update{AddEdges: []graph.Edge{{S: 3, T: 200, W: 1}, {S: 9, T: 120, W: 1}}}
-	wres, err := warm.Update(ctx, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := cold.Update(ctx, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Iterations >= cres.Iterations {
-		t.Errorf("warm start took %d iterations, cold %d — no savings", wres.Iterations, cres.Iterations)
-	}
-	if d := maxAbsDiff(wres.Beliefs, cres.Beliefs); d > 1e-9 {
-		t.Errorf("warm and cold fixpoints diverge by %g", d)
+	for _, tc := range []struct {
+		m Method
+		k int
+	}{
+		{MethodLinBP, 3},
+		{MethodFABP, 2},
+	} {
+		p := randomProblem(t, 400, 900, tc.k, 0.03, 23)
+		opts := []Option{WithMaxIter(300), WithTol(1e-10)}
+		warm, err := Prepare(p, tc.m, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Prepare(p, tc.m, append([]Option{WithUpdatePolicy(UpdatePolicy{DisableWarmStart: true})}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := warm.Update(ctx, Update{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold.Update(ctx, Update{}); err != nil {
+			t.Fatal(err)
+		}
+		delta := Update{AddEdges: []graph.Edge{{S: 3, T: 200, W: 1}, {S: 9, T: 120, W: 1}}}
+		wres, err := warm.Update(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := cold.Update(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wres.Iterations >= cres.Iterations {
+			t.Errorf("%v: warm start took %d iterations, cold %d — no savings", tc.m, wres.Iterations, cres.Iterations)
+		}
+		if d := maxAbsDiff(wres.Beliefs, cres.Beliefs); d > 1e-9 {
+			t.Errorf("%v: warm and cold fixpoints diverge by %g", tc.m, d)
+		}
+		warm.Close()
+		cold.Close()
 	}
 }
 

@@ -86,9 +86,10 @@ func ParseReordering(name string) (Reordering, error) { return order.ParseStrate
 
 // WithWorkers sets the goroutine count of the fused kernel's span
 // pool: each rounds pass splits the rows into nnz-balanced spans that
-// the workers share (LinBP and LinBP*, single solves and batches). 0
-// or 1 selects the serial kernel. FABP, BP and SBP ignore it, and so
-// does the residual plane, which is sequential.
+// the workers share (for LinBP, LinBP* and FABP: single solves,
+// batches, and Update's rounds re-solves). 0 or 1 selects the serial
+// kernel. BP and SBP ignore it, and so does the residual plane, which
+// is sequential.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxIter bounds the update rounds of iterative methods
@@ -484,12 +485,10 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	switch m {
 	case MethodBP:
 		inner, err = newBPSolver(p, base, cfg, perm)
-	case MethodLinBP, MethodLinBPStar:
-		inner, err = newLinBPSolver(p, base, cfg, perm)
 	case MethodSBP:
 		inner, err = newSBPSolver(p, base, perm)
 	default:
-		inner, err = newFABPSolver(p, base, cfg, perm)
+		inner, err = prepareKernel(p, base, cfg, perm)
 	}
 	if err != nil {
 		return nil, err
@@ -508,23 +507,6 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 		}
 	}
 	return d, nil
-}
-
-// permutedLayout applies perm to the adjacency and (optionally) the
-// degree vector, returning the relabeled pair. d may be nil.
-func permutedLayout(a *sparse.CSR, d []float64, perm order.Permutation) (*sparse.CSR, []float64) {
-	if perm == nil {
-		return a, d
-	}
-	ap := a.Permute(perm)
-	if d == nil {
-		return ap, nil
-	}
-	dp := make([]float64, len(d))
-	for i, v := range d {
-		dp[perm[i]] = v
-	}
-	return ap, dp
 }
 
 // autoEpsilon is AutoEpsilonH without the method restriction: half the
@@ -943,7 +925,7 @@ func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
 }
 
 // ---------------------------------------------------------------------------
-// LinBP / LinBP*
+// LinBP / LinBP* / FABP
 
 // batchWidth caps the flat row width (blocks·k) of a fused batch
 // chunk. Width 12 keeps every chunk on the kernel's register-blocked
@@ -951,32 +933,200 @@ func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
 // single-problem one, which matters on cache-resident graphs.
 const batchWidth = 12
 
-type linbpBatchEngine struct {
-	eng *kernel.Engine
-	ws  *kernel.Workspace
-	ein []float64 // interleaved explicit beliefs, n × blocks·k
-}
-
-// linbpSolver serves LinBP and LinBP* through pooled prepared kernel
-// engines: a statePool of single-problem engines for Solve/SolveInto
-// and one statePool of fused multi-block engines per batch chunk size
-// for SolveBatch. All engines share the immutable row-block adjacency
-// (with its degrees), coupling, and layout; only the mutable workspaces
-// are per-pool-entry, so concurrent solves never contend on state.
-type linbpSolver struct {
-	solverBase
-	rows    *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP) shared by all engines
-	h       *dense.Matrix
-	perm    order.Permutation // nil = natural order
+// kernelOp is what a kernel method contributes to the shared snapshot:
+// the fused operator's couplings, whether its layout carries the echo
+// term's degrees, the layout row width, the iteration defaults, and the
+// fused-chunk width.
+type kernelOp struct {
+	// h and echoH are kernel.Config's couplings (echoH nil = Hˆ²).
+	h, echoH *dense.Matrix
+	// echo reports that the layout carries the squared-weight degrees
+	// (every method but LinBP*).
+	echo bool
+	// w is the layout row width: k, or 1 for FABP's scalar collapse.
+	w       int
 	maxIter int
 	tol     float64
+	// blocks is the number of requests fused into one batch chunk.
+	blocks int
+}
 
-	states *statePool[*linbp.Engine]
-	batch  []*statePool[*linbpBatchEngine] // index c-1 → chunks of c requests
+// kernelOperator returns method m's operator for the unscaled coupling
+// ho at scale eps over k classes, with cfg's MaxIter/Tol overrides
+// applied. LinBP and LinBP* run Hˆ = eps·ho, with and without the echo
+// term. FABP runs the binary collapse of Appendix E: the k = 1 operator
+// Hˆ = [c1] with the echo coupling overridden to [c2], one scalar per
+// node. Its chunks fuse one request, because a fused k = 1 chunk runs
+// the blocked kernel, whose echo term rounds differently from the
+// unrolled k = 1 kernel of a single solve, and FABP batches are pinned
+// bitwise to single solves.
+func kernelOperator(m Method, ho *dense.Matrix, eps float64, k int, cfg config) (kernelOp, error) {
+	op := kernelOp{
+		echo: m != MethodLinBPStar, w: k,
+		maxIter: linbp.DefaultMaxIter, tol: linbp.DefaultTol,
+		blocks: max(batchWidth/k, 1),
+	}
+	if m == MethodFABP {
+		if k != 2 {
+			return op, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", k, errs.ErrDimensionMismatch)
+		}
+		// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
+		// the scaled ĥ is its (0,0) entry.
+		hhat := eps * ho.At(0, 0)
+		if math.Abs(hhat) >= 0.5 {
+			return op, fmt.Errorf("core: FABP |ĥ| = %v must be < 1/2: %w", hhat, errs.ErrInvalidCoupling)
+		}
+		c1, c2 := fabp.Coefficients(hhat)
+		op.h = dense.NewFromRows([][]float64{{c1}})
+		op.echoH = dense.NewFromRows([][]float64{{c2}})
+		op.w, op.maxIter, op.tol, op.blocks = 1, fabp.DefaultMaxIter, fabp.DefaultTol, 1
+	} else {
+		op.h = coupling.Scale(ho, eps)
+	}
+	if cfg.maxIter != 0 {
+		op.maxIter = cfg.maxIter
+	}
+	if cfg.tol != 0 {
+		op.tol = cfg.tol
+	}
+	return op, nil
+}
+
+// rowMap moves belief rows between the caller's order (n×k) and a
+// kernel layout (n rows of width w, or block bi of a c-block
+// interleaved buffer, n × c·w). The layout permutation rides along in
+// the same pass, and it is the only code that knows FABP's collapse: a
+// layout row holds a caller row's first w entries (FABP: the class-0
+// residual b), and a scalar b comes back out as the row (b, −b).
+type rowMap struct {
+	perm    order.Permutation // perm[caller] = layout; nil = natural order
+	n, k, w int
+}
+
+// at returns caller row i's layout row.
+//
+//lsbp:hotpath
+func (m rowMap) at(i int) int {
+	if m.perm == nil {
+		return i
+	}
+	return m.perm[i]
+}
+
+// identity reports that caller rows are layout rows as they stand.
+//
+//lsbp:hotpath
+func (m rowMap) identity() bool { return m.perm == nil && m.w == m.k }
+
+// in writes the caller rows src into block bi of the c-block layout
+// buffer dst. Element loops instead of per-row copy(): at k ∈ {2, 3}
+// the memmove call would cost more than the moved bytes.
+//
+//lsbp:hotpath
+func (m rowMap) in(dst, src []float64, c, bi int) {
+	if c == 1 && m.identity() {
+		copy(dst, src)
+		return
+	}
+	k, w := m.k, m.w
+	for i := 0; i < m.n; i++ {
+		o := (m.at(i)*c + bi) * w
+		d, s := dst[o:o+w], src[i*k:i*k+w]
+		for j := range d {
+			d[j] = s[j]
+		}
+	}
+}
+
+// input returns the caller rows e as a one-request layout buffer: e
+// itself under the identity map, else buf filled through the map.
+//
+//lsbp:hotpath
+func (m rowMap) input(buf, e []float64) []float64 {
+	if m.identity() {
+		return e
+	}
+	m.in(buf, e, 1, 0)
+	return buf
+}
+
+// out writes block bi of the c-block layout buffer src into the caller
+// rows dst.
+//
+//lsbp:hotpath
+func (m rowMap) out(dst, src []float64, c, bi int) {
+	k, w := m.k, m.w
+	switch {
+	case c == 1 && w == k:
+		m.perm.InvertRows(dst, src, k)
+	case w < k: // FABP: b expands to (b, −b)
+		for i := 0; i < m.n; i++ {
+			b := src[m.at(i)*c+bi]
+			dst[i*k], dst[i*k+1] = b, -b
+		}
+	default:
+		for i := 0; i < m.n; i++ {
+			o := (m.at(i)*c + bi) * w
+			d, s := dst[i*k:i*k+k], src[o:o+w]
+			for j := range d {
+				d[j] = s[j]
+			}
+		}
+	}
+}
+
+// setRow writes caller row i into the layout buffer dst (n×w).
+func (m rowMap) setRow(dst []float64, i int, row []float64) {
+	li := m.at(i)
+	copy(dst[li*m.w:li*m.w+m.w], row)
+}
+
+// moveTo copies the layout rows src, in m's order, into dst in to's
+// order: how a compaction carries the maintained fixpoint across a
+// relabeling.
+func (m rowMap) moveTo(to rowMap, dst, src []float64) {
+	w := m.w
+	for i := 0; i < m.n; i++ {
+		o, p := m.at(i)*w, to.at(i)*w
+		copy(dst[p:p+w], src[o:o+w])
+	}
+}
+
+// chunkEngine is one pooled rounds engine fusing c requests, with its
+// layout-order explicit buffer (n × c·w; nil when c = 1 under the
+// identity map, whose single solves read the caller's rows directly).
+type chunkEngine struct {
+	eng *kernel.Engine
+	ws  *kernel.Workspace
+	ein []float64
+}
+
+// residualState is one pooled residual-scheduled engine with its
+// layout-order explicit buffer (nil under the identity map).
+type residualState struct {
+	eng *kernel.ResidualEngine
+	ein []float64
+}
+
+// kernelSolver serves LinBP, LinBP*, and FABP through pooled kernel
+// engines over one layout: one statePool of rounds engines per batch
+// chunk size (single solves and the dynamic plane's rounds re-solves
+// are one-request chunks) and, under a residual schedule, a pool of
+// residual-scheduled engines. All engines share the immutable
+// row-block adjacency (with its degrees), the method's operator, and
+// the row map; only the mutable workspaces are per-pool-entry, so
+// concurrent solves never contend on state.
+type kernelSolver struct {
+	solverBase
+	rows *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP and FABP)
+	op   kernelOp
+	rm   rowMap
+
+	chunks []*statePool[*chunkEngine] // index c-1 → chunks of c requests
 	// rstates pools the residual-scheduled engines; nil when the
 	// schedule is rounds-only or a negative tolerance forces fixed
 	// rounds (the residual plane has no fixed-round mode).
-	rstates *statePool[*linbp.ResidualEngine]
+	rstates *statePool[*residualState]
 }
 
 // layoutRows lays out a caller-order adjacency for the kernel-backed
@@ -1000,142 +1150,141 @@ func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBl
 	return rows, nil
 }
 
-func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
-	rows, err := layoutRows(p.Graph.Adjacency(), base.method == MethodLinBP, perm)
+// prepareKernel builds a kernel method's snapshot for Prepare: the
+// method's operator and the layout of the problem's graph under perm.
+func prepareKernel(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*kernelSolver, error) {
+	op, err := kernelOperator(base.method, p.Ho, base.eps, base.k, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, rows, perm)
+	rows, err := layoutRows(p.Graph.Adjacency(), op.echo, perm)
+	if err != nil {
+		return nil, err
+	}
+	return newKernelSolver(op, base, rows, perm)
 }
 
-// newLinBPSolverOn builds the snapshot on an explicit layout — a
+// newKernelSolver builds the snapshot on an explicit layout — a
 // row-block table and the relabeling it was laid out under — and
 // validates it by building the first engine eagerly.
-func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, rows *sparse.RowBlocks, perm order.Permutation) (*linbpSolver, error) {
-	s := &linbpSolver{
-		h:       h,
-		perm:    perm,
-		maxIter: cfg.maxIter,
-		tol:     cfg.tol,
-	}
-	if s.maxIter == 0 {
-		s.maxIter = linbp.DefaultMaxIter
-	}
-	if s.tol == 0 {
-		s.tol = linbp.DefaultTol
-	}
+func newKernelSolver(op kernelOp, base solverInfo, rows *sparse.RowBlocks, perm order.Permutation) (*kernelSolver, error) {
+	s := &kernelSolver{op: op, rm: rowMap{perm: perm, n: base.n, k: base.k, w: op.w}}
 	s.initPools(rows, base)
-	eng, err := s.states.get()
+	ce, err := s.chunks[0].get()
 	if err != nil {
 		return nil, err
 	}
-	s.states.put(eng)
-	if s.schedule == ScheduleResidual {
+	s.chunks[0].put(ce)
+	if s.schedule == ScheduleResidual && s.rstates != nil {
 		// The residual plane is this solver's serving path: validate its
 		// configuration eagerly too, so Prepare (not the first solve)
-		// reports a bad tolerance.
-		reng, err := s.rstates.get()
+		// reports a bad configuration.
+		st, err := s.rstates.get()
 		if err != nil {
 			return nil, err
 		}
-		s.rstates.put(reng)
+		s.rstates.put(st)
 	}
 	return s, nil
 }
 
 // initPools binds the snapshot to its epoch's table and identity and
 // creates its (empty) engine pools.
-func (s *linbpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
+func (s *kernelSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 	s.rows = rows
 	s.solverInfo = base
-	s.batchHint = s.maxBlocks()
-	s.states = newStatePool(func() (*linbp.Engine, error) {
-		return linbp.NewEngineRows(s.rows, s.h, s.perm, linbp.Options{
-			EchoCancellation: s.method == MethodLinBP,
-			MaxIter:          s.maxIter,
-			Tol:              s.tol,
-			Workers:          s.workers,
-		})
-	}).withDestroy(func(e *linbp.Engine) { e.Close() })
-	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
-	for i := range s.batch {
+	s.batchHint = s.op.blocks
+	s.chunks = make([]*statePool[*chunkEngine], s.op.blocks)
+	for i := range s.chunks {
 		c := i + 1
-		s.batch[i] = newStatePool(func() (*linbpBatchEngine, error) {
+		s.chunks[i] = newStatePool(func() (*chunkEngine, error) {
 			ws := kernel.GetWorkspace()
 			eng, err := kernel.New(kernel.Config{
-				Rows: s.rows, H: s.h,
+				Rows: s.rows, H: s.op.h, EchoH: s.op.echoH,
 				Workers: s.workers, Blocks: c,
 				SymmetricA: true,
 			}, ws)
 			if err != nil {
 				ws.Release()
-				return nil, fmt.Errorf("core: batch engine: %w", err)
+				return nil, fmt.Errorf("core: kernel engine: %w", err)
 			}
-			return &linbpBatchEngine{eng: eng, ws: ws, ein: make([]float64, s.n*c*s.k)}, nil
-		}).withDestroy(func(be *linbpBatchEngine) {
-			be.eng.Close()
-			be.ws.Release()
+			ce := &chunkEngine{eng: eng, ws: ws}
+			if c > 1 || !s.rm.identity() {
+				ce.ein = make([]float64, s.n*c*s.op.w)
+			}
+			return ce, nil
+		}).withDestroy(func(ce *chunkEngine) {
+			ce.eng.Close()
+			ce.ws.Release()
 		})
 	}
-	if s.schedule != ScheduleRounds && s.tol > 0 {
-		s.rstates = newStatePool(func() (*linbp.ResidualEngine, error) {
-			return linbp.NewResidualEngineRows(s.rows, s.h, s.perm, linbp.Options{
-				MaxIter: s.maxIter,
-				Tol:     s.tol,
-			})
-		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
+	if s.schedule != ScheduleRounds && s.op.tol > 0 {
+		s.rstates = newStatePool(func() (*residualState, error) {
+			eng, err := kernel.NewResidual(kernel.Config{
+				Rows: s.rows, H: s.op.h, EchoH: s.op.echoH, SymmetricA: true,
+			}, s.op.tol)
+			if err != nil {
+				return nil, fmt.Errorf("core: residual engine: %w", err)
+			}
+			st := &residualState{eng: eng}
+			if !s.rm.identity() {
+				st.ein = make([]float64, s.n*s.op.w)
+			}
+			return st, nil
+		})
 	}
 }
 
 // successor builds the next epoch's snapshot on a table committed from
-// this one's: same coupling and layout, and no engine built — the idle engines of every pool move over, rebound to the new
-// table (an engine that cannot rebind is destroyed and rebuilt on
-// demand).
-func (s *linbpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
-	next := &linbpSolver{h: s.h, perm: s.perm, maxIter: s.maxIter, tol: s.tol}
+// this one's: same operator and layout, and no engine built — the idle
+// engines of every pool move over, rebound to the new table (an engine
+// that cannot rebind is destroyed and rebuilt on demand).
+func (s *kernelSolver) successor(rows *sparse.RowBlocks, base solverInfo) *kernelSolver {
+	next := &kernelSolver{op: s.op, rm: s.rm}
 	next.initPools(rows, base)
-	moveIdle(s.states, next.states, func(e *linbp.Engine) error { return e.Rebind(rows) })
-	for i := range s.batch {
-		moveIdle(s.batch[i], next.batch[i], func(be *linbpBatchEngine) error { return be.eng.Rebind(rows) })
+	for i := range s.chunks {
+		moveIdle(s.chunks[i], next.chunks[i], func(ce *chunkEngine) error { return ce.eng.Rebind(rows) })
 	}
 	if s.rstates != nil {
-		moveIdle(s.rstates, next.rstates, func(e *linbp.ResidualEngine) error { return e.Rebind(rows) })
+		moveIdle(s.rstates, next.rstates, func(st *residualState) error { return st.eng.Rebind(rows) })
 	}
 	return next
 }
 
 // solveLayout runs one round-scheduled solve of the dynamic plane on a
-// pooled engine over layout-order buffers: e the explicit beliefs,
-// start the warm start (nil = cold). When a round ran and no error
-// aborted it, the final iterate is copied into out. keep returns the
-// engine to the pool; otherwise it leaves the pool and is closed (see
-// kernelSnapshot).
-func (s *linbpSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
+// pooled one-request engine over layout-order buffers: e the explicit
+// beliefs, start the warm start (nil = cold). When a round ran and no
+// error aborted it, the final iterate is copied into out. keep returns
+// the engine to the pool; otherwise it leaves the pool and is closed
+// (see kernelPlane.keepRounds).
+func (s *kernelSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
 	s.solves.Add(1)
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
-	eng, err := s.states.get()
+	ce, err := s.chunks[0].get()
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	state, iters, delta, converged, err := eng.RunLayout(ctx, e, start)
+	if start == nil {
+		ce.eng.ResetFast()
+	} else {
+		ce.eng.SetStart(start)
+	}
+	ce.eng.SetExplicit(e)
+	iters, delta, converged, err := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
 	if iters > 0 && err == nil {
-		copy(out, state)
+		copy(out, ce.eng.Beliefs())
 	}
 	if keep {
-		s.states.put(eng)
+		s.chunks[0].put(ce)
 	} else {
-		s.states.discard(eng)
+		s.chunks[0].discard(ce)
 	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
 
-func (s *linbpSolver) closeIdle() { s.states.closeIdle() }
-
-func (s *linbpSolver) base() *solverBase { return &s.solverBase }
-
-func (s *linbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
+func (s *kernelSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
 	if !s.begin() {
 		return nil, s.errClosed()
 	}
@@ -1150,7 +1299,7 @@ func (s *linbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, 
 }
 
 //lsbp:hotpath
-func (s *linbpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+func (s *kernelSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
 	if !s.begin() {
 		return SolveInfo{}, s.errClosed()
 	}
@@ -1162,40 +1311,59 @@ func (s *linbpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (
 	return s.solveInto(ctx, dst, e)
 }
 
-// solveInto runs one counted-elsewhere solve on a pooled engine. The
-// caller holds the read lock and has validated the shapes.
+// solveInto runs one counted-elsewhere solve: a one-request chunk on a
+// pooled engine, or a residual-scheduled solve under ScheduleResidual.
+// The caller holds the read lock and has validated the shapes.
 //
 //lsbp:hotpath
-func (s *linbpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+func (s *kernelSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
 	if s.schedule == ScheduleResidual && s.rstates != nil {
 		return s.solveResidual(ctx, dst, e)
 	}
-	eng, err := s.states.get()
+	ce, err := s.chunks[0].get()
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.states.put(eng)
-	iters, delta, converged, err := eng.SolveIntoContext(ctx, dst, e)
+	defer s.chunks[0].put(ce)
+	ce.eng.ResetFast()
+	ce.eng.SetExplicit(s.rm.input(ce.ein, e.Matrix().Data()))
+	iters, delta, converged, err := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
+	dd := dst.Matrix().Data()
+	if iters == 0 {
+		// Nothing ran (pre-cancelled context or a non-positive iteration
+		// cap): the last completed iterate is the zero start (with
+		// ResetFast the engine buffer may hold a previous solve, so it is
+		// not read).
+		for i := range dd {
+			dd[i] = 0
+		}
+	} else {
+		s.rm.out(dd, ce.eng.Beliefs(), 1, 0)
+	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
 
 // solveResidual runs one residual-scheduled cold solve on a pooled
 // engine; the round-equivalent ⌈relaxed/n⌉ keeps Iterations comparable
-// across schedules. Callers hold the read lock, have validated the
-// shapes and admitted the context; s.rstates must be non-nil.
+// across schedules, and the relaxation budget is MaxIter·n rows, the
+// work of MaxIter full rounds. dst receives the iterate at every exit.
+// Callers hold the read lock, have validated the shapes and admitted
+// the context; s.rstates must be non-nil.
 //
 //lsbp:hotpath
-func (s *linbpSolver) solveResidual(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	eng, err := s.rstates.get()
+func (s *kernelSolver) solveResidual(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+	st, err := s.rstates.get()
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.rstates.put(eng)
-	relaxed, peak, maxResid, converged, err := eng.SolveContext(ctx, dst, e)
-	s.pushes.Add(int64(eng.Pushes()))
+	defer s.rstates.put(st)
+	st.eng.SeedExplicit(s.rm.input(st.ein, e.Matrix().Data()))
+	relaxed, peak, maxResid, converged, err := st.eng.Run(ctx, s.op.maxIter*s.n)
+	s.rm.out(dst.Matrix().Data(), st.eng.Beliefs(), 1, 0)
+	s.pushes.Add(int64(st.eng.Pushes()))
 	return s.record(residualInfo(s.n, relaxed, peak, maxResid, converged), err)
 }
 
@@ -1211,18 +1379,6 @@ func residualInfo(n, relaxed, peak int, maxResid float64, converged bool) SolveI
 	return SolveInfo{Iterations: iters, Converged: converged, Delta: maxResid, RowsRelaxed: relaxed, QueuePeak: peak}
 }
 
-// maxBlocks is the largest number of requests fused into one kernel
-// chunk for this solver's class count.
-//
-//lsbp:hotpath
-func (s *linbpSolver) maxBlocks() int {
-	b := batchWidth / s.k
-	if b < 1 {
-		return 1
-	}
-	return b
-}
-
 // SolveBatch fuses the requests into multi-block kernel chunks: each
 // update round traverses the CSR once for every request in a chunk, so
 // a batch of R requests costs far less than R single solves even on a
@@ -1230,10 +1386,11 @@ func (s *linbpSolver) maxBlocks() int {
 // is set). Requests in a chunk share rounds: iteration stops once every
 // request's delta is within tolerance, and the shared round count and
 // maximum delta are reported for each. Results match the request's
-// single solve up to summation-order rounding (~1 ulp per round).
+// single solve up to summation-order rounding (~1 ulp per round);
+// FABP's one-request chunks match it bitwise.
 //
 //lsbp:hotpath
-func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
+func (s *kernelSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
 	if !s.begin() {
 		return failAll(reqs, s.errClosed())
 	}
@@ -1252,7 +1409,7 @@ func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response
 	// response slice above, the batch path's only steady-state
 	// allocation is that caller-owned slice.
 	var idx [batchWidth]int
-	mb := s.maxBlocks()
+	mb := s.op.blocks
 	cn := 0
 	var batchErr error
 	//lsbp:ignore hotpath-noalloc -- one closure per batch call, amortized over up to batchWidth solves per flush
@@ -1290,8 +1447,8 @@ func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response
 	return resp
 }
 
-// solveChunk runs one fused chunk on a pooled batch engine and fills
-// its responses. It returns non-nil only when the batch cannot
+// solveChunk runs one fused chunk on a pooled engine and fills its
+// responses. It returns non-nil only when the batch cannot
 // meaningfully continue — the shared context is done, or engines can
 // no longer be built — telling SolveBatch to fail the remaining
 // chunks without running them. A chunk that merely fails numerically
@@ -1300,47 +1457,29 @@ func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response
 // same batch still run.
 //
 //lsbp:hotpath
-func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Response, chunk []int) error {
+func (s *kernelSolver) solveChunk(ctx context.Context, reqs []Request, resp []Response, chunk []int) error {
 	c := len(chunk)
-	be, err := s.batch[c-1].get()
+	ce, err := s.chunks[c-1].get()
 	if err != nil {
 		for _, ri := range chunk {
 			resp[ri].Err = err
 		}
 		return err
 	}
-	defer s.batch[c-1].put(be)
-	n, k := s.n, s.k
-	// Interleave the chunk's explicit beliefs: node i's blocks·k row
-	// holds request 0..c-1's k-wide rows back to back. Element loops
-	// instead of per-row copy() — at k ∈ {2,3} the memmove call would
-	// cost more than the moved bytes. Under a reordered layout the
-	// permutation rides along in the same pass: node i lands at its
-	// layout position, so the shuffle costs nothing extra.
-	for bi, ri := range chunk {
-		ed := reqs[ri].E.Matrix().Data()
-		if s.perm == nil {
-			for i := 0; i < n; i++ {
-				dst := be.ein[(i*c+bi)*k : (i*c+bi)*k+k]
-				src := ed[i*k : i*k+k]
-				for j := range dst {
-					dst[j] = src[j]
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				pi := s.perm[i]
-				dst := be.ein[(pi*c+bi)*k : (pi*c+bi)*k+k]
-				src := ed[i*k : i*k+k]
-				for j := range dst {
-					dst[j] = src[j]
-				}
-			}
+	defer s.chunks[c-1].put(ce)
+	// Interleave the chunk's explicit beliefs: node i's blocks·w layout
+	// row holds request 0..c-1's w-wide rows back to back.
+	explicit := ce.ein
+	if c == 1 {
+		explicit = s.rm.input(ce.ein, reqs[chunk[0]].E.Matrix().Data())
+	} else {
+		for bi, ri := range chunk {
+			s.rm.in(ce.ein, reqs[ri].E.Matrix().Data(), c, bi)
 		}
 	}
-	be.eng.ResetFast()
-	be.eng.SetExplicit(be.ein)
-	iters, delta, converged, runErr := be.eng.RunContext(ctx, s.maxIter, s.tol, nil)
+	ce.eng.ResetFast()
+	ce.eng.SetExplicit(explicit)
+	iters, delta, converged, runErr := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
 	s.iterations.Add(int64(iters))
 
 	// One shared error value per chunk: its requests share rounds, so
@@ -1357,7 +1496,7 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 	// De-interleave results and fill the chunk's responses. When no
 	// round completed (pre-cancelled context) the engine buffer is not
 	// meaningful; the responses carry only the error.
-	state := be.eng.Beliefs()
+	state := ce.eng.Beliefs()
 	info := SolveInfo{Iterations: iters, Converged: converged, Delta: delta}
 	for bi, ri := range chunk {
 		resp[ri].Info = info
@@ -1378,27 +1517,9 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 		}
 		dst := reqs[ri].Dst
 		if dst == nil {
-			dst = beliefs.New(n, k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
+			dst = beliefs.New(s.n, s.k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
 		}
-		dd := dst.Matrix().Data()
-		if s.perm == nil {
-			for i := 0; i < n; i++ {
-				out := dd[i*k : i*k+k]
-				src := state[(i*c+bi)*k : (i*c+bi)*k+k]
-				for j := range out {
-					out[j] = src[j]
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				pi := s.perm[i]
-				out := dd[i*k : i*k+k]
-				src := state[(pi*c+bi)*k : (pi*c+bi)*k+k]
-				for j := range out {
-					out[j] = src[j]
-				}
-			}
-		}
+		s.rm.out(dst.Matrix().Data(), state, c, bi)
 		resp[ri].Beliefs = dst
 	}
 	if runErr != nil && ctx.Err() != nil {
@@ -1409,11 +1530,10 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 	return nil
 }
 
-func (s *linbpSolver) Close() error {
+func (s *kernelSolver) Close() error {
 	return s.closeOnce(func() {
-		s.states.closeAll()
-		for _, bp := range s.batch {
-			bp.closeAll()
+		for _, p := range s.chunks {
+			p.closeAll()
 		}
 		if s.rstates != nil {
 			s.rstates.closeAll()
@@ -1679,236 +1799,3 @@ func (s *sbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
 }
 
 func (s *sbpSolver) Close() error { return s.closeOnce(nil) }
-
-// ---------------------------------------------------------------------------
-// FABP
-
-// fabpState is one per-solve FABP workspace: a prepared scalar engine
-// plus the collapse/expand scratch vectors.
-type fabpState struct {
-	eng    *fabp.Engine
-	es, bs []float64 // scalar explicit/result scratch (layout order)
-	// reng serves the residual schedule; nil when the schedule is
-	// rounds-only or a negative tolerance forces fixed rounds.
-	reng *fabp.ResidualEngine
-}
-
-// rebind follows the state's engines to a later epoch's table.
-func (st *fabpState) rebind(rows *sparse.RowBlocks) error {
-	if err := st.eng.Rebind(rows); err != nil {
-		return err
-	}
-	if st.reng != nil {
-		return st.reng.Rebind(rows)
-	}
-	return nil
-}
-
-// fabpSolver serves the binary (k = 2) scalar linearization of
-// Appendix E through pooled prepared fabp.Engines. The k×k residual
-// problem surface is kept: explicit beliefs come in as n×2 residual
-// rows whose class-0 component is the scalar input, and results are
-// expanded back to (b, −b) rows, so FABP really is a drop-in fifth
-// method.
-type fabpSolver struct {
-	solverBase
-	rows    *sparse.RowBlocks // layout-ordered adjacency + squared-weight degrees
-	hhat    float64
-	perm    order.Permutation
-	maxIter int
-	tol     float64
-	states  *statePool[*fabpState]
-}
-
-func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*fabpSolver, error) {
-	if p.K() != 2 {
-		return nil, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", p.K(), errs.ErrDimensionMismatch)
-	}
-	rows, err := layoutRows(p.Graph.Adjacency(), true, perm)
-	if err != nil {
-		return nil, err
-	}
-	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
-	// the scaled ĥ is its (0,0) entry.
-	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, rows, perm)
-}
-
-// newFABPSolverOn builds the snapshot on an explicit layout (see
-// newLinBPSolverOn) and validates it by building the first state
-// eagerly.
-func newFABPSolverOn(hhat float64, base solverInfo, cfg config, rows *sparse.RowBlocks, perm order.Permutation) (*fabpSolver, error) {
-	s := &fabpSolver{
-		hhat:    hhat,
-		perm:    perm,
-		maxIter: cfg.maxIter,
-		tol:     cfg.tol,
-	}
-	s.initPools(rows, base)
-	st, err := s.states.get()
-	if err != nil {
-		return nil, err
-	}
-	s.states.put(st)
-	return s, nil
-}
-
-// initPools binds the snapshot to its epoch's table and identity and
-// creates its (empty) state pool.
-func (s *fabpSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
-	s.rows = rows
-	s.solverInfo = base
-	s.states = newStatePool(func() (*fabpState, error) {
-		eng, err := fabp.NewEngineRows(s.rows, s.hhat, fabp.Options{
-			MaxIter: s.maxIter, Tol: s.tol,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := &fabpState{eng: eng, es: make([]float64, s.n), bs: make([]float64, s.n)}
-		if s.schedule != ScheduleRounds && s.tol >= 0 {
-			// Tol 0 selects the package default inside fabp, matching the
-			// rounds engine above; only an explicit fixed-round tolerance
-			// (< 0) leaves the residual plane out.
-			st.reng, err = fabp.NewResidualEngineRows(s.rows, s.hhat, fabp.Options{
-				MaxIter: s.maxIter, Tol: s.tol,
-			})
-			if err != nil {
-				eng.Close()
-				return nil, err
-			}
-		}
-		return st, nil
-	}).withDestroy(func(st *fabpState) { st.eng.Close() })
-}
-
-// successor builds the next epoch's snapshot on a table committed from
-// this one's, moving the idle states over rebound (see
-// linbpSolver.successor).
-func (s *fabpSolver) successor(rows *sparse.RowBlocks, base solverInfo) snapshot {
-	next := &fabpSolver{hhat: s.hhat, perm: s.perm, maxIter: s.maxIter, tol: s.tol}
-	next.initPools(rows, base)
-	moveIdle(s.states, next.states, func(st *fabpState) error { return st.rebind(rows) })
-	return next
-}
-
-// solveLayout is linbpSolver.solveLayout for the scalar collapse: e,
-// start, and out are layout-order scalar vectors.
-func (s *fabpSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
-	s.solves.Add(1)
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	st, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	iters, delta, converged, err := st.eng.SolveFromInto(ctx, st.bs, e, start)
-	if iters > 0 && err == nil {
-		copy(out, st.bs)
-	}
-	if keep {
-		s.states.put(st)
-	} else {
-		s.states.discard(st)
-	}
-	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
-}
-
-func (s *fabpSolver) closeIdle() { s.states.closeIdle() }
-
-func (s *fabpSolver) base() *solverBase { return &s.solverBase }
-
-func (s *fabpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	if !s.begin() {
-		return nil, s.errClosed()
-	}
-	defer s.end()
-	dst := beliefs.New(s.n, s.k)
-	if err := s.checkShapes(dst, e); err != nil {
-		return nil, err
-	}
-	s.solves.Add(1)
-	info, err := s.solveInto(ctx, dst, e)
-	return s.finish(dst, info, err)
-}
-
-func (s *fabpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
-}
-
-// solveInto is the shared collapse/solve/expand body: the class-0
-// column goes in (shuffled into the layout order on the way), the
-// scalar solve runs — on the residual plane under ScheduleResidual —
-// and the (b, −b) rows come back out in the caller's order.
-func (s *fabpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	st, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(st)
-	// The scalar collapse/expand copies double as the layout shuffle:
-	// indexing through perm costs nothing extra per element.
-	ed := e.Matrix().Data()
-	if s.perm == nil {
-		for i := 0; i < s.n; i++ {
-			st.es[i] = ed[i*2]
-		}
-	} else {
-		for i := 0; i < s.n; i++ {
-			st.es[s.perm[i]] = ed[i*2]
-		}
-	}
-	var info SolveInfo
-	if s.schedule == ScheduleResidual && st.reng != nil {
-		var relaxed, peak int
-		var maxResid float64
-		var converged bool
-		relaxed, peak, maxResid, converged, err = st.reng.Solve(ctx, st.bs, st.es)
-		s.pushes.Add(int64(st.reng.Pushes()))
-		info = residualInfo(s.n, relaxed, peak, maxResid, converged)
-	} else {
-		info.Iterations, info.Delta, info.Converged, err = st.eng.SolveInto(ctx, st.bs, st.es)
-	}
-	expandBinary(dst.Matrix().Data(), st.bs, s.perm)
-	return s.record(info, err)
-}
-
-// expandBinary writes the scalar layout-order beliefs b as caller-order
-// (b, −b) rows into dd.
-func expandBinary(dd, b []float64, perm order.Permutation) {
-	if perm == nil {
-		for i, v := range b {
-			dd[i*2], dd[i*2+1] = v, -v
-		}
-		return
-	}
-	for i, pi := range perm {
-		v := b[pi]
-		dd[i*2], dd[i*2+1] = v, -v
-	}
-}
-
-func (s *fabpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	if !s.begin() {
-		return failAll(reqs, s.errClosed())
-	}
-	defer s.end()
-	return s.sequentialBatch(ctx, reqs, s.solveInto)
-}
-
-func (s *fabpSolver) Close() error {
-	return s.closeOnce(func() {
-		s.states.closeAll()
-	})
-}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,11 +187,35 @@ func TestSolveBatchMatchesSolveInto(t *testing.T) {
 	}
 }
 
+// kernelWorkers returns the ids ("goroutine N") of the kernel's
+// span-pool worker goroutines, started or still runnable.
+func kernelWorkers() map[string]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/kernel.(*Engine).startWorkers") {
+			id, _, _ := strings.Cut(g, " [")
+			ids[id] = true
+		}
+	}
+	return ids
+}
+
 // TestWithWorkersEquivalence: the span pool must reproduce the serial
-// solve bitwise — same beliefs, same round count — for both methods that
-// run on it, every forced ordering, and worker counts that split the
-// rows differently. The pool runs the serial kernel's row kernels over
-// nnz-balanced spans, so no summation order changes.
+// solve bitwise — same beliefs, same round count — for every method
+// that runs on it, every forced ordering, and worker counts that split
+// the rows differently. The pool runs the serial kernel's row kernels
+// over nnz-balanced spans, so no summation order changes. The solve
+// must also really run on the pool: while the solver is open, its
+// engine's workers are live goroutines.
 func TestWithWorkersEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -199,6 +225,7 @@ func TestWithWorkersEquivalence(t *testing.T) {
 	}{
 		{"LinBP", 3, MethodLinBP},
 		{"LinBPStar", 5, MethodLinBPStar},
+		{"FABP", 2, MethodFABP},
 	} {
 		p := randomProblem(t, 350, 800, tc.k, 0.01, 41)
 		for _, r := range []Reordering{ReorderNone, ReorderRCM, ReorderDegree} {
@@ -214,6 +241,7 @@ func TestWithWorkersEquivalence(t *testing.T) {
 			base.Close()
 			for _, workers := range []int{2, 3, 5} {
 				t.Run(fmt.Sprintf("%s/order=%v/workers=%d", tc.name, r, workers), func(t *testing.T) {
+					before := kernelWorkers()
 					s, err := Prepare(p, tc.m, WithMaxIter(30), WithReordering(r), WithWorkers(workers))
 					if err != nil {
 						t.Fatal(err)
@@ -226,6 +254,15 @@ func TestWithWorkersEquivalence(t *testing.T) {
 					res, err := s.SolveInto(ctx, got, p.Explicit)
 					if err != nil && !errors.Is(err, ErrNotConverged) {
 						t.Fatal(err)
+					}
+					started := 0
+					for id := range kernelWorkers() {
+						if !before[id] {
+							started++
+						}
+					}
+					if started != workers {
+						t.Fatalf("%d span-pool workers started for the open solver, want %d", started, workers)
 					}
 					if res.Iterations != wantRes.Iterations || res.Converged != wantRes.Converged {
 						t.Fatalf("%d rounds (converged %v), serial %d (converged %v)",

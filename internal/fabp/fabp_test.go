@@ -1,7 +1,6 @@
 package fabp
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linbp"
-	"repro/internal/xrand"
 )
 
 func TestCoefficients(t *testing.T) {
@@ -171,48 +169,5 @@ func TestDivergenceForLargeH(t *testing.T) {
 	}
 	if res.Converged {
 		t.Fatal("expected divergence at ĥ = 0.45")
-	}
-}
-
-// TestEngineWarmStart pins the scalar warm-start path: restarting at
-// the previous fixpoint converges in fewer Jacobi rounds to the same
-// answer.
-func TestEngineWarmStart(t *testing.T) {
-	g := gen.Kronecker(5)
-	rng := xrand.New(7)
-	e := make([]float64, g.N())
-	for i := range e {
-		e[i] = (rng.Float64() - 0.5) * 0.1
-	}
-	eng, err := NewEngine(g, 0.002, Options{MaxIter: 500, Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	cold := make([]float64, g.N())
-	coldIters, _, converged, err := eng.SolveInto(ctx, cold, e)
-	if err != nil || !converged {
-		t.Fatalf("cold solve: converged=%v err=%v", converged, err)
-	}
-	warm := make([]float64, g.N())
-	warmIters, _, converged, err := eng.SolveFromInto(ctx, warm, e, cold)
-	if err != nil || !converged {
-		t.Fatalf("warm solve: err=%v", err)
-	}
-	if warmIters >= coldIters {
-		t.Errorf("warm start took %d rounds, cold %d", warmIters, coldIters)
-	}
-	for i := range warm {
-		d := warm[i] - cold[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > 1e-10 {
-			t.Fatalf("warm fixpoint diverges at %d by %g", i, d)
-		}
-	}
-	if _, _, _, err := eng.SolveFromInto(ctx, warm, e, make([]float64, 3)); err == nil {
-		t.Error("mis-shaped start accepted")
 	}
 }

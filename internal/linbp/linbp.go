@@ -49,8 +49,8 @@ type Options struct {
 }
 
 // DefaultMaxIter and DefaultTol are the zero-value defaults of Options,
-// exported so the prepared-solver batch path iterates under exactly the
-// same cap and tolerance as a one-shot run.
+// exported so the prepared solvers iterate under exactly the same cap
+// and tolerance as Run.
 const (
 	DefaultMaxIter = 100
 	DefaultTol     = 1e-12

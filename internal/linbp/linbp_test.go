@@ -348,3 +348,30 @@ func TestWorkersOptionSameResult(t *testing.T) {
 		t.Fatal("parallel kernel changed the result")
 	}
 }
+
+// TestRunWorkBufferAllocations is the allocation-assertion satellite:
+// routing Run through the pooled kernel workspace must eliminate the
+// per-call cur/ab/next work arrays. What remains per call is the
+// returned Result (its n×k belief matrix plus a handful of small
+// headers) — so the bound here is a fixed small count, where the seed
+// implementation paid three extra n×k slices on top of it.
+func TestRunWorkBufferAllocations(t *testing.T) {
+	g := gen.Kronecker(5)
+	e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 1})
+	h := coupling.Fig6bResidual().Scaled(0.001)
+	opts := Options{EchoCancellation: true, MaxIter: 5, Tol: -1}
+	if _, err := Run(g, e, h, opts); err != nil { // warm the workspace pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(g, e, h, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Result struct + beliefs.Residual + dense.Matrix + its data slice +
+	// kernel.Engine + slack for the runtime; the three n×k work buffers
+	// of the seed implementation must not reappear.
+	if allocs > 8 {
+		t.Errorf("Run allocates %v objects per call, want <= 8 (work buffers must come from the pool)", allocs)
+	}
+}

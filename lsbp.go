@@ -73,6 +73,7 @@
 package lsbp
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/beliefs"
@@ -200,10 +201,16 @@ func Compare(groundTruth, other [][]int) (PR, error) { return metrics.Compare(gr
 
 // BinaryFABP solves the k = 2 special case (Appendix E) given the
 // class-0 residuals e and residual coupling strength hhat ∈ (−1/2, 1/2).
+// When the iteration exhausts its budget (ĥ outside the convergence
+// region c1·ρ(A) < 1) it returns the last iterate with an error
+// wrapping ErrNotConverged, as the prepared solvers do.
 func BinaryFABP(g *Graph, e []float64, hhat float64) ([]float64, error) {
 	res, err := fabp.Run(g, e, hhat, fabp.Options{})
 	if err != nil {
 		return nil, err
+	}
+	if !res.Converged {
+		return res.B, fmt.Errorf("lsbp: FABP after %d iterations (delta %g): %w", res.Iterations, res.Delta, ErrNotConverged)
 	}
 	return res.B, nil
 }

@@ -140,6 +140,29 @@ func TestBinaryFABPFacade(t *testing.T) {
 	}
 }
 
+// TestBinaryFABPNotConverged: with ĥ outside the convergence region
+// (c1·ρ(A) > 1 on the power-5 Kronecker graph, ρ(A) = 2^2.5) the Jacobi
+// iteration runs out of budget long before it overflows, and BinaryFABP
+// must report that instead of returning the diverged iterate as an
+// answer; inside the region it converges without an error.
+func TestBinaryFABPNotConverged(t *testing.T) {
+	g := lsbp.KroneckerGraph(5)
+	e := make([]float64, g.N())
+	for i := 0; i < len(e); i += 20 {
+		e[i] = 0.1
+	}
+	if _, err := lsbp.BinaryFABP(g, e, 0.05); err != nil {
+		t.Fatalf("ĥ = 0.05: %v", err)
+	}
+	b, err := lsbp.BinaryFABP(g, e, 0.09)
+	if !errors.Is(err, lsbp.ErrNotConverged) {
+		t.Fatalf("ĥ = 0.09: err = %v, want ErrNotConverged", err)
+	}
+	if len(b) != g.N() {
+		t.Fatalf("ĥ = 0.09: got %d beliefs, want the last iterate (%d)", len(b), g.N())
+	}
+}
+
 func TestMooijFacade(t *testing.T) {
 	g := lsbp.TorusGraph()
 	h := lsbp.NewMatrix([][]float64{{0.6, 0.4}, {0.4, 0.6}})

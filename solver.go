@@ -134,8 +134,9 @@ func PrepareFABP(p *Problem, opts ...Option) (Solver, error) {
 }
 
 // WithWorkers sets the worker count of the kernel's span pool, which
-// splits each rounds pass into nnz-balanced row spans (LinBP/LinBP*
-// solves and batches; 0 or 1 is the serial kernel).
+// splits each rounds pass into nnz-balanced row spans (LinBP, LinBP*,
+// and FABP solves, batches, and Update's rounds re-solves; 0 or 1 is
+// the serial kernel).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithMaxIter bounds the update rounds of iterative methods.
