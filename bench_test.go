@@ -111,8 +111,7 @@ func BenchmarkFig7aLinBPParallel(b *testing.B) {
 // pooled kernel engine reuses every buffer, so steady state must report
 // 0 allocs/op (the one-shot BenchmarkFig7aLinBP pays a fresh result
 // matrix per call). The solves run to the default tolerance (six
-// rounds on graphs 1–4): a fixed-round solve would allocate the
-// ErrNotConverged wrap it returns.
+// rounds on graphs 1–4), as the ledger's rows of this benchmark do.
 func BenchmarkEngineReuse(b *testing.B) {
 	workers := runtime.NumCPU()
 	for num := 1; num <= maxBenchGraph(); num++ {
@@ -499,9 +498,8 @@ func reorderBenchPower() int {
 //
 // Both read the int32 (compact) index every kernel uses; the names keep
 // the ledger rows of the int-index variant that has since been removed
-// comparable. The few B/op shown are the ErrNotConverged wrap of the
-// fixed-round convention; the converged serving path stays at 0
-// allocs/op under every layout (TestReorderingZeroAlloc).
+// comparable. A fixed-round solve allocates nothing, so both report 0
+// allocs/op (TestReorderingZeroAlloc pins the layouts' serving path).
 func BenchmarkReorderLinBP(b *testing.B) {
 	power := reorderBenchPower()
 	g := gen.Kronecker(power)

@@ -9,6 +9,7 @@ package lsbp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -141,5 +142,106 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// graphBenchBPPower is the Kronecker power BenchmarkUpdateGraphMethods
+// runs BP at: a BP Update re-solves cold, one message pair per adjacent
+// pair and round, so power 11 would cost tens of seconds per op.
+const graphBenchBPPower = 9
+
+// absentBenchEdges draws count distinct unit edges of g's node range
+// that g does not hold (self-loops skipped).
+func absentBenchEdges(g *graph.Graph, count int, seed uint64) []graph.Edge {
+	a := g.Adjacency()
+	rng := xrand.New(seed)
+	seen := map[[2]int]bool{}
+	out := make([]graph.Edge, 0, count)
+	for len(out) < count {
+		s, t := rng.Intn(g.N()), rng.Intn(g.N())
+		if s == t || a.At(s, t) != 0 || seen[[2]int{s, t}] || seen[[2]int{t, s}] {
+			continue
+		}
+		seen[[2]int{s, t}] = true
+		out = append(out, graph.Edge{S: s, T: t, W: 1})
+	}
+	return out
+}
+
+// BenchmarkUpdateGraphMethods measures the message-passing methods'
+// Update on the ingest cycle: insert 16 absent edges, relabel 16 nodes,
+// delete the 16 edges (5% seeds, the Fig. 6b coupling). Each
+// sub-benchmark times one kind; the cycle's other steps run untimed, so
+// the graph returns to its base every op, and reportStages splits the
+// timed Updates into their stage clocks. SBP runs at Kronecker power
+// LSBP_BENCH_REORDER_POWER (default 11), BP at graphBenchBPPower.
+func BenchmarkUpdateGraphMethods(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		m     core.Method
+		power int
+	}{
+		{core.MethodSBP, reorderBenchPower()},
+		{core.MethodBP, graphBenchBPPower},
+	} {
+		g := gen.Kronecker(tc.power)
+		e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 1})
+		edges := absentBenchEdges(g, 16, 7)
+		rng := xrand.New(13)
+		var labels [2]*beliefs.Residual
+		for c := range labels {
+			labels[c] = beliefs.New(g.N(), 3)
+		}
+		for i := 0; i < 16; i++ {
+			v := rng.Intn(g.N())
+			labels[0].Set(v, beliefs.LabelResidual(3, 0, 0.1))
+			labels[1].Set(v, beliefs.LabelResidual(3, 1, 0.1))
+		}
+		p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.01497919}
+		s, err := core.Prepare(p, tc.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		update := func(u core.Update) {
+			if _, err := s.Update(ctx, u); err != nil && !errors.Is(err, core.ErrNotConverged) {
+				b.Fatal(err)
+			}
+		}
+		update(core.Update{})
+		for _, kind := range []string{"insert", "relabel", "delete"} {
+			b.Run(fmt.Sprintf("%v/%s/power%d_nodes%d", tc.m, kind, tc.power, g.N()), func(b *testing.B) {
+				var acc core.SolverStats
+				timed := func(u core.Update) {
+					pre := s.Stats()
+					b.StartTimer()
+					update(u)
+					b.StopTimer()
+					post := s.Stats()
+					acc.UpdateValidateNS += post.UpdateValidateNS - pre.UpdateValidateNS
+					acc.UpdateWALNS += post.UpdateWALNS - pre.UpdateWALNS
+					acc.UpdateCommitNS += post.UpdateCommitNS - pre.UpdateCommitNS
+					acc.UpdateResolveNS += post.UpdateResolveNS - pre.UpdateResolveNS
+					acc.UpdatePublishNS += post.UpdatePublishNS - pre.UpdatePublishNS
+					acc.RowsCommitted += post.RowsCommitted - pre.RowsCommitted
+				}
+				b.ReportAllocs()
+				b.StopTimer()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					switch kind {
+					case "insert":
+						timed(core.Update{AddEdges: edges})
+						update(core.Update{RemoveEdges: edges})
+					case "relabel":
+						timed(core.Update{SetExplicit: labels[i%2]})
+					case "delete":
+						update(core.Update{AddEdges: edges})
+						timed(core.Update{RemoveEdges: edges})
+					}
+				}
+				reportStages(b, core.SolverStats{}, acc)
+			})
+		}
+		s.Close()
 	}
 }

@@ -1,11 +1,11 @@
 // Dynamic networks through the unified epoch-versioned Update API. A
 // stream of events — new edges, newly labeled users — arrives, and the
-// prepared solver absorbs each batch without re-preparing: SBP's
-// incremental maintenance (Algorithms 3 and 4) keeps its geodesic
-// story, and a LinBP solver on the same stream shows the warm-start
-// payoff (the Section 8 future-work direction): after a small delta
-// the re-solve needs a fraction of the cold iterations. After every
-// batch we verify against a full recomputation from scratch.
+// prepared solver absorbs each batch without re-preparing: each SBP
+// result carries the geodesic numbers (Definition 14) of its epoch, and
+// a LinBP solver on the same stream shows the warm-start payoff (the
+// Section 8 future-work direction): after a small delta the re-solve
+// needs a fraction of the cold iterations. After every batch we verify
+// against a full recomputation from scratch.
 package main
 
 import (
@@ -33,13 +33,13 @@ func main() {
 	defer solver.Close()
 
 	// Epoch 0: the empty Update materializes the initial fixpoint (for
-	// SBP, Result.SBP carries the geodesic state).
+	// SBP, Result.Geodesics carries the geodesic numbers).
 	res, err := solver.Update(ctx, lsbp.Update{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial: %d nodes, %d edges, %d labeled\n", g.N(), g.NumEdges(), len(seeds))
-	printGeodesicHistogram(res.SBP)
+	printGeodesicHistogram(res.Geodesics)
 
 	// Mirror problem for the from-scratch verification.
 	mg, me := g.Clone(), e.Clone()
@@ -57,7 +57,7 @@ func main() {
 		mg.AddEdge(ed.S, ed.T, ed.W)
 	}
 	fmt.Printf("\nafter +%d edges:\n", len(newEdges))
-	printGeodesicHistogram(res.SBP)
+	printGeodesicHistogram(res.Geodesics)
 	verify(res, mg, me, ho)
 
 	// Event 2: five more users get labels.
@@ -74,7 +74,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nafter labeling 5 more users:")
-	printGeodesicHistogram(res.SBP)
+	printGeodesicHistogram(res.Geodesics)
 	verify(res, mg, me, ho)
 
 	fmt.Println("\nincremental state matches from-scratch recomputation after every batch")
@@ -127,10 +127,10 @@ func verify(res *lsbp.Result, g *lsbp.Graph, e *lsbp.Beliefs, ho *lsbp.Matrix) {
 	}
 }
 
-func printGeodesicHistogram(st *lsbp.SBPState) {
+func printGeodesicHistogram(geodesics []int) {
 	hist := map[int]int{}
 	maxG := 0
-	for _, g := range st.Geodesics() {
+	for _, g := range geodesics {
 		hist[g]++
 		if g > maxG {
 			maxG = g

@@ -13,9 +13,11 @@
 // convergence guarantees on loopy graphs.
 //
 // The directed-edge layout (two messages per undirected edge plus the
-// incoming-message index) depends only on the graph, so it is prepared
-// once in an Engine and reused across solves; Run is the one-shot
-// convenience wrapper.
+// incoming-message index) depends only on the graph's adjacency, so it
+// is prepared once in an Engine and reused across solves; Run is the
+// one-shot convenience wrapper. The layout has one undirected edge per
+// adjacent pair: parallel edges collapse into their pair, as they do in
+// the adjacency matrix.
 package bp
 
 import (
@@ -27,6 +29,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 // Options tunes the BP iteration. The zero value selects defaults.
@@ -64,15 +67,15 @@ type Result struct {
 	Delta float64
 }
 
-// Engine is a BP solver prepared once for a fixed graph and stochastic
-// coupling matrix and reused across solves: the directed-edge layout
-// and every message/product buffer are allocated at construction, so
-// repeated solves only pay the message rounds themselves.
+// Engine is a BP solver prepared once for a fixed adjacency and
+// stochastic coupling matrix and reused across solves: the
+// directed-edge layout and every message/product buffer are allocated
+// at construction, so repeated solves only pay the message rounds
+// themselves.
 //
 // An Engine is not safe for concurrent use. Unlike the kernel-backed
 // engines it holds no pooled resources, so it has no Close.
 type Engine struct {
-	g    *graph.Graph
 	h    *dense.Matrix
 	n, k int
 	opts Options
@@ -85,51 +88,65 @@ type Engine struct {
 	logP, qs  []float64 // log-product and per-edge scratch
 }
 
-// NewEngine validates the shapes and builds the directed-edge layout.
-// h is the uncentered stochastic coupling matrix H of Problem 1.
-func NewEngine(g *graph.Graph, h *dense.Matrix, opts Options) (*Engine, error) {
+// NewEngine validates the shapes and builds the directed-edge layout
+// over the symmetric adjacency table a: one undirected edge per stored
+// pair i < j, in row order (edge weights do not enter BP's messages). A
+// stored self-loop is rejected. h is the uncentered stochastic coupling
+// matrix H of Problem 1.
+func NewEngine(a *sparse.RowBlocks, h *dense.Matrix, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	n, k := g.N(), h.Rows()
+	n, k := a.Rows(), h.Rows()
 	if h.Cols() != k {
 		return nil, fmt.Errorf("bp: coupling matrix %dx%d is not square: %w", h.Rows(), h.Cols(), errs.ErrDimensionMismatch)
 	}
-	edges := g.Edges()
-	m := len(edges)
 	en := &Engine{
-		g: g, h: h, n: n, k: k, opts: opts,
-		src:      make([]int, 2*m),
-		dst:      make([]int, 2*m),
+		h: h, n: n, k: k, opts: opts,
+		src:      make([]int, 0, a.NNZ()),
+		dst:      make([]int, 0, a.NNZ()),
 		incoming: make([][]int, n),
 		prior:    make([]float64, n*k),
-		msg:      make([]float64, 2*m*k),
-		next:     make([]float64, 2*m*k),
 		logP:     make([]float64, n*k),
 		qs:       make([]float64, k),
 	}
 	// Directed edge layout: undirected edge idx -> directed 2*idx (s→t)
 	// and 2*idx+1 (t→s).
-	for idx, ed := range edges {
-		if ed.S == ed.T {
-			return nil, fmt.Errorf("bp: self-loop at node %d not supported: %w", ed.S, errs.ErrInvalidInput)
+	for i := 0; i < n; i++ {
+		cols, _ := a.RowViewCompact(i)
+		for _, j := range cols {
+			switch t := int(j); {
+			case t == i:
+				return nil, fmt.Errorf("bp: self-loop at node %d not supported: %w", i, errs.ErrInvalidInput)
+			case t > i:
+				en.src = append(en.src, i, t)
+				en.dst = append(en.dst, t, i)
+			}
 		}
-		en.src[2*idx], en.dst[2*idx] = ed.S, ed.T
-		en.src[2*idx+1], en.dst[2*idx+1] = ed.T, ed.S
 	}
-	for d := 0; d < 2*m; d++ {
+	en.msg = make([]float64, len(en.src)*k)
+	en.next = make([]float64, len(en.src)*k)
+	// Node i receives one message per stored neighbor, so its incoming
+	// list is cut from one array at its row length and never regrows.
+	inc := make([]int, a.NNZ())
+	for i, off := 0, 0; i < n; i++ {
+		deg := a.RowNNZ(i)
+		en.incoming[i] = inc[off : off : off+deg]
+		off += deg
+	}
+	for d := range en.dst {
 		en.incoming[en.dst[d]] = append(en.incoming[en.dst[d]], d)
 	}
 	return en, nil
 }
 
 // Clone returns an engine sharing the prepared, immutable directed-edge
-// layout (graph, coupling, edge endpoints, incoming-message index) with
+// layout (coupling, edge endpoints, incoming-message index) with
 // fresh per-solve message and scratch buffers. It is the cheap way to
 // hand each concurrent goroutine its own solve workspace without paying
 // the layout construction again; the shared layout is read-only during
 // solves, so clones may run concurrently.
 func (en *Engine) Clone() *Engine {
 	return &Engine{
-		g: en.g, h: en.h, n: en.n, k: en.k, opts: en.opts,
+		h: en.h, n: en.n, k: en.k, opts: en.opts,
 		src: en.src, dst: en.dst, incoming: en.incoming,
 		prior: make([]float64, len(en.prior)),
 		msg:   make([]float64, len(en.msg)),
@@ -275,9 +292,14 @@ func (en *Engine) finalBeliefs(out *beliefs.Residual, msg []float64) {
 // uncentered H of Problem 1) and explicit beliefs e given in residual
 // form. The uncentered prior 1/k + eˆs must be a valid probability
 // vector for every node; nodes with zero residual rows get the uniform
-// prior. Self-loops are rejected.
+// prior. Messages run on g's adjacency (see NewEngine): parallel edges
+// collapse into one, and self-loops are rejected.
 func Run(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix, opts Options) (*Result, error) {
-	en, err := NewEngine(g, h, opts)
+	a, err := sparse.NewRowBlocks(g.Adjacency(), nil)
+	if err != nil {
+		return nil, fmt.Errorf("bp: %v: %w", err, errs.ErrInvalidInput)
+	}
+	en, err := NewEngine(a, h, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -244,27 +245,37 @@ func TestUpdateStageCounters(t *testing.T) {
 	}
 }
 
-// TestKernelUpdatesKeepNoGraph pins the dropped mirror: a kernel-method
-// solver neither retains the caller's graph nor builds one on Update.
-func TestKernelUpdatesKeepNoGraph(t *testing.T) {
-	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodFABP} {
-		k := 3
-		if m == MethodFABP {
-			k = 2
+// TestUpdatesServeCommittedTable pins the one adjacency: for every
+// method, under the natural order and RCM, an Update commits its edges
+// into the layout-order table, and the published epoch serves exactly
+// that table.
+func TestUpdatesServeCommittedTable(t *testing.T) {
+	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodFABP, MethodBP, MethodSBP} {
+		for _, r := range []Reordering{ReorderNone, ReorderRCM} {
+			k := 3
+			if m == MethodFABP {
+				k = 2
+			}
+			p := randomProblem(t, 60, 120, k, 0.05, 29)
+			s, err := Prepare(p, m, WithReordering(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := absentEdges(p.Graph, 2, 1)
+			if _, err := s.Update(context.Background(), Update{AddEdges: add}); err != nil && !errors.Is(err, ErrNotConverged) {
+				t.Fatal(err)
+			}
+			d := s.(*dynSolver)
+			if got := d.cur.Load().snap.base().rows; got != d.rows {
+				t.Errorf("%v/%v: the published epoch does not serve the committed table", m, r)
+			}
+			for _, e := range add {
+				if w := d.rows.At(d.pm(e.S), d.pm(e.T)); w != e.W {
+					t.Errorf("%v/%v: committed edge (%d,%d) reads %v in the layout table", m, r, e.S, e.T, w)
+				}
+			}
+			s.Close()
 		}
-		p := randomProblem(t, 60, 120, k, 0.05, 29)
-		s, err := Prepare(p, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Update(context.Background(), Update{AddEdges: absentEdges(p.Graph, 2, 1)}); err != nil {
-			t.Fatal(err)
-		}
-		d := s.(*dynSolver)
-		if d.srcGraph != nil || d.g != nil {
-			t.Errorf("%v: kernel solver holds a graph (src=%v g=%v)", m, d.srcGraph != nil, d.g != nil)
-		}
-		s.Close()
 	}
 }
 

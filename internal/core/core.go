@@ -17,7 +17,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/linbp"
-	"repro/internal/sbp"
 )
 
 // Sentinel errors of the solver API, re-exported from the shared leaf
@@ -149,8 +148,11 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	Delta      float64
-	// SBP exposes the incremental state when Method == MethodSBP.
-	SBP *sbp.State
+	// Geodesics holds SBP's geodesic numbers in caller order
+	// (graph.Unreachable for nodes with no path to an explicit node;
+	// Definition 14), freshly allocated per result; nil for the other
+	// methods.
+	Geodesics []int
 }
 
 // bpSafeScale returns the λ that brings the largest explicit residual

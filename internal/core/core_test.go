@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/sbp"
 )
 
 func torusProblem(t *testing.T, eps float64) *Problem {
@@ -106,11 +108,46 @@ func TestMethodsAgree(t *testing.T) {
 func TestSolveSBPExposesState(t *testing.T) {
 	p := torusProblem(t, 0.1)
 	res := solveOnce(t, p, MethodSBP)
-	if res.SBP == nil {
-		t.Fatal("SBP state missing")
+	if len(res.Geodesics) != p.Graph.N() {
+		t.Fatalf("SBP geodesics: %d entries for %d nodes", len(res.Geodesics), p.Graph.N())
 	}
 	if res.Iterations != 3 { // max geodesic number on the torus instance
 		t.Fatalf("Iterations = %d, want 3", res.Iterations)
+	}
+}
+
+// TestSBPGeodesicsCallerOrder: Solve and Update on an SBP solver report
+// the geodesic numbers sbp.Run computes on the caller's graph, in the
+// caller's node order, whatever layout the solver serves from.
+func TestSBPGeodesicsCallerOrder(t *testing.T) {
+	ctx := context.Background()
+	p := randomProblem(t, 90, 170, 3, 0.05, 23)
+	st, err := sbp.Run(p.Graph, p.Explicit, p.Ho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Reordering{ReorderNone, ReorderRCM} {
+		s, err := Prepare(p, MethodSBP, WithReordering(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved, err := s.Solve(ctx, p.Explicit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated, err := s.Update(ctx, Update{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*Result{solved, updated} {
+			if !slices.Equal(res.Geodesics, st.Geodesics()) {
+				t.Errorf("%v: Result.Geodesics %v, want sbp.Run's %v", r, res.Geodesics, st.Geodesics())
+			}
+			if d := maxAbsDiff(res.Beliefs, st.Beliefs()); d > 1e-12 {
+				t.Errorf("%v: beliefs differ from sbp.Run by %g", r, d)
+			}
+		}
+		s.Close()
 	}
 }
 

@@ -176,9 +176,8 @@ func (d *dynSolver) checkpointLocked() error {
 }
 
 // snapshotImageLocked assembles the durable image of the maintained
-// state: the current adjacency as a flat CSR (the layout-order table of
-// the kernel methods, or the caller-order graph of BP/SBP), the layout
-// metadata, and the belief matrices in caller order. A kernel table is
+// state: the current layout-order table as a flat CSR, the layout
+// metadata, and the belief matrices in caller order. The table is
 // written straight from its blocks (sparse.RowBlocks.CompactArrays), so
 // a checkpoint does not rebuild the int column index no table keeps.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
@@ -192,16 +191,7 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		BandBefore: d.info.bandBefore,
 		BandAfter:  d.info.bandAfter,
 	}
-	if d.kernelMethod() {
-		img.RowPtr, img.ColIdx32, img.Vals = d.rows.CompactArrays()
-	} else {
-		img.GraphOrder = true
-		g := d.g
-		if g == nil {
-			g = d.srcGraph
-		}
-		imageCSR(img, g.Adjacency())
-	}
+	img.RowPtr, img.ColIdx32, img.Vals = d.rows.CompactArrays()
 	if d.perm != nil {
 		img.Perm = []int(d.perm)
 	}
@@ -215,18 +205,6 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		img.Last = d.gatherLocked().Matrix().Data()
 	}
 	return img, nil
-}
-
-// imageCSR sets the image's adjacency sections from a flat CSR: the
-// compact column index whenever the matrix fits it.
-func imageCSR(img *durable.Snapshot, a *sparse.CSR) {
-	rowPtr, colIdx, vals := a.Index()
-	img.RowPtr, img.Vals = rowPtr, vals
-	if _, ci32, ok := a.CompactIndex(); ok {
-		img.ColIdx32 = ci32
-	} else {
-		img.ColIdx = colIdx
-	}
 }
 
 // recordFromUpdate encodes the batch exactly as the apply path reads
@@ -393,57 +371,23 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		method: m, n: n, k: k, workers: cfg.workers, eps: snap.EpsH,
 		ordering: ordering, bandBefore: snap.BandBefore, bandAfter: snap.BandAfter,
 	}
-	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcExp: exp}
-	var inner snapshot
-	switch m {
-	case MethodLinBP, MethodLinBPStar, MethodFABP:
-		// The kernel methods serve straight from the stored layout CSR:
-		// its epoch-0 row-block table aliases the (mapped) arrays, and
-		// no caller-order graph is rebuilt.
-		if snap.GraphOrder {
+	// Every method serves straight from the stored layout CSR: its
+	// epoch-0 row-block table aliases the (mapped) arrays. A graph-order
+	// image (BP and SBP checkpoints stored the caller-order adjacency
+	// until they served from the layout table) is permuted into layout
+	// order instead; a kernel method never wrote one.
+	var relabel order.Permutation
+	if snap.GraphOrder {
+		if kernelMethod(m) {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
-		var op kernelOp
-		if op, err = kernelOperator(m, ho, snap.EpsH, k, cfg); err != nil {
-			return nil, err
-		}
-		if d.rows, err = layoutRows(a, op.echo, nil); err != nil {
-			return nil, err
-		}
-		inner, err = newKernelSolver(op, info, d.rows, perm)
-	default:
-		// BP and SBP keep a caller-order graph, rebuilt from the stored
-		// matrix (undoing the layout permutation if the matrix is in
-		// layout order). Parallel edges were already collapsed by the
-		// original adjacency build; the sum-equivalent graph serves
-		// every later rebuild identically.
-		adj := a
-		if !snap.GraphOrder && perm != nil {
-			adj = a.Permute([]int(perm.Inverse()))
-		}
-		g := graph.New(n)
-		g.ReserveEdges((adj.NNZ() + n) / 2)
-		rp, ci, vs := adj.Index()
-		for i := 0; i < n; i++ {
-			for p := rp[i]; p < rp[i+1]; p++ {
-				if j := ci[p]; j >= i {
-					g.AddEdge(i, j, vs[p])
-				}
-			}
-		}
-		d.srcGraph = g
-		if m == MethodBP {
-			inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
-		} else {
-			inner, err = newSBPSolverOn(g.Clone(), ho, info, perm)
-		}
+		relabel = perm
 	}
+	inner, err := newSnapshot(m, ho, info, cfg, a, relabel, perm)
 	if err != nil {
 		return nil, err
 	}
-	d.info, d.perm = info, perm
-	d.n, d.k, d.eps = n, k, snap.EpsH
-	d.cur.Store(&epochState{snap: inner})
+	d := newDynSolver(m, cfg, ho, exp, inner)
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}
 	return d, nil
 }

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/beliefs"
+	"repro/internal/coupling"
 	"repro/internal/durable"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 var durTight = []Option{WithMaxIter(500), WithTol(1e-13)}
@@ -487,5 +489,116 @@ func TestPrepareCopiesGraph(t *testing.T) {
 			t.Errorf("%v: recovered fixpoint differs from the served one by %g", m, d)
 		}
 		r.Close()
+	}
+}
+
+// TestBPMultigraphRecovers: BP passes one message pair per adjacent
+// pair, so a doubled edge collapses as it does in the adjacency, the
+// checkpoint, and Open. A durable BP solver on a 6-ring with a chord and
+// one doubled edge answers the same after Close and Open, and the same
+// as a solver whose graph holds the pair once.
+func TestBPMultigraphRecovers(t *testing.T) {
+	ring := func(double bool) *graph.Graph {
+		g := graph.New(6)
+		for i := 0; i < 6; i++ {
+			g.AddUnitEdge(i, (i+1)%6)
+		}
+		g.AddUnitEdge(0, 3)
+		if double {
+			g.AddUnitEdge(1, 2)
+		}
+		return g
+	}
+	e := beliefs.New(6, 3)
+	e.Set(0, beliefs.LabelResidual(3, 0, 0.1))
+	e.Set(4, beliefs.LabelResidual(3, 2, 0.1))
+	solve := func(s Solver) *beliefs.Residual {
+		t.Helper()
+		dst := beliefs.New(6, 3)
+		if _, err := s.SolveInto(context.Background(), dst, e); err != nil && !errors.Is(err, ErrNotConverged) {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	problem := func(double bool) *Problem {
+		return &Problem{Graph: ring(double), Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.3}
+	}
+	fs := durable.NewMemFS()
+	s, err := Prepare(problem(true), MethodBP, WithDurabilityFS(fs, "st", DurabilityPolicy{Sync: SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := solve(s)
+	r, err := OpenFS(fs, "st")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := solve(r)
+	once, err := Prepare(problem(false), MethodBP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solve(once)
+	if d := maxAbsDiff(recovered, prepared); d > 1e-12 {
+		t.Errorf("recovered BP differs from the prepared one by %g", d)
+	}
+	if d := maxAbsDiff(prepared, want); d > 1e-12 {
+		t.Errorf("BP on the doubled edge differs from the pair held once by %g", d)
+	}
+}
+
+// TestOpenGraphOrderImage: an image holding the caller-order adjacency
+// (GraphOrder, as BP and SBP checkpoints were written before they served
+// from the layout table) still opens for BP and SBP, permuted into
+// layout order, and answers what a fresh Prepare answers. A kernel
+// method never wrote one, so it refuses the image.
+func TestOpenGraphOrderImage(t *testing.T) {
+	ctx := context.Background()
+	p := randomProblem(t, 80, 170, 3, 0.05, 31)
+	a := p.Graph.Adjacency()
+	perm, chosen := order.Compute(ReorderRCM, a)
+	if perm == nil {
+		t.Fatal("RCM kept the natural order; the image would not exercise the relabeling")
+	}
+	rowPtr, _, vals := a.Index()
+	_, cols, ok := a.CompactIndex()
+	if !ok {
+		t.Fatal("no compact index")
+	}
+	for _, m := range []Method{MethodBP, MethodSBP, MethodLinBP} {
+		t.Run(m.String(), func(t *testing.T) {
+			fs := durable.NewMemFS()
+			img := &durable.Snapshot{
+				Method: uint32(m), Ordering: chosen.Code(), N: p.Graph.N(), K: p.K(), EpsH: p.EpsilonH,
+				BandBefore: order.Bandwidth(a, nil), BandAfter: order.Bandwidth(a, perm), GraphOrder: true,
+				Perm: []int(perm), RowPtr: rowPtr, ColIdx32: cols, Vals: vals,
+				HO: p.Ho.Data(), Explicit: p.Explicit.Matrix().Data(),
+			}
+			if err := durable.WriteSnapshot(fs, "st", img); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenFS(fs, "st", durTight...)
+			if m == MethodLinBP {
+				if !errors.Is(err, ErrCorruptState) {
+					t.Fatalf("Open = %v, want ErrCorruptState", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			want := freshSolve(t, p, m, p.Explicit, append([]Option{WithReordering(ReorderRCM)}, durTight...)...)
+			got, err := r.Update(ctx, Update{})
+			if err != nil && !errors.Is(err, ErrNotConverged) {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(got.Beliefs, want); d > 1e-12 {
+				t.Errorf("opened graph-order image differs from a fresh Prepare by %g", d)
+			}
+		})
 	}
 }

@@ -2,8 +2,7 @@
 // method's immutable prepared state (a snapshot) in a dynSolver, which
 // adds the Update path of the paper's incremental-maintenance story
 // (Section 8; SBP Algorithms 3–4) on top of the existing serving
-// surface. For the kernel-backed methods (LinBP, LinBP*, FABP) an
-// Update costs what it touches:
+// surface. Every method serves from one adjacency:
 //
 //   - The adjacency is a copy-on-write row-block table
 //     (sparse.RowBlocks) in the prepare-time layout order. The epoch-0
@@ -18,22 +17,25 @@
 //     new one. A reader that loses the race — loads the old pointer
 //     just as it retires — observes the old snapshot's ErrClosed and
 //     transparently retries on the current epoch, so no caller ever
-//     sees a torn graph or a spurious closed error. The successor
-//     builds no engine: the retiring epoch's idle engines are rebound
-//     to the new table and move over.
-//   - The maintained fixpoint lives once, in layout order, inside one
-//     residual engine the dynSolver owns and rebinds to each epoch; the
-//     rounds schedule warm-starts from the same state. A localized
-//     re-solve seeds only the touched rows, and the Update ends with
-//     one caller-order gather into a fresh result matrix.
+//     sees a torn graph or a spurious closed error.
 //   - When the cells that differ from the compaction base exceed
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
 //     compaction: a flat CSR is built from the table, and the
 //     reordering strategy and (under WithAutoEpsilonH) the εH
 //     derivation replay on it exactly as Prepare would.
 //
-// BP and SBP keep their caller-order graph and rebuild their snapshot
-// on every topology commit, re-solving cold.
+// For the kernel-backed methods (LinBP, LinBP*, FABP) an Update costs
+// what it touches. The successor snapshot builds no engine: the
+// retiring epoch's idle engines are rebound to the new table and move
+// over. The maintained fixpoint lives once, in layout order, inside one
+// residual engine the dynSolver owns and rebinds to each epoch; the
+// rounds schedule warm-starts from the same state. A localized re-solve
+// seeds only the touched rows, and the Update ends with one
+// caller-order gather into a fresh result matrix.
+//
+// BP and SBP build their successor snapshot on the committed table (BP
+// lays out its directed edges again; SBP's runners are built on demand)
+// and re-solve cold.
 //
 // Convergence caveat: εH (including a WithAutoEpsilonH derivation) is
 // fixed between compactions. Edge insertions raise the spectral radius
@@ -132,25 +134,20 @@ type dynSolver struct {
 	cur atomic.Pointer[epochState]
 
 	// Everything below mu is the updater's private state: the
-	// maintained explicit beliefs and adjacency table (lazily set up on
-	// the first Update so purely static solvers pay nothing), the
-	// kernel methods' maintained fixpoint, the graph methods'
-	// caller-order graph, and the layout and compaction bookkeeping.
+	// maintained explicit beliefs (adopted on the first Update so purely
+	// static solvers pay nothing), the adjacency table, the kernel
+	// methods' maintained fixpoint, and the layout and compaction
+	// bookkeeping.
 	mu     sync.Mutex
 	closed bool
-	// srcGraph is the prepared caller-order graph of BP and SBP, a
-	// private copy (nil for the kernel methods, which keep no graph);
-	// srcExp the prepared explicit beliefs, a private copy the first
+	// srcExp is the prepared explicit beliefs, a private copy the first
 	// Update adopts as exp (nil from then on).
-	srcGraph *graph.Graph
-	srcExp   *beliefs.Residual
-	exp      *beliefs.Residual // maintained explicit beliefs (caller order)
-	// rows is the maintained adjacency table: the serving table in
-	// layout order for the kernel methods (set from the first snapshot),
-	// the drift-accounting table in caller order for BP/SBP.
+	srcExp *beliefs.Residual
+	exp    *beliefs.Residual // maintained explicit beliefs (caller order)
+	// rows is the maintained adjacency table in layout order: the
+	// current epoch's serving table, and the base of the next commit.
 	rows    *sparse.RowBlocks
 	kern    *kernelPlane // kernel methods only; nil until the first Update
-	g       *graph.Graph // BP/SBP: current caller-order graph (private clone)
 	perm    order.Permutation
 	info    solverInfo
 	baseNNZ int
@@ -231,30 +228,23 @@ type kernelPlane struct {
 	tl []int32
 }
 
-// newDynSolver wraps the freshly prepared snapshot. The layout fields
-// are lifted off the concrete snapshot types so updates can reuse them
-// without re-deriving anything from the problem. p must be Prepare's
-// private copy: the solver keeps its coupling, explicit beliefs, and
-// (BP/SBP) graph by reference.
-func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
-	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
-	switch s := inner.(type) {
-	case *kernelSolver:
-		d.info, d.perm, d.rows = s.solverInfo, s.rm.perm, s.rows
-	case *bpSolver:
-		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
-	case *sbpSolver:
-		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
-	}
+// newDynSolver wraps the freshly prepared (or recovered) snapshot. The
+// layout is lifted off the snapshot so updates commit its table without
+// re-deriving anything from the problem. ho and exp must be private
+// copies: the solver keeps them by reference.
+func newDynSolver(m Method, cfg config, ho *dense.Matrix, exp *beliefs.Residual, inner snapshot) *dynSolver {
+	b := inner.base()
+	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcExp: exp,
+		info: b.solverInfo, perm: b.rm.perm, rows: b.rows}
 	d.n, d.k, d.eps = d.info.n, d.info.k, d.info.eps
 	d.cur.Store(&epochState{snap: inner})
 	return d
 }
 
-// kernelMethod reports whether the method runs on the fused kernel
-// (and so on the row-block table and the maintained fixpoint).
-func (d *dynSolver) kernelMethod() bool {
-	return d.method == MethodLinBP || d.method == MethodLinBPStar || d.method == MethodFABP
+// kernelMethod reports whether method m runs on the fused kernel (and
+// so keeps a maintained fixpoint).
+func kernelMethod(m Method) bool {
+	return m == MethodLinBP || m == MethodLinBPStar || m == MethodFABP
 }
 
 // Solve, SolveInto, and SolveBatch delegate to the current epoch's
@@ -518,10 +508,10 @@ func (d *dynSolver) applyExplicitLocked(set *beliefs.Residual, rows []int) {
 }
 
 // applyTopologyLocked commits the batch's edge delta to the maintained
-// table (and, for BP/SBP, the caller-order graph), reporting whether
-// the structure actually changed. Removals of absent pairs are no-ops;
-// a batch with no net structural change skips the epoch entirely (an
-// idempotent delete stream must not pay an epoch per call).
+// table, reporting whether the structure actually changed. Removals of
+// absent pairs are no-ops; a batch with no net structural change skips
+// the epoch entirely (an idempotent delete stream must not pay an epoch
+// per call).
 func (d *dynSolver) applyTopologyLocked(u Update) bool {
 	if len(u.AddEdges) == 0 && len(u.RemoveEdges) == 0 {
 		return false
@@ -549,19 +539,12 @@ func (d *dynSolver) applyTopologyLocked(u Update) bool {
 	}
 	d.rows = next
 	d.rowsCommitted.Add(int64(len(changed)))
-	if d.g != nil {
-		for _, e := range u.AddEdges {
-			d.g.AddEdge(e.S, e.T, e.W)
-		}
-		d.g.RemoveEdges(u.RemoveEdges)
-	}
 	return true
 }
 
-// pm maps a caller node id into the table's order: the layout order
-// for the kernel methods, the caller order itself for BP and SBP.
+// pm maps a caller node id into the table's layout order.
 func (d *dynSolver) pm(i int) int {
-	if d.perm == nil || !d.kernelMethod() {
+	if d.perm == nil {
 		return i
 	}
 	return d.perm[i]
@@ -629,29 +612,21 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 // initDynState lazily sets up the mutable dynamic state on the first
 // Update, so a solver that is never updated pays no copy: it adopts the
 // prepared explicit beliefs as the maintained ones, and for the kernel
-// methods builds the maintained fixpoint engine (BP/SBP clone their
-// graph and build the caller-order drift-accounting table instead).
+// methods builds the maintained fixpoint engine.
 func (d *dynSolver) initDynState() error {
 	if d.exp != nil {
 		return nil
 	}
-	if !d.kernelMethod() {
-		a := d.srcGraph.Adjacency()
-		rows, err := sparse.NewRowBlocks(a, nil)
+	if kernelMethod(d.method) {
+		d.exp = d.srcExp
+		kp, err := d.newKernelPlane(d.cur.Load().snap.(*kernelSolver))
 		if err != nil {
-			return fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
+			d.exp = nil
+			return err
 		}
-		d.g, d.rows, d.baseNNZ = d.srcGraph.Clone(), rows, a.NNZ()
-		d.exp, d.srcExp = d.srcExp, nil
-		return nil
+		d.kern = kp
 	}
-	d.exp = d.srcExp
-	kp, err := d.newKernelPlane(d.cur.Load().snap.(*kernelSolver))
-	if err != nil {
-		d.exp = nil
-		return err
-	}
-	d.kern, d.srcExp = kp, nil
+	d.exp, d.srcExp = d.srcExp, nil
 	d.baseNNZ = d.rows.NNZ()
 	return nil
 }
@@ -710,14 +685,12 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	var snap snapshot
 	var err error
 	switch {
-	case compact && d.kern != nil:
-		snap, err = d.compactKernelLocked()
 	case compact:
-		snap, err = d.compactGraphLocked()
+		snap, err = d.compactLocked()
 	case d.kern != nil:
 		snap = d.cur.Load().snap.(*kernelSolver).successor(d.rows, d.info)
 	default:
-		snap, err = d.buildGraphSnapshot(d.info, d.perm)
+		snap, err = newGraphSolver(d.rows, d.ho, d.info, d.cfg, d.perm)
 	}
 	if err != nil {
 		// The old epoch keeps serving; the delta stays in the maintained
@@ -801,13 +774,13 @@ func (d *dynSolver) installLayout(info solverInfo, perm order.Permutation, rows 
 	d.info, d.perm, d.rows, d.baseNNZ = info, perm, rows, rows.NNZ()
 }
 
-// compactKernelLocked is the kernel methods' compaction: flatten the
-// table, undo the layout permutation, replay the layout decisions
-// exactly as Prepare would, and rebuild the snapshot, the maintained
-// fixpoint engine, and the layout-order explicit beliefs on the fresh
-// layout. The maintained beliefs carry over through the permutation
-// change. On error nothing changes.
-func (d *dynSolver) compactKernelLocked() (snapshot, error) {
+// compactLocked is the compaction: flatten the table, undo the layout
+// permutation, replay the layout decisions exactly as Prepare would,
+// and rebuild the snapshot on the fresh layout — for the kernel methods
+// also the maintained fixpoint engine and the layout-order explicit
+// beliefs, into which the maintained beliefs carry over through the
+// permutation change. On error nothing changes.
+func (d *dynSolver) compactLocked() (snapshot, error) {
 	a := d.rows.Flatten()
 	if d.perm != nil {
 		a = a.Permute(d.perm.Inverse())
@@ -816,66 +789,30 @@ func (d *dynSolver) compactKernelLocked() (snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := kernelOperator(d.method, d.ho, info.eps, d.k, d.cfg)
+	snap, err := newSnapshot(d.method, d.ho, info, d.cfg, a, perm, perm)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := layoutRows(a, op.echo, perm)
-	if err != nil {
-		return nil, err
+	if old := d.kern; old != nil {
+		ks := snap.(*kernelSolver)
+		kp, err := d.newKernelPlane(ks)
+		if err != nil {
+			snap.Close()
+			return nil, err
+		}
+		if !kp.keepRounds {
+			// Close the rounds engine the new snapshot validated.
+			ks.chunks[0].closeIdle()
+		}
+		if old.hasFix {
+			// Carry the maintained fixpoint into the new layout order.
+			old.rm.moveTo(kp.rm, kp.fix.Beliefs(), old.fix.Beliefs())
+			kp.hasFix = true
+		}
+		d.kern = kp
 	}
-	snap, err := newKernelSolver(op, info, rows, perm)
-	if err != nil {
-		return nil, err
-	}
-	kp, err := d.newKernelPlane(snap)
-	if err != nil {
-		snap.Close()
-		return nil, err
-	}
-	if !kp.keepRounds {
-		// Close the rounds engine the new snapshot validated.
-		snap.chunks[0].closeIdle()
-	}
-	if old := d.kern; old.hasFix {
-		// Carry the maintained fixpoint into the new layout order.
-		old.rm.moveTo(kp.rm, kp.fix.Beliefs(), old.fix.Beliefs())
-		kp.hasFix = true
-	}
-	d.installLayout(info, perm, rows)
-	d.kern = kp
+	d.installLayout(info, perm, snap.base().rows)
 	return snap, nil
-}
-
-// compactGraphLocked is BP and SBP's compaction: replay the layout
-// decisions on the current graph and restart the drift accounting.
-func (d *dynSolver) compactGraphLocked() (snapshot, error) {
-	a := d.g.Adjacency()
-	info, perm, err := d.relayout(a)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := sparse.NewRowBlocks(a, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v: %w", err, errs.ErrInvalidInput)
-	}
-	snap, err := d.buildGraphSnapshot(info, perm)
-	if err != nil {
-		return nil, err
-	}
-	d.installLayout(info, perm, rows)
-	return snap, nil
-}
-
-// buildGraphSnapshot prepares a message-passing snapshot (BP, SBP) on a
-// private clone of the current graph — private so later updates to d.g
-// never race the snapshot's readers.
-func (d *dynSolver) buildGraphSnapshot(info solverInfo, perm order.Permutation) (snapshot, error) {
-	g := d.g.Clone()
-	if d.method == MethodBP {
-		return newBPSolverOn(g, d.ho, info, d.cfg, perm)
-	}
-	return newSBPSolverOn(g, d.ho, info, perm)
 }
 
 // resolveGraphLocked re-solves BP and SBP cold on the current epoch

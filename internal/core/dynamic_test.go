@@ -185,8 +185,8 @@ func TestDynamicUpdateBPAndSBP(t *testing.T) {
 		if d := maxAbsDiff(res.Beliefs, want); d > 1e-9 {
 			t.Errorf("%v update diverges by %g", m, d)
 		}
-		if m == MethodSBP && res.SBP == nil {
-			t.Error("SBP update lost the incremental state in Result.SBP")
+		if m == MethodSBP && len(res.Geodesics) != p.Graph.N() {
+			t.Error("SBP update lost the geodesic numbers in Result.Geodesics")
 		}
 		s.Close()
 	}

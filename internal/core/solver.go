@@ -49,8 +49,6 @@ type config struct {
 	workers  int
 	maxIter  int
 	tol      float64
-	echo     bool
-	echoSet  bool
 	autoEps  bool
 	reorder  Reordering
 	schedule Schedule
@@ -101,13 +99,6 @@ func WithMaxIter(n int) Option { return func(c *config) { c.maxIter = n } }
 // rounds. 0 selects the method default; negative forces exactly
 // MaxIter rounds (the paper's timing setup).
 func WithTol(tol float64) Option { return func(c *config) { c.tol = tol } }
-
-// WithEchoCancellation selects between LinBP (true, Eq. 4) and LinBP*
-// (false, Eq. 5) regardless of which of the two methods was named;
-// other methods ignore it.
-func WithEchoCancellation(on bool) Option {
-	return func(c *config) { c.echo = on; c.echoSet = true }
-}
 
 // WithAutoEpsilonH derives the coupling scale from the exact
 // convergence criterion (half the Lemma 8 threshold, the paper's
@@ -330,11 +321,12 @@ type SolverStats struct {
 // is the first epoch, and Update evolves it — edge insertions and
 // deletions, explicit-belief changes — without re-preparing from
 // scratch. Each committed topology update publishes a fresh immutable
-// snapshot (for the kernel methods: the next copy-on-write epoch of the
-// adjacency, served by the previous epoch's engines rebound to it) and
-// swaps it in atomically; solves already in flight finish on the
-// snapshot they started on, new solves land on the new one, and no
-// reader ever observes a half-updated graph.
+// snapshot on the next copy-on-write epoch of the layout-order
+// adjacency table (the kernel methods serve it with the previous
+// epoch's engines, rebound to it) and swaps it in atomically; solves
+// already in flight finish on the snapshot they started on, new solves
+// land on the new one, and no reader ever observes a half-updated
+// graph.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // call Solve, SolveInto, SolveBatch, Update, and Stats on one shared
@@ -343,11 +335,7 @@ type SolverStats struct {
 // stays allocation-free in steady state no matter how many goroutines
 // share the solver. Close is idempotent, waits for in-flight solves
 // and a pending update (including its compaction rebuild) to drain,
-// and fails later solves with ErrClosed. One carve-out: the
-// incremental SBP state a Solve on an SBP solver returns (Result.SBP)
-// shares the epoch's graph, so its mutators (AddEdges,
-// AddExplicitBeliefs) are NOT covered by the guarantee — use Update
-// instead, which keeps the solver and the graph consistent.
+// and fails later solves with ErrClosed.
 type Solver interface {
 	// Solve runs the method for the explicit residual beliefs e and
 	// allocates a fresh result.
@@ -399,6 +387,40 @@ type snapshot interface {
 	SolveBatch(ctx context.Context, reqs []Request) []Response
 	Stats() SolverStats
 	Close() error
+	// base returns the snapshot's shared identity and layout.
+	base() *solverBase
+}
+
+// newSnapshot lays out the adjacency a and builds method m's snapshot
+// on it: a is relabeled by relabel (nil keeps its order) into the
+// layout whose caller-to-layout map is perm. Prepare and compaction
+// pass a caller-order matrix with relabel = perm; Open passes the
+// stored layout-order matrix with relabel = nil.
+func newSnapshot(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *sparse.CSR, relabel, perm order.Permutation) (snapshot, error) {
+	if !kernelMethod(m) {
+		rows, err := layoutRows(a, false, relabel)
+		if err != nil {
+			return nil, err
+		}
+		s, err := newGraphSolver(rows, ho, info, cfg, perm)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	op, err := kernelOperator(m, ho, info.eps, info.k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := layoutRows(a, op.echo, relabel)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newKernelSolver(op, info, rows, perm)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Prepare validates the problem once and builds a prepared Solver for
@@ -431,15 +453,6 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	if cfg.schedule == ScheduleResidual && cfg.tol < 0 {
 		return nil, fmt.Errorf("core: the residual schedule needs a convergence tolerance (a negative WithTol forces fixed rounds): %w", errs.ErrInvalidInput)
 	}
-	echo := m != MethodLinBPStar // LinBP and the FABP collapse cancel echo
-	if cfg.echoSet && (m == MethodLinBP || m == MethodLinBPStar) {
-		echo = cfg.echo
-		if echo {
-			m = MethodLinBP
-		} else {
-			m = MethodLinBPStar
-		}
-	}
 	eps := p.EpsilonH
 	if cfg.autoEps && m != MethodSBP {
 		var err error
@@ -471,32 +484,19 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 
 	// The solver keeps private copies of the problem parts it reads
 	// after Prepare returns: the explicit beliefs (adopted by the first
-	// Update), the coupling (every snapshot rebuild, compaction, and
-	// checkpoint), and BP/SBP's caller-order graph (their snapshots and
-	// updates). A caller reusing any of them then changes neither the
-	// served nor the recovered problem. The kernel methods keep only the
-	// layout built from the graph here.
-	p = &Problem{Graph: p.Graph, Explicit: p.Explicit.Clone(), Ho: p.Ho.Clone(), EpsilonH: p.EpsilonH}
-	if m == MethodBP || m == MethodSBP {
-		p.Graph = p.Graph.Clone()
-	}
-	var inner snapshot
-	var err error
-	switch m {
-	case MethodBP:
-		inner, err = newBPSolver(p, base, cfg, perm)
-	case MethodSBP:
-		inner, err = newSBPSolver(p, base, perm)
-	default:
-		inner, err = prepareKernel(p, base, cfg, perm)
-	}
+	// Update) and the coupling (every snapshot rebuild, compaction, and
+	// checkpoint). A caller reusing either then changes neither the
+	// served nor the recovered problem. Of the graph, every method keeps
+	// only the layout table built from it here.
+	ho := p.Ho.Clone()
+	inner, err := newSnapshot(m, ho, base, cfg, a, perm, perm)
 	if err != nil {
 		return nil, err
 	}
 	// Every prepared solver is served through the epoch-versioned
 	// dynamic plane; a solver that never sees an Update pays only an
 	// atomic pointer load per solve for it.
-	d := newDynSolver(p, m, cfg, inner)
+	d := newDynSolver(m, cfg, ho, p.Explicit.Clone(), inner)
 	if cfg.durDir != "" {
 		// Publish the prepared state before handing the solver out, so
 		// a crash at any later point recovers at least the initial
@@ -729,13 +729,18 @@ type solverInfo struct {
 	batchHint int
 }
 
-// solverBase carries the identity, lifecycle, and counters every method
-// solver shares. Solves hold the read side of mu for their whole
+// solverBase carries the identity, layout, lifecycle, and counters every
+// method solver shares. Solves hold the read side of mu for their whole
 // duration; Close takes the write side, so it waits for in-flight
 // solves and flips closed exactly once. Counters are atomics because
 // any number of solves may run concurrently.
 type solverBase struct {
 	solverInfo
+	// rows is the epoch's layout-ordered adjacency table (with the
+	// degrees when the method's operator carries them) and rm the map
+	// between caller rows and layout rows.
+	rows *sparse.RowBlocks
+	rm   rowMap
 
 	mu     sync.RWMutex
 	closed bool
@@ -782,6 +787,8 @@ func (b *solverBase) closeOnce(release func()) error {
 	}
 	return nil
 }
+
+func (b *solverBase) base() *solverBase { return b }
 
 func (b *solverBase) Stats() SolverStats {
 	bh := b.batchHint
@@ -846,11 +853,21 @@ func (b *solverBase) record(info SolveInfo, err error) (SolveInfo, error) {
 	}
 	if !info.Converged {
 		b.notConverged.Add(1)
-		return info, fmt.Errorf("core: %v after %d iterations (delta %g): %w",
-			b.method, info.Iterations, info.Delta, errs.ErrNotConverged)
+		return info, errNotConverged[b.method]
 	}
 	return info, nil
 }
+
+// errNotConverged holds each method's non-convergence error, built once:
+// a solve's round count and final delta travel in its SolveInfo, so the
+// outcome allocates nothing — a fixed-round solve under a negative tol
+// (the paper's timing convention) included.
+var errNotConverged = func() (e [MethodFABP + 1]error) {
+	for m := range e {
+		e[m] = fmt.Errorf("core: %v solve: %w", Method(m), errs.ErrNotConverged)
+	}
+	return e
+}()
 
 func (b *solverBase) errClosed() error {
 	return fmt.Errorf("core: %v solver: %w", b.method, errs.ErrClosed)
@@ -1118,9 +1135,7 @@ type residualState struct {
 // concurrent solves never contend on state.
 type kernelSolver struct {
 	solverBase
-	rows *sparse.RowBlocks // layout-ordered adjacency (+ degrees for LinBP and FABP)
-	op   kernelOp
-	rm   rowMap
+	op kernelOp
 
 	chunks []*statePool[*chunkEngine] // index c-1 → chunks of c requests
 	// rstates pools the residual-scheduled engines; nil when the
@@ -1129,12 +1144,12 @@ type kernelSolver struct {
 	rstates *statePool[*residualState]
 }
 
-// layoutRows lays out a caller-order adjacency for the kernel-backed
-// methods: relabel it by perm (nil keeps the order) and wrap the result
-// in an epoch-0 row-block table — with the squared-weight degrees when
-// echo is on. The degrees are the layout rows' RowSumsSquared, the same
-// value a commit recomputes for an edited row. The dynamic plane
-// commits later epochs of the table, reusing perm between compactions.
+// layoutRows lays out an adjacency for a snapshot: relabel it by perm
+// (nil keeps the order) and wrap the result in an epoch-0 row-block
+// table — with the squared-weight degrees when echo is on. The degrees
+// are the layout rows' RowSumsSquared, the same value a commit
+// recomputes for an edited row. The dynamic plane commits later epochs
+// of the table, reusing perm between compactions.
 func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBlocks, error) {
 	if perm != nil {
 		a = a.Permute(perm)
@@ -1150,25 +1165,12 @@ func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBl
 	return rows, nil
 }
 
-// prepareKernel builds a kernel method's snapshot for Prepare: the
-// method's operator and the layout of the problem's graph under perm.
-func prepareKernel(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*kernelSolver, error) {
-	op, err := kernelOperator(base.method, p.Ho, base.eps, base.k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := layoutRows(p.Graph.Adjacency(), op.echo, perm)
-	if err != nil {
-		return nil, err
-	}
-	return newKernelSolver(op, base, rows, perm)
-}
-
 // newKernelSolver builds the snapshot on an explicit layout — a
 // row-block table and the relabeling it was laid out under — and
 // validates it by building the first engine eagerly.
 func newKernelSolver(op kernelOp, base solverInfo, rows *sparse.RowBlocks, perm order.Permutation) (*kernelSolver, error) {
-	s := &kernelSolver{op: op, rm: rowMap{perm: perm, n: base.n, k: base.k, w: op.w}}
+	s := &kernelSolver{op: op}
+	s.rm = rowMap{perm: perm, n: base.n, k: base.k, w: op.w}
 	s.initPools(rows, base)
 	ce, err := s.chunks[0].get()
 	if err != nil {
@@ -1240,7 +1242,8 @@ func (s *kernelSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
 // engines of every pool move over, rebound to the new table (an engine
 // that cannot rebind is destroyed and rebuilt on demand).
 func (s *kernelSolver) successor(rows *sparse.RowBlocks, base solverInfo) *kernelSolver {
-	next := &kernelSolver{op: s.op, rm: s.rm}
+	next := &kernelSolver{op: s.op}
+	next.rm = s.rm
 	next.initPools(rows, base)
 	for i := range s.chunks {
 		moveIdle(s.chunks[i], next.chunks[i], func(ce *chunkEngine) error { return ce.eng.Rebind(rows) })
@@ -1489,8 +1492,7 @@ func (s *kernelSolver) solveChunk(ctx context.Context, reqs []Request, resp []Re
 	case runErr != nil:
 		chunkErr = fmt.Errorf("core: %v batch: %w", s.method, runErr) //lsbp:ignore hotpath-noalloc -- error construction runs only on cancelled chunks
 	case !converged:
-		//lsbp:ignore hotpath-noalloc -- error construction runs only on non-converged chunks
-		chunkErr = fmt.Errorf("core: %v after %d iterations (delta %g): %w", s.method, iters, delta, errs.ErrNotConverged)
+		chunkErr = errNotConverged[s.method]
 	}
 
 	// De-interleave results and fill the chunk's responses. When no
@@ -1542,68 +1544,72 @@ func (s *kernelSolver) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// BP
+// BP and SBP
 
-// bpState is one per-solve BP workspace: a clone of the shared
-// directed-edge layout with private message buffers, plus the
-// layout-order permutation scratch.
-type bpState struct {
-	eng          *bp.Engine
-	eperm, dperm *beliefs.Residual // layout-order scratch (nil without perm)
+// graphState is one per-solve BP or SBP workspace: a clone of the
+// epoch's BP engine (sharing its directed-edge layout, owning its
+// message buffers) or a private SBP runner (each caches its own
+// geodesic ordering), plus layout-order scratch for the explicit rows
+// and the beliefs (nil under the identity map, where the caller's
+// matrices serve as they stand).
+type graphState struct {
+	bp       *bp.Engine
+	sbp      *sbp.Runner
+	ein, out *beliefs.Residual
 }
 
-// bpSolver serves standard loopy BP through pooled clones of one
-// prepared bp.Engine: the directed-edge layout is built once and
-// shared read-only; message buffers live in the pooled states.
-// Explicit residuals too large to be valid priors are rescaled per
-// solve (bpSafeScale; Lemma 12 keeps the classification). Under a
-// reordered layout the engines run on the relabeled graph with scratch
-// belief matrices carrying the permutation in and out.
-type bpSolver struct {
+// graphSolver serves the message-passing methods, BP and SBP, on the
+// epoch's layout-order row-block table: the table the kernel methods
+// serve from and Update commits. BP passes one message pair per
+// adjacent pair of the table (parallel edges collapse, as they do in
+// the adjacency) and rescales explicit residuals too large to be valid
+// priors per solve (bpSafeScale; Lemma 12 keeps the classification).
+// SBP is εH-invariant and runs on the unscaled Hˆo; each runner reuses
+// its geodesic ordering across solves with an unchanged explicit node
+// set, and Solve reports the caller-order geodesic numbers in
+// Result.Geodesics. The row map carries belief rows between caller and
+// layout order.
+type graphSolver struct {
 	solverBase
-	perm   order.Permutation
-	states *statePool[*bpState]
+	states *statePool[*graphState]
 }
 
-func newBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*bpSolver, error) {
-	return newBPSolverOn(p.Graph, p.Ho, base, cfg, perm)
-}
-
-// newBPSolverOn builds the snapshot on an explicit caller-order graph —
-// the rebuild entry point of the dynamic plane (which passes a private
-// clone so later updates never race the snapshot's readers).
-func newBPSolverOn(cg *graph.Graph, ho *dense.Matrix, base solverInfo, cfg config, perm order.Permutation) (*bpSolver, error) {
-	h := coupling.Uncenter(coupling.Scale(ho, base.eps))
-	g := cg
-	if perm != nil {
-		g = g.Permute(perm)
+// newGraphSolver builds the BP or SBP snapshot (base.method) on the
+// layout table rows, laid out under perm.
+func newGraphSolver(rows *sparse.RowBlocks, ho *dense.Matrix, base solverInfo, cfg config, perm order.Permutation) (*graphSolver, error) {
+	s := &graphSolver{}
+	s.solverInfo, s.rows = base, rows
+	s.rm = rowMap{perm: perm, n: base.n, k: base.k, w: base.k}
+	var proto *bp.Engine
+	if base.method == MethodBP {
+		// proto carries the shared directed-edge layout; every pooled
+		// state clones it, so concurrent pool misses never touch shared
+		// mutable state.
+		var err error
+		h := coupling.Uncenter(coupling.Scale(ho, base.eps))
+		if proto, err = bp.NewEngine(rows, h, bp.Options{MaxIter: cfg.maxIter, Tol: cfg.tol}); err != nil {
+			return nil, err
+		}
 	}
-	// proto carries the shared directed-edge layout; every pooled state
-	// clones it (sharing the layout, owning its message buffers), so
-	// concurrent pool misses never touch shared mutable state.
-	proto, err := bp.NewEngine(g, h, bp.Options{MaxIter: cfg.maxIter, Tol: cfg.tol})
-	if err != nil {
-		return nil, err
-	}
-	s := &bpSolver{perm: perm}
-	s.solverInfo = base
-	s.states = newStatePool(func() (*bpState, error) {
-		st := &bpState{eng: proto.Clone()}
-		if s.perm != nil {
-			st.eperm = beliefs.New(s.n, s.k)
-			st.dperm = beliefs.New(s.n, s.k)
+	s.states = newStatePool(func() (*graphState, error) {
+		st := &graphState{}
+		if proto != nil {
+			st.bp = proto.Clone()
+		} else {
+			var err error
+			if st.sbp, err = sbp.NewRunner(rows, ho); err != nil {
+				return nil, err
+			}
+		}
+		if !s.rm.identity() {
+			st.ein, st.out = beliefs.New(s.n, s.k), beliefs.New(s.n, s.k)
 		}
 		return st, nil
 	})
-	st, err := s.states.get()
-	if err != nil {
-		return nil, err
-	}
-	s.states.put(st)
 	return s, nil
 }
 
-func (s *bpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
+func (s *graphSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
 	if !s.begin() {
 		return nil, s.errClosed()
 	}
@@ -1613,11 +1619,19 @@ func (s *bpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, err
 		return nil, err
 	}
 	s.solves.Add(1)
-	info, err := s.solveInto(ctx, dst, e)
-	return s.finish(dst, info, err)
+	var geo []int
+	if s.method == MethodSBP {
+		geo = make([]int, s.n)
+	}
+	info, err := s.solveInto(ctx, dst, e, geo)
+	res, err := s.finish(dst, info, err)
+	if res != nil {
+		res.Geodesics = geo
+	}
+	return res, err
 }
 
-func (s *bpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+func (s *graphSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
 	if !s.begin() {
 		return SolveInfo{}, s.errClosed()
 	}
@@ -1626,10 +1640,13 @@ func (s *bpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (Sol
 		return SolveInfo{}, err
 	}
 	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
+	return s.solveInto(ctx, dst, e, nil)
 }
 
-func (s *bpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+// solveInto runs one counted-elsewhere solve on a pooled state; for SBP
+// a non-nil geo receives the caller-order geodesic numbers. The caller
+// holds the read lock and has validated the shapes.
+func (s *graphSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual, geo []int) (SolveInfo, error) {
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
@@ -1638,164 +1655,39 @@ func (s *bpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (Sol
 		return SolveInfo{}, err
 	}
 	defer s.states.put(st)
-	scale := bpSafeScale(e) // row shuffles keep MaxAbs, so original e is fine
-	var iters int
-	var delta float64
-	var converged bool
-	if s.perm == nil {
-		iters, delta, converged, err = st.eng.SolveInto(ctx, dst, e, scale)
+	out, ein := dst, e
+	if st.ein != nil {
+		s.rm.in(st.ein.Matrix().Data(), e.Matrix().Data(), 1, 0)
+		out, ein = st.out, st.ein
+	}
+	var info SolveInfo
+	if st.bp != nil {
+		// Row shuffles keep MaxAbs, so the caller's e gives the scale.
+		info.Iterations, info.Delta, info.Converged, err = st.bp.SolveInto(ctx, out, ein, bpSafeScale(e))
 	} else {
-		s.perm.ApplyRows(st.eperm.Matrix().Data(), e.Matrix().Data(), s.k)
-		iters, delta, converged, err = st.eng.SolveInto(ctx, st.dperm, st.eperm, scale)
-		s.perm.InvertRows(dst.Matrix().Data(), st.dperm.Matrix().Data(), s.k)
-	}
-	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
-}
-
-func (s *bpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	if !s.begin() {
-		return failAll(reqs, s.errClosed())
-	}
-	defer s.end()
-	return s.sequentialBatch(ctx, reqs, s.solveInto)
-}
-
-func (s *bpSolver) Close() error { return s.closeOnce(nil) }
-
-// ---------------------------------------------------------------------------
-// SBP
-
-// sbpState is one per-solve SBP workspace: a private Runner (each
-// caches its own geodesic ordering) plus permutation scratch.
-type sbpState struct {
-	runner       *sbp.Runner
-	eperm, dperm *beliefs.Residual // layout-order scratch (nil without perm)
-}
-
-// sbpSolver serves single-pass BP. Solve materializes a full
-// incremental State (the legacy contract — Result.SBP supports
-// AddExplicitBeliefs/AddEdges); that State aliases the problem's
-// graph, so its mutators fall outside the solver's concurrency
-// guarantee (see the Solver doc). SolveInto and SolveBatch use pooled
-// prepared Runners, each reusing its geodesic ordering across solves
-// with an unchanged explicit node set. SBP is εH-invariant, so the
-// unscaled Hˆo is used throughout. Under a reordered layout the
-// Runners work on the relabeled graph (the incremental Solve path
-// keeps the caller's graph — its State exposes node ids).
-type sbpSolver struct {
-	solverBase
-	g      *graph.Graph // caller-order graph (legacy Solve path)
-	pg     *graph.Graph // layout-ordered graph the runners serve on
-	ho     *dense.Matrix
-	perm   order.Permutation
-	states *statePool[*sbpState]
-}
-
-func newSBPSolver(p *Problem, base solverInfo, perm order.Permutation) (*sbpSolver, error) {
-	return newSBPSolverOn(p.Graph, p.Ho, base, perm)
-}
-
-// newSBPSolverOn builds the snapshot on an explicit caller-order graph
-// (the dynamic plane passes a private clone per epoch).
-func newSBPSolverOn(cg *graph.Graph, ho *dense.Matrix, base solverInfo, perm order.Permutation) (*sbpSolver, error) {
-	g := cg
-	if perm != nil {
-		g = g.Permute(perm)
-	}
-	s := &sbpSolver{g: cg, pg: g, ho: ho, perm: perm}
-	s.solverInfo = base
-	if cg.N() > 0 {
-		// Warm the caller-order graph's lazy neighbor index while
-		// preparation is single-goroutine; concurrent legacy Solves
-		// then only read it. (NewRunner warms the layout-order graph.)
-		cg.Degree(0)
-	}
-	s.states = newStatePool(func() (*sbpState, error) {
-		runner, err := sbp.NewRunner(s.pg, s.ho)
-		if err != nil {
-			return nil, err
-		}
-		st := &sbpState{runner: runner}
-		if s.perm != nil {
-			st.eperm = beliefs.New(s.n, s.k)
-			st.dperm = beliefs.New(s.n, s.k)
-		}
-		return st, nil
-	})
-	st, err := s.states.get()
-	if err != nil {
-		return nil, err
-	}
-	s.states.put(st)
-	return s, nil
-}
-
-func (s *sbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	if !s.begin() {
-		return nil, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(e, e); err != nil {
-		return nil, err
-	}
-	s.solves.Add(1)
-	if err := s.admitCtx(ctx); err != nil {
-		return nil, err
-	}
-	st, err := sbp.RunContext(ctx, s.g, e, s.ho)
-	if err != nil {
-		s.cancelled.Add(1)
-		return nil, fmt.Errorf("core: %v solve: %w", s.method, err)
-	}
-	res := &Result{Method: s.method, Beliefs: st.Beliefs(), SBP: st, Converged: true}
-	for _, g := range st.Geodesics() {
-		if g > res.Iterations {
-			res.Iterations = g
+		info.Iterations, err = st.sbp.SolveInto(ctx, out, ein)
+		info.Converged = err == nil
+		if err == nil {
+			layout := st.sbp.Geodesics()
+			for i := range geo {
+				geo[i] = layout[s.rm.at(i)]
+			}
 		}
 	}
-	s.iterations.Add(int64(res.Iterations))
-	return res, nil
-}
-
-func (s *sbpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
+	if st.out != nil {
+		s.rm.out(dst.Matrix().Data(), st.out.Matrix().Data(), 1, 0)
 	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
-}
-
-func (s *sbpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	st, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(st)
-	var levels int
-	if s.perm == nil {
-		levels, err = st.runner.SolveInto(ctx, dst, e)
-	} else {
-		s.perm.ApplyRows(st.eperm.Matrix().Data(), e.Matrix().Data(), s.k)
-		levels, err = st.runner.SolveInto(ctx, st.dperm, st.eperm)
-		s.perm.InvertRows(dst.Matrix().Data(), st.dperm.Matrix().Data(), s.k)
-	}
-	info := SolveInfo{Iterations: levels, Converged: err == nil}
 	return s.record(info, err)
 }
 
-func (s *sbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
+func (s *graphSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
 	if !s.begin() {
 		return failAll(reqs, s.errClosed())
 	}
 	defer s.end()
-	return s.sequentialBatch(ctx, reqs, s.solveInto)
+	return s.sequentialBatch(ctx, reqs, func(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
+		return s.solveInto(ctx, dst, e, nil)
+	})
 }
 
-func (s *sbpSolver) Close() error { return s.closeOnce(nil) }
+func (s *graphSolver) Close() error { return s.closeOnce(nil) }

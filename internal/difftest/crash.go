@@ -87,9 +87,11 @@ func crashScenarios() []crashScenario {
 			},
 		},
 		{
-			// Same, for the graph-order snapshot family (BP stores the
-			// caller-order adjacency, not the kernel layout).
-			name: "clean-close-graph-order", method: core.MethodBP, policy: noCompact, sync: syncAlways(),
+			// Same, for a message-passing method: BP commits and
+			// checkpoints the layout table the kernel methods use.
+			// (core's TestOpenGraphOrderImage pins the reader of the
+			// caller-order images BP and SBP wrote before.)
+			name: "clean-close-bp", method: core.MethodBP, policy: noCompact, sync: syncAlways(),
 			run: func(t testing.TB, fs *durable.MemFS, s core.Solver, stream []DynamicBatch, n, k int) crashOutcome {
 				applyBatches(t, s, stream, n, k)
 				if err := s.Close(); err != nil {

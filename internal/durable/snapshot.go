@@ -106,8 +106,10 @@ type Snapshot struct {
 	WALSeq     uint64 // updates already reflected in this snapshot
 	BandBefore int
 	BandAfter  int
-	// GraphOrder marks the CSR as the caller-order adjacency (message-
-	// passing methods) rather than the layout-ordered kernel matrix.
+	// GraphOrder marks the CSR as the caller-order adjacency rather than
+	// the layout-ordered matrix. BP and SBP checkpoints were written so
+	// until those methods served from the layout table; readers still
+	// accept such images.
 	GraphOrder bool
 
 	Perm       []int // nil when no reordering was applied

@@ -192,16 +192,31 @@ const Unreachable = -1
 
 // GeodesicNumbers returns, for every node, the length of the shortest
 // path to any seed node (Definition 14). Seeds get 0; nodes in components
-// without seeds get Unreachable.
+// without seeds get Unreachable. It is GeodesicRows on the graph's
+// adjacency, and panics when that does not fit the table's int32 index
+// (2^31 − 1 stored entries).
 func (g *Graph) GeodesicNumbers(seeds []int) []int {
-	dist := make([]int, g.n)
+	a, err := sparse.NewRowBlocks(g.Adjacency(), nil)
+	if err != nil {
+		panic(fmt.Sprintf("graph: %v", err))
+	}
+	return GeodesicRows(a, seeds)
+}
+
+// GeodesicRows is the geodesic BFS of Definition 14 over an adjacency
+// table: row u's stored columns are u's neighbors. Seeds get 0, nodes
+// with no path to a seed Unreachable. It panics on an out-of-range
+// seed.
+func GeodesicRows(a *sparse.RowBlocks, seeds []int) []int {
+	n := a.Rows()
+	dist := make([]int, n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
 	queue := make([]int, 0, len(seeds))
 	for _, s := range seeds {
-		if s < 0 || s >= g.n {
-			panic(fmt.Sprintf("graph: seed %d out of range n=%d", s, g.n))
+		if s < 0 || s >= n {
+			panic(fmt.Sprintf("graph: seed %d out of range n=%d", s, n))
 		}
 		if dist[s] == 0 {
 			continue // duplicate seed
@@ -209,14 +224,14 @@ func (g *Graph) GeodesicNumbers(seeds []int) []int {
 		dist[s] = 0
 		queue = append(queue, s)
 	}
-	g.buildNbr()
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, h := range g.nbr[u] {
-			if dist[h.to] == Unreachable {
-				dist[h.to] = dist[u] + 1
-				queue = append(queue, h.to)
+		cols, _ := a.RowViewCompact(u)
+		for _, j := range cols {
+			if v := int(j); dist[v] == Unreachable {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
 			}
 		}
 	}

@@ -190,6 +190,7 @@ type Engine struct {
 	spans   []span
 	work    chan span
 	results chan float64
+	exited  sync.WaitGroup // the span pool's workers, joined by Close
 	started bool
 	closed  bool
 }
@@ -525,6 +526,7 @@ func (e *Engine) startWorkers() {
 	e.spans = append(e.spans, span{lo, e.n})
 	e.work = make(chan span, len(e.spans))
 	e.results = make(chan float64, len(e.spans))
+	e.exited.Add(e.workers)
 	for w := 0; w < e.workers; w++ {
 		go e.worker(e.ws.scratch[w*stride : (w+1)*stride])
 	}
@@ -536,14 +538,16 @@ func (e *Engine) worker(scratch []float64) {
 	for s := range e.work {
 		e.results <- e.rows(s.lo, s.hi, scratch)
 	}
+	e.exited.Done()
 }
 
-// Close stops the worker pool. The engine must not be used afterwards;
-// a workspace obtained from GetWorkspace may be Released only after
-// Close returns.
+// Close stops the worker pool and waits for its goroutines to exit. The
+// engine must not be used afterwards; a workspace obtained from
+// GetWorkspace may be Released only after Close returns.
 func (e *Engine) Close() {
 	if e.started && !e.closed {
 		close(e.work)
+		e.exited.Wait()
 	}
 	e.closed = true
 }

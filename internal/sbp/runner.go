@@ -8,20 +8,22 @@ import (
 	"repro/internal/dense"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
-// Runner is a prepared SBP solver for one fixed graph and coupling. It
-// is the serving-path counterpart of State: instead of materializing an
-// incremental state per solve it writes the single-pass beliefs into a
-// caller-provided matrix, and it caches the geodesic ordering (the BFS
-// levels of Definition 14) across solves. When consecutive requests
-// share the same explicit node set — the common serving workload where
-// fixed sources send fresh evidence values — the ordering is reused and
-// a solve is just the level-synchronous aggregation sweep.
+// Runner is a prepared SBP solver for one fixed adjacency table and
+// coupling. It is the serving-path counterpart of State: instead of
+// materializing an incremental state per solve it writes the
+// single-pass beliefs into a caller-provided matrix, and it caches the
+// geodesic ordering (the BFS levels of Definition 14) across solves.
+// When consecutive requests share the same explicit node set — the
+// common serving workload where fixed sources send fresh evidence
+// values — the ordering is reused and a solve is just the
+// level-synchronous aggregation sweep.
 //
 // A Runner is not safe for concurrent use.
 type Runner struct {
-	g *graph.Graph
+	a *sparse.RowBlocks
 	h *dense.Matrix
 
 	nodes  []int   // explicit node set the cached ordering belongs to
@@ -33,18 +35,15 @@ type Runner struct {
 	acc []float64 // shared aggregation scratch (k wide)
 }
 
-// NewRunner validates the coupling shape and prepares the runner. The
-// graph's neighbor index is built eagerly so the first solve does not
-// pay for it.
-func NewRunner(g *graph.Graph, h *dense.Matrix) (*Runner, error) {
+// NewRunner validates the coupling shape and prepares the runner on the
+// adjacency table a (row t's stored entries are t's neighbors with their
+// accumulated edge weights). a is only read, so runners may share it.
+func NewRunner(a *sparse.RowBlocks, h *dense.Matrix) (*Runner, error) {
 	k := h.Rows()
 	if h.Cols() != k {
 		return nil, fmt.Errorf("sbp: coupling matrix %dx%d is not square: %w", h.Rows(), h.Cols(), errs.ErrDimensionMismatch)
 	}
-	if g.N() > 0 {
-		g.Degree(0) // warm the neighbor index
-	}
-	return &Runner{g: g, h: h, acc: make([]float64, k)}, nil
+	return &Runner{a: a, h: h, acc: make([]float64, k)}, nil
 }
 
 // SolveInto runs the single-pass assignment for the explicit residual
@@ -54,7 +53,7 @@ func NewRunner(g *graph.Graph, h *dense.Matrix) (*Runner, error) {
 // ctx is checked after every level. The geodesic ordering is recomputed
 // only when e's explicit node set differs from the previous solve's.
 func (r *Runner) SolveInto(ctx context.Context, dst *beliefs.Residual, e *beliefs.Residual) (levels int, err error) {
-	n, k := r.g.N(), r.h.Rows()
+	n, k := r.a.Rows(), r.h.Rows()
 	if e.N() != n || e.K() != k {
 		return 0, fmt.Errorf("sbp: belief matrix %dx%d does not match n=%d k=%d: %w", e.N(), e.K(), n, k, errs.ErrDimensionMismatch)
 	}
@@ -100,15 +99,17 @@ func (r *Runner) aggregate(dst *beliefs.Residual, t, level int) {
 	for c := range acc {
 		acc[c] = 0
 	}
-	r.g.Neighbors(t, func(s int, w float64) {
+	cols, vals := r.a.RowViewCompact(t)
+	for p, j := range cols {
+		s := int(j)
 		if r.geo[s] != level-1 {
-			return
+			continue
 		}
-		bs := dst.Row(s)
+		bs, w := dst.Row(s), vals[p]
 		for c := 0; c < k; c++ {
 			acc[c] += w * bs[c]
 		}
-	})
+	}
 	row := dst.Row(t)
 	for c := 0; c < k; c++ {
 		var v float64
@@ -119,10 +120,15 @@ func (r *Runner) aggregate(dst *beliefs.Residual, t, level int) {
 	}
 }
 
+// Geodesics returns the geodesic numbers of the last solve's explicit
+// node set, graph.Unreachable for nodes with no path to one (aliased:
+// valid until the next solve with another explicit node set).
+func (r *Runner) Geodesics() []int { return r.geo }
+
 // reindex rebuilds the cached geodesic ordering for a new explicit set.
 func (r *Runner) reindex(nodes []int) {
 	r.nodes = append(r.nodes[:0], nodes...)
-	r.geo = r.g.GeodesicNumbers(nodes)
+	r.geo = graph.GeodesicRows(r.a, nodes)
 	r.maxGeo = 0
 	for _, gv := range r.geo {
 		if gv > r.maxGeo {

@@ -13,7 +13,6 @@
 package sbp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/beliefs"
@@ -42,14 +41,7 @@ type State struct {
 // Because SBP's standardized output is scale-invariant in εH
 // (Section 6.2), h is typically the unscaled Hˆo.
 func Run(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix) (*State, error) {
-	return runInstrumented(context.Background(), g, e, h, nil)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked after
-// every geodesic level (SBP's analogue of an iteration round), and on
-// cancellation the partial state is discarded and ctx.Err() returned.
-func RunContext(ctx context.Context, g *graph.Graph, e *beliefs.Residual, h *dense.Matrix) (*State, error) {
-	return runInstrumented(ctx, g, e, h, nil)
+	return RunInstrumented(g, e, h, nil)
 }
 
 // RunInstrumented is Run with a per-level callback: after each geodesic
@@ -57,11 +49,6 @@ func RunContext(ctx context.Context, g *graph.Graph, e *beliefs.Residual, h *den
 // nodes it contained. Used by the Fig. 7d experiment to time SBP's
 // per-"iteration" work against LinBP's.
 func RunInstrumented(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix,
-	onLevel func(level, nodes int)) (*State, error) {
-	return runInstrumented(context.Background(), g, e, h, onLevel)
-}
-
-func runInstrumented(ctx context.Context, g *graph.Graph, e *beliefs.Residual, h *dense.Matrix,
 	onLevel func(level, nodes int)) (*State, error) {
 	n, k := g.N(), h.Rows()
 	if h.Cols() != k {
@@ -87,18 +74,7 @@ func runInstrumented(ctx context.Context, g *graph.Graph, e *beliefs.Residual, h
 			maxGeo = gv
 		}
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	for level := 1; level <= maxGeo; level++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
 		nodes := 0
 		for t := 0; t < n; t++ {
 			if st.geo[t] != level {

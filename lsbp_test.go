@@ -233,7 +233,7 @@ func TestIncrementalLinBPFacade(t *testing.T) {
 	e, _ := lsbp.SeedBeliefs(40, 3, lsbp.SeedConfig{Fraction: 0.1, Seed: 1})
 	ho, _ := lsbp.NewCouplingFromStochastic(lsbp.Fig1c())
 	p := &lsbp.Problem{Graph: g, Explicit: e, Ho: ho, EpsilonH: 0.02}
-	s, err := lsbp.Prepare(p, lsbp.LinBP, lsbp.WithEchoCancellation(true), lsbp.WithMaxIter(500))
+	s, err := lsbp.Prepare(p, lsbp.LinBP, lsbp.WithMaxIter(500))
 	if err != nil {
 		t.Fatal(err)
 	}

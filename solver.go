@@ -13,14 +13,15 @@ import (
 // context cancellation at round boundaries.
 //
 // Solvers are epoch-versioned: Update absorbs edge/belief streams
-// (inserts, deletes, relabels) without re-preparing from scratch. For
-// the kernel-backed methods a committed topology update copies only
-// the row blocks it edits (a copy-on-write adjacency reusing the
-// prepare-time reordering), moves the previous epoch's
-// engines over, and swaps the new snapshot in RCU-style — in-flight
-// solves drain on the old snapshot, new solves land on the new one —
-// then re-solves in place on the maintained fixpoint, warm-started
-// (fewer iterations after small deltas, same unique answer). When the
+// (inserts, deletes, relabels) without re-preparing from scratch. A
+// committed topology update copies only the row blocks it edits (a
+// copy-on-write adjacency reusing the prepare-time reordering, shared
+// by all five methods) and swaps the new snapshot in RCU-style —
+// in-flight solves drain on the old snapshot, new solves land on the
+// new one. The kernel-backed methods move the previous epoch's engines
+// over and re-solve in place on the maintained fixpoint, warm-started
+// (fewer iterations after small deltas, same unique answer); BP and SBP
+// re-solve cold on the committed table. When the
 // cells that differ from the compaction base outgrow
 // WithUpdatePolicy's threshold the commit replays the reordering on
 // the current graph. Stats reports
@@ -31,10 +32,7 @@ import (
 // workspaces are recycled through per-epoch pools so the SolveInto
 // path stays allocation-free in steady state, Stats is race-free, and
 // Close is idempotent (later solves fail with ErrClosed) and drains
-// in-flight solves and a pending update. The one carve-out is the
-// incremental SBP state returned by Solve on an SBP solver
-// (Result.SBP): it shares the epoch's graph, so prefer Update, which
-// keeps the solver and graph consistent.
+// in-flight solves and a pending update.
 //
 //	s, err := lsbp.PrepareLinBP(p, lsbp.WithWorkers(4))
 //	if err != nil { ... }
@@ -113,15 +111,16 @@ func PrepareBP(p *Problem, opts ...Option) (Solver, error) {
 }
 
 // PrepareLinBP prepares a LinBP solver (Eq. 4, echo cancellation on);
-// combine with WithEchoCancellation(false) for LinBP*.
+// Prepare with LinBPStar selects LinBP* (Eq. 5, without it).
 func PrepareLinBP(p *Problem, opts ...Option) (Solver, error) {
 	return core.Prepare(p, core.MethodLinBP, opts...)
 }
 
-// PrepareSBP prepares a single-pass BP solver (Section 6). Its
-// SolveInto/SolveBatch path caches the geodesic ordering across solves
-// with an unchanged explicit node set; Solve materializes the full
-// incremental state in Result.SBP.
+// PrepareSBP prepares a single-pass BP solver (Section 6). It caches
+// the geodesic ordering across solves with an unchanged explicit node
+// set; Solve and Update also return the caller-order geodesic numbers
+// in Result.Geodesics. RunSBP materializes the incremental state of
+// Algorithms 3–4.
 func PrepareSBP(p *Problem, opts ...Option) (Solver, error) {
 	return core.Prepare(p, core.MethodSBP, opts...)
 }
@@ -145,9 +144,6 @@ func WithMaxIter(n int) Option { return core.WithMaxIter(n) }
 // WithTol sets the convergence tolerance (0 = method default; negative
 // forces exactly MaxIter rounds, the paper's timing setup).
 func WithTol(tol float64) Option { return core.WithTol(tol) }
-
-// WithEchoCancellation selects LinBP (true) or LinBP* (false).
-func WithEchoCancellation(on bool) Option { return core.WithEchoCancellation(on) }
 
 // Reordering selects the prepare-time graph layout strategy of the
 // locality optimizer; see WithReordering.
