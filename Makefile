@@ -31,11 +31,15 @@
 #                   and on a connected random graph of its size, plus
 #                   the shared-Solver concurrency rows, archived into
 #                   BENCH_results.json
-#   make bench-update - the dynamic-plane benchmark on the same large
-#                   Kronecker graph: Update round-trip (overlay commit +
-#                   epoch swap + re-solve) warm vs cold, plus the
-#                   belief-only and single-edge commit throughput,
-#                   archived into BENCH_results.json
+#   make bench-update - the dynamic-plane benchmarks (every
+#                   BenchmarkUpdate*) on the same large Kronecker graph:
+#                   Update round-trip (copy-on-write commit + epoch swap
+#                   + warm re-solve) against the cold solve of the
+#                   epoch, the belief-only and single-edge commit
+#                   throughput, BP's and SBP's Update, and
+#                   BenchmarkUpdateBesideSolves (a topology Update alone
+#                   and beside a looping SolveInto, power 10), archived
+#                   into BENCH_results.json
 #   make bench-residual - the residual-schedule benchmark on the same
 #                   large Kronecker graph: Update absorbing a <=0.1%
 #                   edge delta under the rounds vs residual vs auto

@@ -1,16 +1,18 @@
 // Benchmarks for the dynamic-graph serving plane: absorbing an edge
-// delta through Solver.Update (copy-on-write commit + snapshot swap + warm
-// re-solve) against the cold-restart alternative, on the large
-// Kronecker regime. `make bench-update` archives these into
-// BENCH_results.json; the acceptance bar is that the warm-started
-// re-solve after a ≤1% edge delta takes measurably fewer iterations
-// (and less wall time) than the cold solve of the same epoch.
+// delta through Solver.Update (copy-on-write commit + epoch swap + warm
+// re-solve) against the cold solve of the same epoch, on the large
+// Kronecker regime, and the commit beside concurrent solves.
+// `make bench-update` archives these into BENCH_results.json; the
+// acceptance bar is that the warm-started re-solve after a ≤1% edge
+// delta takes measurably fewer iterations (and less wall time) than the
+// cold solve of the same epoch.
 package lsbp_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -40,12 +42,15 @@ func updateBenchDelta(n, edges int, seed uint64) []graph.Edge {
 	return out
 }
 
-// BenchmarkUpdateWarmVsCold measures one full Update round trip — the
-// copy-on-write commit, the epoch swap, and the re-solve to tolerance — with
-// the warm start on and off. Each op alternates inserting and removing
-// the same delta batch, so the graph stays bounded
-// across b.N. iters/update reports the mean re-solve rounds: the
-// warm-started variant must need measurably fewer than the cold one.
+// BenchmarkUpdateWarmVsCold measures the warm Update round trip — the
+// copy-on-write commit, the epoch swap, and the warm re-solve to
+// tolerance — against the cold re-solve of the same epoch: a Solve of
+// the same explicit beliefs on the updated solver, which runs from
+// Bˆ = 0 (the cold side's Update runs untimed). Each op alternates
+// inserting and removing the same delta batch, so the graph stays
+// bounded across b.N. iters/update reports the mean re-solve rounds:
+// the warm-started variant must need measurably fewer than the cold
+// one.
 func BenchmarkUpdateWarmVsCold(b *testing.B) {
 	power := reorderBenchPower()
 	g := gen.Kronecker(power)
@@ -54,21 +59,19 @@ func BenchmarkUpdateWarmVsCold(b *testing.B) {
 	g.Adjacency()
 	g.WeightedDegrees()
 
-	for _, tc := range []struct {
-		name   string
-		policy core.UpdatePolicy
-	}{
-		{"warm", core.UpdatePolicy{}},
-		{"cold", core.UpdatePolicy{DisableWarmStart: true}},
-	} {
-		b.Run(fmt.Sprintf("%s/power%d_nodes%d_delta%d", tc.name, power, g.N(), len(delta)), func(b *testing.B) {
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(fmt.Sprintf("%s/power%d_nodes%d_delta%d", name, power, g.N(), len(delta)), func(b *testing.B) {
 			// Auto εH (half the exact Lemma 8 threshold, the paper's
 			// Section 7 recommendation) gives the realistic convergence
 			// regime ρ ≈ 0.5: cold solves take ~25–30 rounds to 1e-9, so
 			// the warm start has something real to save.
 			p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.001}
 			s, err := core.Prepare(p, core.MethodLinBP, core.WithAutoEpsilonH(),
-				core.WithMaxIter(200), core.WithTol(1e-9), core.WithUpdatePolicy(tc.policy))
+				core.WithMaxIter(200), core.WithTol(1e-9))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,13 +88,99 @@ func BenchmarkUpdateWarmVsCold(b *testing.B) {
 				if i%2 == 1 {
 					u = core.Update{RemoveEdges: delta}
 				}
+				if cold {
+					b.StopTimer()
+				}
 				res, err := s.Update(ctx, u)
 				if err != nil {
 					b.Fatal(err)
 				}
+				if cold {
+					b.StartTimer()
+					if res, err = s.Solve(ctx, e); err != nil {
+						b.Fatal(err)
+					}
+				}
 				iters += res.Iterations
 			}
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/update")
+		})
+	}
+}
+
+// besideBenchPower is the Kronecker power of BenchmarkUpdateBesideSolves
+// (59,049 nodes): a solve there takes tens of milliseconds, so a commit
+// that waited for one would show.
+const besideBenchPower = 10
+
+// BenchmarkUpdateBesideSolves measures a 16-edge topology Update with
+// the serving benchmark's solver settings (LinBP, k = 3, Fig. 6b Hˆo,
+// εH 0.01497919, tol 1e-12, MaxIter 200, ScheduleAuto, 5% seeds) alone
+// and beside one goroutine looping SolveInto on the same solver. Each
+// op alternately inserts and deletes the same edges; reportStages
+// splits the Updates into their stage clocks. An epoch publish waits
+// for no solve, so commit-ns/op beside the reader should stay near the
+// alone value: a commit that drained in-flight solves would add about
+// half a solve to it.
+func BenchmarkUpdateBesideSolves(b *testing.B) {
+	g := gen.Kronecker(besideBenchPower)
+	e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 1})
+	delta := residualBenchDelta(g.N(), 16, 7)
+	g.Adjacency()
+	g.WeightedDegrees()
+	p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.01497919}
+	for _, beside := range []bool{false, true} {
+		name := "alone"
+		if beside {
+			name = "beside_solveinto"
+		}
+		b.Run(fmt.Sprintf("%s/power%d_nodes%d", name, besideBenchPower, g.N()), func(b *testing.B) {
+			s, err := core.Prepare(p, core.MethodLinBP, core.WithTol(1e-12), core.WithMaxIter(200),
+				core.WithSchedule(core.ScheduleAuto))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			ctx := context.Background()
+			if _, err := s.Update(ctx, core.Update{}); err != nil {
+				b.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			if beside {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := beliefs.New(g.N(), 3)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := s.SolveInto(ctx, dst, e); err != nil && !errors.Is(err, core.ErrNotConverged) {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			pre := s.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := core.Update{AddEdges: delta}
+				if i%2 == 1 {
+					u = core.Update{RemoveEdges: delta}
+				}
+				if _, err := s.Update(ctx, u); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			reportStages(b, pre, s.Stats())
+			close(stop)
+			wg.Wait()
 		})
 	}
 }

@@ -85,34 +85,35 @@ func main() {
 	warmStartDemo(ctx, mg.Clone(), me, ho)
 }
 
-// warmStartDemo compares warm-started Update re-solves against cold
-// ones on the same deltas.
+// warmStartDemo compares a warm-started Update re-solve against a cold
+// solve of the same explicit beliefs on the updated solver.
 func warmStartDemo(ctx context.Context, g *lsbp.Graph, e *lsbp.Beliefs, ho *lsbp.Matrix) {
 	p := &lsbp.Problem{Graph: g, Explicit: e, Ho: ho, EpsilonH: 0.02}
 	delta := lsbp.Update{AddEdges: []lsbp.Edge{
 		{S: 5, T: 140, W: 1}, {S: 60, T: 61, W: 1}, {S: 17, T: 171, W: 1},
 	}}
-	iters := func(policy lsbp.UpdatePolicy) (initial, after int) {
-		s, err := lsbp.PrepareLinBP(p, lsbp.WithUpdatePolicy(policy), lsbp.WithTol(1e-10))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer s.Close()
-		r0, err := s.Update(ctx, lsbp.Update{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		r1, err := s.Update(ctx, delta)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r0.Iterations, r1.Iterations
+	s, err := lsbp.PrepareLinBP(p, lsbp.WithTol(1e-10))
+	if err != nil {
+		log.Fatal(err)
 	}
-	_, warm := iters(lsbp.UpdatePolicy{})
-	cold0, cold := iters(lsbp.UpdatePolicy{DisableWarmStart: true})
-	fmt.Printf("\nLinBP on the grown network: cold solve %d iterations;\n", cold0)
+	defer s.Close()
+	r0, err := s.Update(ctx, lsbp.Update{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	warm, err := s.Update(ctx, delta)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A Solve always starts from Bˆ = 0: the cold re-solve of the
+	// updated graph.
+	cold, err := s.Solve(ctx, e)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nLinBP on the grown network: cold solve %d iterations;\n", r0.Iterations)
 	fmt.Printf("after +%d edges: warm-started re-solve %d iterations vs %d cold (%.0f%% saved)\n",
-		len(delta.AddEdges), warm, cold, 100*(1-float64(warm)/float64(cold)))
+		len(delta.AddEdges), warm.Iterations, cold.Iterations, 100*(1-float64(warm.Iterations)/float64(cold.Iterations)))
 }
 
 // verify recomputes SBP from scratch on the mirrored graph and

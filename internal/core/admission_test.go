@@ -68,17 +68,18 @@ func TestExpiredContextRejectedBeforeKernel(t *testing.T) {
 // exactly once each, and drops them from the Close registry.
 func TestStatePoolBoundedAfterBurst(t *testing.T) {
 	built, destroyed := 0, 0
-	p := newStatePool(func() (*int, error) {
+	p := newStatePool(func(*epoch) (*int, error) {
 		built++
 		v := built
 		return &v, nil
-	}).withDestroy(func(*int) { destroyed++ })
+	}, func(*int, *epoch) bool { return true }).withDestroy(func(*int) { destroyed++ })
+	ep := &epoch{}
 	p.maxFree = 3
 
 	const burst = 20
 	out := make([]*int, burst)
 	for i := range out {
-		v, err := p.get()
+		v, err := p.get(ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestStatePoolBoundedAfterBurst(t *testing.T) {
 		t.Fatalf("built %d states for a burst of %d", built, burst)
 	}
 	for _, v := range out {
-		p.put(v)
+		p.put(v, ep)
 	}
 	if got := p.idle(); got != 3 {
 		t.Errorf("idle after burst = %d, want maxFree = 3", got)
@@ -116,7 +117,7 @@ func TestSolverPoolShrinksAfterBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	snap := s.(*dynSolver).cur.Load().snap.(*kernelSolver)
+	pool := s.(*dynSolver).plane.(*kernelSolver).chunks[0]
 
 	const burst = 4 * 16
 	var wg sync.WaitGroup
@@ -131,7 +132,7 @@ func TestSolverPoolShrinksAfterBurst(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, cap := snap.chunks[0].idle(), snap.chunks[0].maxFree; got > cap {
+	if got, cap := pool.idle(), pool.maxFree; got > cap {
 		t.Errorf("idle engines after burst = %d, want <= high-water cap %d", got, cap)
 	}
 }

@@ -266,7 +266,7 @@ func TestUpdatesServeCommittedTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := s.(*dynSolver)
-			if got := d.cur.Load().snap.base().rows; got != d.rows {
+			if got := d.cur.Load().rows; got != d.rows {
 				t.Errorf("%v/%v: the published epoch does not serve the committed table", m, r)
 			}
 			for _, e := range add {
@@ -283,11 +283,10 @@ func TestUpdatesServeCommittedTable(t *testing.T) {
 // serves the updates (ScheduleAuto), the rounds engine of the first
 // fixpoint is closed instead of returned to the Solve pool, and no later
 // epoch swap or compaction brings one back; when rounds serve the
-// steady updates (ScheduleRounds, or ScheduleAuto without warm starts)
-// the engine stays pooled.
+// steady updates (ScheduleRounds) the engine stays pooled.
 func TestResidualPlaneKeepsNoIdleRoundsEngine(t *testing.T) {
 	idle := func(s Solver) int {
-		return s.(*dynSolver).cur.Load().snap.(*kernelSolver).chunks[0].idle()
+		return s.(*dynSolver).plane.(*kernelSolver).chunks[0].idle()
 	}
 	ctx := context.Background()
 	for _, m := range []Method{MethodLinBP, MethodFABP} {
@@ -302,9 +301,8 @@ func TestResidualPlaneKeepsNoIdleRoundsEngine(t *testing.T) {
 		}{
 			{ScheduleAuto, UpdatePolicy{}, 0},
 			{ScheduleRounds, UpdatePolicy{}, 1},
-			{ScheduleAuto, UpdatePolicy{DisableWarmStart: true}, 1},
 		} {
-			name := fmt.Sprintf("%v/%v/cold=%v", m, tc.sched, tc.policy.DisableWarmStart)
+			name := fmt.Sprintf("%v/%v", m, tc.sched)
 			p := kronProblem(t, 4, k)
 			s, err := Prepare(p, m, WithSchedule(tc.sched), WithUpdatePolicy(tc.policy))
 			if err != nil {

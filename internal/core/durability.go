@@ -181,19 +181,20 @@ func (d *dynSolver) checkpointLocked() error {
 // written straight from its blocks (sparse.RowBlocks.CompactArrays), so
 // a checkpoint does not rebuild the int column index no table keeps.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
+	ep := d.cur.Load()
 	img := &durable.Snapshot{
 		Method:     uint32(d.method),
-		Ordering:   d.info.ordering.Code(),
+		Ordering:   ep.ordering.Code(),
 		N:          d.n,
 		K:          d.k,
-		EpsH:       d.eps,
+		EpsH:       ep.eps,
 		WALSeq:     seq,
-		BandBefore: d.info.bandBefore,
-		BandAfter:  d.info.bandAfter,
+		BandBefore: ep.bandBefore,
+		BandAfter:  ep.bandAfter,
 	}
 	img.RowPtr, img.ColIdx32, img.Vals = d.rows.CompactArrays()
-	if d.perm != nil {
-		img.Perm = []int(d.perm)
+	if ep.rm.perm != nil {
+		img.Perm = []int(ep.rm.perm)
 	}
 	img.HO = d.ho.Data()
 	exp := d.exp
@@ -287,7 +288,7 @@ func OpenFS(fsys durable.FS, dir string, opts ...Option) (Solver, error) {
 	if err := d.recoverLocked(snap); err != nil {
 		d.dur.close()
 		snap.Close() // idempotent if the recovery already owned it
-		d.cur.Load().snap.Close()
+		d.plane.closeAll()
 		return nil, err
 	}
 	return d, nil
@@ -306,12 +307,9 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	if err != nil {
 		return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
 	}
-	var cfg config
-	cfg.reorder = ordering
-	for _, o := range opts {
-		if o != nil {
-			o(&cfg)
-		}
+	cfg, err := newConfig(config{reorder: ordering}, opts)
+	if err != nil {
+		return nil, err
 	}
 	cfg.durFS, cfg.durDir = fsys, dir
 	if !cfg.durSet {
@@ -367,10 +365,8 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		return nil, fmt.Errorf("core: open: explicit beliefs: %v: %w", err, errs.ErrCorruptState)
 	}
 
-	info := solverInfo{
-		method: m, n: n, k: k, workers: cfg.workers, eps: snap.EpsH,
-		ordering: ordering, bandBefore: snap.BandBefore, bandAfter: snap.BandAfter,
-	}
+	info := newSolverInfo(m, n, k, snap.EpsH, cfg)
+	info.ordering, info.bandBefore, info.bandAfter = ordering, snap.BandBefore, snap.BandAfter
 	// Every method serves straight from the stored layout CSR: its
 	// epoch-0 row-block table aliases the (mapped) arrays. A graph-order
 	// image (BP and SBP checkpoints stored the caller-order adjacency
@@ -383,11 +379,14 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		}
 		relabel = perm
 	}
-	inner, err := newSnapshot(m, ho, info, cfg, a, relabel, perm)
+	ep, err := newEpoch(m, ho, info, cfg, a, relabel, perm)
 	if err != nil {
 		return nil, err
 	}
-	d := newDynSolver(m, cfg, ho, exp, inner)
+	d, err := newDynSolver(m, cfg, ho, exp, ep)
+	if err != nil {
+		return nil, err
+	}
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}
 	return d, nil
 }
@@ -432,8 +431,8 @@ func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 	d.updates.Store(int64(lastSeq))
 	if changed {
 		// One commit for the whole replayed suffix: per-record epochs
-		// would publish O(replayed) snapshots for no reader.
-		if err := d.swapSnapshotLocked(context.Background()); err != nil {
+		// would publish O(replayed) epochs for no reader.
+		if err := d.swapEpochLocked(context.Background()); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,8 @@
-// The epoch-versioned dynamic serving plane. Prepare wraps every
-// method's immutable prepared state (a snapshot) in a dynSolver, which
-// adds the Update path of the paper's incremental-maintenance story
-// (Section 8; SBP Algorithms 3–4) on top of the existing serving
-// surface. Every method serves from one adjacency:
+// The epoch-versioned dynamic serving plane. Prepare returns a
+// dynSolver, which serves every method's solves from the current epoch
+// and adds the Update path of the paper's incremental-maintenance story
+// (Section 8; SBP Algorithms 3–4) on top of the serving surface. Every
+// method serves from one adjacency:
 //
 //   - The adjacency is a copy-on-write row-block table
 //     (sparse.RowBlocks) in the prepare-time layout order. The epoch-0
@@ -11,31 +11,34 @@
 //     the values; a commit copies only the blocks holding edited rows
 //     plus the block table, recomputing just those rows' degrees — no
 //     merge, no reordering, and no caller-order graph mirror.
-//   - The snapshot swap is RCU-style: the current-epoch pointer is
-//     swapped atomically, solves already in flight drain on the old
-//     snapshot (its Close waits for them), and new solves land on the
-//     new one. A reader that loses the race — loads the old pointer
-//     just as it retires — observes the old snapshot's ErrClosed and
-//     transparently retries on the current epoch, so no caller ever
-//     sees a torn graph or a spurious closed error.
+//   - An epoch is a plain immutable value: the committed table, the row
+//     map, the method's operator and the Stats identity. One atomic
+//     store publishes it and never waits: a solve reads the current
+//     epoch once and finishes on it, new solves land on the new one,
+//     and an epoch no solve reads any more is garbage. The solver owns
+//     everything that outlives an epoch — one lifecycle (the read side
+//     of life is held by every solve; Close takes the write side), one
+//     set of lifetime counters, and one set of engine pools whose
+//     states are rebound to the epoch each solve reads.
 //   - When the cells that differ from the compaction base exceed
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
 //     compaction: a flat CSR is built from the table, and the
 //     reordering strategy and (under WithAutoEpsilonH) the εH
-//     derivation replay on it exactly as Prepare would.
+//     derivation replay on it exactly as Prepare would. The result is a
+//     new layout; the pools destroy the idle states of the old one.
 //
 // For the kernel-backed methods (LinBP, LinBP*, FABP) an Update costs
-// what it touches. The successor snapshot builds no engine: the
-// retiring epoch's idle engines are rebound to the new table and move
-// over. The maintained fixpoint lives once, in layout order, inside one
-// residual engine the dynSolver owns and rebinds to each epoch; the
-// rounds schedule warm-starts from the same state. A localized re-solve
-// seeds only the touched rows, and the Update ends with one
-// caller-order gather into a fresh result matrix.
+// what it touches. A plain commit builds no engine: the idle pooled
+// engines are rebound to the new table as it is published. The maintained
+// fixpoint lives once, in layout order, inside one residual engine the
+// dynSolver owns and rebinds to each epoch; the rounds schedule
+// warm-starts from the same state. A localized re-solve seeds only the
+// touched rows, and the Update ends with one caller-order gather into a
+// fresh result matrix.
 //
-// BP and SBP build their successor snapshot on the committed table (BP
-// lays out its directed edges again; SBP's runners are built on demand)
-// and re-solve cold.
+// BP and SBP re-solve cold on the committed table, on a state built for
+// it (BP lays out its directed edges again; SBP's runner caches a new
+// geodesic ordering).
 //
 // Convergence caveat: εH (including a WithAutoEpsilonH derivation) is
 // fixed between compactions. Edge insertions raise the spectral radius
@@ -54,12 +57,12 @@ import (
 	"time"
 
 	"repro/internal/beliefs"
+	"repro/internal/bp"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/kernel"
-	"repro/internal/order"
 	"repro/internal/sparse"
 )
 
@@ -70,7 +73,7 @@ import (
 type Update struct {
 	// AddEdges inserts undirected weighted edges (weights must be
 	// positive, endpoints within the prepared node range — the node set
-	// is fixed at preparation time).
+	// is fixed at preparation time; BP takes no self-loop).
 	AddEdges []graph.Edge
 	// RemoveEdges deletes all stored edges between each listed endpoint
 	// pair (parallel edges go together; weights are ignored and absent
@@ -96,10 +99,6 @@ type UpdatePolicy struct {
 	// small positive value forces a rebuild on every topology update
 	// (the differential tests use this), a huge one disables compaction.
 	CompactionRatio float64
-	// DisableWarmStart makes Update re-solve from the Bˆ = 0 cold start
-	// instead of the previous fixpoint (for benchmarking the warm-start
-	// payoff; the served answer is the same either way).
-	DisableWarmStart bool
 }
 
 // DefaultCompactionRatio is the default drift threshold: a quarter of
@@ -107,39 +106,56 @@ type UpdatePolicy struct {
 // is marginal; above it the O(nnz) relayout amortizes.
 const DefaultCompactionRatio = 0.25
 
-// WithUpdatePolicy sets the dynamic plane's compaction and warm-start
-// policy for Update; solvers that never see an Update ignore it.
+// WithUpdatePolicy sets the dynamic plane's compaction policy for
+// Update; solvers that never see an Update ignore it.
 func WithUpdatePolicy(p UpdatePolicy) Option { return func(c *config) { c.policy = p } }
 
-// epochState is one immutable serving epoch — the unit the RCU pointer
-// swaps.
-type epochState struct {
-	snap snapshot
+// epoch is one immutable serving epoch: the committed layout-order
+// table and what a solve reads with it. It owns nothing, so publishing
+// the next one waits for no solve.
+type epoch struct {
+	solverInfo
+	rows *sparse.RowBlocks
+	// rm maps caller rows to the table's layout rows.
+	rm rowMap
+	// layout numbers the compactions before this epoch. Epochs of one
+	// layout share the row map and the operator and differ only in
+	// their table, so an engine built for one serves any other once
+	// rebound.
+	layout int64
+	op     kernelOp      // the kernel methods' operator
+	h      *dense.Matrix // BP's uncentered Hˆ, SBP's Hˆo
 }
 
 // dynSolver is the epoch-versioned Solver every Prepare returns. The
-// read path (Solve/SolveInto/SolveBatch/Stats) costs one atomic load
-// over the wrapped snapshot; the update path serializes under mu.
+// read path (Solve/SolveInto/SolveBatch/Stats) costs one atomic load of
+// the current epoch; the update path serializes under mu.
 type dynSolver struct {
-	method Method
-	cfg    config
-	ho     *dense.Matrix
-	n, k   int
-	eps    float64
+	counters
+	cfg  config
+	ho   *dense.Matrix
+	n, k int
 
 	// cur is the published epoch; the epoch-atomics lint rule pins
 	// every touch to Load/Store/Swap/CompareAndSwap.
 	//
 	//lsbp:atomic
-	cur atomic.Pointer[epochState]
+	cur atomic.Pointer[epoch]
+
+	// life is the solver's one lifecycle: solves hold its read side for
+	// their whole duration, and Close takes the write side (after mu),
+	// so it waits for in-flight solves and flips closed exactly once.
+	// closed is written holding both locks, so either one reads it.
+	life   sync.RWMutex
+	closed bool
+	// plane holds the method's engine pools for the solver's life.
+	plane plane
 
 	// Everything below mu is the updater's private state: the
 	// maintained explicit beliefs (adopted on the first Update so purely
 	// static solvers pay nothing), the adjacency table, the kernel
-	// methods' maintained fixpoint, and the layout and compaction
-	// bookkeeping.
-	mu     sync.Mutex
-	closed bool
+	// methods' maintained fixpoint, and the compaction bookkeeping.
+	mu sync.Mutex
 	// srcExp is the prepared explicit beliefs, a private copy the first
 	// Update adopts as exp (nil from then on).
 	srcExp *beliefs.Residual
@@ -148,8 +164,6 @@ type dynSolver struct {
 	// current epoch's serving table, and the base of the next commit.
 	rows    *sparse.RowBlocks
 	kern    *kernelPlane // kernel methods only; nil until the first Update
-	perm    order.Permutation
-	info    solverInfo
 	baseNNZ int
 
 	// pendingSwap records a committed-but-unswapped table (the Update's
@@ -179,7 +193,7 @@ type dynSolver struct {
 	// WithDurability.
 	dur *durability
 
-	// Stats counters, read without mu by Stats(). The stage clocks
+	// Update counters, read without mu by Stats(). The stage clocks
 	// accumulate Update's validate (batch checks + first-Update state
 	// set-up), WAL append, commit (apply + table commit + epoch swap),
 	// re-solve, and publish (result gather) time; rowsCommitted counts
@@ -197,14 +211,11 @@ type dynSolver struct {
 	//
 	//lsbp:atomic
 	degraded atomic.Bool
-
-	statsMu sync.Mutex
-	retired SolverStats // folded counters of retired epochs
 }
 
 // kernelPlane is the kernel methods' maintained state, in layout order.
 type kernelPlane struct {
-	// fix holds the maintained fixpoint (n×w beliefs, in the snapshot
+	// fix holds the maintained fixpoint (n×w beliefs, in the epoch
 	// operator's layout) and runs the residual re-solves; hasFix reports
 	// that it holds a solve's iterate.
 	fix    *kernel.ResidualEngine
@@ -213,11 +224,10 @@ type kernelPlane struct {
 	// non-rounds schedule with a convergence tolerance).
 	residual bool
 	// keepRounds reports that rounds serve the steady re-solves, so the
-	// rounds engine stays in the snapshot's Solve pool between them.
-	// Otherwise the rounds solves left to the dynamic plane (the first
-	// fixpoint, a re-solve after a cancelled swap or a non-converged
-	// one) close their engine, and a compaction closes the one its new
-	// snapshot validated: no idle n×k engine is kept for them.
+	// rounds engine stays in the Solve pool between them. Otherwise the
+	// rounds solves left to the dynamic plane (the first fixpoint, a
+	// re-solve after a cancelled swap or a non-converged one) close
+	// their engine: no idle n×k engine is kept for them.
 	keepRounds bool
 	maxRelax   int
 	// rm maps caller rows to the layout rows of fix and exp.
@@ -228,17 +238,24 @@ type kernelPlane struct {
 	tl []int32
 }
 
-// newDynSolver wraps the freshly prepared (or recovered) snapshot. The
-// layout is lifted off the snapshot so updates commit its table without
-// re-deriving anything from the problem. ho and exp must be private
-// copies: the solver keeps them by reference.
-func newDynSolver(m Method, cfg config, ho *dense.Matrix, exp *beliefs.Residual, inner snapshot) *dynSolver {
-	b := inner.base()
-	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcExp: exp,
-		info: b.solverInfo, perm: b.rm.perm, rows: b.rows}
-	d.n, d.k, d.eps = d.info.n, d.info.k, d.info.eps
-	d.cur.Store(&epochState{snap: inner})
-	return d
+// newDynSolver builds the solver that serves ep, the first epoch of a
+// prepared (or recovered) layout: it creates the method's pools and
+// builds one state on ep, so a bad configuration fails here. ho and exp
+// must be private copies: the solver keeps them by reference.
+func newDynSolver(m Method, cfg config, ho *dense.Matrix, exp *beliefs.Residual, ep *epoch) (*dynSolver, error) {
+	d := &dynSolver{counters: counters{method: m}, cfg: cfg, ho: ho, srcExp: exp,
+		n: ep.n, k: ep.k, rows: ep.rows}
+	if kernelMethod(m) {
+		d.plane = newKernelSolver(&d.counters, ep)
+	} else {
+		d.plane = newGraphSolver(&d.counters, bp.Options{MaxIter: cfg.maxIter, Tol: cfg.tol})
+	}
+	if err := d.plane.prime(ep); err != nil {
+		d.plane.closeAll()
+		return nil, err
+	}
+	d.cur.Store(ep)
+	return d, nil
 }
 
 // kernelMethod reports whether method m runs on the fused kernel (and
@@ -247,143 +264,132 @@ func kernelMethod(m Method) bool {
 	return m == MethodLinBP || m == MethodLinBPStar || m == MethodFABP
 }
 
-// Solve, SolveInto, and SolveBatch delegate to the current epoch's
-// snapshot. The retry handles the RCU race: a snapshot that retired
-// between the pointer load and the solve's lock acquisition answers
-// ErrClosed, and as long as the epoch pointer has moved on the call
-// simply re-lands on the current snapshot. When the pointer has not
-// moved the ErrClosed is real (the solver itself was closed).
+// begin enters one solve: it takes the read side of life and rejects a
+// closed solver. Every solve entry point pairs it with end; nested
+// begin calls are forbidden (recursive read locks can deadlock against
+// a pending Close).
+//
+//lsbp:hotpath
+func (d *dynSolver) begin() bool {
+	d.life.RLock()
+	if d.closed {
+		d.life.RUnlock()
+		return false
+	}
+	return true
+}
+
+//lsbp:hotpath
+func (d *dynSolver) end() { d.life.RUnlock() }
+
+func (d *dynSolver) errClosed() error {
+	return fmt.Errorf("core: %v solver: %w", d.method, errs.ErrClosed)
+}
+
+// Solve, SolveInto, and SolveBatch enter the solver once and read the
+// current epoch once: the solve finishes on that epoch whatever an
+// Update publishes meanwhile.
 func (d *dynSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	for {
-		ep := d.cur.Load()
-		res, err := ep.snap.Solve(ctx, e)
-		if err != nil && errors.Is(err, errs.ErrClosed) && d.cur.Load() != ep {
-			continue
-		}
-		return res, err
+	if !d.begin() {
+		return nil, d.errClosed()
 	}
+	defer d.end()
+	dst := beliefs.New(d.n, d.k)
+	var geo []int
+	if d.method == MethodSBP {
+		geo = make([]int, d.n)
+	}
+	info, err := d.solve(ctx, d.cur.Load(), dst, e, geo)
+	if err != nil && !isNotConverged(err) {
+		return nil, err
+	}
+	return &Result{
+		Method: d.method, Beliefs: dst, Geodesics: geo,
+		Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
+	}, err
 }
 
+//lsbp:hotpath
 func (d *dynSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	for {
-		ep := d.cur.Load()
-		info, err := ep.snap.SolveInto(ctx, dst, e)
-		if err != nil && errors.Is(err, errs.ErrClosed) && d.cur.Load() != ep {
-			continue
-		}
-		return info, err
+	if !d.begin() {
+		return SolveInfo{}, d.errClosed()
 	}
+	defer d.end()
+	return d.solve(ctx, d.cur.Load(), dst, e, nil)
 }
 
-func (d *dynSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	for {
-		ep := d.cur.Load()
-		resp := ep.snap.SolveBatch(ctx, reqs)
-		// A closed snapshot fails every request with ErrClosed, so the
-		// first response tells the whole story.
-		if len(resp) > 0 && errors.Is(resp[0].Err, errs.ErrClosed) && d.cur.Load() != ep {
-			continue
-		}
-		return resp
+// solve is the one single-solve entry behind Solve and SolveInto: it
+// checks the shapes, counts the solve once the request is well-formed,
+// admits the context, and runs the method's solve on ep.
+//
+//lsbp:hotpath
+func (d *dynSolver) solve(ctx context.Context, ep *epoch, dst, e *beliefs.Residual, geo []int) (SolveInfo, error) {
+	if err := ep.checkShapes(dst, e); err != nil {
+		return SolveInfo{}, err
 	}
+	d.solves.Add(1)
+	if err := d.admitCtx(ctx); err != nil {
+		return SolveInfo{}, err
+	}
+	return d.plane.solve(ctx, ep, dst, e, geo)
+}
+
+//lsbp:hotpath
+func (d *dynSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
+	if !d.begin() {
+		return failAll(reqs, d.errClosed())
+	}
+	defer d.end()
+	d.batches.Add(1)
+	d.batchReqs.Add(int64(len(reqs)))
+	if err := d.admitCtx(ctx); err != nil {
+		d.cancelled.Add(int64(len(reqs)) - 1) // admitCtx counted one
+		return failAll(reqs, err)
+	}
+	return d.plane.batch(ctx, d.cur.Load(), reqs)
 }
 
 func (d *dynSolver) Stats() SolverStats {
-	// The epoch pointer, its counters, and the retired accumulator are
-	// read under one lock, and a swap reads the retiring epoch's
-	// counters and folds them in the same critical section, so the
-	// totals can never dip: a reader sees either the old epoch's
-	// counters as of a moment before the swap's fold, or the new epoch
-	// with the fold applied.
-	d.statsMu.Lock()
 	ep := d.cur.Load()
-	r := d.retired
-	st := ep.snap.Stats()
-	d.statsMu.Unlock()
-	st.Solves += r.Solves
-	st.Batches += r.Batches
-	st.BatchRequests += r.BatchRequests
-	st.Iterations += r.Iterations
-	st.NotConverged += r.NotConverged
-	st.Cancelled += r.Cancelled
-	st.ResidualRowsRelaxed += r.ResidualRowsRelaxed
-	st.ResidualPushes += r.ResidualPushes
-	if r.ResidualQueuePeak > st.ResidualQueuePeak {
-		st.ResidualQueuePeak = r.ResidualQueuePeak
-	}
-	st.Epoch = d.epochN.Load()
-	st.Updates = d.updates.Load()
-	st.Rebuilds = d.rebuilds.Load()
-	st.OverlayNNZ = d.overlayNNZ.Load()
-	st.UpdateValidateNS = d.validateNS.Load()
-	st.UpdateWALNS = d.walNS.Load()
-	st.UpdateCommitNS = d.commitNS.Load()
-	st.UpdateResolveNS = d.resolveNS.Load()
-	st.UpdatePublishNS = d.publishNS.Load()
-	st.RowsCommitted = d.rowsCommitted.Load()
-	st.Degraded = d.degraded.Load()
-	return st
-}
-
-// foldRetired accumulates counters into the retired accumulator.
-func (d *dynSolver) foldRetired(st SolverStats) {
-	d.statsMu.Lock()
-	d.foldRetiredLocked(st)
-	d.statsMu.Unlock()
-}
-
-func (d *dynSolver) foldRetiredLocked(st SolverStats) {
-	d.retired.Solves += st.Solves
-	d.retired.Batches += st.Batches
-	d.retired.BatchRequests += st.BatchRequests
-	d.retired.Iterations += st.Iterations
-	d.retired.NotConverged += st.NotConverged
-	d.retired.Cancelled += st.Cancelled
-	d.retired.ResidualRowsRelaxed += st.ResidualRowsRelaxed
-	d.retired.ResidualPushes += st.ResidualPushes
-	// The queue peak is a lifetime maximum, not a sum.
-	if st.ResidualQueuePeak > d.retired.ResidualQueuePeak {
-		d.retired.ResidualQueuePeak = st.ResidualQueuePeak
-	}
-}
-
-// statsDelta returns the counter fields of post minus pre — the bumps
-// in-flight solves landed on a retiring epoch while it drained.
-func statsDelta(post, pre SolverStats) SolverStats {
 	return SolverStats{
-		Solves:        post.Solves - pre.Solves,
-		Batches:       post.Batches - pre.Batches,
-		BatchRequests: post.BatchRequests - pre.BatchRequests,
-		Iterations:    post.Iterations - pre.Iterations,
-		NotConverged:  post.NotConverged - pre.NotConverged,
-		Cancelled:     post.Cancelled - pre.Cancelled,
-		// The per-snapshot peak is monotone, so the drained snapshot's
-		// final peak is the right value to fold (max, not difference).
-		ResidualRowsRelaxed: post.ResidualRowsRelaxed - pre.ResidualRowsRelaxed,
-		ResidualPushes:      post.ResidualPushes - pre.ResidualPushes,
-		ResidualQueuePeak:   post.ResidualQueuePeak,
+		Method: d.method, N: ep.n, K: ep.k, Workers: ep.workers, EpsilonH: ep.eps,
+		Ordering: ep.ordering, BandwidthBefore: ep.bandBefore, BandwidthAfter: ep.bandAfter,
+		Schedule:  ep.schedule,
+		BatchHint: max(ep.batchHint, 1),
+		Solves:    d.solves.Load(), Batches: d.batches.Load(), BatchRequests: d.batchReqs.Load(),
+		Iterations: d.iterations.Load(), NotConverged: d.notConverged.Load(), Cancelled: d.cancelled.Load(),
+		ResidualRowsRelaxed: d.rowsRelaxed.Load(), ResidualQueuePeak: d.queuePeak.Load(),
+		ResidualPushes: d.pushes.Load(),
+
+		Epoch: d.epochN.Load(), Updates: d.updates.Load(), Rebuilds: d.rebuilds.Load(),
+		OverlayNNZ:       d.overlayNNZ.Load(),
+		UpdateValidateNS: d.validateNS.Load(), UpdateWALNS: d.walNS.Load(),
+		UpdateCommitNS: d.commitNS.Load(), UpdateResolveNS: d.resolveNS.Load(),
+		UpdatePublishNS: d.publishNS.Load(), RowsCommitted: d.rowsCommitted.Load(),
+		Degraded: d.degraded.Load(),
 	}
 }
 
-// Close drains and closes the current epoch after any in-flight Update
-// (including its compaction rebuild) finishes; retired epochs were
-// already closed at their swap. Idempotent.
+// Close waits for any in-flight Update (including its compaction
+// rebuild) and then for the in-flight solves, and destroys every pooled
+// state. Idempotent.
 func (d *dynSolver) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	d.life.Lock()
+	closed := d.closed
+	d.closed = true
+	d.life.Unlock()
+	if closed {
 		return nil
 	}
-	d.closed = true
-	err := d.cur.Load().snap.Close()
+	d.plane.closeAll()
 	if d.dur != nil {
-		// After the epoch drains nothing reads the mapped snapshot
-		// arrays; flush and release the durable half last.
-		if derr := d.dur.close(); err == nil {
-			err = derr
-		}
+		// No solve reads the mapped snapshot arrays any more; flush and
+		// release the durable half last.
+		return d.dur.close()
 	}
-	return err
+	return nil
 }
 
 // Update applies the delta batch and re-solves the maintained problem,
@@ -391,7 +397,8 @@ func (d *dynSolver) Close() error {
 // fixpoint for LinBP/LinBP*/FABP). An empty Update{} just (re-)solves
 // the maintained problem — the idiom for obtaining the initial
 // fixpoint after Prepare. Updates serialize; readers keep serving the
-// previous epoch until the commit swaps the snapshot. On a context
+// previous epoch until the commit publishes the next one, and the
+// commit waits for none of them. On a context
 // error the delta is already committed (readers see it) and only the
 // returned re-solve was aborted; the next Update re-solves from the
 // maintained state.
@@ -399,7 +406,7 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return nil, fmt.Errorf("core: %v solver: %w", d.method, errs.ErrClosed)
+		return nil, d.errClosed()
 	}
 	start := time.Now()
 	rows, err := d.validateUpdate(u)
@@ -434,12 +441,12 @@ func (d *dynSolver) Update(ctx context.Context, u Update) (*Result, error) {
 	// batch into this commit, so its rows would be missed. Capture the
 	// gate before mutating, clear it pessimistically, and restore it
 	// only after a successful re-solve.
-	seedable := d.lastConverged && !d.pendingSwap && !d.cfg.policy.DisableWarmStart
+	seedable := d.lastConverged && !d.pendingSwap
 	d.lastConverged = false
 	touched := d.collectTouched(u, rows)
 	d.applyExplicitLocked(u.SetExplicit, rows)
 	if d.applyTopologyLocked(u) || d.pendingSwap {
-		if err := d.swapSnapshotLocked(ctx); err != nil {
+		if err := d.swapEpochLocked(ctx); err != nil {
 			return nil, err
 		}
 		if d.epsRederived {
@@ -543,12 +550,7 @@ func (d *dynSolver) applyTopologyLocked(u Update) bool {
 }
 
 // pm maps a caller node id into the table's layout order.
-func (d *dynSolver) pm(i int) int {
-	if d.perm == nil {
-		return i
-	}
-	return d.perm[i]
-}
+func (d *dynSolver) pm(i int) int { return d.cur.Load().rm.at(i) }
 
 // validateUpdate checks the batch and returns the caller-order ids of
 // the non-zero rows of u.SetExplicit — found in the one scan of the
@@ -563,6 +565,11 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 		// and a NaN weight poisons the maintained graph permanently.
 		if !(e.W > 0) || math.IsInf(e.W, 1) {
 			return nil, fmt.Errorf("core: update edge (%d,%d) has invalid weight %v (want finite > 0): %w", e.S, e.T, e.W, errs.ErrInvalidInput)
+		}
+		// BP's directed-edge layout refuses a self-loop, so it must
+		// fail here, before the batch is logged or committed.
+		if e.S == e.T && d.method == MethodBP {
+			return nil, fmt.Errorf("core: update edge (%d,%d) is a self-loop, which BP does not support: %w", e.S, e.T, errs.ErrInvalidInput)
 		}
 	}
 	for _, e := range u.RemoveEdges {
@@ -619,7 +626,7 @@ func (d *dynSolver) initDynState() error {
 	}
 	if kernelMethod(d.method) {
 		d.exp = d.srcExp
-		kp, err := d.newKernelPlane(d.cur.Load().snap.(*kernelSolver))
+		kp, err := d.newKernelPlane(d.cur.Load())
 		if err != nil {
 			d.exp = nil
 			return err
@@ -631,30 +638,28 @@ func (d *dynSolver) initDynState() error {
 	return nil
 }
 
-// newKernelPlane builds the maintained-fixpoint engine on snap's table
+// newKernelPlane builds the maintained-fixpoint engine on ep's table
 // from its operator, and seeds its explicit beliefs from d.exp (mapped
-// into snap's layout).
-func (d *dynSolver) newKernelPlane(snap *kernelSolver) (*kernelPlane, error) {
+// into ep's layout).
+func (d *dynSolver) newKernelPlane(ep *epoch) (*kernelPlane, error) {
 	residual := d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0
-	op := snap.op
+	op := ep.op
 	tol := op.tol
 	if !(tol > 0) {
 		// A fixed-round configuration never runs the residual plane; the
 		// engine then only holds the maintained state.
 		tol = math.SmallestNonzeroFloat64
 	}
-	fix, err := kernel.NewResidual(kernel.Config{Rows: snap.rows, H: op.h, EchoH: op.echoH, SymmetricA: true}, tol)
+	fix, err := kernel.NewResidual(kernel.Config{Rows: ep.rows, H: op.h, EchoH: op.echoH, SymmetricA: true}, tol)
 	if err != nil {
 		return nil, err
 	}
 	kp := &kernelPlane{
-		fix:      fix,
-		residual: residual,
-		// ScheduleAuto relaxes only localized warm re-solves, so without
-		// warm starts rounds serve every one.
-		keepRounds: !residual || (d.cfg.schedule == ScheduleAuto && d.cfg.policy.DisableWarmStart),
+		fix:        fix,
+		residual:   residual,
+		keepRounds: !residual,
 		maxRelax:   op.maxIter * d.n,
-		rm:         snap.rm,
+		rm:         ep.rm,
 		exp:        make([]float64, d.n*op.w),
 		tl:         make([]int32, 0, d.n),
 	}
@@ -670,41 +675,31 @@ func (d *dynSolver) compactionRatio() float64 {
 	return DefaultCompactionRatio
 }
 
-// swapSnapshotLocked publishes the committed table as the next epoch:
-// the successor snapshot on the committed table (engines moved over,
-// none built), or — once the drift crosses the compaction threshold —
-// a full relayout. The context is checked before the swap: a
-// cancelled Update returns without publishing (the delta stays in the
-// maintained table and the next Update retries the swap).
-func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
+// swapEpochLocked publishes the committed table as the next epoch —
+// the current epoch with the new table, or, once the drift crosses the
+// compaction threshold, a full relayout. The context is checked before
+// the swap: a cancelled Update returns without publishing (the delta
+// stays in the maintained table and the next Update retries the swap).
+func (d *dynSolver) swapEpochLocked(ctx context.Context) error {
 	if cerr := ctx.Err(); cerr != nil {
 		d.pendingSwap = true
 		return fmt.Errorf("core: update commit aborted before epoch swap: %w", cerr)
 	}
-	compact := float64(d.rows.DiffCells()) >= d.compactionRatio()*float64(d.baseNNZ)
-	var snap snapshot
-	var err error
-	switch {
-	case compact:
-		snap, err = d.compactLocked()
-	case d.kern != nil:
-		snap = d.cur.Load().snap.(*kernelSolver).successor(d.rows, d.info)
-	default:
-		snap, err = newGraphSolver(d.rows, d.ho, d.info, d.cfg, d.perm)
+	if float64(d.rows.DiffCells()) < d.compactionRatio()*float64(d.baseNNZ) {
+		next := *d.cur.Load()
+		next.rows = d.rows
+		d.publishLocked(&next)
+		d.pendingSwap = false
+		return nil
 	}
-	if err != nil {
+	if err := d.compactLocked(); err != nil {
 		// The old epoch keeps serving; the delta stays in the maintained
 		// table for the next commit attempt.
 		d.pendingSwap = true
 		return err
 	}
 	d.pendingSwap = false
-	if compact {
-		d.rebuilds.Add(1)
-	}
-	d.publishLocked(snap)
-	d.overlayNNZ.Store(int64(d.rows.DiffCells()))
-	if compact && d.dur != nil {
+	if d.dur != nil {
 		// A compaction rewrote the layout: publish a checkpoint and
 		// rotate the log so recovery replays from the fresh base. The
 		// in-memory commit above stands either way; a checkpoint error
@@ -716,93 +711,61 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	return nil
 }
 
-// publishLocked swaps snap in as the current epoch and retires the old
-// one — its Close drains the in-flight solves, after which its
-// counters fold into the lifetime accumulator.
-func (d *dynSolver) publishLocked(snap snapshot) {
-	old := d.cur.Load()
-	// Read and fold the retiring epoch's counters in the same critical
-	// section as the pointer swap (see Stats), so the lifetime totals
-	// never dip while the old epoch drains; the bumps that land during
-	// the drain are folded as a delta once Close returns.
-	d.statsMu.Lock()
-	pre := old.snap.Stats()
-	d.cur.Store(&epochState{snap: snap})
-	d.foldRetiredLocked(pre)
-	d.statsMu.Unlock()
+// publishLocked makes ep the current epoch: one store, no wait. The
+// pools then rebind their idle states to ep, a pointer swap each under
+// the pool's lock, so an idle state never pins a superseded table.
+func (d *dynSolver) publishLocked(ep *epoch) {
+	d.cur.Store(ep)
+	d.plane.advance(ep)
 	d.epochN.Add(1)
-	old.snap.Close()
-	d.foldRetired(statsDelta(old.snap.Stats(), pre))
-}
-
-// relayout replays Prepare's layout decisions on a caller-order
-// adjacency: the auto εH derivation (when configured; info.eps carries
-// the result), the reordering strategy, and the locality diagnostics.
-// It changes no solver state — the caller installs the returned layout
-// once everything built on it succeeded.
-func (d *dynSolver) relayout(a *sparse.CSR) (solverInfo, order.Permutation, error) {
-	info := d.info
-	if d.cfg.autoEps && d.method != MethodSBP {
-		// Compaction already replays the layout on the current graph;
-		// re-derive the auto εH there too, so a long insert-heavy
-		// stream recovers the spectral safety margin instead of serving
-		// the stale prepare-time scale. The new epoch's εH is what
-		// Stats().EpsilonH reports from here on.
-		eps, err := autoEpsilonCSR(a, d.ho, d.method == MethodLinBP || d.method == MethodBP || d.method == MethodFABP)
-		if err != nil {
-			return info, nil, fmt.Errorf("core: compaction auto-εH re-derivation: %w", err)
-		}
-		info.eps = eps
-	}
-	perm, chosen := order.Compute(d.cfg.reorder, a)
-	info.ordering = chosen
-	info.bandBefore = order.Bandwidth(a, nil)
-	info.bandAfter = info.bandBefore
-	if perm != nil {
-		info.bandAfter = order.Bandwidth(a, perm)
-	}
-	return info, perm, nil
-}
-
-// installLayout adopts a compaction's layout: the permutation, εH
-// (latching epsRederived when it moved), and the new drift base.
-func (d *dynSolver) installLayout(info solverInfo, perm order.Permutation, rows *sparse.RowBlocks) {
-	if info.eps != d.eps {
-		d.eps = info.eps
-		d.epsRederived = true
-	}
-	d.info, d.perm, d.rows, d.baseNNZ = info, perm, rows, rows.NNZ()
+	d.overlayNNZ.Store(int64(d.rows.DiffCells()))
 }
 
 // compactLocked is the compaction: flatten the table, undo the layout
 // permutation, replay the layout decisions exactly as Prepare would,
-// and rebuild the snapshot on the fresh layout — for the kernel methods
-// also the maintained fixpoint engine and the layout-order explicit
-// beliefs, into which the maintained beliefs carry over through the
-// permutation change. On error nothing changes.
-func (d *dynSolver) compactLocked() (snapshot, error) {
+// and publish the first epoch of the new layout — for the kernel
+// methods with a new maintained fixpoint engine and layout-order
+// explicit beliefs, into which the maintained beliefs carry over
+// through the permutation change. The pools move to the new layout
+// before it is primed, destroying the idle states of the old one, so
+// the primed state stays pooled for the re-solve; no solve can read
+// the new epoch before it is published. On error the pools move back
+// and nothing else changes.
+func (d *dynSolver) compactLocked() error {
+	cur := d.cur.Load()
 	a := d.rows.Flatten()
-	if d.perm != nil {
-		a = a.Permute(d.perm.Inverse())
+	if cur.rm.perm != nil {
+		a = a.Permute(cur.rm.perm.Inverse())
 	}
-	info, perm, err := d.relayout(a)
+	// Compaction already replays the layout on the current graph; under
+	// WithAutoEpsilonH it re-derives εH there too, so a long insert-heavy
+	// stream recovers the spectral safety margin instead of serving the
+	// stale prepare-time scale. The new epoch's εH is what
+	// Stats().EpsilonH reports from here on.
+	info, perm, err := planLayout(d.method, d.cfg, d.ho, a, d.k, cur.eps)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: compaction auto-εH re-derivation: %w", err)
 	}
-	snap, err := newSnapshot(d.method, d.ho, info, d.cfg, a, perm, perm)
+	ep, err := newEpoch(d.method, d.ho, info, d.cfg, a, perm, perm)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	ep.layout = cur.layout + 1
+	d.plane.advance(ep)
+	if err := d.plane.prime(ep); err != nil {
+		d.plane.advance(cur)
+		return err
 	}
 	if old := d.kern; old != nil {
-		ks := snap.(*kernelSolver)
-		kp, err := d.newKernelPlane(ks)
+		kp, err := d.newKernelPlane(ep)
 		if err != nil {
-			snap.Close()
-			return nil, err
+			d.plane.advance(cur)
+			return err
 		}
 		if !kp.keepRounds {
-			// Close the rounds engine the new snapshot validated.
-			ks.chunks[0].closeIdle()
+			// The residual plane serves the re-solves: close the rounds
+			// engine prime validated instead of keeping it idle.
+			d.plane.(*kernelSolver).chunks[0].closeIdle()
 		}
 		if old.hasFix {
 			// Carry the maintained fixpoint into the new layout order.
@@ -811,44 +774,49 @@ func (d *dynSolver) compactLocked() (snapshot, error) {
 		}
 		d.kern = kp
 	}
-	d.installLayout(info, perm, snap.base().rows)
-	return snap, nil
+	if ep.eps != cur.eps {
+		d.epsRederived = true
+	}
+	d.rows, d.baseNNZ = ep.rows, ep.rows.NNZ()
+	d.rebuilds.Add(1)
+	d.publishLocked(ep)
+	return nil
 }
 
 // resolveGraphLocked re-solves BP and SBP cold on the current epoch
-// (they keep no warm state).
+// (they keep no warm state). Close waits for mu, so the solve's read
+// side never blocks.
 func (d *dynSolver) resolveGraphLocked(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	res, err := d.cur.Load().snap.Solve(ctx, d.exp)
+	res, err := d.Solve(ctx, d.exp)
 	d.resolveNS.Add(int64(time.Since(start)))
 	return res, err
 }
 
 // resolveKernelLocked re-solves the maintained problem on the current
-// epoch, in place on the maintained fixpoint: warm unless warm starts
-// are disabled or no fixpoint exists yet. Under a residual schedule a
-// seedable (localized) re-solve relaxes from exactly the touched rows;
-// everything else seeds fully (always under ScheduleResidual, only
-// when localized under ScheduleAuto — a full residual seed costs a
-// round and converges no faster than warm rounds, so Auto prefers
-// rounds there). The result is one caller-order gather of the
-// maintained beliefs into a fresh matrix.
+// epoch, in place on the maintained fixpoint: warm unless no fixpoint
+// exists yet. Under a residual schedule a seedable (localized) re-solve
+// relaxes from exactly the touched rows; everything else seeds fully
+// (always under ScheduleResidual, only when localized under
+// ScheduleAuto — a full residual seed costs a round and converges no
+// faster than warm rounds, so Auto prefers rounds there). The result is
+// one caller-order gather of the maintained beliefs into a fresh
+// matrix.
 func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touched []int) (*Result, error) {
 	kp := d.kern
-	snap := d.cur.Load().snap.(*kernelSolver)
-	sb := &snap.solverBase
-	if err := kp.fix.Rebind(d.rows); err != nil {
+	ep := d.cur.Load()
+	if err := kp.fix.Rebind(ep.rows); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	warm := kp.hasFix && !d.cfg.policy.DisableWarmStart
+	warm := kp.hasFix
 	localized := seedable && warm
 	var info SolveInfo
 	var err error
 	residual := kp.residual && (localized || d.cfg.schedule == ScheduleResidual)
 	if residual {
-		sb.solves.Add(1)
-		if err = sb.admitCtx(ctx); err == nil {
+		d.solves.Add(1)
+		if err = d.admitCtx(ctx); err == nil {
 			switch {
 			case !warm:
 				kp.fix.SeedExplicit(kp.exp)
@@ -863,8 +831,8 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 				kp.fix.SeedResume(kp.exp, nil)
 			}
 			relaxed, peak, maxResid, converged, runErr := kp.fix.Run(ctx, kp.maxRelax)
-			sb.pushes.Add(int64(kp.fix.Pushes()))
-			info, err = sb.record(residualInfo(d.n, relaxed, peak, maxResid, converged), runErr)
+			d.pushes.Add(int64(kp.fix.Pushes()))
+			info, err = d.record(residualInfo(d.n, relaxed, peak, maxResid, converged), runErr)
 		}
 	} else {
 		var from []float64
@@ -874,7 +842,7 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 		// The rounds engine copies the start into its own state before
 		// the first round, so the maintained beliefs can receive the
 		// result in place.
-		info, err = snap.solveLayout(ctx, kp.fix.Beliefs(), kp.exp, from, kp.keepRounds)
+		info, err = d.plane.(*kernelSolver).solveLayout(ctx, ep, kp.fix.Beliefs(), kp.exp, from, kp.keepRounds)
 	}
 	d.resolveNS.Add(int64(time.Since(start)))
 	if err != nil && !isNotConverged(err) {

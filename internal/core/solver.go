@@ -33,7 +33,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/errs"
 	"repro/internal/fabp"
-	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/linbp"
 	"repro/internal/order"
@@ -250,8 +249,8 @@ type SolverStats struct {
 	// (always ScheduleRounds for BP and SBP, which have no alternative
 	// plane).
 	Schedule Schedule
-	// Epoch is the number of snapshot swaps the dynamic plane has
-	// performed (0 until the first topology Update); Updates counts
+	// Epoch is the number of epochs the dynamic plane has published
+	// (0 until the first topology Update); Updates counts
 	// committed Update calls, Rebuilds the subset that triggered a
 	// compaction relayout (the reordering replayed on the current
 	// graph). OverlayNNZ is the number of adjacency cells whose value
@@ -320,22 +319,22 @@ type SolverStats struct {
 // The solver is epoch-versioned: the graph fixed at preparation time
 // is the first epoch, and Update evolves it — edge insertions and
 // deletions, explicit-belief changes — without re-preparing from
-// scratch. Each committed topology update publishes a fresh immutable
-// snapshot on the next copy-on-write epoch of the layout-order
-// adjacency table (the kernel methods serve it with the previous
-// epoch's engines, rebound to it) and swaps it in atomically; solves
-// already in flight finish on the snapshot they started on, new solves
-// land on the new one, and no reader ever observes a half-updated
-// graph.
+// scratch. Each committed topology update publishes the next epoch, an
+// immutable value holding the next copy-on-write table of the
+// layout-order adjacency, with one atomic store that waits for
+// nothing: solves already in flight finish on the epoch they started
+// on, new solves land on the new one, and no reader ever observes a
+// half-updated graph.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // call Solve, SolveInto, SolveBatch, Update, and Stats on one shared
 // Solver (updates serialize internally). Per-solve workspaces are
-// recycled through per-epoch pools, so the SolveInto serving path
-// stays allocation-free in steady state no matter how many goroutines
-// share the solver. Close is idempotent, waits for in-flight solves
-// and a pending update (including its compaction rebuild) to drain,
-// and fails later solves with ErrClosed.
+// recycled through the solver's pools and rebound to the epoch each
+// solve reads, so the SolveInto serving path stays allocation-free in
+// steady state no matter how many goroutines share the solver. Close
+// is idempotent, waits for in-flight solves and a pending update
+// (including its compaction rebuild) to drain, and fails later solves
+// with ErrClosed.
 type Solver interface {
 	// Solve runs the method for the explicit residual beliefs e and
 	// allocates a fresh result.
@@ -360,12 +359,11 @@ type Solver interface {
 	SolveBatch(ctx context.Context, reqs []Request) []Response
 	// Update applies a graph/belief delta to the solver — see the
 	// Update type for the delta surface and the UpdatePolicy for the
-	// compaction and warm-start knobs — re-solves the maintained
-	// problem (warm-started from the previous fixpoint for the
-	// kernel-backed methods), and returns the refreshed result.
-	// Updates serialize against each other; concurrent solves keep
-	// serving the previous snapshot until the swap and are never
-	// interrupted.
+	// compaction knob — re-solves the maintained problem (warm-started
+	// from the previous fixpoint for the kernel-backed methods), and
+	// returns the refreshed result. Updates serialize against each
+	// other; concurrent solves keep serving the previous epoch until
+	// the swap, are never interrupted, and are never waited for.
 	Update(ctx context.Context, u Update) (*Result, error)
 	// Stats returns a snapshot of configuration and serving counters;
 	// safe to call concurrently with solves.
@@ -376,51 +374,88 @@ type Solver interface {
 	Close() error
 }
 
-// snapshot is the immutable serving surface of one epoch — the Solver
-// contract minus Update. The per-method solver implementations below
-// are snapshots; Prepare wraps the initial one in the epoch-versioned
-// dynamic solver (dynamic.go), which swaps snapshots as updates
-// commit.
-type snapshot interface {
-	Solve(ctx context.Context, e *beliefs.Residual) (*Result, error)
-	SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error)
-	SolveBatch(ctx context.Context, reqs []Request) []Response
-	Stats() SolverStats
-	Close() error
-	// base returns the snapshot's shared identity and layout.
-	base() *solverBase
+// newConfig applies opts over base and checks the result: the option
+// checks Prepare and Open share.
+func newConfig(base config, opts []Option) (config, error) {
+	cfg := base
+	for _, o := range opts {
+		if o != nil {
+			o(&cfg)
+		}
+	}
+	switch cfg.schedule {
+	case ScheduleRounds, ScheduleResidual, ScheduleAuto:
+	default:
+		return cfg, fmt.Errorf("core: unknown schedule %v: %w", cfg.schedule, errs.ErrInvalidInput)
+	}
+	if cfg.schedule == ScheduleResidual && cfg.tol < 0 {
+		return cfg, fmt.Errorf("core: the residual schedule needs a convergence tolerance (a negative WithTol forces fixed rounds): %w", errs.ErrInvalidInput)
+	}
+	return cfg, nil
 }
 
-// newSnapshot lays out the adjacency a and builds method m's snapshot
-// on it: a is relabeled by relabel (nil keeps its order) into the
-// layout whose caller-to-layout map is perm. Prepare and compaction
+// newSolverInfo is the Stats identity of method m's solver on n nodes
+// and k classes at scale eps under cfg — the one constructor Prepare,
+// Open and compaction share. BP and SBP have no residual plane; they
+// ignore the schedule the way they ignore Workers.
+func newSolverInfo(m Method, n, k int, eps float64, cfg config) solverInfo {
+	info := solverInfo{method: m, n: n, k: k, workers: cfg.workers, eps: eps}
+	if kernelMethod(m) {
+		info.schedule = cfg.schedule
+	}
+	return info
+}
+
+// planLayout makes the layout decisions on a caller-order adjacency a:
+// the auto εH derivation (when configured; eps otherwise), the
+// reordering strategy, and the locality diagnostics. Prepare and
+// compaction share it; it changes no solver state. perm is nil for the
+// natural order.
+func planLayout(m Method, cfg config, ho *dense.Matrix, a *sparse.CSR, k int, eps float64) (solverInfo, order.Permutation, error) {
+	if cfg.autoEps && m != MethodSBP {
+		var err error
+		if eps, err = autoEpsilonCSR(a, ho, m != MethodLinBPStar); err != nil {
+			return solverInfo{}, nil, err
+		}
+	}
+	info := newSolverInfo(m, a.Rows(), k, eps, cfg)
+	perm, chosen := order.Compute(cfg.reorder, a)
+	info.ordering = chosen
+	info.bandBefore = order.Bandwidth(a, nil)
+	info.bandAfter = info.bandBefore
+	if perm != nil {
+		info.bandAfter = order.Bandwidth(a, perm)
+	}
+	return info, perm, nil
+}
+
+// newEpoch lays out the adjacency a and builds method m's first epoch of
+// a layout on it: a is relabeled by relabel (nil keeps its order) into
+// the layout whose caller-to-layout map is perm. Prepare and compaction
 // pass a caller-order matrix with relabel = perm; Open passes the
 // stored layout-order matrix with relabel = nil.
-func newSnapshot(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *sparse.CSR, relabel, perm order.Permutation) (snapshot, error) {
-	if !kernelMethod(m) {
-		rows, err := layoutRows(a, false, relabel)
+func newEpoch(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *sparse.CSR, relabel, perm order.Permutation) (*epoch, error) {
+	ep := &epoch{solverInfo: info, rm: rowMap{perm: perm, n: info.n, k: info.k, w: info.k}}
+	echo := false
+	switch {
+	case kernelMethod(m):
+		op, err := kernelOperator(m, ho, info.eps, info.k, cfg)
 		if err != nil {
 			return nil, err
 		}
-		s, err := newGraphSolver(rows, ho, info, cfg, perm)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
+		ep.op, ep.rm.w, ep.batchHint, echo = op, op.w, op.blocks, op.echo
+	case m == MethodBP:
+		ep.h = coupling.Uncenter(coupling.Scale(ho, info.eps))
+	default:
+		// SBP is εH-invariant and runs on the unscaled Hˆo.
+		ep.h = ho
 	}
-	op, err := kernelOperator(m, ho, info.eps, info.k, cfg)
+	rows, err := layoutRows(a, echo, relabel)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := layoutRows(a, op.echo, relabel)
-	if err != nil {
-		return nil, err
-	}
-	s, err := newKernelSolver(op, info, rows, perm)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	ep.rows = rows
+	return ep, nil
 }
 
 // Prepare validates the problem once and builds a prepared Solver for
@@ -431,11 +466,9 @@ func newSnapshot(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *spa
 // zero matrix for pure serving use, since Solve takes its explicit
 // beliefs per call.
 func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
-	var cfg config
-	for _, o := range opts {
-		if o != nil {
-			o(&cfg)
-		}
+	cfg, err := newConfig(config{}, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -445,58 +478,33 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown method %v: %w", m, errs.ErrInvalidInput)
 	}
-	switch cfg.schedule {
-	case ScheduleRounds, ScheduleResidual, ScheduleAuto:
-	default:
-		return nil, fmt.Errorf("core: unknown schedule %v: %w", cfg.schedule, errs.ErrInvalidInput)
-	}
-	if cfg.schedule == ScheduleResidual && cfg.tol < 0 {
-		return nil, fmt.Errorf("core: the residual schedule needs a convergence tolerance (a negative WithTol forces fixed rounds): %w", errs.ErrInvalidInput)
-	}
-	eps := p.EpsilonH
-	if cfg.autoEps && m != MethodSBP {
-		var err error
-		eps, err = autoEpsilon(p.Graph, p.Ho, m == MethodLinBP || m == MethodBP || m == MethodFABP)
-		if err != nil {
-			return nil, err
-		}
-	}
-	base := solverInfo{method: m, n: p.Graph.N(), k: p.K(), workers: cfg.workers, eps: eps}
-	switch m {
-	case MethodLinBP, MethodLinBPStar, MethodFABP:
-		base.schedule = cfg.schedule
-	default:
-		// BP and SBP have no residual plane; they ignore the schedule
-		// the way they ignore Workers.
-	}
-
 	// The layout optimizer runs once per prepared solver: resolve the
 	// reordering strategy on the adjacency structure and record the
-	// locality diagnostics. perm is nil for the natural order.
+	// locality diagnostics.
 	a := p.Graph.Adjacency()
-	perm, chosen := order.Compute(cfg.reorder, a)
-	base.ordering = chosen
-	base.bandBefore = order.Bandwidth(a, nil)
-	base.bandAfter = base.bandBefore
-	if perm != nil {
-		base.bandAfter = order.Bandwidth(a, perm)
+	info, perm, err := planLayout(m, cfg, p.Ho, a, p.K(), p.EpsilonH)
+	if err != nil {
+		return nil, err
 	}
 
 	// The solver keeps private copies of the problem parts it reads
 	// after Prepare returns: the explicit beliefs (adopted by the first
-	// Update) and the coupling (every snapshot rebuild, compaction, and
-	// checkpoint). A caller reusing either then changes neither the
-	// served nor the recovered problem. Of the graph, every method keeps
-	// only the layout table built from it here.
+	// Update) and the coupling (every compaction and checkpoint). A
+	// caller reusing either then changes neither the served nor the
+	// recovered problem. Of the graph, every method keeps only the
+	// layout table built from it here.
 	ho := p.Ho.Clone()
-	inner, err := newSnapshot(m, ho, base, cfg, a, perm, perm)
+	ep, err := newEpoch(m, ho, info, cfg, a, perm, perm)
 	if err != nil {
 		return nil, err
 	}
 	// Every prepared solver is served through the epoch-versioned
 	// dynamic plane; a solver that never sees an Update pays only an
 	// atomic pointer load per solve for it.
-	d := newDynSolver(m, cfg, ho, p.Explicit.Clone(), inner)
+	d, err := newDynSolver(m, cfg, ho, p.Explicit.Clone(), ep)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.durDir != "" {
 		// Publish the prepared state before handing the solver out, so
 		// a crash at any later point recovers at least the initial
@@ -509,14 +517,9 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	return d, nil
 }
 
-// autoEpsilon is AutoEpsilonH without the method restriction: half the
-// exact Lemma 8 threshold for the chosen echo setting.
-func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
-	return autoEpsilonCSR(g.Adjacency(), ho, echo)
-}
-
-// autoEpsilonCSR is autoEpsilon on a caller-order adjacency matrix —
-// the compaction path, which keeps no graph.
+// autoEpsilonCSR is AutoEpsilonH on a caller-order adjacency matrix
+// without the method restriction: half the exact Lemma 8 threshold for
+// the chosen echo setting.
 func autoEpsilonCSR(a *sparse.CSR, ho *dense.Matrix, echo bool) (float64, error) {
 	eps, err := linbp.MaxEpsilonHCSR(a, ho, echo, true)
 	if err != nil {
@@ -540,11 +543,24 @@ func autoEpsilonCSR(a *sparse.CSR, ho *dense.Matrix, echo bool) (float64, error)
 // concurrency: a burst of N concurrent solves builds N states, and the
 // ones beyond the cap are destroyed as they come back instead of
 // pinning their memory (and their worker goroutines) forever.
+//
+// The solver owns one pool per kind of state for its whole life, and
+// every state is handed out for an epoch. Each publish moves the pool to
+// the new epoch (advance): an idle state of its layout is rebound to it
+// (bind), so no idle state pins a superseded table, and every other idle
+// state is destroyed — all of them when a compaction starts a new
+// layout. A state that served an epoch of another layout is destroyed
+// when it comes back, and a solve on an epoch of another layout takes
+// no pooled state: it builds its own.
 type statePool[T comparable] struct {
-	mu      sync.Mutex
-	free    []T
-	all     []T
-	build   func() (T, error)
+	mu     sync.Mutex
+	free   []T
+	all    []T
+	layout int64 // the layout of the pooled states; see advance
+	build  func(*epoch) (T, error)
+	// bind rebinds an idle state to ep, an epoch of the pool's layout,
+	// and reports whether the state can serve it.
+	bind    func(T, *epoch) bool
 	destroy func(T) // releases a state's resources; nil = GC suffices
 	maxFree int     // high-water cap on the idle free list
 }
@@ -561,8 +577,8 @@ func defaultPoolFreeCap() int {
 	return 4
 }
 
-func newStatePool[T comparable](build func() (T, error)) *statePool[T] {
-	return &statePool[T]{build: build, maxFree: defaultPoolFreeCap()}
+func newStatePool[T comparable](build func(*epoch) (T, error), bind func(T, *epoch) bool) *statePool[T] {
+	return &statePool[T]{build: build, bind: bind, maxFree: defaultPoolFreeCap()}
 }
 
 // withDestroy registers the release hook invoked for states dropped at
@@ -572,21 +588,30 @@ func (p *statePool[T]) withDestroy(f func(T)) *statePool[T] {
 	return p
 }
 
-// get returns a pooled state or builds a fresh one.
+// get returns a pooled state bound to ep, or builds one on ep. An idle
+// state that cannot serve ep is destroyed.
 //
 //lsbp:hotpath
-func (p *statePool[T]) get() (T, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
+func (p *statePool[T]) get(ep *epoch) (T, error) {
+	for {
+		p.mu.Lock()
+		n := len(p.free)
+		if n == 0 || ep.layout != p.layout {
+			p.mu.Unlock()
+			break
+		}
 		v := p.free[n-1]
 		var zero T
 		p.free[n-1] = zero
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
+		if !p.bind(v, ep) {
+			p.discard(v)
+			continue
+		}
 		return v, nil
 	}
-	p.mu.Unlock()
-	v, err := p.build()
+	v, err := p.build(ep)
 	if err != nil {
 		var zero T
 		return zero, err
@@ -597,15 +622,16 @@ func (p *statePool[T]) get() (T, error) {
 	return v, nil
 }
 
-// put returns a state for reuse, or destroys it when the free list is
-// already at its high-water cap — the path that lets memory (and
-// locked worker threads) return to the system after a concurrency
-// burst instead of being pinned until Close.
+// put returns a state that served ep for reuse, or destroys it when ep
+// is of another layout than the pool's or the free list is already at
+// its high-water cap — the path that lets memory (and worker
+// goroutines) return to the system after a concurrency burst instead
+// of being pinned until Close.
 //
 //lsbp:hotpath
-func (p *statePool[T]) put(v T) {
+func (p *statePool[T]) put(v T, ep *epoch) {
 	p.mu.Lock()
-	if len(p.free) < p.maxFree {
+	if len(p.free) < p.maxFree && ep.layout == p.layout {
 		p.free = append(p.free, v)
 		p.mu.Unlock()
 		return
@@ -646,43 +672,51 @@ func (p *statePool[T]) discard(v T) {
 	}
 }
 
-// moveIdle transfers every idle state of from into to after rebind
-// succeeds on it (a state that fails to rebind is destroyed): how an
-// epoch successor inherits its predecessor's engines instead of
-// building new ones. The moved states leave from's Close registry, so
-// from's closeAll does not destroy them.
-func moveIdle[T comparable](from, to *statePool[T], rebind func(T) error) {
-	for _, v := range from.takeIdle() {
-		if err := rebind(v); err != nil {
-			if from.destroy != nil {
-				from.destroy(v)
+// advance moves the pool to ep, the epoch being published: on ep's
+// layout every idle state is rebound to ep, and one that cannot serve it
+// is destroyed; on a new layout (a compaction's) every idle state is.
+// The layout and the free list change in one critical section, so get
+// never hands out a state of another layout than the pool's.
+func (p *statePool[T]) advance(ep *epoch) {
+	p.mu.Lock()
+	var dead []T
+	if ep.layout != p.layout {
+		p.layout = ep.layout
+		dead, p.free = p.free, nil
+	} else {
+		kept := p.free[:0]
+		for _, v := range p.free {
+			if p.bind(v, ep) {
+				kept = append(kept, v)
+			} else {
+				dead = append(dead, v)
 			}
-			continue
 		}
-		to.mu.Lock()
-		to.free = append(to.free, v)
-		to.all = append(to.all, v)
-		to.mu.Unlock()
+		clear(p.free[len(kept):])
+		p.free = kept
+	}
+	for _, v := range dead {
+		p.dropLocked(v)
+	}
+	p.mu.Unlock()
+	if p.destroy != nil {
+		for _, v := range dead {
+			p.destroy(v)
+		}
 	}
 }
 
-// takeIdle empties the free list and takes its states out of the Close
-// registry: the caller owns them.
-func (p *statePool[T]) takeIdle() []T {
+// closeIdle destroys every idle state.
+func (p *statePool[T]) closeIdle() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	idle := p.free
 	p.free = nil
 	for _, v := range idle {
 		p.dropLocked(v)
 	}
-	return idle
-}
-
-// closeIdle destroys every idle state.
-func (p *statePool[T]) closeIdle() {
-	for _, v := range p.takeIdle() {
-		if p.destroy != nil {
+	p.mu.Unlock()
+	if p.destroy != nil {
+		for _, v := range idle {
 			p.destroy(v)
 		}
 	}
@@ -729,21 +763,12 @@ type solverInfo struct {
 	batchHint int
 }
 
-// solverBase carries the identity, layout, lifecycle, and counters every
-// method solver shares. Solves hold the read side of mu for their whole
-// duration; Close takes the write side, so it waits for in-flight
-// solves and flips closed exactly once. Counters are atomics because
-// any number of solves may run concurrently.
-type solverBase struct {
-	solverInfo
-	// rows is the epoch's layout-ordered adjacency table (with the
-	// degrees when the method's operator carries them) and rm the map
-	// between caller rows and layout rows.
-	rows *sparse.RowBlocks
-	rm   rowMap
-
-	mu     sync.RWMutex
-	closed bool
+// counters are a solver's lifetime serving counters, one set for its
+// whole life: every epoch's solves count here, so the totals never dip
+// as epochs swap. Atomics, because any number of solves may run
+// concurrently.
+type counters struct {
+	method Method
 
 	solves, batches, batchReqs atomic.Int64
 	iterations                 atomic.Int64
@@ -754,59 +779,6 @@ type solverBase struct {
 	queuePeak atomic.Int64
 }
 
-// begin enters one solve: it takes the read lock and rejects closed
-// solvers. Every public solve entry point pairs it with end; nested
-// begin calls are forbidden (recursive read locks can deadlock against
-// a pending Close).
-//
-//lsbp:hotpath
-func (b *solverBase) begin() bool {
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return false
-	}
-	return true
-}
-
-//lsbp:hotpath
-func (b *solverBase) end() { b.mu.RUnlock() }
-
-// closeOnce runs release under the write lock the first time the solver
-// is closed — after every in-flight solve has drained — and is a no-op
-// afterwards.
-func (b *solverBase) closeOnce(release func()) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	if release != nil {
-		release()
-	}
-	return nil
-}
-
-func (b *solverBase) base() *solverBase { return b }
-
-func (b *solverBase) Stats() SolverStats {
-	bh := b.batchHint
-	if bh < 1 {
-		bh = 1
-	}
-	return SolverStats{
-		Method: b.method, N: b.n, K: b.k, Workers: b.workers, EpsilonH: b.eps,
-		Ordering: b.ordering, BandwidthBefore: b.bandBefore, BandwidthAfter: b.bandAfter,
-		Schedule:  b.schedule,
-		BatchHint: bh,
-		Solves:    b.solves.Load(), Batches: b.batches.Load(), BatchRequests: b.batchReqs.Load(),
-		Iterations: b.iterations.Load(), NotConverged: b.notConverged.Load(), Cancelled: b.cancelled.Load(),
-		ResidualRowsRelaxed: b.rowsRelaxed.Load(), ResidualQueuePeak: b.queuePeak.Load(),
-		ResidualPushes: b.pushes.Load(),
-	}
-}
-
 // admitCtx rejects a request whose context is already done before any
 // kernel work runs. The iterative loops only observe cancellation at
 // round boundaries; admission must fail an already-expired deadline
@@ -814,7 +786,7 @@ func (b *solverBase) Stats() SolverStats {
 // as a cancelled solve, matching mid-solve aborts.
 //
 //lsbp:hotpath
-func (b *solverBase) admitCtx(ctx context.Context) error {
+func (b *counters) admitCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		b.cancelled.Add(1)
 		return fmt.Errorf("core: %v admission: %w", b.method, err)
@@ -827,7 +799,7 @@ func (b *solverBase) admitCtx(ctx context.Context) error {
 // aborts pass through.
 //
 //lsbp:hotpath
-func (b *solverBase) record(info SolveInfo, err error) (SolveInfo, error) {
+func (b *counters) record(info SolveInfo, err error) (SolveInfo, error) {
 	b.iterations.Add(int64(info.Iterations))
 	if info.RowsRelaxed > 0 {
 		b.rowsRelaxed.Add(int64(info.RowsRelaxed))
@@ -869,14 +841,10 @@ var errNotConverged = func() (e [MethodFABP + 1]error) {
 	return e
 }()
 
-func (b *solverBase) errClosed() error {
-	return fmt.Errorf("core: %v solver: %w", b.method, errs.ErrClosed)
-}
-
 // checkShapes validates one dst/e pair against the prepared dimensions.
 //
 //lsbp:hotpath
-func (b *solverBase) checkShapes(dst, e *beliefs.Residual) error {
+func (b *solverInfo) checkShapes(dst, e *beliefs.Residual) error {
 	if e == nil || dst == nil {
 		return fmt.Errorf("core: nil belief matrix: %w", errs.ErrDimensionMismatch)
 	}
@@ -885,18 +853,6 @@ func (b *solverBase) checkShapes(dst, e *beliefs.Residual) error {
 			e.N(), e.K(), dst.N(), dst.K(), b.n, b.k, errs.ErrDimensionMismatch)
 	}
 	return nil
-}
-
-// finish assembles the allocating-path Result from a SolveInto outcome.
-func (b *solverBase) finish(dst *beliefs.Residual, info SolveInfo, err error) (*Result, error) {
-	res := &Result{
-		Method: b.method, Beliefs: dst,
-		Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
-	}
-	if err != nil && !isNotConverged(err) {
-		return nil, err
-	}
-	return res, err
 }
 
 func isNotConverged(err error) bool {
@@ -912,33 +868,24 @@ func failAll(reqs []Request, err error) []Response {
 	return resp
 }
 
-// sequentialBatch is the shared SolveBatch shape for methods without a
-// fused multi-request kernel: requests run one after another over the
-// prepared state through the method's internal (uncounted, shape-trusting)
-// solve, so shapes are fully validated here. Callers hold the solver's
-// read lock.
-func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
-	solve func(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error)) []Response {
-	b.batches.Add(1)
-	b.batchReqs.Add(int64(len(reqs)))
-	if err := b.admitCtx(ctx); err != nil {
-		b.cancelled.Add(int64(len(reqs)) - 1) // admitCtx counted one
-		return failAll(reqs, err)
-	}
-	resp := make([]Response, len(reqs))
-	for i, req := range reqs {
-		dst := req.Dst
-		if dst == nil {
-			dst = beliefs.New(b.n, b.k)
-		}
-		if err := b.checkShapes(dst, req.E); err != nil {
-			resp[i].Err = err
-			continue
-		}
-		info, err := solve(ctx, dst, req.E)
-		resp[i] = Response{Beliefs: dst, Info: info, Err: err}
-	}
-	return resp
+// plane is what differs by method: the engine pools, and one solve or
+// one batch on pooled states for an epoch. The solver's entries hold
+// its read side (or its update lock), check the shapes of a single
+// solve, count it, and admit its context before they call in.
+type plane interface {
+	// solve runs one request on ep; for SBP a non-nil geo receives the
+	// caller-order geodesic numbers.
+	solve(ctx context.Context, ep *epoch, dst, e *beliefs.Residual, geo []int) (SolveInfo, error)
+	// batch answers the requests on ep, checking each one's shapes.
+	batch(ctx context.Context, ep *epoch, reqs []Request) []Response
+	// prime builds one state on ep, whose layout the pools are on,
+	// before ep is published, so a bad configuration fails there; the
+	// state stays pooled for the first solve on ep.
+	prime(ep *epoch) error
+	// advance moves the pools to ep (see statePool.advance).
+	advance(ep *epoch)
+	// closeAll destroys every state; no solve may be in flight.
+	closeAll()
 }
 
 // ---------------------------------------------------------------------------
@@ -950,9 +897,9 @@ func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
 // single-problem one, which matters on cache-resident graphs.
 const batchWidth = 12
 
-// kernelOp is what a kernel method contributes to the shared snapshot:
-// the fused operator's couplings, whether its layout carries the echo
-// term's degrees, the layout row width, the iteration defaults, and the
+// kernelOp is what a kernel method contributes to its epochs: the fused
+// operator's couplings, whether its layout carries the echo term's
+// degrees, the layout row width, the iteration defaults, and the
 // fused-chunk width.
 type kernelOp struct {
 	// h and echoH are kernel.Config's couplings (echoH nil = Hˆ²).
@@ -1111,32 +1058,63 @@ func (m rowMap) moveTo(to rowMap, dst, src []float64) {
 
 // chunkEngine is one pooled rounds engine fusing c requests, with its
 // layout-order explicit buffer (n × c·w; nil when c = 1 under the
-// identity map, whose single solves read the caller's rows directly).
+// identity map, whose single solves read the caller's rows directly)
+// and the epoch it last served.
 type chunkEngine struct {
 	eng *kernel.Engine
 	ws  *kernel.Workspace
 	ein []float64
+	ep  *epoch
+}
+
+// bind rebinds the engine to ep, an epoch of the layout it was built
+// for: a pointer swap, no rebuild. An engine of another layout (another
+// row map, and possibly another εH) cannot serve ep.
+//
+//lsbp:hotpath
+func (ce *chunkEngine) bind(ep *epoch) bool {
+	if ce.ep != ep {
+		if ce.ep.layout != ep.layout || ce.eng.Rebind(ep.rows) != nil {
+			return false
+		}
+		ce.ep = ep
+	}
+	return true
 }
 
 // residualState is one pooled residual-scheduled engine with its
-// layout-order explicit buffer (nil under the identity map).
+// layout-order explicit buffer (nil under the identity map) and the
+// epoch it last served.
 type residualState struct {
 	eng *kernel.ResidualEngine
 	ein []float64
+	ep  *epoch
+}
+
+// bind rebinds the engine to ep, an epoch of the layout it was built
+// for (see chunkEngine.bind).
+//
+//lsbp:hotpath
+func (st *residualState) bind(ep *epoch) bool {
+	if st.ep != ep {
+		if st.ep.layout != ep.layout || st.eng.Rebind(ep.rows) != nil {
+			return false
+		}
+		st.ep = ep
+	}
+	return true
 }
 
 // kernelSolver serves LinBP, LinBP*, and FABP through pooled kernel
-// engines over one layout: one statePool of rounds engines per batch
-// chunk size (single solves and the dynamic plane's rounds re-solves
-// are one-request chunks) and, under a residual schedule, a pool of
-// residual-scheduled engines. All engines share the immutable
-// row-block adjacency (with its degrees), the method's operator, and
-// the row map; only the mutable workspaces are per-pool-entry, so
-// concurrent solves never contend on state.
+// engines: one statePool of rounds engines per batch chunk size (single
+// solves and the dynamic plane's rounds re-solves are one-request
+// chunks) and, under a residual schedule, a pool of residual-scheduled
+// engines. Every engine reads the epoch's immutable row-block adjacency
+// (with its degrees), operator and row map; only the mutable
+// workspaces are per-pool-entry, so concurrent solves never contend on
+// state.
 type kernelSolver struct {
-	solverBase
-	op kernelOp
-
+	*counters
 	chunks []*statePool[*chunkEngine] // index c-1 → chunks of c requests
 	// rstates pools the residual-scheduled engines; nil when the
 	// schedule is rounds-only or a negative tolerance forces fixed
@@ -1144,7 +1122,7 @@ type kernelSolver struct {
 	rstates *statePool[*residualState]
 }
 
-// layoutRows lays out an adjacency for a snapshot: relabel it by perm
+// layoutRows lays out an adjacency for an epoch: relabel it by perm
 // (nil keeps the order) and wrap the result in an epoch-0 row-block
 // table — with the squared-weight degrees when echo is on. The degrees
 // are the layout rows' RowSumsSquared, the same value a commit
@@ -1165,93 +1143,86 @@ func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBl
 	return rows, nil
 }
 
-// newKernelSolver builds the snapshot on an explicit layout — a
-// row-block table and the relabeling it was laid out under — and
-// validates it by building the first engine eagerly.
-func newKernelSolver(op kernelOp, base solverInfo, rows *sparse.RowBlocks, perm order.Permutation) (*kernelSolver, error) {
-	s := &kernelSolver{op: op}
-	s.rm = rowMap{perm: perm, n: base.n, k: base.k, w: op.w}
-	s.initPools(rows, base)
-	ce, err := s.chunks[0].get()
-	if err != nil {
-		return nil, err
-	}
-	s.chunks[0].put(ce)
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		// The residual plane is this solver's serving path: validate its
-		// configuration eagerly too, so Prepare (not the first solve)
-		// reports a bad configuration.
-		st, err := s.rstates.get()
-		if err != nil {
-			return nil, err
-		}
-		s.rstates.put(st)
-	}
-	return s, nil
-}
-
-// initPools binds the snapshot to its epoch's table and identity and
-// creates its (empty) engine pools.
-func (s *kernelSolver) initPools(rows *sparse.RowBlocks, base solverInfo) {
-	s.rows = rows
-	s.solverInfo = base
-	s.batchHint = s.op.blocks
-	s.chunks = make([]*statePool[*chunkEngine], s.op.blocks)
+// newKernelSolver creates the (empty) engine pools for the epochs of
+// ep's solver: the chunk sizes, the schedule and the tolerance are the
+// same in every one of its layouts.
+func newKernelSolver(c *counters, ep *epoch) *kernelSolver {
+	s := &kernelSolver{counters: c, chunks: make([]*statePool[*chunkEngine], ep.op.blocks)}
 	for i := range s.chunks {
 		c := i + 1
-		s.chunks[i] = newStatePool(func() (*chunkEngine, error) {
+		s.chunks[i] = newStatePool(func(ep *epoch) (*chunkEngine, error) {
 			ws := kernel.GetWorkspace()
 			eng, err := kernel.New(kernel.Config{
-				Rows: s.rows, H: s.op.h, EchoH: s.op.echoH,
-				Workers: s.workers, Blocks: c,
+				Rows: ep.rows, H: ep.op.h, EchoH: ep.op.echoH,
+				Workers: ep.workers, Blocks: c,
 				SymmetricA: true,
 			}, ws)
 			if err != nil {
 				ws.Release()
 				return nil, fmt.Errorf("core: kernel engine: %w", err)
 			}
-			ce := &chunkEngine{eng: eng, ws: ws}
-			if c > 1 || !s.rm.identity() {
-				ce.ein = make([]float64, s.n*c*s.op.w)
+			ce := &chunkEngine{eng: eng, ws: ws, ep: ep}
+			if c > 1 || !ep.rm.identity() {
+				ce.ein = make([]float64, ep.n*c*ep.op.w)
 			}
 			return ce, nil
-		}).withDestroy(func(ce *chunkEngine) {
+		}, (*chunkEngine).bind).withDestroy(func(ce *chunkEngine) {
 			ce.eng.Close()
 			ce.ws.Release()
 		})
 	}
-	if s.schedule != ScheduleRounds && s.op.tol > 0 {
-		s.rstates = newStatePool(func() (*residualState, error) {
+	if ep.schedule != ScheduleRounds && ep.op.tol > 0 {
+		s.rstates = newStatePool(func(ep *epoch) (*residualState, error) {
 			eng, err := kernel.NewResidual(kernel.Config{
-				Rows: s.rows, H: s.op.h, EchoH: s.op.echoH, SymmetricA: true,
-			}, s.op.tol)
+				Rows: ep.rows, H: ep.op.h, EchoH: ep.op.echoH, SymmetricA: true,
+			}, ep.op.tol)
 			if err != nil {
 				return nil, fmt.Errorf("core: residual engine: %w", err)
 			}
-			st := &residualState{eng: eng}
-			if !s.rm.identity() {
-				st.ein = make([]float64, s.n*s.op.w)
+			st := &residualState{eng: eng, ep: ep}
+			if !ep.rm.identity() {
+				st.ein = make([]float64, ep.n*ep.op.w)
 			}
 			return st, nil
-		})
+		}, (*residualState).bind)
+	}
+	return s
+}
+
+// prime builds a rounds engine on ep and, when the residual plane is
+// the solver's serving path, a residual engine too.
+func (s *kernelSolver) prime(ep *epoch) error {
+	ce, err := s.chunks[0].get(ep)
+	if err != nil {
+		return err
+	}
+	s.chunks[0].put(ce, ep)
+	if ep.schedule == ScheduleResidual && s.rstates != nil {
+		st, err := s.rstates.get(ep)
+		if err != nil {
+			return err
+		}
+		s.rstates.put(st, ep)
+	}
+	return nil
+}
+
+func (s *kernelSolver) advance(ep *epoch) {
+	for _, p := range s.chunks {
+		p.advance(ep)
+	}
+	if s.rstates != nil {
+		s.rstates.advance(ep)
 	}
 }
 
-// successor builds the next epoch's snapshot on a table committed from
-// this one's: same operator and layout, and no engine built — the idle
-// engines of every pool move over, rebound to the new table (an engine
-// that cannot rebind is destroyed and rebuilt on demand).
-func (s *kernelSolver) successor(rows *sparse.RowBlocks, base solverInfo) *kernelSolver {
-	next := &kernelSolver{op: s.op}
-	next.rm = s.rm
-	next.initPools(rows, base)
-	for i := range s.chunks {
-		moveIdle(s.chunks[i], next.chunks[i], func(ce *chunkEngine) error { return ce.eng.Rebind(rows) })
+func (s *kernelSolver) closeAll() {
+	for _, p := range s.chunks {
+		p.closeAll()
 	}
 	if s.rstates != nil {
-		moveIdle(s.rstates, next.rstates, func(st *residualState) error { return st.eng.Rebind(rows) })
+		s.rstates.closeAll()
 	}
-	return next
 }
 
 // solveLayout runs one round-scheduled solve of the dynamic plane on a
@@ -1260,12 +1231,12 @@ func (s *kernelSolver) successor(rows *sparse.RowBlocks, base solverInfo) *kerne
 // error aborted it, the final iterate is copied into out. keep returns
 // the engine to the pool; otherwise it leaves the pool and is closed
 // (see kernelPlane.keepRounds).
-func (s *kernelSolver) solveLayout(ctx context.Context, out, e, start []float64, keep bool) (SolveInfo, error) {
+func (s *kernelSolver) solveLayout(ctx context.Context, ep *epoch, out, e, start []float64, keep bool) (SolveInfo, error) {
 	s.solves.Add(1)
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
-	ce, err := s.chunks[0].get()
+	ce, err := s.chunks[0].get(ep)
 	if err != nil {
 		return SolveInfo{}, err
 	}
@@ -1275,65 +1246,34 @@ func (s *kernelSolver) solveLayout(ctx context.Context, out, e, start []float64,
 		ce.eng.SetStart(start)
 	}
 	ce.eng.SetExplicit(e)
-	iters, delta, converged, err := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
+	iters, delta, converged, err := ce.eng.RunContext(ctx, ep.op.maxIter, ep.op.tol, nil)
 	if iters > 0 && err == nil {
 		copy(out, ce.eng.Beliefs())
 	}
 	if keep {
-		s.chunks[0].put(ce)
+		s.chunks[0].put(ce, ep)
 	} else {
 		s.chunks[0].discard(ce)
 	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
 
-func (s *kernelSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	if !s.begin() {
-		return nil, s.errClosed()
-	}
-	defer s.end()
-	dst := beliefs.New(s.n, s.k)
-	if err := s.checkShapes(dst, e); err != nil {
-		return nil, err
-	}
-	s.solves.Add(1) // counted only once the request is well-formed
-	info, err := s.solveInto(ctx, dst, e)
-	return s.finish(dst, info, err)
-}
-
-//lsbp:hotpath
-func (s *kernelSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
-}
-
-// solveInto runs one counted-elsewhere solve: a one-request chunk on a
-// pooled engine, or a residual-scheduled solve under ScheduleResidual.
-// The caller holds the read lock and has validated the shapes.
+// solve runs one request: a one-request chunk on a pooled engine, or a
+// residual-scheduled solve under ScheduleResidual.
 //
 //lsbp:hotpath
-func (s *kernelSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
+func (s *kernelSolver) solve(ctx context.Context, ep *epoch, dst, e *beliefs.Residual, _ []int) (SolveInfo, error) {
+	if ep.schedule == ScheduleResidual && s.rstates != nil {
+		return s.solveResidual(ctx, ep, dst, e)
 	}
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		return s.solveResidual(ctx, dst, e)
-	}
-	ce, err := s.chunks[0].get()
+	ce, err := s.chunks[0].get(ep)
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.chunks[0].put(ce)
+	defer s.chunks[0].put(ce, ep)
 	ce.eng.ResetFast()
-	ce.eng.SetExplicit(s.rm.input(ce.ein, e.Matrix().Data()))
-	iters, delta, converged, err := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
+	ce.eng.SetExplicit(ep.rm.input(ce.ein, e.Matrix().Data()))
+	iters, delta, converged, err := ce.eng.RunContext(ctx, ep.op.maxIter, ep.op.tol, nil)
 	dd := dst.Matrix().Data()
 	if iters == 0 {
 		// Nothing ran (pre-cancelled context or a non-positive iteration
@@ -1344,7 +1284,7 @@ func (s *kernelSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) 
 			dd[i] = 0
 		}
 	} else {
-		s.rm.out(dd, ce.eng.Beliefs(), 1, 0)
+		ep.rm.out(dd, ce.eng.Beliefs(), 1, 0)
 	}
 	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
 }
@@ -1353,21 +1293,20 @@ func (s *kernelSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) 
 // engine; the round-equivalent ⌈relaxed/n⌉ keeps Iterations comparable
 // across schedules, and the relaxation budget is MaxIter·n rows, the
 // work of MaxIter full rounds. dst receives the iterate at every exit.
-// Callers hold the read lock, have validated the shapes and admitted
-// the context; s.rstates must be non-nil.
+// s.rstates must be non-nil.
 //
 //lsbp:hotpath
-func (s *kernelSolver) solveResidual(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	st, err := s.rstates.get()
+func (s *kernelSolver) solveResidual(ctx context.Context, ep *epoch, dst, e *beliefs.Residual) (SolveInfo, error) {
+	st, err := s.rstates.get(ep)
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.rstates.put(st)
-	st.eng.SeedExplicit(s.rm.input(st.ein, e.Matrix().Data()))
-	relaxed, peak, maxResid, converged, err := st.eng.Run(ctx, s.op.maxIter*s.n)
-	s.rm.out(dst.Matrix().Data(), st.eng.Beliefs(), 1, 0)
+	defer s.rstates.put(st, ep)
+	st.eng.SeedExplicit(ep.rm.input(st.ein, e.Matrix().Data()))
+	relaxed, peak, maxResid, converged, err := st.eng.Run(ctx, ep.op.maxIter*ep.n)
+	ep.rm.out(dst.Matrix().Data(), st.eng.Beliefs(), 1, 0)
 	s.pushes.Add(int64(st.eng.Pushes()))
-	return s.record(residualInfo(s.n, relaxed, peak, maxResid, converged), err)
+	return s.record(residualInfo(ep.n, relaxed, peak, maxResid, converged), err)
 }
 
 // residualInfo assembles a residual-scheduled solve's SolveInfo, with
@@ -1382,28 +1321,18 @@ func residualInfo(n, relaxed, peak int, maxResid float64, converged bool) SolveI
 	return SolveInfo{Iterations: iters, Converged: converged, Delta: maxResid, RowsRelaxed: relaxed, QueuePeak: peak}
 }
 
-// SolveBatch fuses the requests into multi-block kernel chunks: each
-// update round traverses the CSR once for every request in a chunk, so
-// a batch of R requests costs far less than R single solves even on a
-// single core (and the chunks still run on the span pool when Workers
-// is set). Requests in a chunk share rounds: iteration stops once every
+// batch fuses the requests into multi-block kernel chunks: each update
+// round traverses the CSR once for every request in a chunk, so a batch
+// of R requests costs far less than R single solves even on a single
+// core (and the chunks still run on the span pool when Workers is set).
+// Requests in a chunk share rounds: iteration stops once every
 // request's delta is within tolerance, and the shared round count and
 // maximum delta are reported for each. Results match the request's
 // single solve up to summation-order rounding (~1 ulp per round);
 // FABP's one-request chunks match it bitwise.
 //
 //lsbp:hotpath
-func (s *kernelSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	if !s.begin() {
-		return failAll(reqs, s.errClosed())
-	}
-	defer s.end()
-	s.batches.Add(1)
-	s.batchReqs.Add(int64(len(reqs)))
-	if err := s.admitCtx(ctx); err != nil {
-		s.cancelled.Add(int64(len(reqs)) - 1) // admitCtx counted one
-		return failAll(reqs, err)
-	}
+func (s *kernelSolver) batch(ctx context.Context, ep *epoch, reqs []Request) []Response {
 	//lsbp:ignore hotpath-noalloc -- the response slice is the batch path's one documented caller-owned allocation
 	resp := make([]Response, len(reqs))
 
@@ -1412,7 +1341,7 @@ func (s *kernelSolver) SolveBatch(ctx context.Context, reqs []Request) []Respons
 	// response slice above, the batch path's only steady-state
 	// allocation is that caller-owned slice.
 	var idx [batchWidth]int
-	mb := s.op.blocks
+	mb := ep.op.blocks
 	cn := 0
 	var batchErr error
 	//lsbp:ignore hotpath-noalloc -- one closure per batch call, amortized over up to batchWidth solves per flush
@@ -1430,12 +1359,12 @@ func (s *kernelSolver) SolveBatch(ctx context.Context, reqs []Request) []Respons
 			}
 			return
 		}
-		batchErr = s.solveChunk(ctx, reqs, resp, chunk)
+		batchErr = s.solveChunk(ctx, ep, reqs, resp, chunk)
 	}
 	for i, req := range reqs {
-		if req.E == nil || req.E.N() != s.n || req.E.K() != s.k ||
-			(req.Dst != nil && (req.Dst.N() != s.n || req.Dst.K() != s.k)) {
-			resp[i].Err = fmt.Errorf("core: request %d does not match n=%d k=%d: %w", i, s.n, s.k, errs.ErrDimensionMismatch)
+		if req.E == nil || req.E.N() != ep.n || req.E.K() != ep.k ||
+			(req.Dst != nil && (req.Dst.N() != ep.n || req.Dst.K() != ep.k)) {
+			resp[i].Err = fmt.Errorf("core: request %d does not match n=%d k=%d: %w", i, ep.n, ep.k, errs.ErrDimensionMismatch)
 			continue
 		}
 		idx[cn] = i
@@ -1453,36 +1382,36 @@ func (s *kernelSolver) SolveBatch(ctx context.Context, reqs []Request) []Respons
 // solveChunk runs one fused chunk on a pooled engine and fills its
 // responses. It returns non-nil only when the batch cannot
 // meaningfully continue — the shared context is done, or engines can
-// no longer be built — telling SolveBatch to fail the remaining
-// chunks without running them. A chunk that merely fails numerically
-// (one diverging request poisons its fused cohort) reports the error
-// in its own responses and returns nil, so unrelated chunks in the
-// same batch still run.
+// no longer be built — telling batch to fail the remaining chunks
+// without running them. A chunk that merely fails numerically (one
+// diverging request poisons its fused cohort) reports the error in its
+// own responses and returns nil, so unrelated chunks in the same batch
+// still run.
 //
 //lsbp:hotpath
-func (s *kernelSolver) solveChunk(ctx context.Context, reqs []Request, resp []Response, chunk []int) error {
+func (s *kernelSolver) solveChunk(ctx context.Context, ep *epoch, reqs []Request, resp []Response, chunk []int) error {
 	c := len(chunk)
-	ce, err := s.chunks[c-1].get()
+	ce, err := s.chunks[c-1].get(ep)
 	if err != nil {
 		for _, ri := range chunk {
 			resp[ri].Err = err
 		}
 		return err
 	}
-	defer s.chunks[c-1].put(ce)
+	defer s.chunks[c-1].put(ce, ep)
 	// Interleave the chunk's explicit beliefs: node i's blocks·w layout
 	// row holds request 0..c-1's w-wide rows back to back.
 	explicit := ce.ein
 	if c == 1 {
-		explicit = s.rm.input(ce.ein, reqs[chunk[0]].E.Matrix().Data())
+		explicit = ep.rm.input(ce.ein, reqs[chunk[0]].E.Matrix().Data())
 	} else {
 		for bi, ri := range chunk {
-			s.rm.in(ce.ein, reqs[ri].E.Matrix().Data(), c, bi)
+			ep.rm.in(ce.ein, reqs[ri].E.Matrix().Data(), c, bi)
 		}
 	}
 	ce.eng.ResetFast()
 	ce.eng.SetExplicit(explicit)
-	iters, delta, converged, runErr := ce.eng.RunContext(ctx, s.op.maxIter, s.op.tol, nil)
+	iters, delta, converged, runErr := ce.eng.RunContext(ctx, ep.op.maxIter, ep.op.tol, nil)
 	s.iterations.Add(int64(iters))
 
 	// One shared error value per chunk: its requests share rounds, so
@@ -1519,9 +1448,9 @@ func (s *kernelSolver) solveChunk(ctx context.Context, reqs []Request, resp []Re
 		}
 		dst := reqs[ri].Dst
 		if dst == nil {
-			dst = beliefs.New(s.n, s.k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
+			dst = beliefs.New(ep.n, ep.k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
 		}
-		s.rm.out(dst.Matrix().Data(), state, c, bi)
+		ep.rm.out(dst.Matrix().Data(), state, c, bi)
 		resp[ri].Beliefs = dst
 	}
 	if runErr != nil && ctx.Err() != nil {
@@ -1532,31 +1461,27 @@ func (s *kernelSolver) solveChunk(ctx context.Context, reqs []Request, resp []Re
 	return nil
 }
 
-func (s *kernelSolver) Close() error {
-	return s.closeOnce(func() {
-		for _, p := range s.chunks {
-			p.closeAll()
-		}
-		if s.rstates != nil {
-			s.rstates.closeAll()
-		}
-	})
-}
-
 // ---------------------------------------------------------------------------
 // BP and SBP
 
-// graphState is one per-solve BP or SBP workspace: a clone of the
-// epoch's BP engine (sharing its directed-edge layout, owning its
-// message buffers) or a private SBP runner (each caches its own
-// geodesic ordering), plus layout-order scratch for the explicit rows
-// and the beliefs (nil under the identity map, where the caller's
-// matrices serve as they stand).
+// graphState is one per-solve BP or SBP workspace, built on one epoch's
+// table: a BP engine (its directed-edge layout and message buffers) or
+// an SBP runner (which caches its geodesic ordering), plus layout-order
+// scratch for the explicit rows and the beliefs (nil under the identity
+// map, where the caller's matrices serve as they stand).
 type graphState struct {
 	bp       *bp.Engine
 	sbp      *sbp.Runner
 	ein, out *beliefs.Residual
+	ep       *epoch
 }
+
+// bind reports whether the state was built on ep: BP's directed-edge
+// layout and SBP's geodesic cache belong to one table, so a state built
+// on another one is rebuilt.
+//
+//lsbp:hotpath
+func (st *graphState) bind(ep *epoch) bool { return st.ep == ep }
 
 // graphSolver serves the message-passing methods, BP and SBP, on the
 // epoch's layout-order row-block table: the table the kernel methods
@@ -1564,100 +1489,60 @@ type graphState struct {
 // adjacent pair of the table (parallel edges collapse, as they do in
 // the adjacency) and rescales explicit residuals too large to be valid
 // priors per solve (bpSafeScale; Lemma 12 keeps the classification).
-// SBP is εH-invariant and runs on the unscaled Hˆo; each runner reuses
-// its geodesic ordering across solves with an unchanged explicit node
-// set, and Solve reports the caller-order geodesic numbers in
-// Result.Geodesics. The row map carries belief rows between caller and
-// layout order.
+// SBP runs on the unscaled Hˆo; each runner reuses its geodesic
+// ordering across solves with an unchanged explicit node set, and Solve
+// reports the caller-order geodesic numbers in Result.Geodesics. The
+// row map carries belief rows between caller and layout order.
 type graphSolver struct {
-	solverBase
+	*counters
 	states *statePool[*graphState]
 }
 
-// newGraphSolver builds the BP or SBP snapshot (base.method) on the
-// layout table rows, laid out under perm.
-func newGraphSolver(rows *sparse.RowBlocks, ho *dense.Matrix, base solverInfo, cfg config, perm order.Permutation) (*graphSolver, error) {
-	s := &graphSolver{}
-	s.solverInfo, s.rows = base, rows
-	s.rm = rowMap{perm: perm, n: base.n, k: base.k, w: base.k}
-	var proto *bp.Engine
-	if base.method == MethodBP {
-		// proto carries the shared directed-edge layout; every pooled
-		// state clones it, so concurrent pool misses never touch shared
-		// mutable state.
+// newGraphSolver creates the (empty) state pool of a BP or SBP solver;
+// opts are BP's iteration options.
+func newGraphSolver(c *counters, opts bp.Options) *graphSolver {
+	s := &graphSolver{counters: c}
+	s.states = newStatePool(func(ep *epoch) (*graphState, error) {
+		st := &graphState{ep: ep}
 		var err error
-		h := coupling.Uncenter(coupling.Scale(ho, base.eps))
-		if proto, err = bp.NewEngine(rows, h, bp.Options{MaxIter: cfg.maxIter, Tol: cfg.tol}); err != nil {
+		if c.method == MethodBP {
+			st.bp, err = bp.NewEngine(ep.rows, ep.h, opts)
+		} else {
+			st.sbp, err = sbp.NewRunner(ep.rows, ep.h)
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	s.states = newStatePool(func() (*graphState, error) {
-		st := &graphState{}
-		if proto != nil {
-			st.bp = proto.Clone()
-		} else {
-			var err error
-			if st.sbp, err = sbp.NewRunner(rows, ho); err != nil {
-				return nil, err
-			}
-		}
-		if !s.rm.identity() {
-			st.ein, st.out = beliefs.New(s.n, s.k), beliefs.New(s.n, s.k)
+		if !ep.rm.identity() {
+			st.ein, st.out = beliefs.New(ep.n, ep.k), beliefs.New(ep.n, ep.k)
 		}
 		return st, nil
-	})
-	return s, nil
+	}, (*graphState).bind)
+	return s
 }
 
-func (s *graphSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	if !s.begin() {
-		return nil, s.errClosed()
+func (s *graphSolver) prime(ep *epoch) error {
+	st, err := s.states.get(ep)
+	if err != nil {
+		return err
 	}
-	defer s.end()
-	dst := beliefs.New(s.n, s.k)
-	if err := s.checkShapes(dst, e); err != nil {
-		return nil, err
-	}
-	s.solves.Add(1)
-	var geo []int
-	if s.method == MethodSBP {
-		geo = make([]int, s.n)
-	}
-	info, err := s.solveInto(ctx, dst, e, geo)
-	res, err := s.finish(dst, info, err)
-	if res != nil {
-		res.Geodesics = geo
-	}
-	return res, err
+	s.states.put(st, ep)
+	return nil
 }
 
-func (s *graphSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e, nil)
-}
+func (s *graphSolver) advance(ep *epoch) { s.states.advance(ep) }
 
-// solveInto runs one counted-elsewhere solve on a pooled state; for SBP
-// a non-nil geo receives the caller-order geodesic numbers. The caller
-// holds the read lock and has validated the shapes.
-func (s *graphSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual, geo []int) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	st, err := s.states.get()
+func (s *graphSolver) closeAll() { s.states.closeAll() }
+
+func (s *graphSolver) solve(ctx context.Context, ep *epoch, dst, e *beliefs.Residual, geo []int) (SolveInfo, error) {
+	st, err := s.states.get(ep)
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.states.put(st)
+	defer s.states.put(st, ep)
 	out, ein := dst, e
 	if st.ein != nil {
-		s.rm.in(st.ein.Matrix().Data(), e.Matrix().Data(), 1, 0)
+		ep.rm.in(st.ein.Matrix().Data(), e.Matrix().Data(), 1, 0)
 		out, ein = st.out, st.ein
 	}
 	var info SolveInfo
@@ -1670,24 +1555,34 @@ func (s *graphSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual, g
 		if err == nil {
 			layout := st.sbp.Geodesics()
 			for i := range geo {
-				geo[i] = layout[s.rm.at(i)]
+				geo[i] = layout[ep.rm.at(i)]
 			}
 		}
 	}
 	if st.out != nil {
-		s.rm.out(dst.Matrix().Data(), st.out.Matrix().Data(), 1, 0)
+		ep.rm.out(dst.Matrix().Data(), st.out.Matrix().Data(), 1, 0)
 	}
 	return s.record(info, err)
 }
 
-func (s *graphSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	if !s.begin() {
-		return failAll(reqs, s.errClosed())
+// batch answers the requests one after another: BP and SBP have no
+// fused multi-request kernel.
+func (s *graphSolver) batch(ctx context.Context, ep *epoch, reqs []Request) []Response {
+	resp := make([]Response, len(reqs))
+	for i, req := range reqs {
+		dst := req.Dst
+		if dst == nil {
+			dst = beliefs.New(ep.n, ep.k)
+		}
+		if err := ep.checkShapes(dst, req.E); err != nil {
+			resp[i].Err = err
+			continue
+		}
+		info, err := SolveInfo{}, s.admitCtx(ctx)
+		if err == nil {
+			info, err = s.solve(ctx, ep, dst, req.E, nil)
+		}
+		resp[i] = Response{Beliefs: dst, Info: info, Err: err}
 	}
-	defer s.end()
-	return s.sequentialBatch(ctx, reqs, func(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-		return s.solveInto(ctx, dst, e, nil)
-	})
+	return resp
 }
-
-func (s *graphSolver) Close() error { return s.closeOnce(nil) }

@@ -611,13 +611,16 @@ func configRows(cfg Config, own *sparse.RowBlocks) (*sparse.RowBlocks, error) {
 	return rows, nil
 }
 
-// Rebind points the engine at another epoch of its adjacency — a table
-// committed from the one it was built on, with the same shape and
-// degree presence — without rebuilding anything: the next round reads
-// the new rows on the serial kernel and the span pool alike (its
-// workers read the table through the engine; its spans, balanced on
-// the epoch of its first parallel round, stay valid row ranges). The
+// Rebind points the engine at another epoch of its adjacency — any
+// table of the same layout, older or newer than the one it serves
+// (committed from the same base, with the same shape and degree
+// presence) — without rebuilding anything: a pointer swap. The next
+// round reads the new rows on the serial kernel and the span pool alike
+// (its workers read the table through the engine; its spans, balanced
+// on the epoch of its first parallel round, stay valid row ranges). The
 // engine must be idle (no round in flight).
+//
+//lsbp:hotpath
 func (e *Engine) Rebind(rows *sparse.RowBlocks) error {
 	e.checkOpen()
 	if rows.Rows() != e.n || rows.Cols() != e.n {

@@ -573,11 +573,13 @@ func (e *ResidualEngine) SetBeliefs(b []float64) {
 	copy(e.b, b)
 }
 
-// Rebind points the engine at another epoch of its adjacency (a table
-// committed from the one it was built on: same shape and degree
-// presence). The held beliefs and the touched-row bookkeeping
-// carry over, so the next SeedResume continues from the fixpoint of
-// the previous epoch.
+// Rebind points the engine at another epoch of its adjacency (any
+// table of the same layout, older or newer: same shape and degree
+// presence) with a pointer swap. The held beliefs and the touched-row
+// bookkeeping carry over, so the next SeedResume continues from the
+// fixpoint of the previous epoch.
+//
+//lsbp:hotpath
 func (e *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {
 	if rows.Rows() != e.n || rows.Cols() != e.n {
 		return fmt.Errorf("kernel: rebind to %dx%d adjacency, engine has n=%d: %w", rows.Rows(), rows.Cols(), e.n, errs.ErrDimensionMismatch)

@@ -32,6 +32,7 @@ type State struct {
 	e   *beliefs.Residual // explicit residual beliefs Eˆ
 	b   *beliefs.Residual // final residual beliefs Bˆ
 	geo []int             // geodesic numbers; graph.Unreachable if none
+	acc []float64         // aggregation scratch (k wide), as in Runner
 
 	recomputes int // per-node belief recomputations (see RecomputeCount)
 }
@@ -57,7 +58,7 @@ func RunInstrumented(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix,
 	if e.N() != n || e.K() != k {
 		return nil, fmt.Errorf("sbp: belief matrix %dx%d does not match n=%d k=%d: %w", e.N(), e.K(), n, k, errs.ErrDimensionMismatch)
 	}
-	st := &State{g: g, h: h, e: e.Clone(), b: beliefs.New(n, k)}
+	st := &State{g: g, h: h, e: e.Clone(), b: beliefs.New(n, k), acc: make([]float64, k)}
 	st.geo = g.GeodesicNumbers(e.ExplicitNodes())
 	// Explicit nodes keep their explicit beliefs (geodesic number 0).
 	for s := 0; s < n; s++ {
@@ -95,7 +96,10 @@ func RunInstrumented(g *graph.Graph, e *beliefs.Residual, h *dense.Matrix,
 func (st *State) recomputeBelief(t int) {
 	st.recomputes++
 	k := st.h.Rows()
-	acc := make([]float64, k)
+	acc := st.acc
+	for c := range acc {
+		acc[c] = 0
+	}
 	level := st.geo[t]
 	st.g.Neighbors(t, func(s int, w float64) {
 		if st.geo[s] != level-1 {

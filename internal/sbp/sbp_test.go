@@ -449,3 +449,22 @@ func TestRunShapeMismatch(t *testing.T) {
 		t.Fatal("expected coupling shape error")
 	}
 }
+
+// TestRunAllocationsIndependentOfN pins that State keeps one k-wide
+// accumulator for all its recomputations, as Runner does: a Run at
+// Kronecker power 9 (19,683 nodes) makes a few dozen allocations — the
+// state's matrices and the geodesic pass — not one per node.
+func TestRunAllocationsIndependentOfN(t *testing.T) {
+	g := gen.Kronecker(9)
+	g.Adjacency()
+	e, _ := beliefs.Seed(g.N(), 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 1})
+	h := coupling.Fig6bResidual()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(g, e, h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 100 {
+		t.Errorf("sbp.Run at power 9 made %v allocations, want < 100", allocs)
+	}
+}

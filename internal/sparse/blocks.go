@@ -215,15 +215,21 @@ func allOnes(v []float64) bool {
 }
 
 // Rows returns the number of rows.
+//
+//lsbp:hotpath
 func (m *RowBlocks) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
+//
+//lsbp:hotpath
 func (m *RowBlocks) Cols() int { return m.cols }
 
 // NNZ returns the number of stored entries.
 func (m *RowBlocks) NNZ() int { return m.nnz }
 
 // HasDegrees reports whether the blocks carry per-row degrees.
+//
+//lsbp:hotpath
 func (m *RowBlocks) HasDegrees() bool { return m.deg }
 
 // NumBlocks returns the number of block-table entries.

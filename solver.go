@@ -16,22 +16,23 @@ import (
 // (inserts, deletes, relabels) without re-preparing from scratch. A
 // committed topology update copies only the row blocks it edits (a
 // copy-on-write adjacency reusing the prepare-time reordering, shared
-// by all five methods) and swaps the new snapshot in RCU-style —
-// in-flight solves drain on the old snapshot, new solves land on the
-// new one. The kernel-backed methods move the previous epoch's engines
-// over and re-solve in place on the maintained fixpoint, warm-started
-// (fewer iterations after small deltas, same unique answer); BP and SBP
-// re-solve cold on the committed table. When the
-// cells that differ from the compaction base outgrow
+// by all five methods) and publishes the next epoch, an immutable
+// value, with one atomic store that waits for no solve — in-flight
+// solves finish on the epoch they read, new solves land on the new
+// one. The kernel-backed methods rebind their pooled engines to the
+// epoch a solve reads and re-solve in place on the maintained
+// fixpoint, warm-started (fewer iterations after small deltas, same
+// unique answer); BP and SBP re-solve cold on the committed table.
+// When the cells that differ from the compaction base outgrow
 // WithUpdatePolicy's threshold the commit replays the reordering on
-// the current graph. Stats reports
-// Epoch/Updates/Rebuilds/OverlayNNZ and the per-stage Update clocks.
+// the current graph. Stats reports Epoch/Updates/Rebuilds/OverlayNNZ
+// and the per-stage Update clocks.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // share one Solver (updates serialize internally); per-solve
-// workspaces are recycled through per-epoch pools so the SolveInto
+// workspaces are recycled through the solver's pools so the SolveInto
 // path stays allocation-free in steady state, Stats is race-free, and
-// Close is idempotent (later solves fail with ErrClosed) and drains
+// Close is idempotent (later solves fail with ErrClosed) and waits for
 // in-flight solves and a pending update.
 //
 //	s, err := lsbp.PrepareLinBP(p, lsbp.WithWorkers(4))
@@ -50,8 +51,8 @@ type Solver = core.Solver
 // the batch commits as one epoch.
 type Update = core.Update
 
-// UpdatePolicy tunes the dynamic plane's compaction threshold and
-// warm-start behavior; see WithUpdatePolicy.
+// UpdatePolicy tunes the dynamic plane's compaction threshold; see
+// WithUpdatePolicy.
 type UpdatePolicy = core.UpdatePolicy
 
 // Option configures Prepare and the per-method constructors.
@@ -206,9 +207,10 @@ func WithSchedule(s Schedule) Option { return core.WithSchedule(s) }
 
 // WithUpdatePolicy sets the dynamic plane's policy for Solver.Update:
 // the drift ratio that triggers a compaction rebuild (the reordering
-// replayed on the current graph) and whether
-// Update's re-solves warm-start from the previous fixpoint (the
-// default) or run cold. Solvers that never see an Update ignore it.
+// replayed on the current graph). Update's re-solves warm-start from
+// the previous fixpoint; a Solve of the same explicit beliefs is the
+// cold solve of the updated graph. Solvers that never see an Update
+// ignore it.
 func WithUpdatePolicy(p UpdatePolicy) Option { return core.WithUpdatePolicy(p) }
 
 // WithAutoEpsilonH derives εH from the exact convergence criterion
