@@ -10,13 +10,17 @@
 //
 // once in that tree and once in the working tree, alternating which
 // side goes first. Each run's output is kept as
-// .bench_build/ab/<workload>-<seed>-<side>.txt. It then prints, for
-// every end-to-end metric BENCHMARK.json declares, each side's
-// q1/median/q3, the median ratio (change/parent) and the pairs the
-// change won (ties count for neither), plus each side's attempted and
-// failed operations. A pair whose either run fails or is invalid is
-// reported and left out of the summary. Run it from the repository
-// root; it writes only under .bench_build/.
+// .bench_build/ab/<workload>-<seed>-<side>.txt, and its process CPU
+// time (user + system, run.sh's cached go build included) is read from
+// the finished process. It then prints, for every end-to-end metric
+// BENCHMARK.json declares and for cpu_s, each side's q1/median/q3, the
+// median ratio (change/parent), the pairs the change won (ties count
+// for neither) and whether the claim rule holds (the change wins at
+// least nine pairs in ten, and the medians differ in its favor by more
+// than the parent's q3−q1), plus each side's attempted and failed
+// operations. A pair whose either run fails or is invalid is reported
+// and left out of the summary. Run it from the repository root; it
+// writes only under .bench_build/.
 package main
 
 import (
@@ -37,7 +41,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// result is the last line of one servebench run.
+// result is the last line of one servebench run, with the run's
+// process CPU seconds.
 type result struct {
 	Correct   bool `json:"correct"`
 	Attempted int  `json:"attempted"`
@@ -45,6 +50,7 @@ type result struct {
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
+	cpu float64
 }
 
 // metricDecl is one end-to-end metric of BENCHMARK.json.
@@ -119,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, d := range decls {
 			fmt.Fprintf(stdout, " %s %.4g/%.4g", d.Name, p.parent.Metrics[d.Name].Value, p.change.Metrics[d.Name].Value)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, " cpu_s %.4g/%.4g\n", p.parent.cpu, p.change.cpu)
 		done = append(done, p)
 	}
 	summarize(stdout, *workload, *parent, decls, done, *pairs)
@@ -194,7 +200,11 @@ func benchRun(dir, out, workload string, seed uint64) (result, error) {
 	if runErr != nil {
 		return result{}, runErr
 	}
-	return lastResult(&buf)
+	res, err := lastResult(&buf)
+	// The shell's usage includes the children it waited for: the build
+	// and the benchmark process.
+	res.cpu = (cmd.ProcessState.UserTime() + cmd.ProcessState.SystemTime()).Seconds()
+	return res, err
 }
 
 // lastResult parses the JSON object on the last line of a run's
@@ -220,30 +230,40 @@ func lastResult(r io.Reader) (result, error) {
 	return res, nil
 }
 
-// summarize prints each metric's quartiles per side, the median ratio
-// and the change's wins over the completed pairs.
+// summarize prints each metric's quartiles per side, the median ratio,
+// the change's wins over the completed pairs and the claim rule, for
+// the declared metrics and the runs' CPU time.
 func summarize(w io.Writer, workload, parent string, decls []metricDecl, pairs []pair, asked int) {
 	fmt.Fprintf(w, "\n%s: %d of %d pairs completed (parent %s vs working tree); q1 / median / q3\n", workload, len(pairs), asked, parent)
 	if len(pairs) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "%-12s %-28s %-28s %8s %s\n", "metric", "parent", "change", "ratio", "change wins")
-	for _, d := range decls {
+	fmt.Fprintf(w, "%-12s %-28s %-28s %8s %-12s %s\n", "metric", "parent", "change", "ratio", "change wins", "claim")
+	value := func(d metricDecl, r result) float64 {
+		if d.Name == "cpu_s" {
+			return r.cpu
+		}
+		return r.Metrics[d.Name].Value
+	}
+	for _, d := range append(slices.Clone(decls), metricDecl{Name: "cpu_s", Unit: "s", Better: "lower"}) {
 		var pv, cv []float64
 		wins := 0
 		for _, p := range pairs {
-			a, b := p.parent.Metrics[d.Name].Value, p.change.Metrics[d.Name].Value
+			a, b := value(d, p.parent), value(d, p.change)
 			pv, cv = append(pv, a), append(cv, b)
 			if (d.Better == "lower" && b < a) || (d.Better == "higher" && b > a) {
 				wins++
 			}
 		}
 		pq, cq := quartiles(pv), quartiles(cv)
-		ratio := cq[1] / pq[1]
-		fmt.Fprintf(w, "%-12s %-28s %-28s %8.3f %d of %d\n", d.Name,
+		claim := "no"
+		if claimHolds(d.Better, wins, len(pairs), pq, cq) {
+			claim = "holds"
+		}
+		fmt.Fprintf(w, "%-12s %-28s %-28s %8.3f %-12s %s\n", d.Name,
 			fmt.Sprintf("%.4g / %.4g / %.4g %s", pq[0], pq[1], pq[2], d.Unit),
 			fmt.Sprintf("%.4g / %.4g / %.4g %s", cq[0], cq[1], cq[2], d.Unit),
-			ratio, wins, len(pairs))
+			cq[1]/pq[1], fmt.Sprintf("%d of %d", wins, len(pairs)), claim)
 	}
 	var pa, pf, ca, cf int
 	for _, p := range pairs {
@@ -251,6 +271,17 @@ func summarize(w io.Writer, workload, parent string, decls []metricDecl, pairs [
 		ca, cf = ca+p.change.Attempted, cf+p.change.Failed
 	}
 	fmt.Fprintf(w, "attempted / failed: parent %d / %d, change %d / %d\n", pa, pf, ca, cf)
+}
+
+// claimHolds is the rule a claimed gain must meet: the change wins at
+// least nine pairs in ten, and its median beats the parent's by more
+// than the parent's q3−q1 (pq and cq are the sides' quartiles).
+func claimHolds(better string, wins, pairs int, pq, cq [3]float64) bool {
+	gap := pq[1] - cq[1]
+	if better == "higher" {
+		gap = -gap
+	}
+	return 10*wins >= 9*pairs && gap > pq[2]-pq[0]
 }
 
 // quartiles returns the first quartile, median and third quartile of

@@ -65,4 +65,49 @@ func TestSummarizeCountsWins(t *testing.T) {
 	if strings.Count(out, "1 of 3") != 2 {
 		t.Errorf("want one win per metric (lower and higher), got:\n%s", out)
 	}
+	if !strings.Contains(out, "cpu_s") || strings.Contains(out, "holds") {
+		t.Errorf("want a cpu_s row and no claim holding, got:\n%s", out)
+	}
+}
+
+// TestClaimRule: a claim needs at least nine wins in ten pairs and a
+// median gap in the change's favor wider than the parent's q3−q1.
+func TestClaimRule(t *testing.T) {
+	pq := [3]float64{55.3, 55.5, 55.6} // q3−q1 = 0.3
+	for _, c := range []struct {
+		name   string
+		better string
+		wins   int
+		cq     [3]float64
+		want   bool
+	}{
+		{"nine wins, wide gap", "lower", 9, [3]float64{46.5, 46.7, 46.9}, true},
+		{"ten wins, wide gap", "lower", 10, [3]float64{46.5, 46.7, 46.9}, true},
+		{"eight wins", "lower", 8, [3]float64{46.5, 46.7, 46.9}, false},
+		{"gap inside the spread", "lower", 10, [3]float64{55.1, 55.3, 55.4}, false},
+		{"gap equal to the spread", "lower", 10, [3]float64{55.0, 55.2, 55.3}, false},
+		{"higher is better", "higher", 9, [3]float64{56.1, 56.3, 56.4}, true},
+		{"higher is better, wrong way", "higher", 9, [3]float64{46.5, 46.7, 46.9}, false},
+	} {
+		if got := claimHolds(c.better, c.wins, 10, pq, c.cq); got != c.want {
+			t.Errorf("%s: claimHolds = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The summary marks it: ten pairs the change wins by far.
+	mk := func(v float64) result {
+		r := result{Correct: true, cpu: v}
+		r.Metrics = map[string]struct {
+			Value float64 `json:"value"`
+		}{"mem_peak_mb": {v}}
+		return r
+	}
+	var pairs []pair
+	for i := 0; i < 10; i++ {
+		pairs = append(pairs, pair{seed: uint64(i), parent: mk(55 + 0.01*float64(i)), change: mk(47)})
+	}
+	var b strings.Builder
+	summarize(&b, "ingest", "HEAD", []metricDecl{{Name: "mem_peak_mb", Unit: "MB", Better: "lower"}}, pairs, 10)
+	if got := strings.Count(b.String(), "holds"); got != 2 {
+		t.Errorf("want the claim to hold for mem_peak_mb and cpu_s, got:\n%s", b.String())
+	}
 }

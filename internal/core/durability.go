@@ -25,7 +25,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/beliefs"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
@@ -177,9 +176,10 @@ func (d *dynSolver) checkpointLocked() error {
 
 // snapshotImageLocked assembles the durable image of the maintained
 // state: the current layout-order table as a flat CSR, the layout
-// metadata, and the belief matrices in caller order. The table is
-// written straight from its blocks (sparse.RowBlocks.CompactArrays), so
-// a checkpoint does not rebuild the int column index no table keeps.
+// metadata, and the belief matrices in caller order (the explicit one
+// filled from the explicit set for this image). The table is written
+// straight from its blocks (sparse.RowBlocks.CompactArrays), so a
+// checkpoint does not rebuild the int column index no table keeps.
 func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 	ep := d.cur.Load()
 	img := &durable.Snapshot{
@@ -197,11 +197,7 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		img.Perm = []int(ep.rm.perm)
 	}
 	img.HO = d.ho.Data()
-	exp := d.exp
-	if exp == nil {
-		exp = d.srcExp
-	}
-	img.Explicit = exp.Matrix().Data()
+	img.Explicit = d.callerExplicit().Matrix().Data()
 	if d.kern != nil && d.kern.hasFix {
 		img.Last = d.gatherLocked().Matrix().Data()
 	}
@@ -237,8 +233,9 @@ func recordFromUpdate(u Update, explicit []int, seq uint64, k int) *durable.Reco
 	return rec
 }
 
-// updateFromRecord is the replay-side inverse of recordFromUpdate.
-func updateFromRecord(rec *durable.Record, n, k int) (Update, error) {
+// updateFromRecord is the replay-side inverse of recordFromUpdate for
+// the edges; replayRowsLocked applies the belief rows.
+func updateFromRecord(rec *durable.Record) Update {
 	var u Update
 	for _, e := range rec.Adds {
 		u.AddEdges = append(u.AddEdges, graph.Edge{S: int(e.S), T: int(e.T), W: e.W})
@@ -246,20 +243,41 @@ func updateFromRecord(rec *durable.Record, n, k int) (Update, error) {
 	for _, p := range rec.Dels {
 		u.RemoveEdges = append(u.RemoveEdges, graph.Edge{S: int(p.S), T: int(p.T)})
 	}
-	if len(rec.Rows) > 0 {
-		if rec.K != k {
-			return u, fmt.Errorf("core: wal record k=%d, solver k=%d: %w", rec.K, k, errs.ErrCorruptState)
-		}
-		exp := beliefs.New(n, k)
-		for _, row := range rec.Rows {
-			if int(row.Node) >= n {
-				return u, fmt.Errorf("core: wal record node %d out of range n=%d: %w", row.Node, n, errs.ErrCorruptState)
-			}
-			exp.Set(int(row.Node), row.Row)
-		}
-		u.SetExplicit = exp
+	return u
+}
+
+// replayRowsLocked merges a WAL record's belief rows straight into the
+// explicit set, after the checks an Update makes of its batch: each node
+// in range, each non-zero row finite and summing to zero. The rows must
+// also be in ascending node order, as recordFromUpdate writes them, so
+// no node appears twice. A failed check is ErrCorruptState.
+func (d *dynSolver) replayRowsLocked(rec *durable.Record) error {
+	if len(rec.Rows) == 0 {
+		return nil
 	}
-	return u, nil
+	if rec.K != d.k {
+		return fmt.Errorf("core: wal record k=%d, solver k=%d: %w", rec.K, d.k, errs.ErrCorruptState)
+	}
+	prev := -1
+	for _, row := range rec.Rows {
+		v := int(row.Node)
+		if v >= d.n {
+			return fmt.Errorf("core: wal record node %d out of range n=%d: %w", v, d.n, errs.ErrCorruptState)
+		}
+		if v <= prev {
+			return fmt.Errorf("core: wal record node %d follows node %d: %w", v, prev, errs.ErrCorruptState)
+		}
+		prev = v
+		if sparse.ZeroRow(row.Row) {
+			continue
+		}
+		if err := checkExplicitRow(v, row.Row); err != nil {
+			return fmt.Errorf("core: wal record: %v: %w", err, errs.ErrCorruptState)
+		}
+		d.stageRow(v, row.Row)
+	}
+	d.mergeStagedLocked()
+	return nil
 }
 
 // Open resumes a solver from the durable state under dir: the
@@ -356,14 +374,6 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	}
 	ho := dense.New(k, k)
 	copy(ho.Data(), snap.HO)
-	// A private copy of the (possibly mapped) explicit section: the
-	// first Update adopts it as the maintained beliefs.
-	expM := dense.New(n, k)
-	copy(expM.Data(), snap.Explicit)
-	exp := beliefs.FromMatrix(expM)
-	if err := exp.Validate(); err != nil {
-		return nil, fmt.Errorf("core: open: explicit beliefs: %v: %w", err, errs.ErrCorruptState)
-	}
 
 	info := newSolverInfo(m, n, k, snap.EpsH, cfg)
 	info.ordering, info.bandBefore, info.bandAfter = ordering, snap.BandBefore, snap.BandAfter
@@ -382,6 +392,11 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	ep, err := newEpoch(m, ho, info, cfg, a, relabel, perm)
 	if err != nil {
 		return nil, err
+	}
+	// The explicit set, read straight from the (possibly mapped) section.
+	exp, err := ep.rm.explicitSet(snap.Explicit)
+	if err != nil {
+		return nil, fmt.Errorf("core: open: explicit beliefs: %v: %w", err, errs.ErrCorruptState)
 	}
 	d, err := newDynSolver(m, cfg, ho, exp, ep)
 	if err != nil {
@@ -408,17 +423,15 @@ func (d *dynSolver) recoverLocked(snap *durable.Snapshot) error {
 	}
 	changed := false
 	lastSeq, replayed, err := durable.ReplayWAL(d.dur.fs, d.dur.dir, snap.WALSeq, func(rec *durable.Record) error {
-		u, err := updateFromRecord(rec, d.n, d.k)
-		if err != nil {
-			return err
-		}
 		// The checksum proves integrity, not sanity: a foreign or
 		// stale-schema record must fail recovery, not poison the state.
-		rows, err := d.validateUpdate(u)
-		if err != nil {
+		u := updateFromRecord(rec)
+		if _, err := d.validateUpdate(u); err != nil {
 			return fmt.Errorf("core: wal replay seq %d: %v: %w", rec.Seq, err, errs.ErrCorruptState)
 		}
-		d.applyExplicitLocked(u.SetExplicit, rows)
+		if err := d.replayRowsLocked(rec); err != nil {
+			return fmt.Errorf("core: wal replay seq %d: %w", rec.Seq, err)
+		}
 		if d.applyTopologyLocked(u) {
 			changed = true
 		}

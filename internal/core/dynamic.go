@@ -27,14 +27,25 @@
 //     derivation replay on it exactly as Prepare would. The result is a
 //     new layout; the pools destroy the idle states of the old one.
 //
+// The maintained explicit beliefs are kept once, for every method, as
+// their non-zero rows (sparse.RowSet) in the layout's order, each with
+// its caller row and its w layout values — the relation E(v, c, b) of
+// the paper's SQL implementation (Section 5.3) rather than an n×k
+// matrix. Update merges each batch's rows into the set, and a
+// compaction moves it to the new layout through the caller rows. A
+// consumer that needs a dense matrix fills one from the set for that
+// call only: the cold residual seed and the rounds re-solve (a layout
+// buffer), BP's and SBP's re-solve (their caller-order request), and a
+// checkpoint (its caller-order section).
+//
 // For the kernel-backed methods (LinBP, LinBP*, FABP) an Update costs
 // what it touches. A plain commit builds no engine: the idle pooled
 // engines are rebound to the new table as it is published. The maintained
 // fixpoint lives once, in layout order, inside one residual engine the
 // dynSolver owns and rebinds to each epoch; the rounds schedule
 // warm-starts from the same state. A localized re-solve seeds only the
-// touched rows, and the Update ends with one caller-order gather into a
-// fresh result matrix.
+// touched rows, reading their explicit rows from the set, and the Update
+// ends with one caller-order gather into a fresh result matrix.
 //
 // BP and SBP re-solve cold on the committed table, on a state built for
 // it (BP lays out its directed edges again; SBP's runner caches a new
@@ -152,14 +163,14 @@ type dynSolver struct {
 	plane plane
 
 	// Everything below mu is the updater's private state: the
-	// maintained explicit beliefs (adopted on the first Update so purely
-	// static solvers pay nothing), the adjacency table, the kernel
-	// methods' maintained fixpoint, and the compaction bookkeeping.
+	// maintained explicit beliefs, the adjacency table, the kernel
+	// methods' maintained fixpoint (built on the first Update, so purely
+	// static solvers pay nothing for it), and the compaction bookkeeping.
 	mu sync.Mutex
-	// srcExp is the prepared explicit beliefs, a private copy the first
-	// Update adopts as exp (nil from then on).
-	srcExp *beliefs.Residual
-	exp    *beliefs.Residual // maintained explicit beliefs (caller order)
+	// exp is the maintained explicit beliefs: their non-zero rows, in
+	// the current layout's order, each with its caller row and its w
+	// layout values. Prepare and Open build it; Update merges into it.
+	exp *sparse.RowSet
 	// rows is the maintained adjacency table in layout order: the
 	// current epoch's serving table, and the base of the next commit.
 	rows    *sparse.RowBlocks
@@ -183,10 +194,12 @@ type dynSolver struct {
 	epsRederived bool
 	// Reusable per-Update scratch: the touched-row accumulator of
 	// collectTouched (caller-order ids, deduplicated per batch), the
-	// explicit-row list, the commit's edits and changed rows.
+	// explicit-row list and its rows staged for the merge into exp, the
+	// commit's edits and changed rows.
 	tlist   []int
 	tmark   []bool
 	erows   []int
+	staged  *sparse.RowSet
 	edits   []sparse.Edit
 	changed []int
 	// dur is the durable half (snapshot + WAL); nil without
@@ -230,21 +243,21 @@ type kernelPlane struct {
 	// their engine: no idle n×k engine is kept for them.
 	keepRounds bool
 	maxRelax   int
-	// rm maps caller rows to the layout rows of fix and exp.
+	// rm maps caller rows to the layout rows of fix.
 	rm rowMap
-	// exp is the maintained explicit beliefs in layout order (n×w).
-	exp []float64
-	// tl is the layout-order touched-row scratch.
+	// tl is the layout-order touched-row scratch; it grows with the
+	// batches.
 	tl []int32
 }
 
 // newDynSolver builds the solver that serves ep, the first epoch of a
 // prepared (or recovered) layout: it creates the method's pools and
-// builds one state on ep, so a bad configuration fails here. ho and exp
-// must be private copies: the solver keeps them by reference.
-func newDynSolver(m Method, cfg config, ho *dense.Matrix, exp *beliefs.Residual, ep *epoch) (*dynSolver, error) {
-	d := &dynSolver{counters: counters{method: m}, cfg: cfg, ho: ho, srcExp: exp,
-		n: ep.n, k: ep.k, rows: ep.rows}
+// builds one state on ep, so a bad configuration fails here. ho must be
+// a private copy and exp the explicit set in ep's layout: the solver
+// keeps both by reference.
+func newDynSolver(m Method, cfg config, ho *dense.Matrix, exp *sparse.RowSet, ep *epoch) (*dynSolver, error) {
+	d := &dynSolver{counters: counters{method: m}, cfg: cfg, ho: ho, exp: exp,
+		staged: sparse.NewRowSet(exp.Width()), n: ep.n, k: ep.k, rows: ep.rows, baseNNZ: ep.rows.NNZ()}
 	if kernelMethod(m) {
 		d.plane = newKernelSolver(&d.counters, ep)
 	} else {
@@ -501,17 +514,29 @@ func (d *dynSolver) collectTouched(u Update, explicit []int) []int {
 }
 
 // applyExplicitLocked installs the batch's explicit rows (the list
-// validateUpdate built) into the maintained beliefs: the caller-order
-// matrix and, for the kernel methods, the layout-order copy the
-// re-solves read.
+// validateUpdate built) into the maintained explicit set.
 func (d *dynSolver) applyExplicitLocked(set *beliefs.Residual, rows []int) {
 	for _, v := range rows {
-		row := set.Row(v)
-		d.exp.Set(v, row)
-		if kp := d.kern; kp != nil {
-			kp.rm.setRow(kp.exp, v, row)
-		}
+		d.stageRow(v, set.Row(v))
 	}
+	d.mergeStagedLocked()
+}
+
+// stageRow stages caller row v's explicit row (k values, checked) for
+// the next mergeStagedLocked, as its layout row and w layout values. A
+// row whose layout values are all zero (FABP's class-0 residual) stages
+// a removal.
+func (d *dynSolver) stageRow(v int, row []float64) {
+	rm := d.cur.Load().rm
+	d.staged.Add(int32(rm.at(v)), int32(v), row[:rm.w])
+}
+
+// mergeStagedLocked merges the staged rows into the explicit set in one
+// pass and empties the stage.
+func (d *dynSolver) mergeStagedLocked() {
+	d.staged.Sort()
+	d.exp.Merge(d.staged)
+	d.staged.Reset()
 }
 
 // applyTopologyLocked commits the batch's edge delta to the maintained
@@ -585,29 +610,14 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 		}
 		data := set.Matrix().Data()
 		for v := 0; v < d.n; v++ {
+			// Most rows of a relabel batch are zero: not explicit, and
+			// nothing to check.
 			row := data[v*d.k : v*d.k+d.k]
-			var sum float64
-			nonzero := false
-			for _, x := range row {
-				// Most entries of a relabel batch are zero: finite, and
-				// nothing to add, so they skip the checks below.
-				if x == 0 {
-					continue
-				}
-				// NaN must be rejected explicitly: it fails every
-				// comparison, so a NaN row would sail through the |sum|
-				// check and silently poison the fixpoint.
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return nil, fmt.Errorf("core: update belief row %d holds %v: %w", v, x, errs.ErrNonFinite)
-				}
-				sum += x
-				nonzero = true
-			}
-			if !nonzero {
+			if sparse.ZeroRow(row) {
 				continue
 			}
-			if math.Abs(sum) > 1e-9 {
-				return nil, fmt.Errorf("core: update belief row %d sums to %v, want 0: %w", v, sum, errs.ErrInvalidInput)
+			if err := checkExplicitRow(v, row); err != nil {
+				return nil, fmt.Errorf("core: update %w", err)
 			}
 			rows = append(rows, v)
 		}
@@ -616,31 +626,43 @@ func (d *dynSolver) validateUpdate(u Update) ([]int, error) {
 	return rows, nil
 }
 
-// initDynState lazily sets up the mutable dynamic state on the first
-// Update, so a solver that is never updated pays no copy: it adopts the
-// prepared explicit beliefs as the maintained ones, and for the kernel
-// methods builds the maintained fixpoint engine.
+// checkExplicitRow checks caller row v of explicit beliefs, a non-zero
+// row: finite values summing to zero within 1e-9 (Definition 3). Update,
+// WAL replay and Open share it.
+func checkExplicitRow(v int, row []float64) error {
+	var sum float64
+	for _, x := range row {
+		// NaN must be rejected explicitly: it fails every comparison, so
+		// a NaN row would sail through the |sum| check and silently
+		// poison the fixpoint.
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("belief row %d holds %v: %w", v, x, errs.ErrNonFinite)
+		}
+		sum += x
+	}
+	if math.Abs(sum) > 1e-9 {
+		return fmt.Errorf("belief row %d sums to %v, want 0: %w", v, sum, errs.ErrInvalidInput)
+	}
+	return nil
+}
+
+// initDynState builds the kernel methods' maintained fixpoint engine on
+// the first Update, so a solver that is never updated pays nothing for
+// it.
 func (d *dynSolver) initDynState() error {
-	if d.exp != nil {
+	if d.kern != nil || !kernelMethod(d.method) {
 		return nil
 	}
-	if kernelMethod(d.method) {
-		d.exp = d.srcExp
-		kp, err := d.newKernelPlane(d.cur.Load())
-		if err != nil {
-			d.exp = nil
-			return err
-		}
-		d.kern = kp
+	kp, err := d.newKernelPlane(d.cur.Load())
+	if err != nil {
+		return err
 	}
-	d.exp, d.srcExp = d.srcExp, nil
-	d.baseNNZ = d.rows.NNZ()
+	d.kern = kp
 	return nil
 }
 
 // newKernelPlane builds the maintained-fixpoint engine on ep's table
-// from its operator, and seeds its explicit beliefs from d.exp (mapped
-// into ep's layout).
+// from its operator.
 func (d *dynSolver) newKernelPlane(ep *epoch) (*kernelPlane, error) {
 	residual := d.cfg.schedule != ScheduleRounds && d.cfg.tol >= 0
 	op := ep.op
@@ -660,10 +682,7 @@ func (d *dynSolver) newKernelPlane(ep *epoch) (*kernelPlane, error) {
 		keepRounds: !residual,
 		maxRelax:   op.maxIter * d.n,
 		rm:         ep.rm,
-		exp:        make([]float64, d.n*op.w),
-		tl:         make([]int32, 0, d.n),
 	}
-	kp.rm.in(kp.exp, d.exp.Matrix().Data(), 1, 0)
 	return kp, nil
 }
 
@@ -724,13 +743,13 @@ func (d *dynSolver) publishLocked(ep *epoch) {
 // compactLocked is the compaction: flatten the table, undo the layout
 // permutation, replay the layout decisions exactly as Prepare would,
 // and publish the first epoch of the new layout — for the kernel
-// methods with a new maintained fixpoint engine and layout-order
-// explicit beliefs, into which the maintained beliefs carry over
-// through the permutation change. The pools move to the new layout
-// before it is primed, destroying the idle states of the old one, so
-// the primed state stays pooled for the re-solve; no solve can read
-// the new epoch before it is published. On error the pools move back
-// and nothing else changes.
+// methods with a new maintained fixpoint engine, into which the
+// maintained beliefs carry over through the permutation change. The
+// explicit set moves to the new layout through its caller rows. The
+// pools move to the new layout before it is primed, destroying the idle
+// states of the old one, so the primed state stays pooled for the
+// re-solve; no solve can read the new epoch before it is published. On
+// error the pools move back and nothing else changes.
 func (d *dynSolver) compactLocked() error {
 	cur := d.cur.Load()
 	a := d.rows.Flatten()
@@ -777,6 +796,7 @@ func (d *dynSolver) compactLocked() error {
 	if ep.eps != cur.eps {
 		d.epsRederived = true
 	}
+	d.exp.Relabel(func(id int32) int32 { return int32(ep.rm.at(int(id))) })
 	d.rows, d.baseNNZ = ep.rows, ep.rows.NNZ()
 	d.rebuilds.Add(1)
 	d.publishLocked(ep)
@@ -784,11 +804,12 @@ func (d *dynSolver) compactLocked() error {
 }
 
 // resolveGraphLocked re-solves BP and SBP cold on the current epoch
-// (they keep no warm state). Close waits for mu, so the solve's read
+// (they keep no warm state), on a caller-order request filled from the
+// explicit set for this call. Close waits for mu, so the solve's read
 // side never blocks.
 func (d *dynSolver) resolveGraphLocked(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	res, err := d.Solve(ctx, d.exp)
+	res, err := d.Solve(ctx, d.callerExplicit())
 	d.resolveNS.Add(int64(time.Since(start)))
 	return res, err
 }
@@ -819,16 +840,19 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 		if err = d.admitCtx(ctx); err == nil {
 			switch {
 			case !warm:
-				kp.fix.SeedExplicit(kp.exp)
+				// The cold seed reads a layout buffer filled for it.
+				e := make([]float64, d.n*kp.rm.w)
+				d.exp.Scatter(e)
+				kp.fix.SeedExplicit(e)
 			case localized:
 				tl := kp.tl[:0]
 				for _, id := range touched {
 					tl = append(tl, int32(d.pm(id)))
 				}
 				kp.tl = tl
-				kp.fix.SeedResume(kp.exp, tl)
+				kp.fix.SeedResume(d.exp, tl)
 			default:
-				kp.fix.SeedResume(kp.exp, nil)
+				kp.fix.SeedResume(d.exp, nil)
 			}
 			relaxed, peak, maxResid, converged, runErr := kp.fix.Run(ctx, kp.maxRelax)
 			d.pushes.Add(int64(kp.fix.Pushes()))
@@ -842,7 +866,7 @@ func (d *dynSolver) resolveKernelLocked(ctx context.Context, seedable bool, touc
 		// The rounds engine copies the start into its own state before
 		// the first round, so the maintained beliefs can receive the
 		// result in place.
-		info, err = d.plane.(*kernelSolver).solveLayout(ctx, ep, kp.fix.Beliefs(), kp.exp, from, kp.keepRounds)
+		info, err = d.plane.(*kernelSolver).solveLayout(ctx, ep, kp.fix.Beliefs(), d.exp, from, kp.keepRounds)
 	}
 	d.resolveNS.Add(int64(time.Since(start)))
 	if err != nil && !isNotConverged(err) {
@@ -871,4 +895,11 @@ func (d *dynSolver) gatherLocked() *beliefs.Residual {
 	out := beliefs.New(d.n, d.k)
 	d.kern.rm.out(out.Matrix().Data(), d.kern.fix.Beliefs(), 1, 0)
 	return out
+}
+
+// callerExplicit fills a fresh caller-order matrix from the explicit set.
+func (d *dynSolver) callerExplicit() *beliefs.Residual {
+	e := beliefs.New(d.n, d.k)
+	d.cur.Load().rm.outSet(e.Matrix().Data(), d.exp)
+	return e
 }

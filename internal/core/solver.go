@@ -450,7 +450,7 @@ func newEpoch(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *sparse
 		// SBP is εH-invariant and runs on the unscaled Hˆo.
 		ep.h = ho
 	}
-	rows, err := layoutRows(a, echo, relabel)
+	rows, err := layoutSet(a, echo, relabel)
 	if err != nil {
 		return nil, err
 	}
@@ -461,10 +461,10 @@ func newEpoch(m Method, ho *dense.Matrix, info solverInfo, cfg config, a *sparse
 // Prepare validates the problem once and builds a prepared Solver for
 // the method. The problem's Graph, Ho, and EpsilonH are fixed at
 // preparation time. Explicit seeds the maintained problem that Update
-// evolves (and a durable Prepare checkpoints): Prepare copies it, so
-// later changes to the caller's matrix reach neither. It may be a
-// zero matrix for pure serving use, since Solve takes its explicit
-// beliefs per call.
+// evolves (and a durable Prepare checkpoints): Prepare copies its
+// non-zero rows, so later changes to the caller's matrix reach neither.
+// It may be a zero matrix for pure serving use, since Solve takes its
+// explicit beliefs per call.
 func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	cfg, err := newConfig(config{}, opts)
 	if err != nil {
@@ -488,20 +488,24 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	}
 
 	// The solver keeps private copies of the problem parts it reads
-	// after Prepare returns: the explicit beliefs (adopted by the first
-	// Update) and the coupling (every compaction and checkpoint). A
-	// caller reusing either then changes neither the served nor the
-	// recovered problem. Of the graph, every method keeps only the
-	// layout table built from it here.
+	// after Prepare returns: the explicit beliefs (as their non-zero
+	// rows, which Update maintains) and the coupling (every compaction
+	// and checkpoint). A caller reusing either then changes neither the
+	// served nor the recovered problem. Of the graph, every method keeps
+	// only the layout table built from it here.
 	ho := p.Ho.Clone()
 	ep, err := newEpoch(m, ho, info, cfg, a, perm, perm)
+	if err != nil {
+		return nil, err
+	}
+	exp, err := ep.rm.explicitSet(p.Explicit.Matrix().Data())
 	if err != nil {
 		return nil, err
 	}
 	// Every prepared solver is served through the epoch-versioned
 	// dynamic plane; a solver that never sees an Update pays only an
 	// atomic pointer load per solve for it.
-	d, err := newDynSolver(m, cfg, ho, p.Explicit.Clone(), ep)
+	d, err := newDynSolver(m, cfg, ho, exp, ep)
 	if err != nil {
 		return nil, err
 	}
@@ -1039,10 +1043,42 @@ func (m rowMap) out(dst, src []float64, c, bi int) {
 	}
 }
 
-// setRow writes caller row i into the layout buffer dst (n×w).
-func (m rowMap) setRow(dst []float64, i int, row []float64) {
-	li := m.at(i)
-	copy(dst[li*m.w:li*m.w+m.w], row)
+// explicitSet returns the non-zero caller rows of src (n×k) as the
+// explicit set of m's layout: each row's w layout values under its
+// layout row, with the caller row as its id. Every non-zero row must
+// pass checkExplicitRow. A row whose layout values are all zero (FABP:
+// a zero class-0 residual) is not in the set.
+func (m rowMap) explicitSet(src []float64) (*sparse.RowSet, error) {
+	set := sparse.NewRowSet(m.w)
+	k := m.k
+	for i := 0; i < m.n; i++ {
+		row := src[i*k : i*k+k]
+		if sparse.ZeroRow(row) {
+			continue
+		}
+		if err := checkExplicitRow(i, row); err != nil {
+			return nil, err
+		}
+		if v := row[:m.w]; !sparse.ZeroRow(v) {
+			set.Add(int32(m.at(i)), int32(i), v)
+		}
+	}
+	set.Sort()
+	return set, nil
+}
+
+// outSet writes the explicit set of m's layout into the caller rows dst
+// (n×k, all zero): the set's rows at their caller rows.
+func (m rowMap) outSet(dst []float64, set *sparse.RowSet) {
+	k, w := m.k, m.w
+	for p := 0; p < set.Len(); p++ {
+		d, v := dst[int(set.ID(p))*k:int(set.ID(p))*k+k], set.Values(p)
+		if w < k { // FABP: b expands to (b, −b)
+			d[0], d[1] = v[0], -v[0]
+		} else {
+			copy(d, v)
+		}
+	}
 }
 
 // moveTo copies the layout rows src, in m's order, into dst in to's
@@ -1058,8 +1094,9 @@ func (m rowMap) moveTo(to rowMap, dst, src []float64) {
 
 // chunkEngine is one pooled rounds engine fusing c requests, with its
 // layout-order explicit buffer (n × c·w; nil when c = 1 under the
-// identity map, whose single solves read the caller's rows directly)
-// and the epoch it last served.
+// identity map, whose single solves read the caller's rows directly,
+// until a rounds re-solve of the dynamic plane fills one) and the epoch
+// it last served.
 type chunkEngine struct {
 	eng *kernel.Engine
 	ws  *kernel.Workspace
@@ -1122,13 +1159,13 @@ type kernelSolver struct {
 	rstates *statePool[*residualState]
 }
 
-// layoutRows lays out an adjacency for an epoch: relabel it by perm
+// layoutSet lays out an adjacency for an epoch: relabel it by perm
 // (nil keeps the order) and wrap the result in an epoch-0 row-block
 // table — with the squared-weight degrees when echo is on. The degrees
 // are the layout rows' RowSumsSquared, the same value a commit
 // recomputes for an edited row. The dynamic plane commits later epochs
 // of the table, reusing perm between compactions.
-func layoutRows(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBlocks, error) {
+func layoutSet(a *sparse.CSR, echo bool, perm order.Permutation) (*sparse.RowBlocks, error) {
 	if perm != nil {
 		a = a.Permute(perm)
 	}
@@ -1227,11 +1264,13 @@ func (s *kernelSolver) closeAll() {
 
 // solveLayout runs one round-scheduled solve of the dynamic plane on a
 // pooled one-request engine over layout-order buffers: e the explicit
-// beliefs, start the warm start (nil = cold). When a round ran and no
-// error aborted it, the final iterate is copied into out. keep returns
-// the engine to the pool; otherwise it leaves the pool and is closed
-// (see kernelPlane.keepRounds).
-func (s *kernelSolver) solveLayout(ctx context.Context, ep *epoch, out, e, start []float64, keep bool) (SolveInfo, error) {
+// set, scattered into the engine's explicit buffer (an engine under the
+// identity map gets one, which stays with it), start the warm start
+// (nil = cold). When a round ran and no error aborted it, the final
+// iterate is copied into out. keep returns the engine to the pool;
+// otherwise it leaves the pool and is closed, its buffer with it (see
+// kernelPlane.keepRounds).
+func (s *kernelSolver) solveLayout(ctx context.Context, ep *epoch, out []float64, e *sparse.RowSet, start []float64, keep bool) (SolveInfo, error) {
 	s.solves.Add(1)
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
@@ -1245,7 +1284,11 @@ func (s *kernelSolver) solveLayout(ctx context.Context, ep *epoch, out, e, start
 	} else {
 		ce.eng.SetStart(start)
 	}
-	ce.eng.SetExplicit(e)
+	if ce.ein == nil {
+		ce.ein = make([]float64, ep.n*ep.op.w)
+	}
+	e.Scatter(ce.ein)
+	ce.eng.SetExplicit(ce.ein)
 	iters, delta, converged, err := ce.eng.RunContext(ctx, ep.op.maxIter, ep.op.tol, nil)
 	if iters > 0 && err == nil {
 		copy(out, ce.eng.Beliefs())

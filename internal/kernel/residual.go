@@ -81,6 +81,9 @@ type ResidualEngine struct {
 	s  int       // row stride of r: k+1
 	ph []float64 // k-wide push scratch: δ·Hˆ
 	pg []float64 // k-wide push scratch: δ·Hˆ₂
+	// zero is the explicit row a seed reads for a row absent from the
+	// explicit set: k zeros, added as a dense row's zeros were.
+	zero []float64
 
 	// Intrusive bucket queue: qnext/qprev link the rows of one bucket
 	// into a doubly-linked list, heads holds each bucket's first row
@@ -155,6 +158,7 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 		s:       k + 1,
 		ph:      make([]float64, k),
 		pg:      make([]float64, k),
+		zero:    make([]float64, k),
 		qnext:   make([]int32, n),
 		qprev:   make([]int32, n),
 		qbkt:    make([]int8, n),
@@ -535,28 +539,41 @@ func (e *ResidualEngine) SeedExplicit(explicit []float64) {
 // across solves and epochs: the residual r = Eˆ + M·b − b is
 // recomputed by a pull pass over the rows listed in touched
 // (engine/layout order, deduplicated by the caller) — the rows a delta
-// perturbed. Rows outside touched keep a zero residual, which is exact
-// only when b was a converged fixpoint for their unchanged rows; the
-// carried error of at most tol per prior solve is part of the plane's
-// documented tolerance budget. A nil touched recomputes every row (the
-// full warm seed, one round-equivalent of work, valid for any b). Only
+// perturbed. Eˆ is the explicit set's rows (width k, engine order); a
+// row absent from the set is zero, and a nil set is empty. Rows outside
+// touched keep a zero residual, which is exact only when b was a
+// converged fixpoint for their unchanged rows; the carried error of at
+// most tol per prior solve is part of the plane's documented tolerance
+// budget. A nil touched recomputes every row (the full warm seed, one
+// round-equivalent of work, valid for any b), walking the set once in
+// row order; a listed row finds its explicit row by binary search. Only
 // the state the previous solve touched is reset, so a localized seed
 // costs O(touched), not O(n·k).
 //
 //lsbp:hotpath
-func (e *ResidualEngine) SeedResume(explicit []float64, touched []int32) {
-	if explicit != nil && len(explicit) != e.n*e.k {
-		panic(fmt.Sprintf("kernel: explicit length %d, want %d", len(explicit), e.n*e.k))
+func (e *ResidualEngine) SeedResume(explicit *sparse.RowSet, touched []int32) {
+	if explicit != nil && explicit.Width() != e.k {
+		panic(fmt.Sprintf("kernel: explicit rows of width %d, want %d", explicit.Width(), e.k))
 	}
 	e.resetTouched()
 	if touched == nil {
-		for i := 0; i < e.n; i++ {
-			e.seedRow(int32(i), explicit)
+		p, np := 0, explicit.Len()
+		for i := int32(0); int(i) < e.n; i++ {
+			x := e.zero
+			if p < np && explicit.Row(p) == i {
+				x = explicit.Values(p)
+				p++
+			}
+			e.seedRow(i, x)
 		}
 		return
 	}
 	for _, i := range touched {
-		e.seedRow(i, explicit)
+		x := e.zero
+		if p := explicit.Find(i); p >= 0 {
+			x = explicit.Values(p)
+		}
+		e.seedRow(i, x)
 	}
 }
 
@@ -591,11 +608,12 @@ func (e *ResidualEngine) Rebind(rows *sparse.RowBlocks) error {
 	return nil
 }
 
-// seedRow pull-computes row i's residual from the current beliefs:
+// seedRow pull-computes row i's residual from the current beliefs and
+// its explicit row x (k values, e.zero for an absent row):
 // rᵢ = Eˆᵢ + Σ_{(j,w)∈row i} w·(b_j·Hˆ) − dᵢ·(bᵢ·Hˆ₂) − bᵢ.
 //
 //lsbp:hotpath
-func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
+func (e *ResidualEngine) seedRow(i int32, x []float64) {
 	k := e.k
 	ph := e.ph
 	// Accumulate Σ w·b_j into ph, then apply Hˆ on the way out — same
@@ -620,9 +638,7 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 		for mm := 0; mm < k; mm++ {
 			s += ph[mm] * h[mm*k+c]
 		}
-		if explicit != nil {
-			s += explicit[int(i)*k+c]
-		}
+		s += x[c]
 		if e.echo {
 			h2 := e.h2
 			d := e.adj.Degree(int(i))

@@ -31,6 +31,19 @@ func roundsFixpoint(t *testing.T, cfg Config, e []float64, tol float64) []float6
 	return out
 }
 
+// rowSetOf returns the explicit set of the dense n×k matrix e in its own
+// row order: its non-zero rows, or with all every row, zero rows
+// included — the dense matrix read row by row.
+func rowSetOf(e []float64, k int, all bool) *sparse.RowSet {
+	s := sparse.NewRowSet(k)
+	for i := 0; i*k < len(e); i++ {
+		if row := e[i*k : i*k+k]; all || !sparse.ZeroRow(row) {
+			s.Add(int32(i), int32(i), row)
+		}
+	}
+	return s
+}
+
 func maxAbsDiff(a, b []float64) float64 {
 	var m float64
 	for i := range a {
@@ -129,7 +142,7 @@ func TestResidualWarmSeedTouched(t *testing.T) {
 	ref := roundsFixpoint(t, Config{A: a, D: d, H: h, SymmetricA: true}, e, 1e-14)
 
 	res.SetBeliefs(prev)
-	res.SeedResume(e, touched)
+	res.SeedResume(rowSetOf(e, k, false), touched)
 	warmRelaxed, _, _, conv, err := res.Run(context.Background(), 5000*n)
 	if err != nil || !conv {
 		t.Fatalf("warm solve: conv=%v err=%v", conv, err)
@@ -144,7 +157,7 @@ func TestResidualWarmSeedTouched(t *testing.T) {
 	// The full warm seed (touched=nil) is valid from any start and
 	// must land on the same fixpoint.
 	res.SetBeliefs(prev)
-	res.SeedResume(e, nil)
+	res.SeedResume(rowSetOf(e, k, false), nil)
 	if _, _, _, conv, err = res.Run(context.Background(), 5000*n); err != nil || !conv {
 		t.Fatalf("full warm solve: conv=%v err=%v", conv, err)
 	}
@@ -293,6 +306,7 @@ func TestResidualSolveAllocs(t *testing.T) {
 	ctx := context.Background()
 	prev := make([]float64, n*k)
 	touched := []int32{3, 77}
+	es := rowSetOf(e, k, false)
 	allocs := testing.AllocsPerRun(20, func() {
 		res.SeedExplicit(e)
 		if _, _, _, conv, err := res.Run(ctx, 5000*n); err != nil || !conv {
@@ -300,7 +314,7 @@ func TestResidualSolveAllocs(t *testing.T) {
 		}
 		copy(prev, res.Beliefs())
 		res.SetBeliefs(prev)
-		res.SeedResume(e, touched)
+		res.SeedResume(es, touched)
 		if _, _, _, conv, err := res.Run(ctx, 5000*n); err != nil || !conv {
 			t.Fatalf("warm conv=%v err=%v", conv, err)
 		}
@@ -407,6 +421,70 @@ func TestResidualThresholdSlot(t *testing.T) {
 		for _, j := range []int{0, 2} {
 			if e.r[j*e.s+k] != e.bhi[residualBuckets-1] || e.qbkt[j] != residualBuckets-1 {
 				t.Fatalf("%s: neighbor %d in bucket %d (threshold %v), want queued in the top bucket", tc.name, j, e.qbkt[j], e.r[j*e.s+k])
+			}
+		}
+	}
+}
+
+// TestSeedResumeSetMatchesDense pins the sparse explicit read of a warm
+// seed to the dense one bitwise: seeding from the non-zero rows (an
+// absent row reads k zeros) leaves the same residual bits and the same
+// queue as seeding from every row of the same dense matrix, zero rows
+// included — for the full seed and for a touched list.
+func TestSeedResumeSetMatchesDense(t *testing.T) {
+	const n, k = 257, 3
+	a := randomCSR(n, 6, 41)
+	h := randomCoupling(k, 8)
+	cfg := Config{A: a, D: degrees(a), H: h, SymmetricA: true}
+	rng := xrand.New(43)
+	e := make([]float64, n*k)
+	for i := 0; i < n; i += 1 + rng.Intn(9) {
+		e[i*k], e[i*k+1] = rng.Float64()-0.5, rng.Float64()-0.5
+		e[i*k+2] = -e[i*k] - e[i*k+1]
+	}
+	engines := [2]*ResidualEngine{}
+	for j := range engines {
+		res, err := NewResidual(cfg, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.SeedExplicit(e)
+		if _, _, _, conv, err := res.Run(context.Background(), 5000*n); err != nil || !conv {
+			t.Fatalf("cold solve: conv=%v err=%v", conv, err)
+		}
+		engines[j] = res
+	}
+	// A warm start away from the fixpoint, so every row's residual moves.
+	for j := range engines {
+		b := engines[j].Beliefs()
+		for i := range b {
+			b[i] *= 1.01
+		}
+	}
+	sparseSet, denseSet := rowSetOf(e, k, false), rowSetOf(e, k, true)
+	if sparseSet.Len() >= n || denseSet.Len() != n {
+		t.Fatalf("sets of %d and %d rows, want fewer than %d and %d", sparseSet.Len(), denseSet.Len(), n, n)
+	}
+	for _, touched := range [][]int32{nil, {0, 5, 17, 18, 200, 256}} {
+		s, d := engines[0], engines[1]
+		s.SeedResume(sparseSet, touched)
+		d.SeedResume(denseSet, touched)
+		for i := range s.r {
+			if math.Float64bits(s.r[i]) != math.Float64bits(d.r[i]) {
+				t.Fatalf("touched %v: residual entry %d = %v from the set, %v from the dense rows", touched, i, s.r[i], d.r[i])
+			}
+		}
+		if s.occ != d.occ || s.heads != d.heads || s.queued != d.queued || s.ntouched != d.ntouched {
+			t.Fatalf("touched %v: queues differ: occ %x/%x queued %d/%d listed %d/%d", touched, s.occ, d.occ, s.queued, d.queued, s.ntouched, d.ntouched)
+		}
+		for i := 0; i < n; i++ {
+			if s.qbkt[i] != d.qbkt[i] || s.qnext[i] != d.qnext[i] || s.qprev[i] != d.qprev[i] {
+				t.Fatalf("touched %v: row %d queued differently", touched, i)
+			}
+		}
+		for i := 0; i < s.ntouched; i++ {
+			if s.touched[i] != d.touched[i] {
+				t.Fatalf("touched %v: listed row %d differs", touched, i)
 			}
 		}
 	}
