@@ -24,8 +24,10 @@
 #                   BENCH_results.json
 #   make bench-reorder - the graph-layout benchmark on a >=100k-node
 #                   Kronecker graph (natural order vs the auto-chosen
-#                   reordering, one SolveBatch row), archived into
-#                   BENCH_results.json
+#                   reordering, one SolveBatch row) and the cost of
+#                   laying it out (BenchmarkPrepare: durable Prepare on
+#                   the Kronecker and a random graph, its stages, and a
+#                   forced compaction), archived into BENCH_results.json
 #   make bench-parallel - the serial kernel vs the span pool at
 #                   GOMAXPROCS workers on the same large Kronecker graph
 #                   and on a connected random graph of its size, plus
@@ -202,7 +204,7 @@ bench-batch:
 	$(GO) test -bench 'SolveBatch' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-reorder:
-	$(GO) test -bench 'BenchmarkReorder' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
+	$(GO) test -bench 'BenchmarkReorder|BenchmarkPrepare' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)
 
 bench-parallel:
 	$(GO) test -bench 'BenchmarkParallel|BenchmarkSharedSolver' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(BENCHJSON)

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/beliefs"
 	"repro/internal/bp"
@@ -25,9 +26,11 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linbp"
 	"repro/internal/mooij"
+	"repro/internal/order"
 	"repro/internal/relalgo"
 	"repro/internal/reldb"
 	"repro/internal/sbp"
+	"repro/internal/sparse"
 )
 
 // maxBenchGraph returns the largest Fig. 6a graph number to bench.
@@ -578,4 +581,127 @@ func BenchmarkReorderSolveBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPrepare times the set-up the serving benchmark starts with:
+// a durable LinBP Prepare (SyncAlways on a fresh temporary directory,
+// k = 3, 5% labels, εH 0.01497919, tolerance 1e-12, at most 200 rounds,
+// ScheduleAuto, auto reordering) from a graph whose adjacency is not
+// built yet, on the graphs of BenchmarkParallelLinBP at the power of
+// LSBP_BENCH_REORDER_POWER (default 11):
+//
+//   - kron_powerP_nodesN and random_nodesN_edgesM — Prepare, from the
+//     adjacency assembly to the published snapshot (ns/op, B/op);
+//   - stages/kron_powerP_nodesN — the layout stages one after another
+//     (graph.Adjacency, order.Compute, CSR.Permute, NewRowBlocks), each
+//     as its own ns/op metric;
+//   - compact/kron_powerP_nodesN — an Update inserting (then, next op,
+//     deleting) one absent edge under a compaction ratio that forces a
+//     compaction on every commit; commit-ns/op is the compaction.
+func BenchmarkPrepare(b *testing.B) {
+	power := reorderBenchPower()
+	n, m := 1, 1
+	for i := 0; i < power; i++ {
+		n, m = 3*n, 4*m
+	}
+	m /= 2
+	kronName := fmt.Sprintf("kron_power%d_nodes%d", power, n)
+	graphs := []struct {
+		name  string
+		build func() *graph.Graph
+	}{
+		{kronName, func() *graph.Graph { return gen.Kronecker(power) }},
+		{fmt.Sprintf("random_nodes%d_edges%d", n, m), func() *graph.Graph { return gen.Random(n, m, 11) }},
+	}
+	labels, _ := beliefs.Seed(n, 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 1})
+	problem := func(g *graph.Graph) *core.Problem {
+		return &core.Problem{Graph: g, Explicit: labels, Ho: coupling.Fig6bResidual(), EpsilonH: 0.01497919}
+	}
+	opts := func(extra ...core.Option) []core.Option {
+		return append([]core.Option{core.WithTol(1e-12), core.WithMaxIter(200), core.WithSchedule(core.ScheduleAuto)}, extra...)
+	}
+	for _, gc := range graphs {
+		b.Run(gc.name, func(b *testing.B) {
+			base := gc.build()
+			root := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := base.Clone() // no cached adjacency
+				dir, err := os.MkdirTemp(root, "state-")
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				s, err := core.Prepare(problem(g), core.MethodLinBP, opts(core.WithDurability(dir, core.DurabilityPolicy{Sync: core.SyncAlways}))...)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+		})
+	}
+	b.Run("stages/"+kronName, func(b *testing.B) {
+		base := gen.Kronecker(power)
+		var adj, ord, perm, rows time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g := base.Clone()
+			t0 := time.Now()
+			a := g.Adjacency()
+			t1 := time.Now()
+			p, _ := order.Compute(order.StrategyAuto, a)
+			t2 := time.Now()
+			if p != nil {
+				a = a.Permute(p)
+			}
+			t3 := time.Now()
+			if _, err := sparse.NewRowBlocks(a, a.RowSumsSquared()); err != nil {
+				b.Fatal(err)
+			}
+			t4 := time.Now()
+			adj, ord, perm, rows = adj+t1.Sub(t0), ord+t2.Sub(t1), perm+t3.Sub(t2), rows+t4.Sub(t3)
+		}
+		per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
+		b.ReportMetric(per(adj), "adjacency-ns/op")
+		b.ReportMetric(per(ord), "order-ns/op")
+		b.ReportMetric(per(perm), "permute-ns/op")
+		b.ReportMetric(per(rows), "rowblocks-ns/op")
+	})
+	b.Run("compact/"+kronName, func(b *testing.B) {
+		g := gen.Kronecker(power)
+		s, err := core.Prepare(problem(g), core.MethodLinBP, opts(core.WithUpdatePolicy(core.UpdatePolicy{CompactionRatio: 1e-12}))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		ctx := context.Background()
+		update := func(u core.Update) {
+			if _, err := s.Update(ctx, u); err != nil && !errors.Is(err, core.ErrNotConverged) {
+				b.Fatal(err)
+			}
+		}
+		update(core.Update{})
+		edge := absentBenchEdges(g, 1, 7)
+		pre := s.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				update(core.Update{AddEdges: edge})
+			} else {
+				update(core.Update{RemoveEdges: edge})
+			}
+		}
+		b.StopTimer()
+		post := s.Stats()
+		if post.Rebuilds-pre.Rebuilds != int64(b.N) {
+			b.Fatalf("%d compactions in %d commits", post.Rebuilds-pre.Rebuilds, b.N)
+		}
+		b.ReportMetric(float64(post.UpdateCommitNS-pre.UpdateCommitNS)/float64(b.N), "commit-ns/op")
+	})
 }

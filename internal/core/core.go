@@ -156,11 +156,10 @@ type Result struct {
 }
 
 // bpSafeScale returns the λ that brings the largest explicit residual
-// magnitude down to 0.1 (a comfortably valid prior), or 1 if already
-// safe. Scaling Eˆ does not change the top-belief assignment
+// magnitude, max, down to 0.1 (a comfortably valid prior), or 1 if
+// already safe. Scaling Eˆ does not change the top-belief assignment
 // (Corollary 13); for BP itself the effect is a mild damping of priors.
-func bpSafeScale(e *beliefs.Residual) float64 {
-	max := e.Matrix().MaxAbs()
+func bpSafeScale(max float64) float64 {
 	if max <= 0.1 {
 		return 1
 	}

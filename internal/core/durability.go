@@ -387,6 +387,10 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		if kernelMethod(m) {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
+		// BP and SBP read the relabeled rows as a symmetric adjacency.
+		if !a.IsPatternSymmetric() {
+			return nil, fmt.Errorf("core: open: graph-order adjacency pattern not symmetric: %w", errs.ErrCorruptState)
+		}
 		relabel = perm
 	}
 	ep, err := newEpoch(m, ho, info, cfg, a, relabel, perm)

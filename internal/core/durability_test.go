@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -554,7 +555,8 @@ func TestBPMultigraphRecovers(t *testing.T) {
 // (GraphOrder, as BP and SBP checkpoints were written before they served
 // from the layout table) still opens for BP and SBP, permuted into
 // layout order, and answers what a fresh Prepare answers. A kernel
-// method never wrote one, so it refuses the image.
+// method never wrote one, so it refuses the image, and BP and SBP
+// refuse one whose pattern is not symmetric.
 func TestOpenGraphOrderImage(t *testing.T) {
 	ctx := context.Background()
 	p := randomProblem(t, 80, 170, 3, 0.05, 31)
@@ -591,6 +593,22 @@ func TestOpenGraphOrderImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
+			// Drop the first stored entry of row 0 and keep its mirror.
+			if rowPtr[1] == 0 {
+				t.Fatal("row 0 stores no entry to drop")
+			}
+			asym := *img
+			asym.RowPtr = append([]int(nil), rowPtr...)
+			for i := 1; i < len(asym.RowPtr); i++ {
+				asym.RowPtr[i]--
+			}
+			asym.ColIdx32, asym.Vals = cols[1:], vals[1:]
+			if err := durable.WriteSnapshot(fs, "asym", &asym); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenFS(fs, "asym", durTight...); !errors.Is(err, ErrCorruptState) || !strings.Contains(err.Error(), "not symmetric") {
+				t.Fatalf("Open of an asymmetric graph-order image = %v, want ErrCorruptState for the pattern", err)
+			}
 			want := freshSolve(t, p, m, p.Explicit, append([]Option{WithReordering(ReorderRCM)}, durTight...)...)
 			got, err := r.Update(ctx, Update{})
 			if err != nil && !errors.Is(err, ErrNotConverged) {

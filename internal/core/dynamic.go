@@ -804,13 +804,26 @@ func (d *dynSolver) compactLocked() error {
 }
 
 // resolveGraphLocked re-solves BP and SBP cold on the current epoch
-// (they keep no warm state), on a caller-order request filled from the
-// explicit set for this call. Close waits for mu, so the solve's read
-// side never blocks.
+// (they keep no warm state), straight from the explicit set: no
+// caller-order request is built. Close waits for mu, so the solve needs
+// no read side of the lifecycle.
 func (d *dynSolver) resolveGraphLocked(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	res, err := d.Solve(ctx, d.callerExplicit())
+	res := &Result{Method: d.method, Beliefs: beliefs.New(d.n, d.k)}
+	if d.method == MethodSBP {
+		res.Geodesics = make([]int, d.n)
+	}
+	d.solves.Add(1)
+	var info SolveInfo
+	err := d.admitCtx(ctx)
+	if err == nil {
+		info, err = d.plane.(*graphSolver).solveSet(ctx, d.cur.Load(), res.Beliefs, d.exp, res.Geodesics)
+	}
 	d.resolveNS.Add(int64(time.Since(start)))
+	if err != nil && !isNotConverged(err) {
+		return nil, err
+	}
+	res.Iterations, res.Converged, res.Delta = info.Iterations, info.Converged, info.Delta
 	return res, err
 }
 

@@ -196,3 +196,47 @@ func TestReplayAllocsIndependentOfRecords(t *testing.T) {
 		t.Fatalf("OpenFS allocates %.1f MB replaying 30 relabel records, %.1f MB replaying 1", float64(thirty)/1e6, float64(one)/1e6)
 	}
 }
+
+// TestSBPUpdateAllocatesResultOnly: an Update's BP or SBP re-solve
+// scatters the explicit set straight into the pooled state's
+// layout-order rows, so a belief-only SBP Update allocates its result
+// (the n×k beliefs and the n geodesics) and a few small buffers — no
+// caller-order n×k request, in the natural order or a permuted layout.
+func TestSBPUpdateAllocatesResultOnly(t *testing.T) {
+	p := kronProblem(t, 8, 3)
+	n := p.Graph.N()
+	var labels [2]*beliefs.Residual
+	for c := range labels {
+		m := map[int]int{}
+		for j := 0; j < 16; j++ {
+			m[j*7919%n] = c
+		}
+		labels[c] = labelMatrix(n, 3, m)
+	}
+	result := uint64(n*3*8 + n*8)
+	for _, r := range []Reordering{ReorderNone, ReorderRCM} {
+		s, err := Prepare(p, MethodSBP, WithReordering(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		update := func(u Update) {
+			if _, err := s.Update(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first relabel changes the explicit node set; the second
+		// warms the pooled state on the settled one.
+		update(Update{SetExplicit: labels[0]})
+		update(Update{SetExplicit: labels[1]})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		update(Update{SetExplicit: labels[0]})
+		runtime.ReadMemStats(&after)
+		s.Close()
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%v: a belief-only SBP Update allocates %d bytes, its result %d", r, got, result)
+		if got > result+32<<10 {
+			t.Errorf("%v: a belief-only SBP Update allocates %d bytes, more than its result's %d and 32 KiB", r, got, result)
+		}
+	}
+}

@@ -1511,7 +1511,8 @@ func (s *kernelSolver) solveChunk(ctx context.Context, ep *epoch, reqs []Request
 // table: a BP engine (its directed-edge layout and message buffers) or
 // an SBP runner (which caches its geodesic ordering), plus layout-order
 // scratch for the explicit rows and the beliefs (nil under the identity
-// map, where the caller's matrices serve as they stand).
+// map, where the caller's matrices serve as they stand; an Update's
+// re-solve builds the explicit rows there too, see solveSet).
 type graphState struct {
 	bp       *bp.Engine
 	sbp      *sbp.Runner
@@ -1583,15 +1584,50 @@ func (s *graphSolver) solve(ctx context.Context, ep *epoch, dst, e *beliefs.Resi
 		return SolveInfo{}, err
 	}
 	defer s.states.put(st, ep)
-	out, ein := dst, e
+	ein := e
 	if st.ein != nil {
 		ep.rm.in(st.ein.Matrix().Data(), e.Matrix().Data(), 1, 0)
-		out, ein = st.out, st.ein
+		ein = st.ein
 	}
-	var info SolveInfo
+	var maxAbs float64
 	if st.bp != nil {
 		// Row shuffles keep MaxAbs, so the caller's e gives the scale.
-		info.Iterations, info.Delta, info.Converged, err = st.bp.SolveInto(ctx, out, ein, bpSafeScale(e))
+		maxAbs = e.Matrix().MaxAbs()
+	}
+	return s.run(ctx, ep, st, dst, ein, maxAbs, geo)
+}
+
+// solveSet answers the explicit set, the maintained problem an Update
+// re-solves: the set's rows are scattered straight into the state's
+// layout-order explicit rows (built here on first use under the
+// identity map, where plain solves read the caller's matrix), and BP's
+// scale comes from the set's largest |value|, so no caller-order
+// request is built.
+func (s *graphSolver) solveSet(ctx context.Context, ep *epoch, dst *beliefs.Residual, set *sparse.RowSet, geo []int) (SolveInfo, error) {
+	st, err := s.states.get(ep)
+	if err != nil {
+		return SolveInfo{}, err
+	}
+	defer s.states.put(st, ep)
+	if st.ein == nil {
+		st.ein = beliefs.New(ep.n, ep.k)
+	}
+	set.Scatter(st.ein.Matrix().Data())
+	return s.run(ctx, ep, st, dst, st.ein, set.MaxAbs(), geo)
+}
+
+// run solves the layout-order explicit rows ein on st into the
+// caller-order dst (and geo, for SBP); maxAbs, the largest |value| of
+// ein, sets BP's scale.
+func (s *graphSolver) run(ctx context.Context, ep *epoch, st *graphState, dst, ein *beliefs.Residual, maxAbs float64, geo []int) (SolveInfo, error) {
+	out := dst
+	if st.out != nil {
+		out = st.out
+	}
+	var info SolveInfo
+	var err error
+	if st.bp != nil {
+		info.Iterations, info.Delta, info.Converged, err = st.bp.SolveInto(ctx, out, ein, bpSafeScale(maxAbs))
 	} else {
 		info.Iterations, err = st.sbp.SolveInto(ctx, out, ein)
 		info.Converged = err == nil

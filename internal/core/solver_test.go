@@ -70,7 +70,7 @@ func TestPreparedEquivalence(t *testing.T) {
 				switch m {
 				case MethodBP:
 					e := p.Explicit
-					if lambda := bpSafeScale(e); lambda != 1 {
+					if lambda := bpSafeScale(e.Matrix().MaxAbs()); lambda != 1 {
 						e = e.Clone().Scale(lambda)
 					}
 					r, err := bp.Run(p.Graph, e, coupling.Uncenter(h), bp.Options{MaxIter: 300})

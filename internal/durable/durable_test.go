@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"testing"
@@ -632,5 +634,46 @@ func TestMemFSDropSyncLosesData(t *testing.T) {
 	last, recs := replayAll(t, fs, "d", 0)
 	if last != 0 || len(recs) != 0 {
 		t.Fatalf("dropped-sync data survived crash: last=%d n=%d", last, len(recs))
+	}
+}
+
+// TestMemFSWriteBeyondEndZeroFills: a write past the end of a file that
+// Truncate or Crash shortened leaves zeros in the gap, not the bytes
+// the file held there before (they may still sit in its capacity).
+func TestMemFSWriteBeyondEndZeroFills(t *testing.T) {
+	for name, shorten := range map[string]func(fs *MemFS) error{
+		"truncate": func(fs *MemFS) error { return fs.Truncate("f", 2) },
+		"crash":    func(fs *MemFS) error { fs.Crash(); return nil },
+	} {
+		fs := NewMemFS()
+		f, err := fs.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir("."); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{3, 4, 5, 6, 7, 8}); err != nil {
+			t.Fatal(err)
+		}
+		if err := shorten(fs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{9}, 6); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := make([]byte, 7)
+		if n, err := f.ReadAt(got, 0); n != 7 || (err != nil && err != io.EOF) {
+			t.Fatalf("%s: read %d bytes: %v", name, n, err)
+		}
+		if want := []byte{1, 2, 0, 0, 0, 0, 9}; !bytes.Equal(got, want) {
+			t.Errorf("%s: file reads %v after the write past its end, want %v", name, got, want)
+		}
 	}
 }

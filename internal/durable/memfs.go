@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -309,13 +310,19 @@ func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 	return h.writeLocked(p, off), nil
 }
 
+// writeLocked lands p at off, growing the file with amortized
+// capacity (a checkpoint's many small appends would otherwise copy the
+// whole file each time). The bytes between the old end and off read as
+// zeros: Truncate and Crash shorten data in place, so the capacity past
+// the end may hold stale bytes.
 func (h *memHandle) writeLocked(p []byte, off int64) int {
 	f := h.f
-	end := off + int64(len(p))
-	if int64(len(f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+	end := int(off) + len(p)
+	if old := len(f.data); old < end {
+		f.data = slices.Grow(f.data, end-old)[:end]
+		if int(off) > old {
+			clear(f.data[old:off])
+		}
 	}
 	copy(f.data[off:end], p)
 	return len(p)

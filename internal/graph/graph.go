@@ -135,15 +135,27 @@ func (g *Graph) ReserveEdges(m int) {
 }
 
 // Adjacency returns the symmetric weighted adjacency matrix A as CSR.
-// The result is cached until the next AddEdge.
+// The result is cached until the next AddEdge. It is assembled straight
+// from the edge list: each edge s−t lands in row s and, unless it is a
+// self-loop, in row t, and parallel edges are summed in edge order, so
+// A(s,t) and A(t,s) are the same sum bitwise.
 func (g *Graph) Adjacency() *sparse.CSR {
 	if g.adj == nil {
-		b := sparse.NewBuilder(g.n, g.n)
-		b.Reserve(2 * len(g.edges))
+		a := sparse.NewAssembler(g.n, g.n)
 		for _, e := range g.edges {
-			b.AddSym(e.S, e.T, e.W)
+			a.Count(e.S)
+			if e.S != e.T {
+				a.Count(e.T)
+			}
 		}
-		g.adj = b.ToCSR()
+		a.Fill()
+		for _, e := range g.edges {
+			a.Put(e.S, e.T, e.W)
+			if e.S != e.T {
+				a.Put(e.T, e.S, e.W)
+			}
+		}
+		g.adj = a.CSR()
 	}
 	return g.adj
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // fig5a builds the 7-node graph of Fig. 5a/5b: v1 is two hops from the
@@ -68,6 +70,42 @@ func TestParallelEdgesAccumulate(t *testing.T) {
 	g.AddEdge(0, 1, 2)
 	if got := g.Adjacency().At(0, 1); got != 3 {
 		t.Fatalf("A(0,1) = %v, want 3", got)
+	}
+}
+
+// TestMultigraphAdjacencyBitwiseSymmetric pins the order parallel edges
+// are summed in: edge order, in both rows. A hub with 59 neighbors and
+// 5 parallel edges of random weights to leaf 5, entered in a shuffled
+// order, puts 64 entries in the hub's row; summing them in an order
+// that depends on the rest of the row (as an unstable sort of the row
+// does) makes A(0,5) and A(5,0) differ in their last bit for seed 8.
+func TestMultigraphAdjacencyBitwiseSymmetric(t *testing.T) {
+	rng := xrand.New(8)
+	var edges []Edge
+	for leaf := 1; leaf <= 59; leaf++ {
+		edges = append(edges, Edge{S: 0, T: leaf, W: 1})
+	}
+	for i := 0; i < 5; i++ {
+		edges = append(edges, Edge{S: 0, T: 5, W: 0.1 + rng.Float64()})
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := New(60)
+	want := 0.0
+	for _, e := range edges {
+		if rng.Intn(2) == 0 {
+			e.S, e.T = e.T, e.S
+		}
+		g.AddEdge(e.S, e.T, e.W)
+		if e.S+e.T == 5 {
+			want += e.W
+		}
+	}
+	a := g.Adjacency()
+	if !a.IsSymmetric() {
+		t.Fatalf("A(0,5) = %v, A(5,0) = %v: the adjacency is not bitwise symmetric", a.At(0, 5), a.At(5, 0))
+	}
+	if got := a.At(0, 5); got != want {
+		t.Fatalf("A(0,5) = %v, want the edge-order sum %v", got, want)
 	}
 }
 

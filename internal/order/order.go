@@ -24,8 +24,9 @@
 package order
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -313,47 +314,73 @@ func pos(p Permutation, i int) int {
 }
 
 // ByDegree returns the descending-degree ordering: position 0 gets the
-// highest-degree node. The sort is stable, so equal-degree nodes keep
+// highest-degree node (the degree is the row's stored entries). It is a
+// stable counting sort on the row lengths, so equal-degree nodes keep
 // their relative natural order (which preserves whatever locality the
 // loader's id assignment already has within a degree class).
 func ByDegree(a *sparse.CSR) Permutation {
 	n := a.Rows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	maxDeg := 0
+	for i := 0; i < n; i++ {
+		maxDeg = max(maxDeg, a.RowNNZ(i))
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return a.RowNNZ(idx[x]) > a.RowNNZ(idx[y])
-	})
+	// next[d] is the position the next node of degree d takes: after
+	// every node of a higher degree and every earlier node of degree d.
+	next := make([]int, maxDeg+1)
+	for i := 0; i < n; i++ {
+		next[a.RowNNZ(i)]++
+	}
+	at := 0
+	for d := maxDeg; d >= 0; d-- {
+		next[d], at = at, at+next[d]
+	}
 	perm := make(Permutation, n)
-	for nw, old := range idx {
-		perm[old] = nw
+	for i := range perm {
+		d := a.RowNNZ(i)
+		perm[i] = next[d]
+		next[d]++
 	}
 	return perm
 }
 
-// RCM returns the reverse Cuthill–McKee ordering of a's symmetrized
-// pattern. Each connected component is traversed breadth-first from a
-// pseudo-peripheral node (George–Liu sweeps), neighbors in ascending
-// degree order; the concatenated order is reversed at the end.
+// RCM returns the reverse Cuthill–McKee ordering of a's pattern, which
+// must be structurally symmetric (a stored (i, j) implies a stored
+// (j, i), as in every graph adjacency); the diagonal is ignored, so a
+// node's degree is its row length less any self-loop. Each connected
+// component is traversed breadth-first from a pseudo-peripheral node
+// (George–Liu sweeps), each discovered batch of neighbors in ascending
+// degree, ties by id; the concatenated order is reversed at the end. On
+// an asymmetric pattern the traversal follows the stored rows and the
+// result is still a permutation.
 func RCM(a *sparse.CSR) Permutation {
 	n := a.Rows()
-	nbr := symmetrizedPattern(a)
+	rowPtr, colIdx, _ := a.Index()
 	deg := make([]int, n)
-	for i, row := range nbr {
+	for i := range deg {
+		row := colIdx[rowPtr[i]:rowPtr[i+1]]
 		deg[i] = len(row)
+		if _, self := slices.BinarySearch(row, i); self {
+			deg[i]--
+		}
+	}
+	byDegree := func(x, y int) int {
+		if c := cmp.Compare(deg[x], deg[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
 	}
 
 	visited := make([]bool, n)
 	cm := make([]int, 0, n) // Cuthill–McKee order: position -> node
 	level := make([]int, n)
 	queue := make([]int, 0, n)
-	scratch := make([]int, 0, 64)
 
 	// bfs runs a level-synchronous BFS from start over unvisited-marked
 	// scratch state, returning the nodes in visit order and the index
 	// where the last level begins. mark controls whether visited is
 	// left set (the real traversal) or rolled back (peripheral sweeps).
+	// A node is visited before its row is read, so its self-loop never
+	// joins a batch.
 	bfs := func(start int, mark bool) (order []int, lastLevel int) {
 		queue = queue[:0]
 		queue = append(queue, start)
@@ -362,26 +389,18 @@ func RCM(a *sparse.CSR) Permutation {
 		maxLvl := 0
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			scratch = scratch[:0]
-			for _, v := range nbr[u] {
+			batch := len(queue)
+			for _, v := range colIdx[rowPtr[u]:rowPtr[u+1]] {
 				if !visited[v] {
 					visited[v] = true
 					level[v] = level[u] + 1
 					if level[v] > maxLvl {
 						maxLvl = level[v]
 					}
-					scratch = append(scratch, v)
+					queue = append(queue, v)
 				}
 			}
-			// Ascending degree within the discovered batch (ties by id
-			// for determinism).
-			sort.Slice(scratch, func(x, y int) bool {
-				if deg[scratch[x]] != deg[scratch[y]] {
-					return deg[scratch[x]] < deg[scratch[y]]
-				}
-				return scratch[x] < scratch[y]
-			})
-			queue = append(queue, scratch...)
+			slices.SortFunc(queue[batch:], byDegree)
 		}
 		lastLevel = len(queue)
 		for i := len(queue) - 1; i >= 0 && level[queue[i]] == maxLvl; i-- {
@@ -430,49 +449,4 @@ func RCM(a *sparse.CSR) Permutation {
 		perm[u] = n - 1 - i // the "reverse" in reverse Cuthill–McKee
 	}
 	return perm
-}
-
-// symmetrizedPattern returns the union pattern of a and aᵀ as adjacency
-// lists (no self-loops, ascending, deduplicated). Graph adjacencies are
-// already symmetric, in which case this is just their structure; the
-// transpose union makes RCM well-defined for any square input.
-func symmetrizedPattern(a *sparse.CSR) [][]int {
-	n := a.Rows()
-	var at sparse.CSR
-	a.TransposeInto(&at)
-	rowPtr, colIdx, _ := a.Index()
-	tRowPtr, tColIdx, _ := at.Index()
-	nbr := make([][]int, n)
-	for i := 0; i < n; i++ {
-		row := make([]int, 0, (rowPtr[i+1]-rowPtr[i])+(tRowPtr[i+1]-tRowPtr[i]))
-		p, q := rowPtr[i], tRowPtr[i]
-		// Merge the two ascending column lists, dropping duplicates and
-		// the diagonal.
-		for p < rowPtr[i+1] || q < tRowPtr[i+1] {
-			var j int
-			switch {
-			case p >= rowPtr[i+1]:
-				j = tColIdx[q]
-				q++
-			case q >= tRowPtr[i+1]:
-				j = colIdx[p]
-				p++
-			case colIdx[p] < tColIdx[q]:
-				j = colIdx[p]
-				p++
-			case colIdx[p] > tColIdx[q]:
-				j = tColIdx[q]
-				q++
-			default:
-				j = colIdx[p]
-				p++
-				q++
-			}
-			if j != i && (len(row) == 0 || row[len(row)-1] != j) {
-				row = append(row, j)
-			}
-		}
-		nbr[i] = row
-	}
-	return nbr
 }

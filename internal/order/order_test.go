@@ -1,10 +1,15 @@
 package order
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/sparse"
+	"repro/internal/xrand"
 )
 
 // scrambledPath builds the adjacency of an n-node path whose node ids
@@ -257,4 +262,209 @@ func TestRCMOnKronecker(t *testing.T) {
 	// valid permutation (finite, computed without panics).
 	_ = Profile(a, p)
 	_ = Profile(a, nil)
+}
+
+// referenceByDegree is the descending-degree ordering as a stable
+// comparison sort: the definition the counting sort of ByDegree must
+// reproduce.
+func referenceByDegree(a *sparse.CSR) Permutation {
+	n := a.Rows()
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(x, y int) bool {
+		return a.RowNNZ(idx[x]) > a.RowNNZ(idx[y])
+	})
+	perm := make(Permutation, n)
+	for nw, old := range idx {
+		perm[old] = nw
+	}
+	return perm
+}
+
+// referenceRCM is RCM over neighbor lists of the union pattern of a and
+// aᵀ (no self-loops, ascending, deduplicated) with each BFS batch
+// sorted by sort.Slice: the definition RCM must reproduce on the
+// structurally symmetric matrices it accepts, where the union is a's
+// own pattern.
+func referenceRCM(a *sparse.CSR) Permutation {
+	n := a.Rows()
+	nbr := referenceSymmetrizedPattern(a)
+	deg := make([]int, n)
+	for i, row := range nbr {
+		deg[i] = len(row)
+	}
+	visited := make([]bool, n)
+	cm := make([]int, 0, n)
+	level := make([]int, n)
+	queue := make([]int, 0, n)
+	scratch := make([]int, 0, 64)
+	bfs := func(start int, mark bool) (order []int, lastLevel int) {
+		queue = queue[:0]
+		queue = append(queue, start)
+		visited[start] = true
+		level[start] = 0
+		maxLvl := 0
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			scratch = scratch[:0]
+			for _, v := range nbr[u] {
+				if !visited[v] {
+					visited[v] = true
+					level[v] = level[u] + 1
+					if level[v] > maxLvl {
+						maxLvl = level[v]
+					}
+					scratch = append(scratch, v)
+				}
+			}
+			sort.Slice(scratch, func(x, y int) bool {
+				if deg[scratch[x]] != deg[scratch[y]] {
+					return deg[scratch[x]] < deg[scratch[y]]
+				}
+				return scratch[x] < scratch[y]
+			})
+			queue = append(queue, scratch...)
+		}
+		lastLevel = len(queue)
+		for i := len(queue) - 1; i >= 0 && level[queue[i]] == maxLvl; i-- {
+			lastLevel = i
+		}
+		if !mark {
+			for _, u := range queue {
+				visited[u] = false
+			}
+		}
+		return queue, lastLevel
+	}
+	for start := 0; start < n; start++ {
+		if visited[start] {
+			continue
+		}
+		root := start
+		bestEcc := -1
+		for sweep := 0; sweep < 4; sweep++ {
+			orderSeen, last := bfs(root, false)
+			ecc := level[orderSeen[len(orderSeen)-1]]
+			if ecc <= bestEcc {
+				break
+			}
+			bestEcc = ecc
+			next := root
+			for _, u := range orderSeen[last:] {
+				if next == root || deg[u] < deg[next] {
+					next = u
+				}
+			}
+			if next == root {
+				break
+			}
+			root = next
+		}
+		comp, _ := bfs(root, true)
+		cm = append(cm, comp...)
+	}
+	perm := make(Permutation, n)
+	for i, u := range cm {
+		perm[u] = n - 1 - i
+	}
+	return perm
+}
+
+func referenceSymmetrizedPattern(a *sparse.CSR) [][]int {
+	n := a.Rows()
+	var at sparse.CSR
+	a.TransposeInto(&at)
+	rowPtr, colIdx, _ := a.Index()
+	tRowPtr, tColIdx, _ := at.Index()
+	nbr := make([][]int, n)
+	for i := 0; i < n; i++ {
+		row := make([]int, 0, (rowPtr[i+1]-rowPtr[i])+(tRowPtr[i+1]-tRowPtr[i]))
+		p, q := rowPtr[i], tRowPtr[i]
+		// Merge the two ascending column lists, dropping duplicates and
+		// the diagonal.
+		for p < rowPtr[i+1] || q < tRowPtr[i+1] {
+			var j int
+			switch {
+			case p >= rowPtr[i+1]:
+				j = tColIdx[q]
+				q++
+			case q >= tRowPtr[i+1]:
+				j = colIdx[p]
+				p++
+			case colIdx[p] < tColIdx[q]:
+				j = colIdx[p]
+				p++
+			case colIdx[p] > tColIdx[q]:
+				j = tColIdx[q]
+				q++
+			default:
+				j = colIdx[p]
+				p++
+				q++
+			}
+			if j != i && (len(row) == 0 || row[len(row)-1] != j) {
+				row = append(row, j)
+			}
+		}
+		nbr[i] = row
+	}
+	return nbr
+}
+
+// layoutCases are the structurally symmetric matrices the layout code
+// is held to its references on: Kronecker powers, a grid, a scrambled
+// path, random graphs, and random multigraphs with self-loops, isolated
+// nodes and several components.
+func layoutCases(t *testing.T) map[string]*sparse.CSR {
+	t.Helper()
+	cases := map[string]*sparse.CSR{
+		"grid30x40":     gen.Grid(30, 40).Adjacency(),
+		"scrambledPath": scrambledPath(500),
+	}
+	for p := 3; p <= 8; p++ {
+		cases[fmt.Sprintf("kron%d", p)] = gen.Kronecker(p).Adjacency()
+	}
+	for _, nm := range [][2]int{{50, 60}, {300, 1200}, {2000, 9000}} {
+		cases[fmt.Sprintf("random%d_%d", nm[0], nm[1])] = gen.Random(nm[0], nm[1], uint64(nm[0])).Adjacency()
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := xrand.New(seed)
+		n := 40 + rng.Intn(400)
+		g := graph.New(n)
+		// Components on disjoint id ranges, with the rest isolated:
+		// stars (hubs above the insertion-sort cut), paths, self-loops
+		// and parallel edges.
+		lo := 0
+		for c := 0; c < 3 && lo < n-10; c++ {
+			hi := lo + 5 + rng.Intn((n-lo)/2)
+			for e := 0; e < 3*(hi-lo); e++ {
+				u, v := lo+rng.Intn(hi-lo), lo+rng.Intn(hi-lo)
+				if e%4 == 0 {
+					u = lo // the component's hub
+				}
+				g.AddEdge(u, v, 0.5+rng.Float64())
+			}
+			lo = hi + rng.Intn(3)
+		}
+		cases[fmt.Sprintf("multigraph_seed%d", seed)] = g.Adjacency()
+	}
+	return cases
+}
+
+func TestRCMMatchesReference(t *testing.T) {
+	for name, a := range layoutCases(t) {
+		if got, want := RCM(a), referenceRCM(a); !slices.Equal(got, want) {
+			t.Errorf("%s: RCM differs from the reference", name)
+		}
+	}
+}
+
+func TestByDegreeMatchesReference(t *testing.T) {
+	for name, a := range layoutCases(t) {
+		if got, want := ByDegree(a), referenceByDegree(a); !slices.Equal(got, want) {
+			t.Errorf("%s: ByDegree differs from the reference", name)
+		}
+	}
 }

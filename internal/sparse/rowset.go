@@ -9,6 +9,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -180,6 +181,17 @@ func (s *RowSet) Scatter(dst []float64) {
 	for p, i := range s.rows {
 		copy(dst[int(i)*w:int(i)*w+w], s.Values(p))
 	}
+}
+
+// MaxAbs returns the largest |value| in the set, 0 when it is empty.
+func (s *RowSet) MaxAbs() float64 {
+	var max float64
+	for _, v := range s.vals {
+		if a := math.Abs(v); a > max {
+			max = a
+		}
+	}
+	return max
 }
 
 // ZeroRow reports whether every value of v is zero (either sign).

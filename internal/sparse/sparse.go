@@ -4,14 +4,18 @@
 // implementation relied on Parallel Colt for the same purpose; this
 // package is the from-scratch, standard-library substitute.
 //
-// Matrices are built through a COO (coordinate) builder and frozen into
-// an immutable CSR form. Duplicate (row, col) entries in the builder are
-// summed on freeze, which matches how parallel edges accumulate weight in
-// a weighted adjacency matrix (Section 5.2).
+// Matrices are built through a COO (coordinate) builder, or an
+// Assembler fed straight from an edge list, and frozen into an
+// immutable CSR form. Duplicate (row, col) entries are summed on freeze
+// in the order they were added, which matches how parallel edges
+// accumulate weight in a weighted adjacency matrix (Section 5.2) and
+// keeps a symmetrically entered matrix bitwise symmetric: rows i and j
+// sum the parallel edges between them in the same order.
 package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -25,12 +29,17 @@ type Builder struct {
 	v          []float64
 }
 
-// NewBuilder returns a builder for a rows×cols sparse matrix.
+// NewBuilder returns a builder for a rows×cols sparse matrix, with at
+// most 2^32 columns.
 func NewBuilder(rows, cols int) *Builder {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
-	}
+	checkDims(rows, cols)
 	return &Builder{rows: rows, cols: cols}
+}
+
+func checkDims(rows, cols int) {
+	if rows < 0 || cols < 0 || cols > maxCols {
+		panic(fmt.Sprintf("sparse: dimension %dx%d is negative or has more than 2^32 columns", rows, cols))
+	}
 }
 
 // Reserve grows the builder's triplet storage so that at least nnz
@@ -76,69 +85,152 @@ func (b *Builder) AddSym(i, j int, v float64) {
 // NNZ returns the number of accumulated triplets (before deduplication).
 func (b *Builder) NNZ() int { return len(b.v) }
 
-// ToCSR freezes the builder into a CSR matrix, summing duplicates and
-// dropping entries whose summed value is exactly zero. The builder remains
-// usable afterwards (more triplets may be added and ToCSR called again).
+// ToCSR freezes the builder into a CSR matrix through an Assembler:
+// each row in column order, duplicates summed in the order they were
+// added, and entries whose sum is exactly zero dropped. Summing in
+// insertion order makes a matrix entered with AddSym bitwise
+// symmetric, parallel entries included. The builder remains usable
+// afterwards (more triplets may be added and ToCSR called again).
 func (b *Builder) ToCSR() *CSR {
-	// Count entries per row, then bucket-sort triplets by row.
-	rowCount := make([]int, b.rows+1)
+	a := NewAssembler(b.rows, b.cols)
 	for _, i := range b.r {
-		rowCount[i+1]++
+		a.Count(i)
 	}
-	for i := 0; i < b.rows; i++ {
-		rowCount[i+1] += rowCount[i]
-	}
-	order := make([]int, len(b.r))
-	next := make([]int, b.rows)
+	a.Fill()
 	for t, i := range b.r {
-		order[rowCount[i]+next[i]] = t
-		next[i]++
+		a.Put(i, b.c[t], b.v[t])
 	}
+	return a.CSR()
+}
 
-	csr := &CSR{rows: b.rows, cols: b.cols, rowPtr: make([]int, b.rows+1)}
-	colScratch := make([]int, 0, 64)
-	valScratch := make([]float64, 0, 64)
-	for i := 0; i < b.rows; i++ {
-		lo, hi := rowCount[i], rowCount[i+1]
-		colScratch = colScratch[:0]
-		valScratch = valScratch[:0]
-		for _, t := range order[lo:hi] {
-			colScratch = append(colScratch, b.c[t])
-			valScratch = append(valScratch, b.v[t])
+// Assembler builds a CSR from triplets walked twice: Count every
+// triplet's row, call Fill, then Put every triplet, in any order within
+// a row. The rows are filled by a counting sort into arrays sized once.
+// CSR then puts each row in column order with a stable sort, run only on
+// rows that are not in order already, sums duplicates in the order they
+// were put and drops entries whose sum is exactly zero — with no
+// allocation per row. graph.Adjacency feeds it straight from its edge
+// list; ToCSR from the builder's triplets.
+type Assembler struct {
+	rows, cols int
+	rowPtr     []int // row counts, then row starts
+	next       []int // each row's next free slot while filling
+	colIdx     []int
+	val        []float64
+}
+
+// NewAssembler returns an assembler for a rows×cols matrix, with at
+// most 2^32 columns.
+func NewAssembler(rows, cols int) *Assembler {
+	checkDims(rows, cols)
+	return &Assembler{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+}
+
+// Count records one triplet in row i.
+func (a *Assembler) Count(i int) { a.rowPtr[i+1]++ }
+
+// Fill ends the counting pass and sizes the arrays for the triplets
+// counted.
+func (a *Assembler) Fill() {
+	a.next = make([]int, a.rows)
+	for i := 0; i < a.rows; i++ {
+		a.next[i] = a.rowPtr[i]
+		a.rowPtr[i+1] += a.rowPtr[i]
+	}
+	a.colIdx = make([]int, a.rowPtr[a.rows])
+	a.val = make([]float64, a.rowPtr[a.rows])
+}
+
+// Put places the triplet (i, j, v) after those already put in row i.
+// It checks nothing: CSR rejects a row put more or less often than it
+// was counted, or a column out of range.
+func (a *Assembler) Put(i, j int, v float64) {
+	q := a.next[i]
+	a.colIdx[q], a.val[q] = j, v
+	a.next[i] = q + 1
+}
+
+// CSR finishes the matrix in place: it sorts, sums and compacts every
+// row, and the result adopts the assembler's arrays, so the assembler
+// is spent. It panics unless Fill was called and every row was put
+// exactly as often as it was counted, with columns in range.
+func (a *Assembler) CSR() *CSR {
+	rowPtr, col, val := a.rowPtr, a.colIdx, a.val
+	var rs rowSort
+	w, lo := 0, 0
+	for i := 0; i < a.rows; i++ {
+		hi := rowPtr[i+1]
+		if a.next[i] != hi {
+			panic(fmt.Sprintf("sparse: row %d got %d of its %d counted triplets", i, a.next[i]-lo, hi-lo))
 		}
-		// Sort the row's entries by column and merge duplicates.
-		idx := make([]int, len(colScratch))
-		for t := range idx {
-			idx[t] = t
-		}
-		sort.Slice(idx, func(a, c int) bool { return colScratch[idx[a]] < colScratch[idx[c]] })
-		prevCol := -1
-		for _, t := range idx {
-			col, val := colScratch[t], valScratch[t]
-			if col == prevCol {
-				csr.val[len(csr.val)-1] += val
-				continue
+		for _, j := range col[lo:hi] {
+			if uint(j) >= uint(a.cols) {
+				panic(fmt.Sprintf("sparse: row %d holds column %d outside [0, %d)", i, j, a.cols))
 			}
-			csr.colIdx = append(csr.colIdx, col)
-			csr.val = append(csr.val, val)
-			prevCol = col
 		}
-		// Drop exact zeros produced by cancellation (walk backwards over
-		// the entries just appended for this row).
-		start := csr.rowPtr[i]
-		w := start
-		for r := start; r < len(csr.val); r++ {
-			if csr.val[r] != 0 {
-				csr.colIdx[w] = csr.colIdx[r]
-				csr.val[w] = csr.val[r]
+		rs.sort(col[lo:hi], val[lo:hi])
+		for p := lo; p < hi; {
+			j, s := col[p], val[p]
+			for p++; p < hi && col[p] == j; p++ {
+				s += val[p]
+			}
+			if s != 0 {
+				col[w], val[w] = j, s
 				w++
 			}
 		}
-		csr.colIdx = csr.colIdx[:w]
-		csr.val = csr.val[:w]
-		csr.rowPtr[i+1] = len(csr.val)
+		rowPtr[i+1] = w
+		lo = hi
 	}
-	return csr
+	a.rowPtr, a.next, a.colIdx, a.val = nil, nil, nil, nil
+	return &CSR{rows: a.rows, cols: a.cols, rowPtr: rowPtr, colIdx: col[:w], val: val[:w]}
+}
+
+// shortRow is the longest row rowSort orders by insertion sort.
+const shortRow = 16
+
+// maxCols bounds the columns (and a square matrix's rows) of the
+// matrices the assembler and Permute build: rowSort packs a column into
+// 32 bits.
+const maxCols = 1 << 32
+
+// rowSort puts row segments in ascending column order, moving the
+// values along and keeping equal columns in their order. Its buffers
+// grow to the longest row sorted and serve every later row.
+type rowSort struct {
+	keys []uint64
+	vals []float64
+}
+
+// sort orders one row segment: not at all when it is in order already,
+// by insertion sort when short, else by sorting keys that pack each
+// column (high 32 bits) with its position in the row (low 32 bits).
+// The keys are distinct, so the standard library's unstable sort of
+// plain integers yields the stable order, with no comparison function.
+func (s *rowSort) sort(cols []int, vals []float64) {
+	if slices.IsSorted(cols) {
+		return
+	}
+	if len(cols) <= shortRow {
+		for i := 1; i < len(cols); i++ {
+			c, v := cols[i], vals[i]
+			j := i - 1
+			for j >= 0 && cols[j] > c {
+				cols[j+1], vals[j+1] = cols[j], vals[j]
+				j--
+			}
+			cols[j+1], vals[j+1] = c, v
+		}
+		return
+	}
+	s.keys, s.vals = s.keys[:0], append(s.vals[:0], vals...)
+	for p, c := range cols {
+		s.keys = append(s.keys, uint64(c)<<32|uint64(p))
+	}
+	slices.Sort(s.keys)
+	for p, k := range s.keys {
+		cols[p], vals[p] = int(k>>32), s.vals[uint32(k)]
+	}
 }
 
 // CSR is an immutable sparse matrix in compressed sparse row format.
@@ -275,6 +367,7 @@ func (m *CSR) Permute(perm []int) *CSR {
 	if len(perm) != n {
 		panic(fmt.Sprintf("sparse: permutation length %d, want %d", len(perm), n))
 	}
+	checkDims(n, n)
 	inv := make([]int, n) // new -> old, doubling as the bijection check
 	for i := range inv {
 		inv[i] = -1
@@ -292,6 +385,7 @@ func (m *CSR) Permute(perm []int) *CSR {
 		colIdx: make([]int, len(m.colIdx)),
 		val:    make([]float64, len(m.val)),
 	}
+	var rs rowSort
 	pos := 0
 	for r := 0; r < n; r++ {
 		cols, vals := m.RowView(inv[r])
@@ -301,41 +395,10 @@ func (m *CSR) Permute(perm []int) *CSR {
 			out.val[pos] = vals[p]
 			pos++
 		}
-		sortRowByCol(out.colIdx[start:pos], out.val[start:pos])
+		rs.sort(out.colIdx[start:pos], out.val[start:pos])
 		out.rowPtr[r+1] = pos
 	}
 	return out
-}
-
-// sortRowByCol sorts one row segment by column index, moving the values
-// along. Short rows use insertion sort; long rows fall back to
-// sort.Sort to avoid quadratic blowup on hub rows.
-func sortRowByCol(cols []int, vals []float64) {
-	if len(cols) <= 24 {
-		for i := 1; i < len(cols); i++ {
-			c, v := cols[i], vals[i]
-			j := i - 1
-			for j >= 0 && cols[j] > c {
-				cols[j+1], vals[j+1] = cols[j], vals[j]
-				j--
-			}
-			cols[j+1], vals[j+1] = c, v
-		}
-		return
-	}
-	sort.Sort(&rowSorter{cols: cols, vals: vals})
-}
-
-type rowSorter struct {
-	cols []int
-	vals []float64
-}
-
-func (s *rowSorter) Len() int           { return len(s.cols) }
-func (s *rowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
 // MulVec returns y = m·x.
@@ -562,7 +625,13 @@ func (m *CSR) MaxAbsColSum() float64 {
 
 // IsSymmetric reports whether m equals its transpose exactly. It runs
 // one O(nnz) TransposeInto pass instead of a per-entry binary search.
-func (m *CSR) IsSymmetric() bool {
+func (m *CSR) IsSymmetric() bool { return m.symmetric(true) }
+
+// IsPatternSymmetric reports whether m stores (j, i) exactly when it
+// stores (i, j), whatever the values.
+func (m *CSR) IsPatternSymmetric() bool { return m.symmetric(false) }
+
+func (m *CSR) symmetric(values bool) bool {
 	if m.rows != m.cols {
 		return false
 	}
@@ -574,7 +643,7 @@ func (m *CSR) IsSymmetric() bool {
 		}
 	}
 	for i, j := range m.colIdx {
-		if t.colIdx[i] != j || t.val[i] != m.val[i] {
+		if t.colIdx[i] != j || (values && t.val[i] != m.val[i]) {
 			return false
 		}
 	}

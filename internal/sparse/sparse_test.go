@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -263,6 +264,12 @@ func TestIsSymmetric(t *testing.T) {
 	if NewCSRFromDense([][]float64{{0, 1, 0}, {1, 0, 0}}).IsSymmetric() {
 		t.Fatal("non-square matrix cannot be symmetric")
 	}
+	if m := NewCSRFromDense([][]float64{{0, 1}, {2, 0}}); m.IsSymmetric() || !m.IsPatternSymmetric() {
+		t.Fatal("a symmetric pattern with asymmetric values misclassified")
+	}
+	if NewCSRFromDense([][]float64{{0, 1}, {0, 0}}).IsPatternSymmetric() {
+		t.Fatal("asymmetric pattern misclassified")
+	}
 }
 
 func TestEmptyMatrix(t *testing.T) {
@@ -448,36 +455,69 @@ func randomSquareCSR(n int, fill float64, sym bool, seed uint64) *CSR {
 	return b.ToCSR()
 }
 
-func TestPermuteMatchesNaive(t *testing.T) {
-	m := randomSquareCSR(37, 0.08, true, 7)
+// withHubs adds rows 0 and 1 as hubs (every third and every fifth
+// column, weights varying) to a random matrix: rows far longer than
+// the insertion-sort cut, which Permute sorts by the long-row path.
+func withHubs(m *CSR, sym bool) *CSR {
 	n := m.Rows()
-	// A deterministic shuffle-ish bijection.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = (i*17 + 5) % n // gcd(17, 37) = 1 → bijection
-	}
-	p := m.Permute(perm)
-	if p.NNZ() != m.NNZ() {
-		t.Fatalf("Permute changed nnz: %d vs %d", p.NNZ(), m.NNZ())
-	}
+	b := NewBuilder(n, n)
 	for i := 0; i < n; i++ {
-		prev := -1
-		cols, vals := p.RowView(i)
-		for pi, j := range cols {
-			if j <= prev {
-				t.Fatalf("row %d columns not ascending: %v", i, cols)
-			}
-			prev = j
-			_ = vals[pi]
-		}
-		for j := 0; j < n; j++ {
-			if p.At(perm[i], perm[j]) != m.At(i, j) {
-				t.Fatalf("entry (%d,%d) lost by Permute", i, j)
+		m.Row(i, func(j int, v float64) { b.Add(i, j, v) })
+	}
+	for j := 2; j < n; j++ {
+		for hub, step := range []int{3, 5} {
+			if j%step == 0 {
+				if sym {
+					b.AddSym(hub, j, float64(j)/7)
+				} else {
+					b.Add(hub, j, float64(j)/7)
+				}
 			}
 		}
 	}
-	if !p.IsSymmetric() {
-		t.Fatal("symmetric relabeling must stay symmetric")
+	return b.ToCSR()
+}
+
+func TestPermuteMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *CSR
+		sym  bool
+	}{
+		{"symmetric37", randomSquareCSR(37, 0.08, true, 7), true},
+		{"symmetricHubs401", withHubs(randomSquareCSR(401, 0.01, true, 3), true), true},
+		{"symmetricHubs997", withHubs(randomSquareCSR(997, 0.004, true, 5), true), true},
+		{"asymmetricHubs401", withHubs(randomSquareCSR(401, 0.01, false, 11), false), false},
+	} {
+		m := tc.m
+		n := m.Rows()
+		// A deterministic shuffle-ish bijection.
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = (i*17 + 5) % n // gcd(17, n) = 1 → bijection
+		}
+		p := m.Permute(perm)
+		if p.NNZ() != m.NNZ() {
+			t.Fatalf("%s: Permute changed nnz: %d vs %d", tc.name, p.NNZ(), m.NNZ())
+		}
+		for i := 0; i < n; i++ {
+			prev := -1
+			cols, _ := p.RowView(i)
+			for _, j := range cols {
+				if j <= prev {
+					t.Fatalf("%s: row %d columns not ascending: %v", tc.name, i, cols)
+				}
+				prev = j
+			}
+			m.Row(i, func(j int, v float64) {
+				if got := p.At(perm[i], perm[j]); math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("%s: entry (%d,%d) = %v after Permute, want %v", tc.name, i, j, got, v)
+				}
+			})
+		}
+		if tc.sym && !p.IsSymmetric() {
+			t.Fatalf("%s: symmetric relabeling must stay symmetric", tc.name)
+		}
 	}
 }
 
@@ -616,5 +656,121 @@ func TestCompactIndex(t *testing.T) {
 	rp32b, ci32b, _ := m.CompactIndex()
 	if &rp32b[0] != &rp32[0] || &ci32b[0] != &ci32[0] {
 		t.Fatal("CompactIndex must cache")
+	}
+}
+
+// referenceFreeze is ToCSR's specification written with a map: per
+// (row, col) the triplet values summed in insertion order, sums of
+// exactly zero dropped, each row in column order.
+func referenceFreeze(rows int, r, c []int, v []float64) (rowPtr, colIdx []int, val []float64) {
+	sum := map[[2]int]float64{}
+	for t := range r {
+		key := [2]int{r[t], c[t]}
+		if s, ok := sum[key]; ok {
+			sum[key] = s + v[t]
+		} else {
+			sum[key] = v[t]
+		}
+	}
+	keys := make([][2]int, 0, len(sum))
+	for key, s := range sum {
+		if s != 0 {
+			keys = append(keys, key)
+		}
+	}
+	slices.SortFunc(keys, func(x, y [2]int) int {
+		if x[0] != y[0] {
+			return x[0] - y[0]
+		}
+		return x[1] - y[1]
+	})
+	rowPtr = make([]int, rows+1)
+	for _, key := range keys {
+		rowPtr[key[0]+1]++
+		colIdx = append(colIdx, key[1])
+		val = append(val, sum[key])
+	}
+	for i := 0; i < rows; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	return rowPtr, colIdx, val
+}
+
+func TestToCSRMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		state := seed*2862933555777941757 + 3037000493
+		next := func(n int) int {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			return int(state % uint64(n))
+		}
+		n := 2 + next(90)
+		b := NewBuilder(n, n)
+		var r, c []int
+		var v []float64
+		add := func(i, j int, x float64) {
+			b.Add(i, j, x)
+			r, c, v = append(r, i), append(c, j), append(v, x)
+		}
+		weight := func() float64 { return float64(1+next(1<<20)) / float64(1+next(1000)) }
+		triplets := func(m int) {
+			for k := 0; k < m; k++ {
+				i, j, x := next(n), next(n), weight()
+				switch next(6) {
+				case 0: // a hub row, longer than the insertion-sort cut
+					i = 0
+				case 1: // a parallel entry to a few columns
+					j = next(3)
+				case 2:
+					j = i // a self-loop
+				case 3: // an entry that cancels to exactly zero
+					add(i, j, x)
+					x = -x
+				}
+				add(i, j, x)
+			}
+		}
+		check := func(stage string) {
+			t.Helper()
+			m := b.ToCSR()
+			rowPtr, colIdx, val := referenceFreeze(n, r, c, v)
+			gotPtr, gotCol, gotVal := m.Index()
+			if !slices.Equal(gotPtr, rowPtr) || !slices.Equal(gotCol, colIdx) {
+				t.Fatalf("seed %d %s: structure differs from the reference", seed, stage)
+			}
+			for p := range val {
+				if math.Float64bits(gotVal[p]) != math.Float64bits(val[p]) {
+					t.Fatalf("seed %d %s: entry %d = %v, want the insertion-order sum %v", seed, stage, p, gotVal[p], val[p])
+				}
+			}
+		}
+		triplets(20 + next(400))
+		check("first freeze")
+		triplets(1 + next(200))
+		check("second freeze")
+	}
+}
+
+func TestAssemblerRejectsMiscountedRows(t *testing.T) {
+	for name, fill := range map[string]func(a *Assembler){
+		"row put too often": func(a *Assembler) { a.Put(0, 1, 1); a.Put(0, 2, 1) },
+		"row never put":     func(a *Assembler) { a.Put(0, 1, 1) },
+		"column too large":  func(a *Assembler) { a.Put(0, 3, 1); a.Put(1, 0, 1) },
+		"negative column":   func(a *Assembler) { a.Put(0, -1, 1); a.Put(1, 0, 1) },
+	} {
+		a := NewAssembler(3, 3)
+		a.Count(0)
+		a.Count(1)
+		a.Fill()
+		fill(a)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: CSR must panic", name)
+				}
+			}()
+			a.CSR()
+		}()
 	}
 }
